@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dyadic import Cube, MeasureSpec, pow2
+from .dyadic import Cube, ExactSum, MeasureSpec, pow2
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_value
 from .spaces import SpaceParams, space_norm
@@ -333,12 +333,12 @@ def sigma_greedy(
         range(len(cubes)), key=lambda i: (-abs(u_value(u, cubes[i]) * values[i]), i)
     )
     kept: list[Cube] = []
-    kept_masses: list[float] = []
+    kept_mass = ExactSum()
     for i in order:
         mass = params.measure(cubes[i])
-        if math.fsum(kept_masses) + mass <= budget:
+        if kept_mass.value + mass <= budget:
             kept.append(cubes[i])
-            kept_masses.append(mass)
+            kept_mass.add(mass)
     support = tuple(sorted(kept))
     error = space_norm(s.without(support), params.space)
     return SigmaResult(error, support, certified=False, mode="greedy")
@@ -364,11 +364,12 @@ def sigma_profile(
             range(n), key=lambda i: (-abs(u_value(u, cubes[i]) * values[i]), i)
         )
         raw = [(0.0, space_norm(s, params.space))]
+        prefix_mass = ExactSum()
         for count in range(1, n + 1):
             prefix = order[:count]
             raw.append(
                 (
-                    math.fsum(masses[i] for i in prefix),
+                    prefix_mass.add(masses[order[count - 1]]),
                     space_norm(s.without(cubes[i] for i in prefix), params.space),
                 )
             )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, ContractViolationError, ScaleRangeError
 
@@ -165,6 +165,50 @@ def biggest_smallest_cube(
     return biggest, smallest
 
 
+class ExactSum:
+    """Running sum whose every value is rounded exactly as ``math.fsum``
+    rounds the terms added so far.
+
+    The state is the list of non-overlapping partials that ``math.fsum``
+    keeps internally (Shewchuk 1997, *Adaptive Precision Floating-Point
+    Arithmetic*): adding a term grows them by one pass, and ``math.fsum`` of
+    the partials, whose exact sum is that of the terms, rounds it correctly.
+    For finite doubles there are at most about 40 partials, so a term costs
+    O(1) where re-summing the whole prefix costs O(n).  An inf or nan term, or
+    an overflow among the partials, sends every later value through
+    ``math.fsum`` of all the terms, which keeps its result or error.
+    """
+
+    def __init__(self) -> None:
+        self._terms: list[float] = []
+        self._partials: list[float] | None = []
+        self.value = 0.0
+
+    def add(self, term: float) -> float:
+        """Add ``term``; return ``math.fsum`` of every term added so far."""
+        x = float(term)
+        self._terms.append(x)
+        if self._partials is not None:
+            partials: list[float] = []
+            for y in self._partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials.append(lo)
+                x = hi
+            if math.isfinite(x):
+                if x:
+                    partials.append(x)
+                self._partials = partials
+                self.value = math.fsum(partials)
+                return self.value
+            self._partials = None
+        self.value = math.fsum(self._terms)
+        return self.value
+
+
 @dataclass
 class _Node:
     cube: Cube
@@ -172,58 +216,146 @@ class _Node:
     children: list[int] = field(default_factory=list)
 
 
+def _capped_levels(cubes: Sequence[Cube]) -> dict[int, int]:
+    """Each scale present, mapped to a level on a grid where every gap between
+    consecutive scales is capped at one more than the widest position.
+
+    Shifting a position by at least its bit length gives 0 or -1 however long
+    the shift, so on the capped grid every cube contains exactly the cubes it
+    contains on the true one, while shifts and keys stay as long as the
+    positions instead of the scale gap.
+    """
+    cap = 1 + max(c.bit_length() for q in cubes for c in q.k)
+    levels: dict[int, int] = {}
+    level = 0
+    previous: int | None = None
+    for j in sorted({q.j for q in cubes}):
+        if previous is not None:
+            level += min(j - previous, cap)
+        levels[j] = level
+        previous = j
+    return levels
+
+
+def _bit_spreader(width: int, d: int) -> Callable[[int], int]:
+    """Function moving bit i of a non-negative int below 2^width to bit i*d.
+
+    Each step moves the upper half of every block of bits up by half a block
+    times (d - 1), so an int of b bits takes log2(b) big-int steps instead of
+    b Python-level steps.
+    """
+    steps: list[tuple[int, int]] = []
+    block = 1
+    while block < width:
+        block *= 2
+    total = block * d
+    while block > 1:
+        block //= 2
+        mask, span = (1 << block) - 1, block * d
+        while span < total:
+            mask |= mask << span
+            span *= 2
+        steps.append((block * (d - 1), mask))
+
+    def spread(x: int) -> int:
+        for shift, mask in steps:
+            x = (x | (x << shift)) & mask
+        return x
+
+    return spread
+
+
+def _preorder_key(
+    cubes: Sequence[Cube], levels: Mapping[int, int]
+) -> Callable[[Cube], int]:
+    """Sort key putting the cubes in a preorder of their containment forest.
+
+    The key is the cube's lower corner on the finest grid, Morton-interleaved
+    for d >= 2 with coordinates counted from an origin aligned to the coarsest
+    level, followed by the level, so that of two cubes sharing a lower corner
+    the coarser comes first.  Each cube's descendants fill the Morton range of
+    its corner, so they follow it directly.  The key is one int, which the
+    sort compares in C.
+    """
+    top = max(levels.values())
+    tie = top.bit_length()
+    if cubes[0].d == 1:
+
+        def key(q: Cube) -> int:
+            level = levels[q.j]
+            return (q.k[0] << (top - level) << tie) | level
+
+        return key
+    roots = [[c >> levels[q.j] for c in q.k] for q in cubes]
+    origin = [min(column) for column in zip(*roots)]
+    extent = max(max(column) - o for column, o in zip(zip(*roots), origin))
+    interleave = _bit_spreader(top + extent.bit_length(), cubes[0].d)
+
+    def key(q: Cube) -> int:
+        level = levels[q.j]
+        code = 0
+        for c, o in zip(q.k, origin):
+            code = (code << 1) | interleave((c - (o << level)) << (top - level))
+        return (code << tie) | level
+
+    return key
+
+
 class ContainmentForest:
     """Nesting structure of a finite cube family.
 
-    Nodes are stored in an order where every parent precedes its children
-    (sorted by scale), so single forward passes can accumulate chain values.
     The parent of a node is the *tightest* strictly-containing cube present in
-    the family; siblings are pairwise disjoint, hence every region
-    (cube minus its children) has non-negative measure by construction —
-    verified exactly in integer units of the finest cube volume.
+    the family.  Nodes are stored in a preorder of the dyadic tree, so every
+    parent precedes its children and single forward passes can accumulate
+    chain values.
+
+    The build is one sort and one stack pass, whatever the scale gap.  The
+    sort key (see ``_preorder_key``) orders the cubes by lower corner, coarser
+    first on ties, which lists each cube's subtree right after it.  The stack
+    then holds the cubes containing the previous one, innermost on top:
+    popping those that do not contain the next cube leaves its parent on top.
+    The keys use the capped levels of ``_capped_levels``, which keep every
+    containment, so their length does not grow with the scale gap either.
+
+    Siblings are pairwise disjoint, hence every region (cube minus its
+    children) has non-negative measure by construction — verified exactly in
+    integer units of the finest cube volume on the capped grid, where each
+    child's share of its parent is at least its share on the true grid.
     """
 
     def __init__(self, cubes: Iterable[Cube]):
-        unique = sorted(set(cubes))
-        if unique:
-            d = unique[0].d
-            if any(q.d != d for q in unique):
-                raise ContractViolationError("all cubes must share one dimension")
-        # Sort by scale so parents (coarser, smaller j) come first.
-        unique.sort(key=lambda q: (q.j, q.k))
+        unique = list(set(cubes))
         self.nodes: list[_Node] = []
         self.roots: list[int] = []
-        index: dict[Cube, int] = {}
-        min_j = unique[0].j if unique else 0
-        for cube in unique:
-            parent: int | None = None
-            walker = cube
-            while walker.j > min_j:
-                walker = walker.ancestor()
-                hit = index.get(walker)
-                if hit is not None:
-                    parent = hit
-                    break
+        if not unique:
+            return
+        d = unique[0].d
+        if any(q.d != d for q in unique):
+            raise ContractViolationError("all cubes must share one dimension")
+        levels = _capped_levels(unique)
+        stack: list[int] = []
+        for cube in sorted(unique, key=_preorder_key(unique, levels)):
+            while stack and not self.nodes[stack[-1]].cube.contains(cube):
+                stack.pop()
+            parent = stack[-1] if stack else None
             i = len(self.nodes)
             self.nodes.append(_Node(cube, parent))
-            index[cube] = i
             if parent is None:
                 self.roots.append(i)
             else:
                 self.nodes[parent].children.append(i)
-        self._check_regions()
+            stack.append(i)
+        self._check_regions(levels)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _check_regions(self) -> None:
-        if not self.nodes:
-            return
-        j_max = max(n.cube.j for n in self.nodes)
+    def _check_regions(self, levels: Mapping[int, int]) -> None:
+        top = max(levels.values())
         d = self.nodes[0].cube.d
 
         def units(node: _Node) -> int:
-            return 1 << ((j_max - node.cube.j) * d)
+            return 1 << ((top - levels[node.cube.j]) * d)
 
         for node in self.nodes:
             region = units(node) - sum(units(self.nodes[c]) for c in node.children)

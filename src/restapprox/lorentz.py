@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .dyadic import Cube, MeasureSpec
+from .dyadic import Cube, ExactSum, MeasureSpec
 from .errors import ContractViolationError
 from .weights import WeightFn, weight_integral, weight_sup_on_interval
 
@@ -187,11 +187,12 @@ def rearrange(
         if magnitude > 0:
             by_magnitude.setdefault(magnitude, []).append(measure(cube))
     magnitudes = sorted(by_magnitude, reverse=True)
-    all_masses: list[float] = []
+    total = ExactSum()
     cumulative: list[float] = []
     for magnitude in magnitudes:
-        all_masses.extend(by_magnitude[magnitude])
-        cumulative.append(math.fsum(all_masses))
+        for mass in by_magnitude[magnitude]:
+            total.add(mass)
+        cumulative.append(total.value)
     return StepRearrangement(tuple(cumulative), tuple(magnitudes))
 
 

@@ -28,6 +28,7 @@ from restapprox import (
     lorentz_norm,
     LorentzParams,
     pow2,
+    rearrange,
     sigma_exact,
     sigma_greedy,
     sigma_profile,
@@ -333,3 +334,24 @@ def test_empty_sequence_aggregates():
     profile = sigma_profile(empty, params)
     assert profile.breakpoints == (0.0,)
     assert profile.errors == ()
+
+
+def test_prefix_sums_stay_linear(monkeypatch):
+    """rearrange and sigma_greedy hand math.fsum O(n) elements in all, where
+    re-summing every prefix hands it about n^2/2; counted, not timed."""
+    n = 2000
+    s = CoeffSeq({Cube(11 + i % 3, (i,)): 1.0 + i / n for i in range(n)})
+    summed = 0
+    fsum = math.fsum
+
+    def counting_fsum(terms):
+        nonlocal summed
+        terms = list(terms)
+        summed += len(terms)
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    assert len(rearrange(s, MeasureSpec(0.0)).masses) == n
+    result = sigma_greedy(s, n / 2, _params(measure=MeasureSpec(0.0)))
+    assert len(result.support) == n // 2
+    assert summed <= 64 * n

@@ -261,6 +261,17 @@ def _toml():
     return pytest.importorskip("tomli")
 
 
+def _run_child(command, cwd, timeout=None):
+    """Run ``command`` with the same copy of the package that this process
+    imported first on the child's path."""
+    package_root = str(Path(restapprox.__file__).parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        command, capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
+    )
+
+
 def test_console_script_entry_point(tmp_path):
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = _toml().load(fh)["project"]["scripts"]
@@ -269,19 +280,33 @@ def test_console_script_entry_point(tmp_path):
     module, attr = target.split(":")
     args = ["norm", str(FIXTURES / "atom.seq"), "--out", str(tmp_path)]
 
-    # The call that pip's generated console-script wrapper makes, run against
-    # the same copy of the package that this process imported.
+    # The call that pip's generated console-script wrapper makes.
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    package_root = str(Path(restapprox.__file__).parents[1])
-    paths = [package_root, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     commands = [[sys.executable, "-c", wrapper, *args]]
     installed = shutil.which("restapprox")
     if installed:  # the executable itself exists only after an install
         commands.append([installed, *args])
     for command in commands:
-        result = subprocess.run(
-            command, capture_output=True, text=True, env=env, cwd=tmp_path
-        )
+        result = _run_child(command, tmp_path)
         assert result.returncode == 0, result.stderr
         assert "4 rows" in result.stdout, result.stderr
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    command = [sys.executable, "-m", "restapprox", "norm", str(FIXTURES / "atom.seq")]
+    result = _run_child([*command, "--out", str(tmp_path)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "4 rows" in result.stdout, result.stderr
+
+
+def test_norm_exits_fast_across_a_huge_scale_gap(tmp_path):
+    # The volume 2^-10^7 raises the range error only after the forest is
+    # built; a build that walks the gap one scale at a time takes ~30 s.
+    seq = tmp_path / "gap.seq"
+    seq.write_text("0 0 1.0\n10000000 0 1.0\n")
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text("s = -0.5\n")
+    command = [sys.executable, "-m", "restapprox", "norm", str(seq), "--config", str(cfg)]
+    result = _run_child([*command, "--out", str(tmp_path)], tmp_path, timeout=30)
+    assert result.returncode == 2, result.stderr
+    assert "error:" in result.stderr

@@ -22,6 +22,7 @@ from restapprox import (
     nu_measure,
     pow2,
 )
+from restapprox.dyadic import ExactSum
 
 from conftest import cube_strategy
 
@@ -198,6 +199,119 @@ def test_integrate_power_matches_grid_oracle(terms, theta):
     got = integrate_power_of_cube_sum(terms, theta, 1.0)
     want = _brute_integral(terms, theta)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def nested_families(draw, d: int, max_shift: int) -> list[Cube]:
+    """A few cubes anywhere (negative j and k included), plus descendants of
+    them up to ``max_shift`` scales finer, some just outside their base."""
+    family = draw(
+        st.lists(cube_strategy(d=d, j_lo=-3, j_hi=3, k_span=4), min_size=1, max_size=6)
+    )
+    for _ in range(draw(st.integers(0, 12))):
+        base = draw(st.sampled_from(family))
+        shift = draw(st.integers(1, max_shift))
+        offsets = draw(st.lists(st.integers(-1, 3), min_size=d, max_size=d))
+        k = tuple((c << shift) + min(o, (1 << shift) - 1) for c, o in zip(base.k, offsets))
+        family.append(Cube(base.j + shift, k))
+    return family
+
+
+def single_scale_grids(d: int) -> st.SearchStrategy[list[Cube]]:
+    return st.integers(-6, 6).flatmap(
+        lambda j: st.lists(cube_strategy(d=d, j_lo=j, j_hi=j, k_span=5), min_size=1)
+    )
+
+
+def _tightest_container(cube: Cube, family: set[Cube]) -> Cube | None:
+    """Independent oracle: the finest other cube of the family containing ``cube``."""
+    containers = [q for q in family if q != cube and q.contains(cube)]
+    return max(containers, key=lambda q: q.j, default=None)
+
+
+def _assert_forest_matches_oracle(cubes: list[Cube]) -> None:
+    family = set(cubes)
+    forest = ContainmentForest(cubes)
+    assert sorted(node.cube for node in forest.nodes) == sorted(family)
+    for i, node in enumerate(forest.nodes):
+        parent = None if node.parent is None else forest.nodes[node.parent].cube
+        assert parent == _tightest_container(node.cube, family), node.cube
+        assert node.parent is None or node.parent < i  # parents come first
+        assert all(forest.nodes[c].parent == i for c in node.children)
+    assert forest.roots == [i for i, n in enumerate(forest.nodes) if n.parent is None]
+    assert sum(len(n.children) for n in forest.nodes) == len(family) - len(forest.roots)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_forest_parents_match_brute_oracle(d, data):
+    cubes = data.draw(
+        st.one_of(nested_families(d, max_shift=5), single_scale_grids(d))
+    )
+    _assert_forest_matches_oracle(cubes)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@given(data=st.data())
+def test_forest_parents_match_brute_oracle_across_wide_gaps(d, data):
+    _assert_forest_matches_oracle(data.draw(nested_families(d, max_shift=10**6)))
+
+
+def test_forest_across_a_huge_gap_under_many_coarse_cubes():
+    coarse = [Cube(0, (k,)) for k in range(-100, 100)]
+    fine = [Cube(10**7, (0,)), Cube(10**7, (-1,)), Cube(10**7 + 5, (3,))]
+    forest = ContainmentForest(coarse + fine)
+    parents = {
+        n.cube: None if n.parent is None else forest.nodes[n.parent].cube
+        for n in forest.nodes
+    }
+    assert parents[fine[0]] == Cube(0, (0,))
+    assert parents[fine[1]] == Cube(0, (-1,))
+    assert parents[fine[2]] == fine[0]
+    assert len(forest.roots) == len(coarse)
+
+
+ADVERSARIAL_FLOATS = st.one_of(
+    st.sampled_from(
+        [1e300, -1e300, 1e-300, -1e-300, 2.0**-900, -(2.0**-900), 1.0, -1.0,
+         1.0 + 2.0**-52, 2.0**53, 5e-324, 0.0, -0.0, 1.7e308, -1.7e308]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _outcome(thunk):
+    try:
+        return repr(thunk())  # repr tells -0.0 from 0.0
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _assert_every_prefix_is_fsum(xs: list[float]) -> None:
+    total = ExactSum()
+    for i, x in enumerate(xs):
+        assert _outcome(lambda: total.add(x)) == _outcome(lambda: math.fsum(xs[: i + 1]))
+
+
+@given(st.lists(ADVERSARIAL_FLOATS, max_size=60))
+def test_exact_sum_rounds_every_prefix_as_fsum(xs):
+    _assert_every_prefix_is_fsum(xs)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1.0, math.inf, 2.0, -1.0],
+        [math.inf, -math.inf, 1.0],
+        [1.0, math.nan, 2.0],
+        [1.7e308, 1.7e308, -1.7e308],
+        [-0.0, -0.0],
+        [2.0**-900, 1.0, -1.0],
+        [1e16, 1.0, 1.0, -1e16],
+    ],
+)
+def test_exact_sum_keeps_fsum_special_cases(xs):
+    _assert_every_prefix_is_fsum(xs)
 
 
 def test_forest_rejects_mixed_dimensions():

@@ -15,6 +15,7 @@ from restapprox import (
     Cube,
     LorentzParams,
     MeasureSpec,
+    ScaleRangeError,
     SpaceParams,
     WeightFn,
     besov_norm,
@@ -41,6 +42,14 @@ def test_space_params_validation():
     with pytest.raises(ContractViolationError):
         SpaceParams(0.0, 2.0, 2.0, 0, "tl")
     assert SpaceParams(0.0, math.inf, math.inf, 2, "besov").rho == 1.0
+
+
+def test_tl_norm_fails_fast_across_a_huge_scale_gap():
+    # At s = -d/2 every scale factor is 2^0, so only the volume 2^-10^7 of
+    # the fine cube is out of range, and the forest is built before that.
+    s = CoeffSeq({Cube(0, (0,)): 1.0, Cube(10_000_000, (0,)): 1.0})
+    with pytest.raises(ScaleRangeError):
+        tl_norm(s, SpaceParams(-0.5, 2.0, 2.0, 1, "tl"))
 
 
 def test_exponents():
