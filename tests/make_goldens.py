@@ -3,8 +3,10 @@
 Usage:  python3 tests/make_goldens.py
 
 The goldens pin the CLI outputs for ``fixtures/sample.seq`` under the default
-configuration (plus the documented sigma/approx-norm settings) so that
-refactors cannot silently shift numerical results.  They are regression pins,
+configuration (plus the documented sigma/approx-norm settings), and the
+reports of the commands that take no input file (``jackson``, ``bernstein``,
+``lorentz-besov``, ``democracy``) at the default seed, so that refactors
+cannot silently shift numerical results.  They are regression pins,
 not oracles: the closed-form and property tests are the ground truth, so only
 regenerate after establishing independently that the new values are correct.
 """
@@ -27,6 +29,10 @@ RUNS = [
     ("norm", ["norm", SAMPLE], ""),
     ("sigma", ["sigma", SAMPLE], "budget = 1.25\nsolver = knapsack\n"),
     ("approx-norm", ["approx-norm", SAMPLE], "xi = 0.5\nmu = 2\nsolver = knapsack\n"),
+    ("jackson", ["jackson"], ""),
+    ("bernstein", ["bernstein"], ""),
+    ("lorentz-besov", ["lorentz-besov"], ""),
+    ("democracy", ["democracy"], ""),
 ]
 
 
