@@ -36,10 +36,6 @@ from .dyadic import (
     ContainmentForest,
     Cube,
     MeasureSpec,
-    biggest_smallest_cube,
-    cube_sum,
-    cubes_from_text,
-    cubes_to_text,
     integrate_power_of_cube_sum,
     nu_measure,
     pow2,
@@ -90,11 +86,7 @@ __all__ = [
     "ContainmentForest",
     "pow2",
     "nu_measure",
-    "cube_sum",
-    "biggest_smallest_cube",
     "integrate_power_of_cube_sum",
-    "cubes_to_text",
-    "cubes_from_text",
     # weights
     "WeightFn",
     "dilation",

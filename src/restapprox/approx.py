@@ -134,21 +134,32 @@ def _sorted_entries(s: CoeffSeq) -> tuple[list[Cube], list[float]]:
     return cubes, [s[q] for q in cubes]
 
 
+def _greedy_order(cubes: list[Cube], values: list[float], u: UWeights) -> list[int]:
+    """Indices in decreasing |u_Q s_Q|, ties broken by index."""
+    return sorted(
+        range(len(cubes)), key=lambda i: (-abs(u_value(u, cubes[i]) * values[i]), i)
+    )
+
+
+def _subset_sums(masses: np.ndarray, weights: np.ndarray):
+    """Every subset's bitmask, mass and weight, in chunks of ascending masks."""
+    n = len(masses)
+    shifts = np.arange(n, dtype=np.uint64)
+    for start in range(0, 1 << n, _ENUM_CHUNK):
+        rows = np.arange(start, min(start + _ENUM_CHUNK, 1 << n), dtype=np.uint64)
+        bits = ((rows[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        yield rows, bits @ masses, bits @ weights
+
+
 def _enumerate_best(masses: np.ndarray, weights: np.ndarray, budget: float):
     """Feasible subset with maximal weight, by chunked exhaustive enumeration.
 
     Returns (best_weight, best_mask); the empty set is always feasible.  Ties
     resolve to the smallest bitmask, so results are deterministic.
     """
-    n = len(masses)
-    shifts = np.arange(n, dtype=np.uint64)
     best_w = -math.inf
     best_mask = 0
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        rows = np.arange(start, min(start + _ENUM_CHUNK, 1 << n), dtype=np.uint64)
-        bits = ((rows[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        mass = bits @ masses
-        total = bits @ weights
+    for rows, mass, total in _subset_sums(masses, weights):
         total[mass > budget] = -math.inf
         j = int(np.argmax(total))
         if total[j] > best_w:
@@ -163,20 +174,7 @@ def _enumerate_frontier(masses: np.ndarray, weights: np.ndarray):
     Returns a list of bitmasks whose captured weights strictly increase with
     mass; the first is the empty set and the last the full set.
     """
-    n = len(masses)
-    shifts = np.arange(n, dtype=np.uint64)
-    all_mass = []
-    all_w = []
-    all_rows = []
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        rows = np.arange(start, min(start + _ENUM_CHUNK, 1 << n), dtype=np.uint64)
-        bits = ((rows[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        all_mass.append(bits @ masses)
-        all_w.append(bits @ weights)
-        all_rows.append(rows)
-    mass = np.concatenate(all_mass)
-    w = np.concatenate(all_w)
-    rows = np.concatenate(all_rows)
+    rows, mass, w = map(np.concatenate, zip(*_subset_sums(masses, weights)))
     order = np.lexsort((-w, mass))
     frontier: list[int] = []
     best = -math.inf
@@ -329,12 +327,9 @@ def sigma_greedy(
     if not (budget >= 0 and math.isfinite(budget)):
         raise ContractViolationError("budget must be finite and >= 0")
     cubes, values = _sorted_entries(s)
-    order = sorted(
-        range(len(cubes)), key=lambda i: (-abs(u_value(u, cubes[i]) * values[i]), i)
-    )
     kept: list[Cube] = []
     kept_mass = ExactSum()
-    for i in order:
+    for i in _greedy_order(cubes, values, u):
         mass = params.measure(cubes[i])
         if kept_mass.value + mass <= budget:
             kept.append(cubes[i])
@@ -360,9 +355,7 @@ def sigma_profile(
         return SigmaProfile((0.0,), ())
     masses = [params.measure(q) for q in cubes]
     if solver == "greedy":
-        order = sorted(
-            range(n), key=lambda i: (-abs(u_value(u, cubes[i]) * values[i]), i)
-        )
+        order = _greedy_order(cubes, values, u)
         raw = [(0.0, space_norm(s, params.space))]
         prefix_mass = ExactSum()
         for count in range(1, n + 1):
@@ -427,11 +420,9 @@ def approx_norm(
     profile = sigma_profile(s, params, solver, u)
     if not profile.errors:
         return 0.0
-    bp = profile.breakpoints
     if math.isinf(params.mu):
-        return max(
-            err * bp[k + 1] ** params.xi for k, err in enumerate(profile.errors)
-        )
+        return _profile_sup(profile, params.xi)
+    bp = profile.breakpoints
     x = params.xi * params.mu
     total = math.fsum(
         err**params.mu * (bp[k + 1] ** x - bp[k] ** x) / x

@@ -37,7 +37,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .approx import (
     ApproxParams,
@@ -65,19 +67,28 @@ from .errors import (
 )
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow, failure_count, format_number, write_report
-from .spaces import SpaceParams, lorentz_equals_besov_check, space_norm
-from .verify import DEFAULT_SEED, results_to_rows, run_all
+from .spaces import SpaceParams, space_norm
+from .verify import (
+    DEFAULT_SEED,
+    _rel_err,
+    comparison_suites,
+    lorentz_besov_draws,
+    results_to_rows,
+    run_all,
+)
 from .weights import WeightFn
 
 __all__ = ["main", "run_norm", "run_democracy", "run_verify_all"]
 
-_PACKAGE_ERRORS = (
+# Errors reported as "error: ..." with exit code 2.
+_USAGE_ERRORS = (
     ScaleRangeError,
     ContractViolationError,
     CapabilityError,
     DivergenceError,
     QuadratureError,
     ConfigError,
+    OSError,
 )
 
 
@@ -107,7 +118,7 @@ def load_config(path: str | Path) -> dict[str, str]:
 class Settings:
     """Typed, range-checked access to a flat config mapping."""
 
-    def __init__(self, values: dict[str, str], allowed: set[str], source: str):
+    def __init__(self, values: dict[str, str], allowed: frozenset[str], source: str):
         unknown = sorted(set(values) - allowed - {"seed"})
         if unknown:
             raise ConfigError(
@@ -404,8 +415,7 @@ def run_democracy(cfg: Settings, seed: int) -> _RowsAndFailures:
                     ("mass", nu_measure(cubes, case.measure), fam.closed_form_mass(formula)),
                 )
                 for metric, got, want in checks:
-                    err = abs(got - want) / max(abs(want), 1e-300)
-                    ok = err <= tol
+                    ok = _rel_err(got, want) <= tol
                     failures += 0 if ok else 1
                     rows.append(
                         ReportRow(
@@ -418,25 +428,6 @@ def run_democracy(cfg: Settings, seed: int) -> _RowsAndFailures:
                         )
                     )
     return rows, failures
-
-
-def _random_suites(seed: int, salt: int) -> list[tuple[int, list[CoeffSeq]]]:
-    import numpy as np
-
-    from .democracy import random_cube_set
-
-    rng = np.random.default_rng([seed, salt])
-    suites = []
-    for size in (16, 32, 64):
-        suite = []
-        for _ in range(5):
-            cubes = random_cube_set(rng, size, 1, -4, 8)
-            signs = 1 - 2 * rng.integers(0, 2, size=size)
-            exponents = rng.uniform(-1.0, 1.0, size=size)
-            values = [float(s) * 10.0 ** float(e) for s, e in zip(signs, exponents)]
-            suite.append(CoeffSeq(dict(zip(cubes, values))))
-        suites.append((size, suite))
-    return suites
 
 
 def _run_constant(name: str, cfg: Settings, seed: int) -> _RowsAndFailures:
@@ -461,7 +452,7 @@ def _run_constant(name: str, cfg: Settings, seed: int) -> _RowsAndFailures:
     fn = jackson_constant if name == "jackson" else bernstein_constant
     rows = []
     constants = []
-    for size, suite in _random_suites(seed, 107 if name == "jackson" else 108):
+    for size, suite in comparison_suites(seed, 107 if name == "jackson" else 108):
         value = fn(suite, params, lorentz)
         constants.append(value)
         rows.append(
@@ -487,46 +478,13 @@ def _run_constant(name: str, cfg: Settings, seed: int) -> _RowsAndFailures:
     return rows, 0 if ok else 1
 
 
-def run_jackson(cfg: Settings, seed: int) -> _RowsAndFailures:
-    return _run_constant("jackson", cfg, seed)
-
-
-def run_bernstein(cfg: Settings, seed: int) -> _RowsAndFailures:
-    return _run_constant("bernstein", cfg, seed)
-
-
 def run_lorentz_besov(cfg: Settings, seed: int) -> _RowsAndFailures:
-    import numpy as np
-
-    from .democracy import random_cube_set
-
     draws = cfg.get_int("draws", 50, lo=1, hi=500)
-    rng = np.random.default_rng([seed, 104])
-    taus = (0.5, 1.0, 1.7, 3.0)
     rows = []
     failures = 0
-    for i in range(draws):
-        tau = taus[i % 4]
-        d = 1 if i % 2 == 0 else 2
-        while True:
-            s1 = float(rng.uniform(-1, 1))
-            p1 = float(rng.uniform(1, 3))
-            s2 = float(rng.uniform(-1, 1))
-            p2 = float(rng.uniform(1, 3))
-            alpha = p1 * ((s2 - s1) / d - 1.0 / p2) + 1.0
-            gamma = s1 + d * (1.0 / tau - 1.0 / p1) * (1.0 - alpha)
-            if abs(alpha) <= 6.0 and abs(gamma) <= 5.0:
-                break
-        f2 = SpaceParams(s2, p2, p2, d, "tl")
-        count = int(rng.integers(3, 18))
-        cubes = random_cube_set(rng, count, d, -4, 4)
-        signs = 1 - 2 * rng.integers(0, 2, size=count)
-        exponents = rng.uniform(-1.0, 1.0, size=count)
-        values = [float(s) * 10.0 ** float(e) for s, e in zip(signs, exponents)]
-        seq = CoeffSeq(dict(zip(cubes, values)))
-        lhs, rhs, ok = lorentz_equals_besov_check(seq, s1, p1, f2, tau)
+    draw_checks = lorentz_besov_draws(seed, 104, draws)
+    for i, (tau, d, alpha, gamma, gap, ok) in enumerate(draw_checks):
         failures += 0 if ok else 1
-        gap = abs(lhs - rhs) / max(lhs, rhs, 1.0)
         rows.append(
             ReportRow(
                 f"lorentz-besov/draw-{i:03d}",
@@ -553,27 +511,42 @@ def run_verify_all(cfg: Settings, seed: int) -> _RowsAndFailures:
 # argument parsing and dispatch
 # --------------------------------------------------------------------------
 
-_NEEDS_INPUT = ("norm", "sigma", "approx-norm")
-_NO_INPUT = ("democracy", "jackson", "bernstein", "lorentz-besov", "verify-all")
 
-_ALLOWED_KEYS = {
-    "norm": {
-        "s", "p", "q", "kind", "alpha", "eta", "mu", "lorentz_xi",
-        "approx_xi", "approx_mu", "solver",
-    },
-    "sigma": {"s", "p", "q", "kind", "alpha", "budget", "solver"},
-    "approx-norm": {"s", "p", "q", "kind", "alpha", "xi", "mu", "solver"},
-    "democracy": {
-        "d", "s1", "p1", "q1", "s2", "p2", "q2", "alpha", "alpha_perturb",
-    },
-    "jackson": {
-        "s", "p", "q", "alpha", "xi", "mu", "eta", "lorentz_mu", "lorentz_xi",
-    },
-    "bernstein": {
-        "s", "p", "q", "alpha", "xi", "mu", "eta", "lorentz_mu", "lorentz_xi",
-    },
-    "lorentz-besov": {"draws"},
-    "verify-all": {"alpha_perturb"},
+class _Command(NamedTuple):
+    """A subcommand's handler, whether it reads an input file (passed to the
+    handler first), and the config keys it accepts besides ``seed``."""
+
+    run: Callable[..., _RowsAndFailures]
+    takes_input: bool
+    keys: frozenset[str]
+
+
+# The space and measure keys of every command that reads an input file.
+_SPACE_KEYS = frozenset({"s", "p", "q", "kind", "alpha"})
+
+_CONSTANT_KEYS = frozenset(
+    {"s", "p", "q", "alpha", "xi", "mu", "eta", "lorentz_mu", "lorentz_xi"}
+)
+
+_COMMANDS = {
+    "norm": _Command(
+        run_norm,
+        True,
+        _SPACE_KEYS | {"eta", "mu", "lorentz_xi", "approx_xi", "approx_mu", "solver"},
+    ),
+    "sigma": _Command(run_sigma, True, _SPACE_KEYS | {"budget", "solver"}),
+    "approx-norm": _Command(
+        run_approx_norm, True, _SPACE_KEYS | {"xi", "mu", "solver"}
+    ),
+    "democracy": _Command(
+        run_democracy,
+        False,
+        frozenset({"d", "s1", "p1", "q1", "s2", "p2", "q2", "alpha", "alpha_perturb"}),
+    ),
+    "jackson": _Command(partial(_run_constant, "jackson"), False, _CONSTANT_KEYS),
+    "bernstein": _Command(partial(_run_constant, "bernstein"), False, _CONSTANT_KEYS),
+    "lorentz-besov": _Command(run_lorentz_besov, False, frozenset({"draws"})),
+    "verify-all": _Command(run_verify_all, False, frozenset({"alpha_perturb"})),
 }
 
 
@@ -588,11 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--seed", type=int, help="overrides the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _NEEDS_INPUT:
-        sp = sub.add_parser(command, parents=[common])
-        sp.add_argument("input", help="coefficient file: 'j k1 ... kd value' lines")
-    for command in _NO_INPUT:
-        sub.add_parser(command, parents=[common])
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common])
+        if command.takes_input:
+            sp.add_argument("input", help="coefficient file: 'j k1 ... kd value' lines")
     return parser
 
 
@@ -602,35 +574,18 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
+    command = _COMMANDS[ns.command]
     try:
         raw = load_config(ns.config) if ns.config else {}
         source = ns.config or "<defaults>"
-        cfg = Settings(raw, _ALLOWED_KEYS[ns.command], source)
+        cfg = Settings(raw, command.keys, source)
         if ns.seed is not None and not 0 <= ns.seed < 2**64:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         seed = cfg.get_seed(ns.seed)
-        if ns.command in _NEEDS_INPUT:
-            seq = read_sequence(ns.input)
-            handler = {
-                "norm": run_norm,
-                "sigma": run_sigma,
-                "approx-norm": run_approx_norm,
-            }[ns.command]
-            rows, failures = handler(seq, cfg, seed)
-        else:
-            handler = {
-                "democracy": run_democracy,
-                "jackson": run_jackson,
-                "bernstein": run_bernstein,
-                "lorentz-besov": run_lorentz_besov,
-                "verify-all": run_verify_all,
-            }[ns.command]
-            rows, failures = handler(cfg, seed)
+        inputs = (read_sequence(ns.input),) if command.takes_input else ()
+        rows, failures = command.run(*inputs, cfg, seed)
         path = write_report(rows, ns.out, ns.command, ns.format)
-    except _PACKAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     recorded_failures = failure_count(rows)

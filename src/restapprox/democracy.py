@@ -24,7 +24,7 @@ import numpy as np
 from .dyadic import Cube, MeasureSpec, nu_measure, pow2
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq
-from .spaces import AtomWeights, SpaceParams, tl_norm
+from .spaces import AtomWeights, SpaceParams, _recip, tl_norm
 
 __all__ = [
     "DemocracyCase",
@@ -41,10 +41,6 @@ __all__ = [
 
 _MATERIALIZE_CAP = 1 << 18
 _FAMILY_TAGS = ("grid", "tower", "row")
-
-
-def _recip(p: float) -> float:
-    return 0.0 if math.isinf(p) else 1.0 / p
 
 
 @dataclass(frozen=True)

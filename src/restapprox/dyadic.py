@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ConfigError, ContractViolationError, ScaleRangeError
+from .errors import ContractViolationError, ScaleRangeError
 
 __all__ = [
     "Cube",
@@ -24,11 +24,7 @@ __all__ = [
     "pow2",
     "cube_volume",
     "nu_measure",
-    "cube_sum",
-    "biggest_smallest_cube",
     "integrate_power_of_cube_sum",
-    "cubes_to_text",
-    "cubes_from_text",
 ]
 
 # Exponents beyond this leave the range where 2^e is a normal float (and where
@@ -103,12 +99,6 @@ class Cube:
                 return False
         return True
 
-    def ancestor(self, levels: int = 1) -> "Cube":
-        """The cube ``levels`` scales coarser that contains this one."""
-        if levels < 0:
-            raise ContractViolationError("levels must be >= 0")
-        return Cube(self.j - levels, tuple(c >> levels for c in self.k))
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in (self.j, *self.k))
 
@@ -138,31 +128,6 @@ def nu_measure(cubes: Iterable[Cube], measure: MeasureSpec) -> float:
     and at least as accurate as any fixed summation order.
     """
     return math.fsum(measure(q) for q in cubes)
-
-
-def cube_sum(cubes: Iterable[Cube], gamma: float, x: Sequence[float] | float) -> float:
-    """sum over cubes containing ``x`` of |Q|^gamma (a layered-cake sample)."""
-    return math.fsum(q.volume_power(gamma) for q in cubes if q.contains_point(x))
-
-
-def biggest_smallest_cube(
-    cubes: Iterable[Cube], x: Sequence[float] | float
-) -> tuple[Cube | None, Cube | None]:
-    """The coarsest and finest cube of the family containing ``x``.
-
-    Returns ``(None, None)`` when no cube contains the point.  At any fixed
-    scale at most one dyadic cube contains a point, so both answers are unique.
-    """
-    biggest: Cube | None = None
-    smallest: Cube | None = None
-    for q in cubes:
-        if not q.contains_point(x):
-            continue
-        if biggest is None or q.j < biggest.j:
-            biggest = q
-        if smallest is None or q.j > smallest.j:
-            smallest = q
-    return biggest, smallest
 
 
 class ExactSum:
@@ -424,27 +389,3 @@ def integrate_power_of_cube_sum(
     integral = max(integral, 0.0)
     return integral ** (1.0 / outer_p)
 
-
-def cubes_to_text(cubes: Iterable[Cube]) -> str:
-    """One cube per line: ``j k1 [k2 ...]``, sorted for determinism."""
-    return "\n".join(str(q) for q in sorted(cubes)) + "\n"
-
-
-def cubes_from_text(text: str, source: str = "<string>") -> list[Cube]:
-    """Parse the one-cube-per-line format; errors carry the line number."""
-    cubes: list[Cube] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ConfigError(
-                f"{source}:{lineno}: expected 'j k1 [k2 ...]', got {raw!r}"
-            )
-        try:
-            values = [int(p) for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: non-integer field: {exc}") from exc
-        cubes.append(Cube(values[0], tuple(values[1:])))
-    return cubes

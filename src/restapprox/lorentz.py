@@ -263,17 +263,14 @@ def lorentz_norm_via_distribution(
     s: CoeffSeq,
     measure: MeasureSpec,
     params: LorentzParams,
-    tol: float = 1e-12,
 ) -> float:
     """The distribution-function form of the quasi-norm.
 
     The super-level mass is a step function of the level, so the integral is a
     finite sum of monomial integrals between consecutive distinct magnitudes —
-    no quadrature is needed and ``tol`` is accepted only for interface
-    stability.  Equals the rearrangement form up to equivalence constants
+    no quadrature is needed.  Equals the rearrangement form up to equivalence constants
     depending only on the weight, not on the sequence.
     """
-    del tol  # the step-function reduction below is already exact
     steps = rearrange(s, measure, params.u)
     if not steps.masses:
         return 0.0

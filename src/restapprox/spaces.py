@@ -32,7 +32,6 @@ __all__ = [
     "tl_norm",
     "besov_norm",
     "space_norm",
-    "weight_of",
     "lorentz_equals_besov_check",
 ]
 
@@ -101,11 +100,6 @@ class AtomWeights:
                 f"cube dimension {cube.d} != space dimension {self.space.d}"
             )
         return cube.volume_power(self.space.atom_exponent)
-
-
-def weight_of(cube: Cube, weights: AtomWeights) -> float:
-    """The atom weight u(Q); equals the norm of the normalized indicator."""
-    return weights(cube)
 
 
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:

@@ -10,6 +10,11 @@ acceptance test module.
 ``alpha_perturb`` shifts the measure exponent used by the democracy suites
 away from the matching value; any nonzero shift is designed to make those
 suites fail, which doubles as a self-test of the harness.
+
+The command-line ``lorentz-besov``, ``jackson`` and ``bernstein`` subcommands
+draw their instances from this module too (``lorentz_besov_draws`` and
+``comparison_suites``, under their own RNG salts), so each of those checks has
+one implementation.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,7 +47,7 @@ from .democracy import (
 from .dyadic import Cube, MeasureSpec, nu_measure, pow2
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow
-from .spaces import SpaceParams, space_norm
+from .spaces import SpaceParams, lorentz_equals_besov_check, space_norm
 from .weights import (
     WeightFn,
     boyd_lower_index,
@@ -106,6 +112,15 @@ def _draw_seq(
     return CoeffSeq(dict(zip(cubes, _signed_values(rng, count, decades))))
 
 
+def comparison_suites(seed: int, salt: int) -> list[tuple[int, list[CoeffSeq]]]:
+    """Suites of five random 1-d sequences of 16, 32 and 64 cubes each."""
+    rng = _rng(seed, salt)
+    return [
+        (size, [_draw_seq(rng, size, 1, -4, 8, 1.0) for _ in range(5)])
+        for size in (16, 32, 64)
+    ]
+
+
 def _shrunk(rng: np.random.Generator, seq: CoeffSeq) -> CoeffSeq:
     """Entrywise |result| <= |seq|: each entry scaled into [0, 1], some zeroed."""
     entries = {}
@@ -166,19 +181,16 @@ def criterion_2(seed: int = DEFAULT_SEED, alpha_perturb: float = 0.0) -> Criteri
             f2 = SpaceParams(bp["s2"], bp["p2"], bp["q2"], d, "tl")
             alpha0 = DemocracyCase(f1, f2, 1.0).formula_alpha
             case = DemocracyCase(f1, f2, alpha0 + alpha_perturb)
-            e = case.coefficient_exponent
             for n in (1, 2, 4, 8):
                 for L in (1, 2, 4):
-                    cubes = GammaFamily("grid", n, L=L, d=d).generate()
-                    l_exp = L.bit_length() - 1
-                    expected_value = pow2(l_exp * d * (e + 1.0 / bp["p1"])) * n ** (
-                        d / bp["p1"]
-                    )
-                    expected_mass = pow2(l_exp * d * alpha0) * float(n**d)
+                    fam = GammaFamily("grid", n, L=L, d=d)
+                    cubes = fam.generate()
+                    value = democracy_value(cubes, case)
+                    mass = nu_measure(cubes, case.measure)
                     worst = max(
                         worst,
-                        _rel_err(democracy_value(cubes, case), expected_value),
-                        _rel_err(nu_measure(cubes, case.measure), expected_mass),
+                        _rel_err(value, fam.closed_form_value(case)),
+                        _rel_err(mass, fam.closed_form_mass(alpha0)),
                     )
     for d in (1, 2):
         for p1, q1 in ((1.7, 1.7), (1.2, 2.8)):
@@ -187,13 +199,10 @@ def criterion_2(seed: int = DEFAULT_SEED, alpha_perturb: float = 0.0) -> Criteri
             f2 = SpaceParams(s1 + d / p2, p2, 2.0, d, "tl")
             case = DemocracyCase(f1, f2, 1.0 + alpha_perturb)
             for n in (1, 2, 4, 8):
-                tower = GammaFamily("tower", n, d=d).generate()
-                row = GammaFamily("row", n, d=d).generate()
-                worst = max(
-                    worst,
-                    _rel_err(democracy_value(tower, case), n ** (1.0 / q1)),
-                    _rel_err(democracy_value(row, case), n ** (1.0 / p1)),
-                )
+                for tag in ("tower", "row"):
+                    fam = GammaFamily(tag, n, d=d)
+                    value = democracy_value(fam.generate(), case)
+                    worst = max(worst, _rel_err(value, fam.closed_form_value(case)))
     return CriterionResult(
         2,
         "democracy values and masses match the family closed forms",
@@ -261,15 +270,22 @@ def criterion_3(seed: int = DEFAULT_SEED, alpha_perturb: float = 0.0) -> Criteri
 # --------------------------------------------------------------------------
 
 
-def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
-    from .spaces import lorentz_equals_besov_check
+_TAUS = (0.5, 1.0, 1.7, 3.0)
 
-    rng = _rng(seed, 4)
-    taus = (0.5, 1.0, 1.7, 3.0)
-    worst = 0.0
-    failures = 0
-    for i in range(50):
-        tau = taus[i % 4]
+
+def lorentz_besov_draws(
+    seed: int, salt: int, draws: int
+) -> Iterator[tuple[float, int, float, float, float, bool]]:
+    """Random instances of the Lorentz / per-scale norm identity, checked.
+
+    Draw ``i`` takes tau from ``_TAUS`` in turn and d = 1, 2 alternately; the
+    exponents are redrawn until the matched measure exponent alpha and
+    smoothness gamma stay moderate.  Yields ``(tau, d, alpha, gamma, gap, ok)``
+    per draw, with ``gap`` the relative gap of the two sides.
+    """
+    rng = _rng(seed, salt)
+    for i in range(draws):
+        tau = _TAUS[i % 4]
         d = 1 if i % 2 == 0 else 2
         while True:
             s1 = float(rng.uniform(-1, 1))
@@ -283,13 +299,20 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         f2 = SpaceParams(s2, p2, p2, d, "tl")
         seq = _draw_seq(rng, int(rng.integers(3, 18)), d, -4, 4, 1.0)
         lhs, rhs, ok = lorentz_equals_besov_check(seq, s1, p1, f2, tau)
-        worst = max(worst, abs(lhs - rhs) / max(lhs, rhs, 1.0))
+        yield tau, d, alpha, gamma, abs(lhs - rhs) / max(lhs, rhs, 1.0), ok
+
+
+def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
+    worst = 0.0
+    failures = 0
+    for _, _, _, _, gap, ok in lorentz_besov_draws(seed, 4, 50):
+        worst = max(worst, gap)
         failures += 0 if ok else 1
     return CriterionResult(
         4,
         "weighted rearrangement norm equals the per-scale norm",
         failures == 0,
-        f"50 draws over tau in {taus}, worst relative gap {worst:.3e} "
+        f"50 draws over tau in {_TAUS}, worst relative gap {worst:.3e} "
         "(tolerance 1e-10)",
         "lorentz-besov:identity",
     )
@@ -411,13 +434,11 @@ def _padded_tower(n: int) -> CoeffSeq:
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rng = _rng(seed, 7)
     space = SpaceParams(0.0, 2.0, 2.0, 1, "tl")
     lorentz_params = LorentzParams(eta=WeightFn.power(2.0), mu=1.0, xi=0.5)
     matched = ApproxParams(0.5, math.inf, space, MeasureSpec(0.0))
     jacks, berns = [], []
-    for size in (16, 32, 64):
-        suite = [_draw_seq(rng, size, 1, -4, 8, 1.0) for _ in range(5)]
+    for _, suite in comparison_suites(seed, 7):
         jacks.append(jackson_constant(suite, matched, lorentz_params))
         berns.append(bernstein_constant(suite, matched, lorentz_params))
     finite = all(math.isfinite(v) and v > 0 for v in jacks + berns)
@@ -575,6 +596,20 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 # --------------------------------------------------------------------------
 
 
+def _scaling_and_domination_failures(
+    rng: np.random.Generator, norm: Callable[[CoeffSeq], float], a: CoeffSeq
+) -> int:
+    """Homogeneity under a random scalar, then domination by a shrunk copy."""
+    failures = 0
+    na = norm(a)
+    c = _signed_values(rng, 1, 3.0)[0]
+    if abs(norm(a.scaled(c)) - abs(c) * na) > 1e-12 * abs(c) * na:
+        failures += 1
+    if norm(_shrunk(rng, a)) > na * (1 + 1e-12):
+        failures += 1
+    return failures
+
+
 def _space_lattice_failures(rng: np.random.Generator, kind: str) -> int:
     failures = 0
     for _ in range(500):
@@ -586,12 +621,9 @@ def _space_lattice_failures(rng: np.random.Generator, kind: str) -> int:
         q = math.inf if rng.random() < 0.12 else float(rng.uniform(0.4, 3.0))
         params = SpaceParams(s, p, q, 1, kind)
         a = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
-        na = space_norm(a, params)
-        c = _signed_values(rng, 1, 3.0)[0]
-        if abs(space_norm(a.scaled(c), params) - abs(c) * na) > 1e-12 * abs(c) * na:
-            failures += 1
-        if space_norm(_shrunk(rng, a), params) > na * (1 + 1e-12):
-            failures += 1
+        failures += _scaling_and_domination_failures(
+            rng, lambda x: space_norm(x, params), a
+        )
         b = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
         rho = params.rho
         lhs = space_norm(a.plus(b), params) ** rho
@@ -612,14 +644,9 @@ def _lorentz_lattice_failures(rng: np.random.Generator) -> int:
         params = LorentzParams(WeightFn.power(p_base), mu=tau, xi=xi)
         measure = MeasureSpec(float(rng.uniform(-1, 1)))
         a = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
-        na = lorentz_norm(a, measure, params)
-        c = _signed_values(rng, 1, 3.0)[0]
-        if abs(lorentz_norm(a.scaled(c), measure, params) - abs(c) * na) > 1e-12 * abs(
-            c
-        ) * na:
-            failures += 1
-        if lorentz_norm(_shrunk(rng, a), measure, params) > na * (1 + 1e-12):
-            failures += 1
+        failures += _scaling_and_domination_failures(
+            rng, lambda x: lorentz_norm(x, measure, params), a
+        )
         b = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
         rho = min(1.0, tau)
         lhs = lorentz_norm(a.plus(b), measure, params) ** rho
@@ -637,14 +664,9 @@ def _lorentz_lattice_failures(rng: np.random.Generator) -> int:
         params = LorentzParams(WeightFn.power(p_eta), mu=mu, xi=xi)
         measure = MeasureSpec(float(rng.uniform(-1, 1)))
         a = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
-        na = lorentz_norm(a, measure, params)
-        c = _signed_values(rng, 1, 3.0)[0]
-        if abs(lorentz_norm(a.scaled(c), measure, params) - abs(c) * na) > 1e-12 * abs(
-            c
-        ) * na:
-            failures += 1
-        if lorentz_norm(_shrunk(rng, a), measure, params) > na * (1 + 1e-12):
-            failures += 1
+        failures += _scaling_and_domination_failures(
+            rng, lambda x: lorentz_norm(x, measure, params), a
+        )
     return failures
 
 

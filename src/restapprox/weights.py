@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from scipy.integrate import quad
 
@@ -146,9 +145,6 @@ class WeightFn:
         if self.family == "power":
             return tv
         return tv * (1.0 + abs(math.log(t))) ** self.b
-
-    def values(self, ts: Iterable[float]) -> list[float]:
-        return [self.value(t) for t in ts]
 
     def times_power(self, xi: float) -> "WeightFn":
         """The weight t^xi * eta(t), which stays inside the same family."""

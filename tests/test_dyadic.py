@@ -14,10 +14,6 @@ from restapprox import (
     Cube,
     MeasureSpec,
     ScaleRangeError,
-    biggest_smallest_cube,
-    cube_sum,
-    cubes_from_text,
-    cubes_to_text,
     integrate_power_of_cube_sum,
     nu_measure,
     pow2,
@@ -84,23 +80,9 @@ def test_cube_contains_point():
     assert not q2.contains_point((1.0, 0.5))
 
 
-def test_cube_ancestor():
-    q = Cube(3, (5,))
-    assert q.ancestor() == Cube(2, (2,))
-    assert q.ancestor(3) == Cube(0, (0,))
-    assert q.ancestor(3).contains(q)
-    qn = Cube(2, (-1,))  # [-0.25, 0)
-    assert qn.ancestor() == Cube(1, (-1,))  # floor division for negatives
-
-
 def test_dimension_mismatch_raises():
     with pytest.raises(ContractViolationError):
         Cube(0, (0,)).contains(Cube(0, (0, 0)))
-
-
-@given(cube_strategy(d=2, j_lo=-4, j_hi=6, k_span=20), st.integers(1, 5))
-def test_ancestor_always_contains(cube, levels):
-    assert cube.ancestor(levels).contains(cube)
 
 
 def test_measure_spec():
@@ -113,24 +95,6 @@ def test_measure_spec():
 def test_nu_measure_sums_exactly():
     cubes = [Cube(j, (0,)) for j in range(4)]
     assert nu_measure(cubes, MeasureSpec(1.0)) == 1.0 + 0.5 + 0.25 + 0.125
-
-
-def test_cube_sum_layered():
-    cubes = [Cube(0, (0,)), Cube(1, (0,)), Cube(2, (0,))]
-    # x = 0.1 lies in all three; gamma = 1 sums the volumes.
-    assert cube_sum(cubes, 1.0, 0.1) == 1.0 + 0.5 + 0.25
-    assert cube_sum(cubes, 1.0, 0.3) == 1.0 + 0.5
-    assert cube_sum(cubes, 1.0, 0.7) == 1.0
-    assert cube_sum(cubes, 1.0, 1.5) == 0.0
-
-
-def test_biggest_smallest():
-    cubes = [Cube(0, (0,)), Cube(1, (0,)), Cube(3, (1,))]
-    # 0.15 lies in [1/8, 1/4), [0, 1/2), and [0, 1)
-    big, small = biggest_smallest_cube(cubes, 0.15)
-    assert big == Cube(0, (0,))
-    assert small == Cube(3, (1,))
-    assert biggest_smallest_cube(cubes, -0.5) == (None, None)
 
 
 def test_forest_chain_values_and_maxima():
@@ -318,21 +282,3 @@ def test_forest_rejects_mixed_dimensions():
     with pytest.raises(ContractViolationError):
         ContainmentForest([Cube(0, (0,)), Cube(0, (0, 0))])
 
-
-def test_text_round_trip():
-    cubes = [Cube(2, (3,)), Cube(-1, (-2,)), Cube(0, (0,))]
-    text = cubes_to_text(cubes)
-    assert cubes_from_text(text) == sorted(cubes)
-
-
-def test_text_round_trip_two_dimensions():
-    cubes = [Cube(1, (0, -3)), Cube(0, (2, 2))]
-    assert cubes_from_text(cubes_to_text(cubes)) == sorted(cubes)
-
-
-def test_cubes_from_text_errors_carry_line():
-    from restapprox import ConfigError
-
-    with pytest.raises(ConfigError) as info:
-        cubes_from_text("0 0\n1\n", source="demo")
-    assert "demo:2" in str(info.value)
