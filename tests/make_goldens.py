@@ -6,7 +6,11 @@ The goldens pin the CLI outputs for ``fixtures/sample.seq`` under the default
 configuration (plus the documented sigma/approx-norm settings), and the
 reports of the commands that take no input file (``jackson``, ``bernstein``,
 ``lorentz-besov``, ``democracy``) at the default seed, so that refactors
-cannot silently shift numerical results.  They are regression pins,
+cannot silently shift numerical results.  The ``lorentz-besov`` rows also
+pin their ``params`` column (tau, d, alpha, gamma) under
+``lorentz-besov/draw-NNN/params``: their values are relative gaps of about
+1e-16 or 0, which a relative comparison cannot tell apart, while each draw's
+alpha follows the cubes of the draw before it.  They are regression pins,
 not oracles: the closed-form and property tests are the ground truth, so only
 regenerate after establishing independently that the new values are correct.
 """
@@ -23,6 +27,9 @@ from restapprox.cli import main
 HERE = Path(__file__).resolve().parent
 SAMPLE = str(HERE.parent / "fixtures" / "sample.seq")
 GOLDEN_PATH = HERE / "goldens" / "sample_norms.json"
+
+# Commands whose ``params`` column is pinned too, compared exactly.
+PINNED_PARAMS = ("lorentz-besov",)
 
 # (golden key prefix, argv builder, config text)
 RUNS = [
@@ -53,6 +60,8 @@ def collect() -> dict[str, str]:
             with open(report, newline="") as fh:
                 for row in csv.DictReader(fh):
                     values[row["id"]] = row["value"]
+                    if name in PINNED_PARAMS:
+                        values[f"{row['id']}/params"] = row["params"]
     return values
 
 
