@@ -24,9 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .dyadic import Cube, ExactSum, MeasureSpec, pow2
+from .dyadic import Cube, ExactSum, MeasureSpec, VolumePowers, pow2
 from .errors import CapabilityError, ContractViolationError
-from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_value
+from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
 from .spaces import SpaceParams, space_norm
 
 __all__ = [
@@ -123,10 +123,8 @@ def _is_additive(space: SpaceParams) -> bool:
 
 
 def _additive_weights(cubes: list[Cube], values: list[float], space: SpaceParams):
-    ae = space.atom_exponent
-    return [
-        (q.volume_power(ae) * abs(v)) ** space.p for q, v in zip(cubes, values)
-    ]
+    scale = VolumePowers(space.atom_exponent)
+    return [(scale(q) * abs(v)) ** space.p for q, v in zip(cubes, values)]
 
 
 def _sorted_entries(s: CoeffSeq) -> tuple[list[Cube], list[float]]:
@@ -136,8 +134,9 @@ def _sorted_entries(s: CoeffSeq) -> tuple[list[Cube], list[float]]:
 
 def _greedy_order(cubes: list[Cube], values: list[float], u: UWeights) -> list[int]:
     """Indices in decreasing |u_Q s_Q|, ties broken by index."""
+    weight = u_function(u)
     return sorted(
-        range(len(cubes)), key=lambda i: (-abs(u_value(u, cubes[i]) * values[i]), i)
+        range(len(cubes)), key=lambda i: (-abs(weight(cubes[i]) * values[i]), i)
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -285,6 +286,43 @@ def divergence_exponent(
     return slope, rows
 
 
+_WORD = 1 << 32
+
+
+class _Words:
+    """A generator's 32-bit words, taken in blocks and given back unused.
+
+    ``rng.integers(0, 2^32, size=n, dtype=np.uint64)`` returns the next n
+    words of the stream that numpy's bounded draws read, a cached half word
+    of PCG64 included.  ``sync(used)`` puts the generator back to the state
+    saved before the first block and takes exactly ``used`` words, so that
+    it ends where drawing only those words would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, chunk: int):
+        self.rng = rng
+        self.words: list[int] = []
+        self._chunk = chunk
+        self._state: dict | None = None
+
+    def fetch(self) -> None:
+        """Append the next block of words to ``words``."""
+        if self._state is None:
+            self._state = self.rng.bit_generator.state
+        block = self.rng.integers(0, _WORD, size=self._chunk, dtype=np.uint64)
+        self.words += block.tolist()
+        self._chunk *= 2
+
+    def sync(self, used: int) -> None:
+        """Keep only the first ``used`` words drawn, and empty ``words``."""
+        if self._state is not None:
+            self.rng.bit_generator.state = self._state
+            if used:
+                self.rng.integers(0, _WORD, size=used, dtype=np.uint64)
+            self._state = None
+        self.words.clear()
+
+
 def random_cube_set(
     rng: np.random.Generator,
     count: int,
@@ -296,22 +334,70 @@ def random_cube_set(
 
     All cubes lie inside the axis box [0, 2^(-j_min))^d, so arbitrary nesting
     between scales can occur.
+
+    Each attempt draws ``j = rng.integers(j_min, j_max + 1)`` and then
+    ``k = rng.integers(0, 2^(j - j_min), size=d)``, until ``count`` distinct
+    cubes are seen.  For a range r <= 2^32 numpy's bounded draw (Lemire 2019,
+    *Fast Random Integer Generation in an Interval*) takes no word when
+    r == 1; otherwise it takes a 32-bit word w, rejects it while
+    (w * r) mod 2^32 < (2^32 - r) mod r, and returns (w * r) >> 32.  A power
+    of two never rejects, so each coordinate of k takes one word, or none at
+    j == j_min.  That rule is replayed here on words taken in blocks (see
+    ``_Words``), so a family costs a few numpy calls instead of two per
+    attempt.  Wider ranges, which numpy draws from 64-bit words, are drawn
+    by numpy itself after a sync.  The cubes and the generator's state
+    afterwards are those of the per-attempt calls, so every instance drawn
+    after this family is unchanged too.
     """
     if j_max < j_min:
         raise ContractViolationError("need j_min <= j_max")
-    seen: set[Cube] = set()
+    if d < 1:
+        raise ContractViolationError("cube position vector must be non-empty")
+    j_range = j_max - j_min + 1
+    threshold = (_WORD - j_range) % j_range
+    block = _Words(rng, 2 * (d + 1) * count + 32)
+    words = block.words
+    used = 0
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     attempts = 0
-    while len(seen) < count:
-        attempts += 1
-        if attempts > 200 * count + 1000:
-            raise ContractViolationError(
-                "cube window too small for the requested count"
-            )
-        j = int(rng.integers(j_min, j_max + 1))
-        span = 1 << (j - j_min)
-        k = tuple(int(v) for v in rng.integers(0, span, size=d))
-        seen.add(Cube(j, k))
-    return sorted(seen)
+    try:
+        while len(seen) < count:
+            attempts += 1
+            if attempts > 200 * count + 1000:
+                raise ContractViolationError(
+                    "cube window too small for the requested count"
+                )
+            if j_range == 1:
+                level = 0
+            elif j_range > _WORD:
+                block.sync(used)
+                used = 0
+                level = int(rng.integers(j_min, j_max + 1)) - j_min
+            else:
+                while True:
+                    if used == len(words):
+                        block.fetch()
+                    m = words[used] * j_range
+                    used += 1
+                    if m % _WORD >= threshold:
+                        break
+                level = m >> 32
+            if level == 0:
+                k = (0,) * d
+            elif level > 32:
+                block.sync(used)
+                used = 0
+                k = tuple(rng.integers(0, 1 << level, size=d).tolist())
+            else:
+                while used + d > len(words):
+                    block.fetch()
+                shifts = itertools.repeat(32 - level, d)
+                k = tuple(map(operator.rshift, words[used : used + d], shifts))
+                used += d
+            seen.add((j_min + level, k))
+    finally:
+        block.sync(used)
+    return [Cube(j, k) for j, k in sorted(seen)]
 
 
 def admissible_spread(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ContractViolationError, ScaleRangeError
@@ -48,24 +49,31 @@ def pow2(exponent: float) -> float:
     return 2.0**exponent
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Cube:
     """The dyadic cube ``2^(-j) * ([0,1)^d + k)``.
 
     ``j`` may be negative (big cubes); ``k`` components may be negative.
+    Equality, ordering and hashing go by ``(j, k)``; the dimension ``d`` and
+    the hash are computed once, when the cube is built.
     """
 
     j: int
     k: tuple[int, ...]
+    d: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.k:
+    def __init__(self, j: int, k: Sequence[int]) -> None:
+        if not k:
             raise ContractViolationError("cube position vector must be non-empty")
-        object.__setattr__(self, "k", tuple(int(c) for c in self.k))
+        k = tuple(map(int, k))
+        _set_j(self, j)
+        _set_k(self, k)
+        _set_d(self, len(k))
+        _set_hash(self, hash((j, k)))
 
-    @property
-    def d(self) -> int:
-        return len(self.k)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def volume(self) -> float:
@@ -103,9 +111,37 @@ class Cube:
         return " ".join(str(v) for v in (self.j, *self.k))
 
 
+# Cube's fields are set once, in __init__, through their slot descriptors,
+# which skip the frozen __setattr__ and cost less than object.__setattr__.
+_set_j, _set_k, _set_d, _set_hash = (
+    Cube.__dict__[name].__set__ for name in ("j", "k", "d", "_hash")
+)
+
+
 def cube_volume(cube: Cube) -> float:
     """Lebesgue volume 2^(-j*d); exact, with an explicit range error."""
     return pow2(-cube.j * cube.d)
+
+
+class VolumePowers(dict):
+    """``|Q|^exponent`` per cube, computed once per volume.
+
+    Calling it on a cube gives ``cube.volume_power(exponent)``.  Every cube of
+    scale j and dimension d has the volume 2^(-j*d), so the powers are kept
+    by ``j * d`` and a family pays one ``pow2`` per distinct volume instead of
+    one per cube.
+    """
+
+    def __init__(self, exponent: float):
+        super().__init__()
+        self.exponent = exponent
+
+    def __call__(self, cube: Cube) -> float:
+        return self[cube.j * cube.d]
+
+    def __missing__(self, jd: int) -> float:
+        power = self[jd] = pow2(-jd * self.exponent)
+        return power
 
 
 @dataclass(frozen=True)
@@ -113,12 +149,17 @@ class MeasureSpec:
     """The measure assigning each cube the mass |Q|^alpha.
 
     ``alpha = 0`` is the counting measure; ``alpha = 1`` is Lebesgue volume.
+    Each mass is computed once per cube volume.
     """
 
     alpha: float = 0.0
+    _mass: VolumePowers = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_mass", VolumePowers(self.alpha))
 
     def __call__(self, cube: Cube) -> float:
-        return cube.volume_power(self.alpha)
+        return self._mass(cube)
 
 
 def nu_measure(cubes: Iterable[Cube], measure: MeasureSpec) -> float:
@@ -127,7 +168,7 @@ def nu_measure(cubes: Iterable[Cube], measure: MeasureSpec) -> float:
     Uses exact compensated summation (math.fsum), which is order-independent
     and at least as accurate as any fixed summation order.
     """
-    return math.fsum(measure(q) for q in cubes)
+    return math.fsum(map(measure, cubes))
 
 
 class ExactSum:
@@ -174,7 +215,7 @@ class ExactSum:
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     cube: Cube
     parent: int | None
@@ -190,7 +231,7 @@ def _capped_levels(cubes: Sequence[Cube]) -> dict[int, int]:
     contains on the true one, while shifts and keys stay as long as the
     positions instead of the scale gap.
     """
-    cap = 1 + max(c.bit_length() for q in cubes for c in q.k)
+    cap = 1 + max(map(int.bit_length, chain.from_iterable(q.k for q in cubes)))
     levels: dict[int, int] = {}
     level = 0
     previous: int | None = None
@@ -230,40 +271,45 @@ def _bit_spreader(width: int, d: int) -> Callable[[int], int]:
     return spread
 
 
-def _preorder_key(
+def _preorder_ranges(
     cubes: Sequence[Cube], levels: Mapping[int, int]
-) -> Callable[[Cube], int]:
-    """Sort key putting the cubes in a preorder of their containment forest.
+) -> tuple[list[int], list[int]]:
+    """Sort keys putting the cubes in a preorder of their containment forest,
+    and the end of each cube's key range.
 
     The key is the cube's lower corner on the finest grid, Morton-interleaved
     for d >= 2 with coordinates counted from an origin aligned to the coarsest
     level, followed by the level, so that of two cubes sharing a lower corner
-    the coarser comes first.  Each cube's descendants fill the Morton range of
-    its corner, so they follow it directly.  The key is one int, which the
-    sort compares in C.
+    the coarser comes first.  A cube's corners on the finest grid fill one
+    aligned block of Morton codes, so its descendants are exactly the cubes
+    whose keys lie in ``[key, end)``, and they follow it directly.  Keys are
+    single ints, which the sort compares in C.
     """
     top = max(levels.values())
     tie = top.bit_length()
-    if cubes[0].d == 1:
+    d = cubes[0].d
+    cube_levels = [levels[q.j] for q in cubes]
+    if d == 1:
+        codes = [q.k[0] << (top - level) for q, level in zip(cubes, cube_levels)]
+    else:
+        roots = [[c >> levels[q.j] for c in q.k] for q in cubes]
+        origin = [min(column) for column in zip(*roots)]
+        extent = max(max(column) - o for column, o in zip(zip(*roots), origin))
+        interleave = _bit_spreader(top + extent.bit_length(), d)
 
-        def key(q: Cube) -> int:
-            level = levels[q.j]
-            return (q.k[0] << (top - level) << tie) | level
+        def corner(q: Cube, level: int) -> int:
+            code = 0
+            for c, o in zip(q.k, origin):
+                code = (code << 1) | interleave((c - (o << level)) << (top - level))
+            return code
 
-        return key
-    roots = [[c >> levels[q.j] for c in q.k] for q in cubes]
-    origin = [min(column) for column in zip(*roots)]
-    extent = max(max(column) - o for column, o in zip(zip(*roots), origin))
-    interleave = _bit_spreader(top + extent.bit_length(), cubes[0].d)
-
-    def key(q: Cube) -> int:
-        level = levels[q.j]
-        code = 0
-        for c, o in zip(q.k, origin):
-            code = (code << 1) | interleave((c - (o << level)) << (top - level))
-        return (code << tie) | level
-
-    return key
+        codes = list(map(corner, cubes, cube_levels))
+    keys = [(code << tie) | level for code, level in zip(codes, cube_levels)]
+    ends = [
+        (code + (1 << ((top - level) * d))) << tie
+        for code, level in zip(codes, cube_levels)
+    ]
+    return keys, ends
 
 
 class ContainmentForest:
@@ -275,12 +321,14 @@ class ContainmentForest:
     chain values.
 
     The build is one sort and one stack pass, whatever the scale gap.  The
-    sort key (see ``_preorder_key``) orders the cubes by lower corner, coarser
-    first on ties, which lists each cube's subtree right after it.  The stack
-    then holds the cubes containing the previous one, innermost on top:
-    popping those that do not contain the next cube leaves its parent on top.
-    The keys use the capped levels of ``_capped_levels``, which keep every
-    containment, so their length does not grow with the scale gap either.
+    sort key (see ``_preorder_ranges``) orders the cubes by lower corner,
+    coarser first on ties, which lists each cube's subtree right after it, in
+    the key range ``[key, end)`` of that cube.  The stack then holds the cubes
+    containing the previous one, innermost on top: popping those whose range
+    ends at or before the next key leaves its parent on top, with integer
+    comparisons only.  The keys use the capped levels of ``_capped_levels``,
+    which keep every containment, so their length does not grow with the
+    scale gap either.
 
     Siblings are pairwise disjoint, hence every region (cube minus its
     children) has non-negative measure by construction — verified exactly in
@@ -298,18 +346,21 @@ class ContainmentForest:
         if any(q.d != d for q in unique):
             raise ContractViolationError("all cubes must share one dimension")
         levels = _capped_levels(unique)
-        stack: list[int] = []
-        for cube in sorted(unique, key=_preorder_key(unique, levels)):
-            while stack and not self.nodes[stack[-1]].cube.contains(cube):
+        keys, ends = _preorder_ranges(unique, levels)
+        nodes = self.nodes
+        stack: list[tuple[int, int]] = []  # (end of key range, node index)
+        for i, u in enumerate(sorted(range(len(unique)), key=keys.__getitem__)):
+            key = keys[u]
+            while stack and stack[-1][0] <= key:
                 stack.pop()
-            parent = stack[-1] if stack else None
-            i = len(self.nodes)
-            self.nodes.append(_Node(cube, parent))
-            if parent is None:
-                self.roots.append(i)
+            if stack:
+                parent = stack[-1][1]
+                nodes[parent].children.append(i)
             else:
-                self.nodes[parent].children.append(i)
-            stack.append(i)
+                parent = None
+                self.roots.append(i)
+            nodes.append(_Node(unique[u], parent))
+            stack.append((ends[u], i))
         self._check_regions(levels)
 
     def __len__(self) -> int:
@@ -318,12 +369,13 @@ class ContainmentForest:
     def _check_regions(self, levels: Mapping[int, int]) -> None:
         top = max(levels.values())
         d = self.nodes[0].cube.d
-
-        def units(node: _Node) -> int:
-            return 1 << ((top - levels[node.cube.j]) * d)
-
-        for node in self.nodes:
-            region = units(node) - sum(units(self.nodes[c]) for c in node.children)
+        units = {j: 1 << ((top - level) * d) for j, level in levels.items()}
+        nodes = self.nodes
+        for node in nodes:
+            if not node.children:
+                continue
+            inner = sum(units[nodes[c].cube.j] for c in node.children)
+            region = units[node.cube.j] - inner
             if region < 0:  # structurally impossible; guards construction bugs
                 raise ContractViolationError(
                     f"negative region measure at cube {node.cube}"
@@ -354,14 +406,18 @@ class ContainmentForest:
         whole collection is combined with math.fsum, so the only rounding is
         one multiply per term.
         """
+        volume = VolumePowers(1)
+        nodes = self.nodes
         terms: list[float] = []
-        for i, node in enumerate(self.nodes):
+        for i, node in enumerate(nodes):
             c = constants[i]
             if c == 0.0:
                 continue
-            terms.append(c * node.cube.volume)
+            q = node.cube
+            terms.append(c * volume[q.j * q.d])
             for child in node.children:
-                terms.append(-c * self.nodes[child].cube.volume)
+                q = nodes[child].cube
+                terms.append(-c * volume[q.j * q.d])
         return math.fsum(terms)
 
 

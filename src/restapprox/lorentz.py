@@ -35,13 +35,26 @@ __all__ = [
 UWeights = Mapping[Cube, float] | Callable[[Cube], float] | None
 
 
-def u_value(u: UWeights, cube: Cube) -> float:
+def _one(cube: Cube) -> float:
+    return 1.0
+
+
+def u_function(u: UWeights) -> Callable[[Cube], float]:
+    """``u`` as a function of the cube that checks each weight is finite and
+    > 0; the kind of ``u`` is looked at once, not per cube."""
     if u is None:
-        return 1.0
-    value = u[cube] if isinstance(u, Mapping) else u(cube)
-    if not (value > 0 and math.isfinite(value)):
-        raise ContractViolationError(f"weight for cube {cube} must be finite and > 0")
-    return value
+        return _one
+    lookup = u.__getitem__ if isinstance(u, Mapping) else u
+
+    def weight(cube: Cube) -> float:
+        value = lookup(cube)
+        if not (value > 0 and math.isfinite(value)):
+            raise ContractViolationError(
+                f"weight for cube {cube} must be finite and > 0"
+            )
+        return value
+
+    return weight
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,8 @@ class CoeffSeq:
     @classmethod
     def indicator(cls, cubes: Iterable[Cube], u: UWeights = None) -> "CoeffSeq":
         """Entries 1/u(Q) on the given cubes (the normalized indicator)."""
-        return cls({q: 1.0 / u_value(u, q) for q in cubes})
+        weight = u_function(u)
+        return cls({q: 1.0 / weight(q) for q in cubes})
 
     # -- basic access ------------------------------------------------------
 
@@ -181,9 +195,10 @@ def rearrange(
     their combined mass, which keeps the closed-form norm accumulation
     unambiguous.
     """
+    weight = u_function(u)
     by_magnitude: dict[float, list[float]] = {}
     for cube, value in s.items():
-        magnitude = abs(u_value(u, cube) * value)
+        magnitude = abs(weight(cube) * value)
         if magnitude > 0:
             by_magnitude.setdefault(magnitude, []).append(measure(cube))
     magnitudes = sorted(by_magnitude, reverse=True)
@@ -202,10 +217,9 @@ def distribution(
     """Mass of the strict super-level set { I : |u_I * s_I| > lam }."""
     if lam < 0:
         raise ContractViolationError("level must be >= 0")
+    weight = u_function(u)
     return math.fsum(
-        measure(cube)
-        for cube, value in s.items()
-        if abs(u_value(u, cube) * value) > lam
+        measure(cube) for cube, value in s.items() if abs(weight(cube) * value) > lam
     )
 
 

@@ -14,12 +14,13 @@ a per-scale norm under the matched parameter map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dyadic import (
     ContainmentForest,
     Cube,
     MeasureSpec,
+    VolumePowers,
     integrate_power_of_cube_sum,
 )
 from .errors import ContractViolationError
@@ -89,17 +90,21 @@ class AtomWeights:
     """u(Q) = |Q|^e where e is the space's atom exponent.
 
     Callable on cubes, so it can serve directly as the ``u`` argument of the
-    Lorentz-norm functions.
+    Lorentz-norm functions.  Each power is computed once per cube volume.
     """
 
     space: SpaceParams
+    _powers: VolumePowers = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_powers", VolumePowers(self.space.atom_exponent))
 
     def __call__(self, cube: Cube) -> float:
         if cube.d != self.space.d:
             raise ContractViolationError(
                 f"cube dimension {cube.d} != space dimension {self.space.d}"
             )
-        return cube.volume_power(self.space.atom_exponent)
+        return self._powers(cube)
 
 
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -113,16 +118,14 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "tl")
     if not s:
         return 0.0
-    ce = params.coeff_exponent
+    scale = VolumePowers(params.coeff_exponent)
     if math.isinf(params.q):
         forest = ContainmentForest(s.support)
-        b = {q: q.volume_power(ce) * abs(s[q]) for q in s.support}
+        b = {q: scale(q) * abs(s[q]) for q in s.support}
         maxima = forest.chain_maxima(b)
         constants = [m**params.p for m in maxima]
         return forest.region_integral(constants) ** (1.0 / params.p)
-    powered = {
-        q: (q.volume_power(ce) * abs(v)) ** params.q for q, v in s.items()
-    }
+    powered = {q: (scale(q) * abs(v)) ** params.q for q, v in s.items()}
     return integrate_power_of_cube_sum(powered, params.p / params.q, params.p)
 
 
@@ -135,10 +138,10 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "besov")
     if not s:
         return 0.0
-    ae = params.atom_exponent
+    scale = VolumePowers(params.atom_exponent)
     by_scale: dict[int, list[float]] = {}
     for cube, value in s.items():
-        by_scale.setdefault(cube.j, []).append(cube.volume_power(ae) * abs(value))
+        by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
     inner: list[float] = []
     for j in sorted(by_scale):
         terms = by_scale[j]

@@ -26,6 +26,15 @@ _CRITERIA = [
 ]
 
 
+# Details strings recorded at DEFAULT_SEED.  Criterion 3's depend on every
+# cube family it draws (d = 1 and 2, 30 and 60 cubes), so they pin the random
+# stream of ``random_cube_set`` where the goldens do not reach.
+_PINNED_DETAILS = {
+    3: "20 matched draws: worst spread growth x1.000 (< 1.5); "
+    "3 mismatched fits: worst exponent error 0.0000 (<= 0.05)",
+}
+
+
 @pytest.mark.parametrize(
     "criterion", _CRITERIA, ids=[f"criterion_{k}" for k in range(1, 11)]
 )
@@ -33,6 +42,8 @@ def test_acceptance(criterion):
     result = criterion(DEFAULT_SEED)
     print(result.line())
     assert result.passed, result.line()
+    if result.cid in _PINNED_DETAILS:
+        assert result.details == _PINNED_DETAILS[result.cid]
 
 
 def test_injected_drift_is_detected():

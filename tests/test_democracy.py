@@ -185,6 +185,145 @@ def test_random_cube_set_properties():
         random_cube_set(rng, 3, 1, 2, 1)
     with pytest.raises(ContractViolationError):
         random_cube_set(rng, 10, 1, 0, 0)  # only one cube exists in the window
+    with pytest.raises(ContractViolationError):
+        random_cube_set(rng, 3, 0, 0, 2)  # cubes need a position vector
+
+
+def _random_cube_set_oracle(rng, count, d, j_min, j_max):
+    """The per-attempt loop ``random_cube_set`` replays: two numpy calls per
+    attempt, kept as the reference for its cubes and generator state."""
+    if j_max < j_min:
+        raise ContractViolationError("need j_min <= j_max")
+    seen = set()
+    attempts = 0
+    while len(seen) < count:
+        attempts += 1
+        if attempts > 200 * count + 1000:
+            raise ContractViolationError(
+                "cube window too small for the requested count"
+            )
+        j = int(rng.integers(j_min, j_max + 1))
+        span = 1 << (j - j_min)
+        k = tuple(int(v) for v in rng.integers(0, span, size=d))
+        seen.add(Cube(j, k))
+    return sorted(seen)
+
+
+def _plain(state):
+    """A generator state with its arrays (MT19937's key) as lists."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _outcome(draw, rng, *window):
+    try:
+        result = draw(rng, *window)
+    except ContractViolationError as exc:
+        result = str(exc)
+    return result, _plain(rng.bit_generator.state)
+
+
+_GENERATORS = {
+    "pcg64": lambda seed: np.random.default_rng([seed, 3]),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+}
+
+# (count, d, j_min, j_max): the windows of criterion 3 (d = 1 and 2),
+# criterion 5 and the comparison suites, a d = 3 window, windows holding
+# exactly ``count`` cubes (both need more words than the first block), a
+# window with positions wider than 32 bits, and the three error cases (the
+# attempt cap once without draws and once after many).
+_WINDOWS = [
+    (30, 1, -2, 5),
+    (60, 1, -2, 5),
+    (30, 2, -2, 5),
+    (60, 2, -2, 5),
+    (14, 1, -2, 2),
+    (16, 1, -4, 8),
+    (64, 1, -4, 8),
+    (40, 3, -1, 2),
+    (7, 1, 0, 2),
+    (63, 1, -3, 2),
+    (12, 2, -3, 40),
+    (3, 1, 2, 1),
+    (10, 1, 0, 0),
+    (5, 1, 0, 1),
+]
+
+
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_random_cube_set_replays_the_per_attempt_draws(generator):
+    for seed in range(6):
+        fast, slow = _GENERATORS[generator](seed), _GENERATORS[generator](seed)
+        for window in _WINDOWS:
+            # One generator runs through every window, so each window starts
+            # from wherever the previous one left it, odd half words included.
+            assert _outcome(random_cube_set, fast, *window) == _outcome(
+                _random_cube_set_oracle, slow, *window
+            ), (seed, window)
+
+
+class _CountingGenerator:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+def test_random_cube_set_makes_a_few_numpy_calls_per_family():
+    rng = _CountingGenerator(np.random.default_rng([17, 3]))
+    for _ in range(50):
+        before = rng.calls
+        random_cube_set(rng, 60, 2, -2, 5)
+        assert rng.calls - before <= 3
+
+
+class _WordsGenerator:
+    """Stands in for a generator whose next 32-bit words are ``words``, then
+    ``12345`` over and over (a word no range below 2^16 rejects)."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return {"words": list(self.words)}
+
+    @state.setter
+    def state(self, saved):
+        self.words = saved["words"]
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 32, np.uint64)
+        taken, self.words = self.words[:size], self.words[size:]
+        return np.array(taken + [12345] * (size - len(taken)), dtype=np.uint64)
+
+
+def test_random_cube_set_rejects_words_as_numpy_does():
+    """Lemire's rule for range r: with m = word * r, a word is rejected iff
+    m mod 2^32 < (2^32 - r) mod r, else the draw is m >> 32.  Real streams hit
+    a rejection about once in 2^32 / r words, so the words are given here."""
+    # j in [0, 4]: r = 5 and (2^32 - 5) mod 5 == 1, so only a word w with
+    # 5 * w = 0 mod 2^32 is rejected.  Word 0 is; word `high` gives j = 3.
+    high = ((1 << 32) * 3) // 5 + 1
+    k_word = (5 << 29) + 1  # its top 3 bits give k = 5 at j = 3
+    rng = _WordsGenerator([0, high, k_word, 99])
+    assert random_cube_set(rng, 1, 1, 0, 4) == [Cube(3, (5,))]
+    assert rng.words == [99]  # exactly the three words used are consumed
+    # j in [0, 7]: r = 8 and (2^32 - 8) mod 8 == 0, so word 0 is taken (j = 0,
+    # which takes no word for k).
+    rng = _WordsGenerator([0, 99])
+    assert random_cube_set(rng, 1, 1, 0, 7) == [Cube(0, (0,))]
+    assert rng.words == [99]
 
 
 def test_admissible_spread_is_bounded():

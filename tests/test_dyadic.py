@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +19,8 @@ from restapprox import (
     nu_measure,
     pow2,
 )
-from restapprox.dyadic import ExactSum
+from restapprox.democracy import random_cube_set
+from restapprox.dyadic import ExactSum, VolumePowers
 
 from conftest import cube_strategy
 
@@ -83,6 +85,30 @@ def test_cube_contains_point():
 def test_dimension_mismatch_raises():
     with pytest.raises(ContractViolationError):
         Cube(0, (0,)).contains(Cube(0, (0, 0)))
+
+
+@given(
+    cube=st.one_of(*(cube_strategy(d=d, j_lo=-700, j_hi=700) for d in (1, 2, 3))),
+    exponent=st.one_of(
+        st.sampled_from([0, 1, 0.0, 1.0, -0.5]),
+        st.floats(min_value=-3.0, max_value=3.0),
+    ),
+)
+def test_volume_powers_match_volume_power(cube, exponent):
+    """One power per volume gives what each cube computes on its own,
+    bit for bit and error for error."""
+
+    def outcome(fn):
+        try:
+            return repr(fn())
+        except ScaleRangeError as exc:
+            return str(exc)
+
+    powers = VolumePowers(exponent)
+    want = outcome(lambda: cube.volume_power(exponent))
+    assert outcome(lambda: powers(cube)) == want
+    assert outcome(lambda: powers(cube)) == want  # stored, or raising again
+    assert outcome(lambda: MeasureSpec(exponent)(cube)) == want
 
 
 def test_measure_spec():
@@ -219,6 +245,18 @@ def test_forest_parents_match_brute_oracle(d, data):
 @given(data=st.data())
 def test_forest_parents_match_brute_oracle_across_wide_gaps(d, data):
     _assert_forest_matches_oracle(data.draw(nested_families(d, max_shift=10**6)))
+
+
+def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):
+    cubes = random_cube_set(np.random.default_rng(5), 1000, 2, -2, 6)
+    calls = []
+    contains = Cube.contains
+    monkeypatch.setattr(
+        Cube, "contains", lambda q, other: calls.append(1) or contains(q, other)
+    )
+    forest = ContainmentForest(cubes)
+    assert len(forest) == 1000
+    assert calls == []
 
 
 def test_forest_across_a_huge_gap_under_many_coarse_cubes():
