@@ -12,7 +12,11 @@ Provided solvers: exhaustive enumeration ("brute"), depth-first
 branch-and-bound with a fractional relaxation bound ("knapsack"), and
 threshold greedy ("greedy", an upper bound on the optimal error).  Profiles
 tabulate the error as a step function of the budget, which the norm and
-constant computations consume.
+constant computations consume.  The exact profile of an additive error norm
+is the Pareto frontier of (support mass, captured weight), built by
+Nemhauser-Ullmann merging on exact integer sums instead of by enumerating
+every subset; greedy profiles and greedy decompositions read prefixes of one
+decreasing-|u_Q s_Q| order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,6 +54,8 @@ _BRUTE_MAX = 20
 _BRUTE_MAX_NONADDITIVE = 12
 _BNB_NODE_CAP = 500_000
 _ENUM_CHUNK = 1 << 16
+# Cube order by C tuple comparison; equal to the order of Cube.__lt__.
+_CUBE_KEY = attrgetter("j", "k")
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,56 @@ class SigmaProfile:
         idx = bisect_right(self.breakpoints, t) - 1
         return self.errors[idx] if idx < len(self.errors) else 0.0
 
+    def norm(self, xi: float, mu: float) -> float:
+        """Budget-weighted aggregate of the profile.
+
+        Finite mu integrates [t^xi * sigma(t)]^mu dt/t piecewise in closed
+        form; mu = inf takes the sup, attained at right endpoints because
+        xi > 0 and sigma is constant on each piece.
+        """
+        if not self.errors:
+            return 0.0
+        bp = self.breakpoints
+        if math.isinf(mu):
+            return max(err * bp[k + 1] ** xi for k, err in enumerate(self.errors))
+        x = xi * mu
+        total = math.fsum(
+            err**mu * (bp[k + 1] ** x - bp[k] ** x) / x
+            for k, err in enumerate(self.errors)
+            if err > 0
+        )
+        return total ** (1.0 / mu)
+
+    def norm_dyadic(self, xi: float, mu: float) -> float:
+        """Dyadic-budget aggregate: sum of [2^(k xi) sigma(2^k)]^mu over integers k.
+
+        Budgets at or above the first breakpoint are evaluated explicitly; the
+        infinite tail of smaller budgets, where the error is constantly the
+        full norm, is summed as a geometric series in closed form.
+        """
+        if not self.errors:
+            return 0.0
+        first_mass = self.breakpoints[1]
+        last_mass = self.breakpoints[-1]
+        k_min = math.floor(math.log2(first_mass))
+        while pow2(k_min) > first_mass:
+            k_min -= 1
+        k_up = math.ceil(math.log2(last_mass))
+        while pow2(k_up) < last_mass:
+            k_up += 1
+        full = self.errors[0]
+        if math.isinf(mu):
+            best = full * pow2((k_min - 1) * xi)
+            for k in range(k_min, k_up):
+                best = max(best, self.value_at(pow2(k)) * pow2(k * xi))
+            return best
+        x = xi * mu
+        tail = full**mu * pow2(k_min * x) / math.expm1(x * math.log(2.0))
+        explicit = math.fsum(
+            (self.value_at(pow2(k)) * pow2(k * xi)) ** mu for k in range(k_min, k_up)
+        )
+        return (tail + explicit) ** (1.0 / mu)
+
 
 @dataclass(frozen=True)
 class DecomposeResult:
@@ -128,7 +186,7 @@ def _additive_weights(cubes: list[Cube], values: list[float], space: SpaceParams
 
 
 def _sorted_entries(s: CoeffSeq) -> tuple[list[Cube], list[float]]:
-    cubes = sorted(s.entries)
+    cubes = sorted(s.entries, key=_CUBE_KEY)
     return cubes, [s[q] for q in cubes]
 
 
@@ -167,40 +225,104 @@ def _enumerate_best(masses: np.ndarray, weights: np.ndarray, budget: float):
     return best_w, best_mask
 
 
-def _enumerate_frontier(masses: np.ndarray, weights: np.ndarray):
+def _subset_errors(
+    s: CoeffSeq,
+    cubes: list[Cube],
+    masses: list[float],
+    space: SpaceParams,
+    masks: Iterable[int],
+    budget: float = math.inf,
+) -> Iterator[tuple[float, float, int]]:
+    """(mass, error, mask) of each bitmask support whose mass fits the budget.
+
+    The mass is the ``math.fsum`` of the chosen cubes' masses and the error
+    the norm of what they leave out.
+    """
+    n = len(cubes)
+    for mask in masks:
+        chosen = [i for i in range(n) if mask >> i & 1]
+        mass = math.fsum(masses[i] for i in chosen)
+        if mass <= budget:
+            yield mass, space_norm(s.without(cubes[i] for i in chosen), space), mask
+
+
+def _scaled_ints(values: list[float]) -> tuple[list[int], int]:
+    """Finite floats as exact integer multiples of 1/den, one power of two den."""
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max((d for _, d in ratios), default=1)
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _pareto_frontier(masses: list[float], weights: list[float]) -> list[int]:
     """All Pareto-optimal (mass, captured-weight) subsets, mass-ascending.
 
-    Returns a list of bitmasks whose captured weights strictly increase with
-    mass; the first is the empty set and the last the full set.
+    Nemhauser-Ullmann merging (1969): starting from the empty set, each item
+    merges the frontier with a copy of itself shifted by that item, and drops
+    every point whose weight does not strictly increase with mass.  Sums are
+    exact integers, and of subsets with equal mass and weight the smallest
+    bitmask is kept.  Returns bitmasks whose captured weights strictly
+    increase with mass; the first is the empty set.
     """
-    rows, mass, w = map(np.concatenate, zip(*_subset_sums(masses, weights)))
-    order = np.lexsort((-w, mass))
-    frontier: list[int] = []
-    best = -math.inf
-    for idx in order:
-        if w[idx] > best:
-            best = float(w[idx])
-            frontier.append(int(rows[idx]))
-    return frontier
+    mass_ints, _ = _scaled_ints(masses)
+    weight_ints, _ = _scaled_ints(weights)
+    # Points (mass, -weight, mask) sort by mass up, weight down, mask up.
+    front = [(0, 0, 0)]
+    for i, (m, w) in enumerate(zip(mass_ints, weight_ints)):
+        bit = 1 << i
+        front += [(a + m, b - w, mask | bit) for a, b, mask in front]
+        front.sort()
+        kept = []
+        best = 1
+        for point in front:
+            if point[1] < best:
+                best = point[1]
+                kept.append(point)
+        front = kept
+    return [mask for _, _, mask in front]
 
 
-def _fractional_bound(
-    level: int,
-    cur_mass: float,
-    cur_w: float,
-    masses: list[float],
-    weights: list[float],
-    budget: float,
-) -> float:
-    room = budget - cur_mass
-    bound = cur_w
-    for i in range(level, len(masses)):
-        if masses[i] <= room:
-            room -= masses[i]
-            bound += weights[i]
-        else:
-            bound += weights[i] * (room / masses[i])
-            break
+def _dantzig_bound(masses: list[float], weights: list[float]):
+    """Fractional-relaxation bound over items in decreasing weight density.
+
+    Prefix sums of the masses and of the weights are exact integers, so the
+    items that fit whole are found by one bisect and a bound costs O(log n)
+    (Martello & Toth 1990, *Knapsack Problems*, ch. 2).  Infinite weights
+    have infinite density and lead the order; they count as 0 in the sums.
+    Returns ``bound(level, cur_mass, cur_w, budget)`` for the items from
+    ``level`` on.
+    """
+    n = len(masses)
+    mass_ints, mass_den = _scaled_ints(masses)
+    mp = list(accumulate(mass_ints, initial=0))
+    finite = [w if math.isfinite(w) else 0.0 for w in weights]
+    weight_ints, weight_den = _scaled_ints(finite)
+    wp = list(accumulate(weight_ints, initial=0))
+    infinite = sum(map(math.isinf, weights))
+
+    def bound(level: int, cur_mass: float, cur_w: float, budget: float) -> float:
+        room = budget - cur_mass
+        # Items level..r-1 fit whole: their exact mass is at most room.
+        whole = 0.0
+        r = level
+        if masses[level] <= room:
+            num, den = room.as_integer_ratio()
+            r = bisect_right(mp, mp[level] + num * mass_den // den, level) - 1
+            if level < infinite:
+                whole = math.inf
+            else:
+                try:
+                    whole = (wp[r] - wp[level]) / weight_den
+                except OverflowError:
+                    whole = math.inf
+        value = cur_w + whole
+        if r < n:
+            left = room - (mp[r] - mp[level]) / mass_den
+            value += weights[r] * (left / masses[r])
+        # Summed item by item in floats, the same bound can exceed the exact
+        # one by a relative 2^-52 per item; raising it by 2^-51 per remaining
+        # item keeps it at or above that sum.
+        return value * (1.0 + (n - level + 4) * 2.0**-51)
+
     return bound
 
 
@@ -216,6 +338,7 @@ def _branch_and_bound(masses: list[float], weights: list[float], budget: float):
     order = sorted(range(n), key=lambda i: (-(weights[i] / masses[i]), i))
     m = [masses[i] for i in order]
     w = [weights[i] for i in order]
+    bound_at = _dantzig_bound(m, w)
     best_w = 0.0
     best_sel: tuple[int, ...] = ()
     nodes = 0
@@ -234,10 +357,10 @@ def _branch_and_bound(masses: list[float], weights: list[float], budget: float):
             best_sel = sel
         if level == n:
             continue
-        # Inflating the bound by 1e-12 relative dominates its float
-        # accumulation error (< 64 ulp), so pruning never discards a subtree
-        # that could beat the incumbent.
-        bound = _fractional_bound(level, cur_mass, cur_w, m, w, budget)
+        # Inflating the bound by 1e-12 relative dominates the rounding of the
+        # incumbent's float sums, so pruning never discards a subtree that
+        # could beat the incumbent.
+        bound = bound_at(level, cur_mass, cur_w, budget)
         if bound * (1.0 + 1e-12) <= best_w:
             continue
         stack.append((level + 1, cur_mass, cur_w, sel))
@@ -285,14 +408,9 @@ def sigma_exact(
                 )
             best_err = math.inf
             best_mask = 0
-            for mask in range(1 << n):
-                mass = math.fsum(masses[i] for i in range(n) if mask >> i & 1)
-                if mass > budget:
-                    continue
-                err = space_norm(
-                    s.without(cubes[i] for i in range(n) if mask >> i & 1),
-                    params.space,
-                )
+            for _, err, mask in _subset_errors(
+                s, cubes, masses, params.space, range(1 << n), budget
+            ):
                 if err < best_err:
                     best_err = err
                     best_mask = mask
@@ -309,7 +427,7 @@ def sigma_exact(
         support = [cubes[i] for i in chosen]
     else:
         raise ContractViolationError("mode must be 'brute' or 'knapsack'")
-    support = tuple(sorted(support))
+    support = tuple(sorted(support, key=_CUBE_KEY))
     error = space_norm(s.without(support), params.space)
     return SigmaResult(error, support, certified, mode, nodes)
 
@@ -333,7 +451,7 @@ def sigma_greedy(
         if kept_mass.value + mass <= budget:
             kept.append(cubes[i])
             kept_mass.add(mass)
-    support = tuple(sorted(kept))
+    support = tuple(sorted(kept, key=_CUBE_KEY))
     error = space_norm(s.without(support), params.space)
     return SigmaResult(error, support, certified=False, mode="greedy")
 
@@ -343,10 +461,13 @@ def sigma_profile(
 ) -> SigmaProfile:
     """Error as a step function of the budget.
 
-    Exact solvers ("brute"/"knapsack") tabulate the full Pareto frontier of
-    (support mass, captured weight) by enumeration, so the profile is the true
-    optimal error at every budget.  "greedy" tabulates the threshold prefixes
-    in decreasing |u_Q s_Q|, giving the greedy upper bound at every budget.
+    Exact solvers ("brute"/"knapsack") give the true optimal error at every
+    budget.  For an additive error norm they tabulate the Pareto frontier of
+    (support mass, captured weight), built by Nemhauser-Ullmann merging
+    (``_pareto_frontier``); otherwise every subset.  Each tabulated support's
+    mass is recomputed with ``math.fsum`` and its error with ``space_norm``.
+    "greedy" tabulates the prefixes in decreasing |u_Q s_Q|, giving the
+    greedy upper bound at every budget.
     """
     cubes, values = _sorted_entries(s)
     n = len(cubes)
@@ -367,28 +488,24 @@ def sigma_profile(
             )
     elif solver in ("brute", "knapsack"):
         if n > _BRUTE_MAX:
-            raise CapabilityError(
-                f"exact profiles enumerate subsets and handle at most {_BRUTE_MAX} cubes"
-            )
+            raise CapabilityError(f"exact profiles handle at most {_BRUTE_MAX} cubes")
         if _is_additive(params.space):
             weights = _additive_weights(cubes, values, params.space)
-            candidates = _enumerate_frontier(np.asarray(masses), np.asarray(weights))
+            if not all(map(math.isfinite, weights)):
+                raise ContractViolationError(
+                    "exact profiles need finite captured weights"
+                )
+            masks = _pareto_frontier(masses, weights)
         else:
             if n > _BRUTE_MAX_NONADDITIVE:
                 raise CapabilityError(
                     "exact profiles with a non-additive error norm handle at most "
                     f"{_BRUTE_MAX_NONADDITIVE} cubes"
                 )
-            candidates = range(1 << n)
+            masks = range(1 << n)
         raw = [
-            (
-                math.fsum(masses[i] for i in range(n) if mask >> i & 1),
-                space_norm(
-                    s.without(cubes[i] for i in range(n) if mask >> i & 1),
-                    params.space,
-                ),
-            )
-            for mask in candidates
+            (mass, err)
+            for mass, err, _ in _subset_errors(s, cubes, masses, params.space, masks)
         ]
     else:
         raise ContractViolationError("solver must be 'greedy', 'brute', or 'knapsack'")
@@ -410,68 +527,15 @@ def sigma_profile(
 def approx_norm(
     s: CoeffSeq, params: ApproxParams, solver: str = "greedy", u: UWeights = None
 ) -> float:
-    """Budget-weighted aggregate of the error profile.
-
-    Finite mu integrates [t^xi * sigma(t)]^mu dt/t piecewise in closed form;
-    mu = inf takes the sup, attained at right endpoints because xi > 0 and
-    sigma is constant on each piece.
-    """
-    profile = sigma_profile(s, params, solver, u)
-    if not profile.errors:
-        return 0.0
-    if math.isinf(params.mu):
-        return _profile_sup(profile, params.xi)
-    bp = profile.breakpoints
-    x = params.xi * params.mu
-    total = math.fsum(
-        err**params.mu * (bp[k + 1] ** x - bp[k] ** x) / x
-        for k, err in enumerate(profile.errors)
-        if err > 0
-    )
-    return total ** (1.0 / params.mu)
+    """Budget-weighted aggregate of the error profile (``SigmaProfile.norm``)."""
+    return sigma_profile(s, params, solver, u).norm(params.xi, params.mu)
 
 
 def approx_norm_dyadic(
     s: CoeffSeq, params: ApproxParams, solver: str = "greedy", u: UWeights = None
 ) -> float:
-    """Dyadic-budget aggregate: sum of [2^(k xi) sigma(2^k)]^mu over integers k.
-
-    Budgets at or above the first breakpoint are evaluated explicitly; the
-    infinite tail of smaller budgets, where the error is constantly the full
-    norm, is summed as a geometric series in closed form.
-    """
-    profile = sigma_profile(s, params, solver, u)
-    if not profile.errors:
-        return 0.0
-    first_mass = profile.breakpoints[1]
-    last_mass = profile.breakpoints[-1]
-    k_min = math.floor(math.log2(first_mass))
-    while pow2(k_min) > first_mass:
-        k_min -= 1
-    k_up = math.ceil(math.log2(last_mass))
-    while pow2(k_up) < last_mass:
-        k_up += 1
-    full = profile.errors[0]
-    if math.isinf(params.mu):
-        best = full * pow2((k_min - 1) * params.xi)
-        for k in range(k_min, k_up):
-            best = max(best, profile.value_at(pow2(k)) * pow2(k * params.xi))
-        return best
-    x = params.xi * params.mu
-    tail = full**params.mu * pow2(k_min * x) / math.expm1(x * math.log(2.0))
-    explicit = math.fsum(
-        (profile.value_at(pow2(k)) * pow2(k * params.xi)) ** params.mu
-        for k in range(k_min, k_up)
-    )
-    return (tail + explicit) ** (1.0 / params.mu)
-
-
-def _support_at_budget(
-    s: CoeffSeq, budget: float, params: ApproxParams, solver: str, u: UWeights
-) -> frozenset[Cube]:
-    if solver == "greedy":
-        return frozenset(sigma_greedy(s, budget, params, u).support)
-    return frozenset(sigma_exact(s, budget, params, mode=solver).support)
+    """Dyadic-budget aggregate of the error profile (``SigmaProfile.norm_dyadic``)."""
+    return sigma_profile(s, params, solver, u).norm_dyadic(params.xi, params.mu)
 
 
 def decompose(
@@ -481,10 +545,13 @@ def decompose(
 
     With phi_k the chosen approximant at budget 2^(k-1), the piece
     s_k = phi_k - phi_{k-1} has support mass at most 2^(k-1) + 2^(k-2) <= 2^k,
-    and the pieces telescope exactly back to s.  The score aggregates
-    2^(k xi) ||s_k|| with exponent mu.
+    and the pieces telescope exactly back to s.  The greedy approximant at a
+    budget is the longest prefix of the decreasing-|u_Q s_Q| order that greedy
+    profiles tabulate whose mass fits, so greedy pieces are disjoint runs of
+    that order; exact solvers take ``sigma_exact``'s support.  The score
+    aggregates 2^(k xi) ||s_k|| with exponent mu.
     """
-    cubes, _ = _sorted_entries(s)
+    cubes, values = _sorted_entries(s)
     if not cubes:
         return DecomposeResult((), 0.0)
     masses = [params.measure(q) for q in cubes]
@@ -500,10 +567,23 @@ def decompose(
         k_hi += 1
     while k_hi - 1 > k_lo and pow2(k_hi - 2) >= total:
         k_hi -= 1
+    ks = range(k_lo + 1, k_hi + 1)
+    if solver == "greedy":
+        order = _greedy_order(cubes, values, u)
+        prefix_mass = ExactSum()
+        ends = [prefix_mass.add(masses[i]) for i in order]
+        supports = [
+            frozenset(cubes[i] for i in order[: bisect_right(ends, pow2(k - 1))])
+            for k in ks
+        ]
+    else:
+        supports = [
+            frozenset(sigma_exact(s, pow2(k - 1), params, mode=solver).support)
+            for k in ks
+        ]
     previous: frozenset[Cube] = frozenset()
     pieces: list[tuple[int, CoeffSeq]] = []
-    for k in range(k_lo + 1, k_hi + 1):
-        current = _support_at_budget(s, pow2(k - 1), params, solver, u)
+    for k, current in zip(ks, supports):
         entries = {q: s[q] for q in current - previous}
         entries.update({q: -s[q] for q in previous - current})
         piece = CoeffSeq(entries)
@@ -526,15 +606,6 @@ def decompose(
     return DecomposeResult(tuple(pieces), score)
 
 
-def _profile_sup(profile: SigmaProfile, xi: float) -> float:
-    """sup over budgets of t^xi * sigma(t), from a tabulated profile."""
-    bp = profile.breakpoints
-    return max(
-        (err * bp[k + 1] ** xi for k, err in enumerate(profile.errors)),
-        default=0.0,
-    )
-
-
 def jackson_constant(
     suite: Iterable[CoeffSeq],
     params: ApproxParams,
@@ -551,7 +622,7 @@ def jackson_constant(
         if not s:
             continue
         profile = sigma_profile(s, params, solver, u=lorentz.u)
-        numerator = _profile_sup(profile, params.xi)
+        numerator = profile.norm(params.xi, math.inf)
         denominator = lorentz_norm(s, params.measure, lorentz)
         if denominator == 0:
             raise ContractViolationError("suite member with zero Lorentz norm")

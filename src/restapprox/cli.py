@@ -44,11 +44,11 @@ from typing import Callable, NamedTuple
 from .approx import (
     ApproxParams,
     approx_norm,
-    approx_norm_dyadic,
     bernstein_constant,
     jackson_constant,
     sigma_exact,
     sigma_greedy,
+    sigma_profile,
 )
 from .democracy import (
     DemocracyCase,
@@ -328,8 +328,9 @@ def run_approx_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures
     mu = cfg.get_float("mu", 2.0, lo=0.01, allow_inf=True)
     params = ApproxParams(xi, mu, space, measure)
     solver = cfg.get_choice("solver", "greedy", ("greedy", "knapsack", "brute"))
-    integral = approx_norm(seq, params, solver)
-    dyadic = approx_norm_dyadic(seq, params, solver)
+    profile = sigma_profile(seq, params, solver)
+    integral = profile.norm(xi, mu)
+    dyadic = profile.norm_dyadic(xi, mu)
     desc = f"xi={xi:g} mu={mu:g} solver={solver}"
     rows = [
         ReportRow("approx-norm/integral", desc, "norm", format_number(integral)),

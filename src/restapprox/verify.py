@@ -30,11 +30,11 @@ import numpy as np
 from .approx import (
     ApproxParams,
     approx_norm,
-    approx_norm_dyadic,
     bernstein_constant,
     decompose,
     jackson_constant,
     sigma_exact,
+    sigma_profile,
 )
 from .democracy import (
     DemocracyCase,
@@ -384,8 +384,9 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
             mu = float(rng.uniform(0.5, 4.0))
             xi = x / mu
         params = ApproxParams(xi, mu, space, MeasureSpec(float(rng.uniform(-1, 1))))
-        integral = approx_norm(seq, params, "greedy")
-        dyadic = approx_norm_dyadic(seq, params, "greedy")
+        profile = sigma_profile(seq, params, "greedy")
+        integral = profile.norm(xi, mu)
+        dyadic = profile.norm_dyadic(xi, mu)
         ratio = integral / dyadic
         if not pow2(-xi) * (1 - 1e-9) <= ratio <= pow2(xi) * (1 + 1e-9):
             sandwich_failures += 1

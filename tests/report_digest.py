@@ -4,7 +4,9 @@ Usage:  PYTHONPATH=src python3 tests/report_digest.py
 
 Runs every subcommand at ``--seed 17`` and ``--seed 3`` with ``--format
 json`` (the commands that read a sequence read ``fixtures/sample.seq``),
-drops the ``wall_time_s`` column, and prints per run the exit code, the
+then ``sigma`` and ``approx-norm`` on that file under the configs in
+``CONFIGS`` (exact solvers and mu = inf), written to a temporary directory.
+Each run drops the ``wall_time_s`` column and prints the exit code, the
 SHA-256 of the remaining report and the command's stdout with the report
 directory replaced by ``<out>``.  Two versions whose outputs are equal line
 for line wrote byte-identical reports modulo wall time.
@@ -23,13 +25,29 @@ from restapprox.cli import _COMMANDS, main
 
 SAMPLE = str(Path(__file__).resolve().parent.parent / "fixtures" / "sample.seq")
 SEEDS = (17, 3)
+# (command, config name, config text) of the runs on SAMPLE under a config.
+CONFIGS = (
+    ("sigma", "knapsack", "budget = 1.25\nsolver = knapsack\n"),
+    ("sigma", "brute", "budget = 1.25\nsolver = brute\n"),
+    ("approx-norm", "knapsack", "solver = knapsack\n"),
+    ("approx-norm", "brute", "solver = brute\n"),
+    ("approx-norm", "mu-inf", "mu = inf\n"),
+    ("approx-norm", "mu-inf-knapsack", "mu = inf\nsolver = knapsack\n"),
+)
 
 
-def digest(command: str, seed: int) -> str:
-    """One line: command, seed, exit code, report digest, stdout."""
+def digest(command: str, seed: int, config: tuple[str, str] | None = None) -> str:
+    """One line: command, seed, config name, exit code, report digest, stdout."""
     argv = [command] + ([SAMPLE] if _COMMANDS[command].takes_input else [])
     argv += ["--seed", str(seed), "--format", "json"]
+    label = f"{command} seed={seed}"
     with tempfile.TemporaryDirectory() as out_dir:
+        if config is not None:
+            name, settings = config
+            cfg = Path(out_dir) / f"{name}.cfg"
+            cfg.write_text(settings)
+            argv += ["--config", str(cfg)]
+            label += f" config={name}"
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv + ["--out", out_dir])
@@ -43,10 +61,12 @@ def digest(command: str, seed: int) -> str:
         else:
             sha = "no-report"
         printed = stdout.getvalue().replace(out_dir, "<out>").strip()
-    return f"{command} seed={seed} exit={code} sha256={sha} stdout={printed!r}"
+    return f"{label} exit={code} sha256={sha} stdout={printed!r}"
 
 
 if __name__ == "__main__":
     for seed in SEEDS:
         for command in _COMMANDS:
             print(digest(command, seed), flush=True)
+    for command, name, settings in CONFIGS:
+        print(digest(command, SEEDS[0], (name, settings)), flush=True)

@@ -32,6 +32,8 @@ _CRITERIA = [
 _PINNED_DETAILS = {
     3: "20 matched draws: worst spread growth x1.000 (< 1.5); "
     "3 mismatched fits: worst exponent error 0.0000 (<= 0.05)",
+    5: "50 instances, 0 support ties resolved differently, "
+    "0 error disagreements beyond 1e-12, 0 uncertified",
 }
 
 
@@ -44,6 +46,14 @@ def test_acceptance(criterion):
     assert result.passed, result.line()
     if result.cid in _PINNED_DETAILS:
         assert result.details == _PINNED_DETAILS[result.cid]
+
+
+def test_criterion_8_greedy_ratios_at_seed_43():
+    """Greedy decompositions and greedy profiles read one prefix order, so the
+    score ratio stays inside the frozen window where a threshold greedy fell
+    to 0.053."""
+    result = verify.criterion_8(43)
+    assert result.passed, result.line()
 
 
 def test_injected_drift_is_detected():

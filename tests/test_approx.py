@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,8 +37,9 @@ from restapprox import (
     space_norm,
     WeightFn,
 )
+from restapprox import approx
 
-from conftest import seq_strategy
+from conftest import cube_strategy, seq_strategy
 
 EUCLID = SpaceParams(0.0, 2.0, 2.0, 1, "tl")  # atom exponent 0: plain l2
 LEBESGUE = MeasureSpec(1.0)
@@ -355,3 +358,239 @@ def test_prefix_sums_stay_linear(monkeypatch):
     result = sigma_greedy(s, n / 2, _params(measure=MeasureSpec(0.0)))
     assert len(result.support) == n // 2
     assert summed <= 64 * n
+
+
+# --------------------------------------------------------------------------
+# Exact frontiers, the knapsack bound and the greedy order, each against the
+# slower form it replaces.
+# --------------------------------------------------------------------------
+
+
+def _enumerate_frontier(masses: np.ndarray, weights: np.ndarray) -> list[int]:
+    """Oracle: the Pareto frontier by sorting all 2^n subsets' float sums."""
+    rows, mass, w = map(np.concatenate, zip(*approx._subset_sums(masses, weights)))
+    order = np.lexsort((-w, mass))
+    frontier: list[int] = []
+    best = -math.inf
+    for idx in order:
+        if w[idx] > best:
+            best = float(w[idx])
+            frontier.append(int(rows[idx]))
+    return frontier
+
+
+def _fractional_bound(level, cur_mass, cur_w, masses, weights, budget) -> float:
+    """Oracle: the Dantzig bound summed item by item in floats."""
+    room = budget - cur_mass
+    bound = cur_w
+    for i in range(level, len(masses)):
+        if masses[i] <= room:
+            room -= masses[i]
+            bound += weights[i]
+        else:
+            bound += weights[i] * (room / masses[i])
+            break
+    return bound
+
+
+def _exact_sums(mask: int, masses, weights) -> tuple[Fraction, Fraction]:
+    chosen = [i for i in range(len(masses)) if mask >> i & 1]
+    return (
+        sum((Fraction(masses[i]) for i in chosen), Fraction(0)),
+        sum((Fraction(weights[i]) for i in chosen), Fraction(0)),
+    )
+
+
+def _exact_frontier(masses, weights) -> list[int]:
+    """Oracle: the Pareto frontier by sorting all 2^n subsets' exact sums."""
+
+    def subset_sums(xs):
+        fractions = [Fraction(x) for x in xs]
+        den = math.lcm(*(f.denominator for f in fractions))
+        sums = [0]
+        for f in fractions:
+            sums += [total + int(f * den) for total in sums]
+        return sums
+
+    mass, weight = subset_sums(masses), subset_sums(weights)
+    frontier: list[int] = []
+    best = -1
+    for mask in sorted(range(len(mass)), key=lambda k: (mass[k], -weight[k], k)):
+        if weight[mask] > best:
+            best = weight[mask]
+            frontier.append(mask)
+    return frontier
+
+
+def _frontier_inputs(s, alpha, s_and_p):
+    cubes, values = approx._sorted_entries(s)
+    masses = [MeasureSpec(alpha)(q) for q in cubes]
+    space = SpaceParams(s_and_p[0], s_and_p[1], s_and_p[1], 1, "tl")
+    return masses, approx._additive_weights(cubes, values, space)
+
+
+# Values and spaces whose captured weights are dyadic rationals of few bits,
+# with dyadic alpha (masses are powers of two) or half-integer alpha (masses
+# are dyadic multiples of 1 and of one float near sqrt 2).  Two subsets whose
+# exact sums differ then differ far beyond rounding, so the float oracle can
+# only go wrong on exact ties: it may split one in two, or keep another mask.
+_dyadic_values = st.sampled_from([0.25, -0.5, 0.75, 1.0, -1.5, 2.0, 3.0])
+_dyadic_seqs = st.dictionaries(
+    cube_strategy(j_lo=-4, j_hi=4), _dyadic_values, min_size=1, max_size=14
+).map(CoeffSeq)
+
+
+@given(
+    _dyadic_seqs,
+    st.sampled_from([-1.0, 0.0, 1.0, 2.0, 0.5, -0.5, 1.5]),
+    st.sampled_from([(0.0, 2.0), (0.5, 1.0), (1.0, 2.0)]),
+    st.booleans(),
+)
+def test_pareto_merge_matches_enumeration(s, alpha, s_and_p, equal):
+    if equal:
+        s = CoeffSeq({q: 1.0 for q in s.support})
+    masses, weights = _frontier_inputs(s, alpha, s_and_p)
+    oracle: list[tuple[tuple[Fraction, Fraction], int]] = []
+    for mask in _enumerate_frontier(np.asarray(masses), np.asarray(weights)):
+        point = _exact_sums(mask, masses, weights)
+        if oracle and point == oracle[-1][0]:
+            # One exact tie that the float sums told apart.
+            oracle[-1] = (point, min(mask, oracle[-1][1]))
+        else:
+            oracle.append((point, mask))
+    merged = approx._pareto_frontier(masses, weights)
+    assert merged[0] == 0
+    assert [_exact_sums(mask, masses, weights) for mask in merged] == [
+        point for point, _ in oracle
+    ]
+    # Of exactly tied subsets the merge keeps the smallest mask.
+    assert all(mine <= theirs for mine, (_, theirs) in zip(merged, oracle))
+
+
+@given(
+    seq_strategy(max_size=14),
+    st.floats(-1.5, 1.5),
+    st.sampled_from([(0.0, 2.0), (0.3, 1.0), (-0.7, 1.7)]),
+)
+def test_pareto_merge_matches_exact_frontier(s, alpha, s_and_p):
+    # Any floats: against exact sums over all subsets, mask for mask.
+    masses, weights = _frontier_inputs(s, alpha, s_and_p)
+    assert approx._pareto_frontier(masses, weights) == _exact_frontier(
+        masses, weights
+    )
+
+
+def test_pareto_merge_keeps_smallest_mask_on_ties():
+    # Four equal items: every subset of a given size ties exactly.
+    merged = approx._pareto_frontier([0.5] * 4, [2.0] * 4)
+    assert merged == [0b0000, 0b0001, 0b0011, 0b0111, 0b1111]
+
+
+def test_pareto_merge_superincreasing_keeps_every_subset():
+    # Each item outweighs all earlier ones together, in mass and in weight,
+    # so every one of the 2^16 subsets is Pareto-optimal, in mask order.
+    n = 16
+    merged = approx._pareto_frontier(
+        [2.0**i for i in range(n)], [3.0**i for i in range(n)]
+    )
+    assert merged == list(range(1 << n))
+
+
+def test_exact_profile_never_enumerates(monkeypatch):
+    """A 20-cube exact profile comes from the merge: counted, not timed."""
+
+    def refuse(*args):
+        raise AssertionError("exact profile enumerated all subsets")
+
+    monkeypatch.setattr(approx, "_subset_sums", refuse)
+    s = CoeffSeq({Cube(j % 5, (j,)): 1.0 + 0.01 * j for j in range(20)})
+    params = _params(measure=MeasureSpec(1.0))
+    profile = sigma_profile(s, params, solver="knapsack")
+    assert profile.breakpoints[0] == 0.0
+    assert profile.total_mass == math.fsum(params.measure(q) for q in s.support)
+    assert approx_norm(s, params, "knapsack") == profile.norm(1.0, 2.0)
+    big = CoeffSeq({Cube(j % 5, (j,)): 1.0 for j in range(21)})
+    with pytest.raises(CapabilityError):
+        sigma_profile(big, params, solver="knapsack")
+
+
+def test_exact_profile_rejects_infinite_weights():
+    # With s = -3 the scale-(-300) cube's factor is 2^900, and 2^900 * 1e300
+    # overflows to an infinite captured weight.
+    space = SpaceParams(-3.0, 2.0, 2.0, 1, "tl")
+    s = CoeffSeq({Cube(-300, (0,)): 1e300, Cube(0, (0,)): 1.0, Cube(1, (0,)): 2.0})
+    params = ApproxParams(0.5, 2.0, space, MeasureSpec(0.0))
+    for solver in ("knapsack", "brute"):
+        with pytest.raises(ContractViolationError):
+            sigma_profile(s, params, solver)
+    # Branch and bound still takes the infinite weight first.
+    result = sigma_exact(s, 1.0, params, mode="knapsack")
+    assert result.support == (Cube(-300, (0,)),)
+    assert result.certified
+
+
+_positive = st.floats(min_value=1e-9, max_value=1e6)
+
+
+@given(
+    st.lists(st.tuples(_positive, st.floats(0.0, 1e6)), min_size=1, max_size=40),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e3),
+    st.data(),
+)
+def test_dantzig_bound_at_least_float_loop(items, frac, used, cur_w, data):
+    items.sort(key=lambda mw: -(mw[1] / mw[0]))
+    masses = [m for m, _ in items]
+    weights = [w for _, w in items]
+    level = data.draw(st.integers(0, len(items) - 1))
+    budget = frac * math.fsum(masses)
+    cur_mass = used * budget
+    old = _fractional_bound(level, cur_mass, cur_w, masses, weights, budget)
+    new = approx._dantzig_bound(masses, weights)(level, cur_mass, cur_w, budget)
+    assert old <= new <= old * (1.0 + 1e-12) + 1e-300
+
+
+def test_dantzig_bound_on_prefix_budgets():
+    # Budgets that a density prefix fills exactly are where the float loop
+    # and the bisect both sit on an item boundary.
+    masses = [0.1, 0.2, 0.3, 0.7, 1.1, 1e-9]
+    weights = [1.0, 1.5, 2.0, 3.0, 3.5, 1e-12]
+    bound = approx._dantzig_bound(masses, weights)
+    for level in range(len(masses)):
+        budget = 0.0
+        for count in range(len(masses) + 1):
+            if count:
+                budget += masses[count - 1]
+            old = _fractional_bound(level, 0.0, 0.0, masses, weights, budget)
+            new = bound(level, 0.0, 0.0, budget)
+            assert old <= new <= old * (1.0 + 1e-12) + 1e-300
+    # Whole items whose weights sum past the float range bound by inf, as the
+    # float loop does.
+    huge = approx._dantzig_bound([1.0, 1.0], [1e308, 1e308])
+    assert huge(0, 0.0, 0.0, 2.0) == math.inf
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.lists(cube_strategy(d=d), max_size=30))
+)
+def test_cube_key_orders_like_cube(cubes):
+    # cube_strategy draws negative scales and positions too.
+    assert sorted(cubes, key=approx._CUBE_KEY) == sorted(cubes)
+
+
+@given(seq_strategy(max_size=25), st.floats(-1.0, 1.0), st.booleans())
+def test_greedy_pieces_are_disjoint_prefixes(s, alpha, weighted):
+    params = ApproxParams(0.8, 1.5, EUCLID, MeasureSpec(alpha))
+    u = AtomWeights(SpaceParams(1.0, 1.0, 1.0, 1, "tl")) if weighted else None
+    cubes, values = approx._sorted_entries(s)
+    order = [cubes[i] for i in approx._greedy_order(cubes, values, u)]
+    res = decompose(s, params, solver="greedy", u=u)
+    seen: list[Cube] = []
+    for _, piece in res.pieces:
+        for q in piece.support:
+            assert piece[q] == s[q]
+        block = set(piece.support)
+        assert block == set(order[len(seen) : len(seen) + len(block)])
+        seen += order[len(seen) : len(seen) + len(block)]
+    assert seen == order
