@@ -36,7 +36,6 @@ from .dyadic import (
     ContainmentForest,
     Cube,
     MeasureSpec,
-    integrate_power_of_cube_sum,
     nu_measure,
     pow2,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "ContainmentForest",
     "pow2",
     "nu_measure",
-    "integrate_power_of_cube_sum",
     # weights
     "WeightFn",
     "dilation",

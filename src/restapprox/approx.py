@@ -25,12 +25,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dyadic import Cube, ExactSum, MeasureSpec, VolumePowers, pow2
+from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, VolumePowers, pow2
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
 from .spaces import SpaceParams, space_norm
@@ -54,8 +53,6 @@ _BRUTE_MAX = 20
 _BRUTE_MAX_NONADDITIVE = 12
 _BNB_NODE_CAP = 500_000
 _ENUM_CHUNK = 1 << 16
-# Cube order by C tuple comparison; equal to the order of Cube.__lt__.
-_CUBE_KEY = attrgetter("j", "k")
 
 
 @dataclass(frozen=True)
@@ -181,12 +178,28 @@ def _is_additive(space: SpaceParams) -> bool:
 
 
 def _additive_weights(cubes: list[Cube], values: list[float], space: SpaceParams):
+    """(|Q|^e |s_Q|)^p per cube.  A power past the float range gives inf,
+    the value an overflowing product already gives."""
     scale = VolumePowers(space.atom_exponent)
-    return [(scale(q) * abs(v)) ** space.p for q, v in zip(cubes, values)]
+    weights = []
+    for q, v in zip(cubes, values):
+        term = scale(q) * abs(v)
+        try:
+            weights.append(term**space.p)
+        except OverflowError:
+            weights.append(math.inf)
+    return weights
+
+
+def _require_finite_weights(weights: list[float]) -> None:
+    if not all(map(math.isfinite, weights)):
+        raise ContractViolationError(
+            "brute mode and exact profiles need finite captured weights"
+        )
 
 
 def _sorted_entries(s: CoeffSeq) -> tuple[list[Cube], list[float]]:
-    cubes = sorted(s.entries, key=_CUBE_KEY)
+    cubes = list(s.support)
     return cubes, [s[q] for q in cubes]
 
 
@@ -380,7 +393,8 @@ def sigma_exact(
     ``mode="brute"`` enumerates every subset (support size <= 20; <= 12 when
     the error norm is not additive).  ``mode="knapsack"`` runs branch and
     bound and requires an additive error norm (p == q); its ``certified`` flag
-    reports whether the search completed within the node cap.
+    reports whether the search completed within the node cap.  Brute mode on
+    an additive error norm needs every captured weight finite.
     """
     if not (budget >= 0 and math.isfinite(budget)):
         raise ContractViolationError("budget must be finite and >= 0")
@@ -395,6 +409,8 @@ def sigma_exact(
             raise CapabilityError(f"brute mode handles at most {_BRUTE_MAX} cubes")
         if additive:
             weights = _additive_weights(cubes, values, params.space)
+            # Enumeration would sum 0 * inf = nan for subsets without a cube.
+            _require_finite_weights(weights)
             _, best_mask = _enumerate_best(
                 np.asarray(masses), np.asarray(weights), budget
             )
@@ -491,10 +507,7 @@ def sigma_profile(
             raise CapabilityError(f"exact profiles handle at most {_BRUTE_MAX} cubes")
         if _is_additive(params.space):
             weights = _additive_weights(cubes, values, params.space)
-            if not all(map(math.isfinite, weights)):
-                raise ContractViolationError(
-                    "exact profiles need finite captured weights"
-                )
+            _require_finite_weights(weights)
             masks = _pareto_frontier(masses, weights)
         else:
             if n > _BRUTE_MAX_NONADDITIVE:

@@ -4,9 +4,11 @@ functions built from finite cube families.
 A cube with scale ``j`` and integer position vector ``k`` of length ``d`` is the
 half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  Any two such
 cubes are either disjoint or nested, which lets a finite family be organised
-into a containment forest whose leaf-to-root chains describe exactly where each
-cube contributes.  Integrals of ``(sum of per-cube constants)^theta`` over
-``R^d`` are then finite sums over forest regions — no sampling, no quadrature.
+into a containment forest: the cubes in preorder plus, for each, the index of
+its tightest container.  Per-cube values enter as lists aligned with that
+preorder, and one forward pass gives each cube's ancestor-chain sum or
+maximum.  Integrals of a function constant on each forest region (a cube minus
+its children) are then finite sums — no sampling, no quadrature.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ContractViolationError, ScaleRangeError
@@ -25,7 +28,6 @@ __all__ = [
     "pow2",
     "cube_volume",
     "nu_measure",
-    "integrate_power_of_cube_sum",
 ]
 
 # Exponents beyond this leave the range where 2^e is a normal float (and where
@@ -110,6 +112,9 @@ class Cube:
     def __str__(self) -> str:
         return " ".join(str(v) for v in (self.j, *self.k))
 
+
+# Cube order by C tuple comparison; equal to the order of Cube.__lt__.
+_CUBE_KEY = attrgetter("j", "k")
 
 # Cube's fields are set once, in __init__, through their slot descriptors,
 # which skip the frozen __setattr__ and cost less than object.__setattr__.
@@ -215,13 +220,6 @@ class ExactSum:
         return self.value
 
 
-@dataclass(slots=True)
-class _Node:
-    cube: Cube
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-
-
 def _capped_levels(cubes: Sequence[Cube]) -> dict[int, int]:
     """Each scale present, mapped to a level on a grid where every gap between
     consecutive scales is capped at one more than the widest position.
@@ -313,12 +311,12 @@ def _preorder_ranges(
 
 
 class ContainmentForest:
-    """Nesting structure of a finite cube family.
+    """Nesting structure of a finite cube family, as two aligned lists.
 
-    The parent of a node is the *tightest* strictly-containing cube present in
-    the family.  Nodes are stored in a preorder of the dyadic tree, so every
-    parent precedes its children and single forward passes can accumulate
-    chain values.
+    ``cubes`` lists the family in a preorder of the dyadic tree, and
+    ``parent[i]`` is the index in ``cubes`` of the *tightest* cube of the
+    family strictly containing ``cubes[i]``, or -1 for a root.  Every parent
+    precedes its children, so single forward passes accumulate chain values.
 
     The build is one sort and one stack pass, whatever the scale gap.  The
     sort key (see ``_preorder_ranges``) orders the cubes by lower corner,
@@ -338,8 +336,8 @@ class ContainmentForest:
 
     def __init__(self, cubes: Iterable[Cube]):
         unique = list(set(cubes))
-        self.nodes: list[_Node] = []
-        self.roots: list[int] = []
+        self.cubes: list[Cube] = []
+        self.parent: list[int] = []
         if not unique:
             return
         d = unique[0].d
@@ -347,101 +345,75 @@ class ContainmentForest:
             raise ContractViolationError("all cubes must share one dimension")
         levels = _capped_levels(unique)
         keys, ends = _preorder_ranges(unique, levels)
-        nodes = self.nodes
-        stack: list[tuple[int, int]] = []  # (end of key range, node index)
-        for i, u in enumerate(sorted(range(len(unique)), key=keys.__getitem__)):
+        order = sorted(range(len(unique)), key=keys.__getitem__)
+        parent = self.parent
+        stack: list[tuple[int, int]] = []  # (end of key range, index in cubes)
+        for i, u in enumerate(order):
             key = keys[u]
             while stack and stack[-1][0] <= key:
                 stack.pop()
-            if stack:
-                parent = stack[-1][1]
-                nodes[parent].children.append(i)
-            else:
-                parent = None
-                self.roots.append(i)
-            nodes.append(_Node(unique[u], parent))
+            parent.append(stack[-1][1] if stack else -1)
             stack.append((ends[u], i))
+        self.cubes = [unique[u] for u in order]
         self._check_regions(levels)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.cubes)
 
     def _check_regions(self, levels: Mapping[int, int]) -> None:
         top = max(levels.values())
-        d = self.nodes[0].cube.d
+        d = self.cubes[0].d
         units = {j: 1 << ((top - level) * d) for j, level in levels.items()}
-        nodes = self.nodes
-        for node in nodes:
-            if not node.children:
-                continue
-            inner = sum(units[nodes[c].cube.j] for c in node.children)
-            region = units[node.cube.j] - inner
+        sizes = [units[q.j] for q in self.cubes]
+        regions = sizes.copy()
+        for size, p in zip(sizes, self.parent):
+            if p >= 0:
+                regions[p] -= size
+        for q, region in zip(self.cubes, regions):
             if region < 0:  # structurally impossible; guards construction bugs
-                raise ContractViolationError(
-                    f"negative region measure at cube {node.cube}"
-                )
+                raise ContractViolationError(f"negative region measure at cube {q}")
 
-    def chain_values(self, per_cube: Mapping[Cube, float]) -> list[float]:
-        """For each node, the sum of ``per_cube`` along its ancestor chain
-        (the node itself included)."""
-        out = [0.0] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            base = out[node.parent] if node.parent is not None else 0.0
-            out[i] = base + per_cube[node.cube]
+    def chain_values(self, per_cube: Sequence[float]) -> list[float]:
+        """For each cube, the sum of ``per_cube`` along its ancestor chain
+        (the cube itself included); both aligned with ``cubes``."""
+        out = [0.0] * (len(self.cubes) + 1)  # out[-1]: the empty chain of a root
+        for i, (p, value) in enumerate(zip(self.parent, per_cube)):
+            out[i] = out[p] + value
+        out.pop()
         return out
 
-    def chain_maxima(self, per_cube: Mapping[Cube, float]) -> list[float]:
-        """For each node, the max of ``per_cube`` along its ancestor chain."""
-        out = [0.0] * len(self.nodes)
-        for i, node in enumerate(self.nodes):
-            base = out[node.parent] if node.parent is not None else -math.inf
-            out[i] = max(base, per_cube[node.cube])
+    def chain_maxima(self, per_cube: Sequence[float]) -> list[float]:
+        """For each cube, the max of ``per_cube`` along its ancestor chain;
+        both aligned with ``cubes``."""
+        out = [-math.inf] * (len(self.cubes) + 1)  # out[-1]: the empty chain
+        for i, (p, value) in enumerate(zip(self.parent, per_cube)):
+            out[i] = max(out[p], value)
+        out.pop()
         return out
 
     def region_integral(self, constants: Sequence[float]) -> float:
         """Integral of the function equal to ``constants[i]`` on region i.
 
-        Region i is node i's cube minus its children.  Each region's measure is
-        entered as one positive term and one negative term per child, and the
-        whole collection is combined with math.fsum, so the only rounding is
-        one multiply per term.
+        Region i is ``cubes[i]`` minus its children.  Its measure enters as
+        one positive term, and the measure of each non-root cube as one
+        negative term of its parent's constant; math.fsum combines them all,
+        so the only rounding is one multiply per term.  Raises
+        ScaleRangeError when the integral is not a finite float.
         """
         volume = VolumePowers(1)
-        nodes = self.nodes
         terms: list[float] = []
-        for i, node in enumerate(nodes):
-            c = constants[i]
-            if c == 0.0:
-                continue
-            q = node.cube
-            terms.append(c * volume[q.j * q.d])
-            for child in node.children:
-                q = nodes[child].cube
-                terms.append(-c * volume[q.j * q.d])
-        return math.fsum(terms)
-
-
-def integrate_power_of_cube_sum(
-    terms: Mapping[Cube, float], theta: float, outer_p: float
-) -> float:
-    """( integral of [sum_Q a_Q chi_Q(x)]^theta dx )^(1/outer_p), exactly.
-
-    The integrand is constant on each forest region (cube minus nested
-    children), where it equals the theta-th power of the ancestor-chain sum of
-    the coefficients; the integral is the finite sum of constant*measure terms.
-    """
-    if theta <= 0 or outer_p <= 0:
-        raise ContractViolationError("theta and outer_p must be positive")
-    for cube, a in terms.items():
-        if a < 0:
-            raise ContractViolationError(f"negative coefficient {a!r} at cube {cube}")
-    if not terms:
-        return 0.0
-    forest = ContainmentForest(terms.keys())
-    chains = forest.chain_values(terms)
-    constants = [c**theta if c > 0.0 else 0.0 for c in chains]
-    integral = forest.region_integral(constants)
-    # Rounding can leave a tiny negative residue when the integral is zero.
-    integral = max(integral, 0.0)
-    return integral ** (1.0 / outer_p)
-
+        for q, p, c in zip(self.cubes, self.parent, constants):
+            outer = constants[p] if p >= 0 else 0.0
+            if c != 0.0 or outer != 0.0:
+                size = volume[q.j * q.d]
+                if c != 0.0:
+                    terms.append(c * size)
+                if outer != 0.0:
+                    terms.append(-outer * size)
+        try:
+            integral = math.fsum(terms)
+        except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
+            integral = math.inf
+        if not math.isfinite(integral):
+            raise ScaleRangeError("the region integral exceeds the float range")
+        return integral

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .dyadic import Cube, ExactSum, MeasureSpec
+from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec
 from .errors import ContractViolationError
 from .weights import WeightFn, weight_integral, weight_sup_on_interval
 
@@ -108,7 +108,7 @@ class CoeffSeq:
 
     @property
     def support(self) -> tuple[Cube, ...]:
-        return tuple(sorted(self.entries))
+        return tuple(sorted(self.entries, key=_CUBE_KEY))
 
     @property
     def d(self) -> int | None:

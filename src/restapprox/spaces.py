@@ -16,14 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dyadic import (
-    ContainmentForest,
-    Cube,
-    MeasureSpec,
-    VolumePowers,
-    integrate_power_of_cube_sum,
-)
-from .errors import ContractViolationError
+from .dyadic import ContainmentForest, Cube, MeasureSpec, VolumePowers
+from .errors import ContractViolationError, ScaleRangeError
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .weights import WeightFn
 
@@ -81,9 +75,6 @@ class SpaceParams:
         """Scale normalization exponent before aggregation, -s/d - 1/2."""
         return -self.s / self.d - 0.5
 
-    def describe(self) -> str:
-        return f"{self.kind}(s={self.s}, p={self.p}, q={self.q}, d={self.d})"
-
 
 @dataclass(frozen=True)
 class AtomWeights:
@@ -112,28 +103,60 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
 
     Coefficients are scale-normalized to b_Q = |Q|^(-s/d - 1/2) |s_Q|; on each
     region the q-aggregate of the b_Q of containing cubes is constant, so the
-    p-th-moment integral is an exact finite sum.  ``q = inf`` replaces the
-    chain sums by chain maxima.
+    p-th-moment integral is an exact finite sum over the regions of the
+    containment forest.  The region constant is the chain sum of b_Q^q raised
+    to p/q or, for ``q = inf``, the chain maximum of b_Q raised to p.  Raises
+    ScaleRangeError when a term, a chain value, a constant, the integral or
+    the norm exceeds the float range.
     """
     _check_space(s, params, "tl")
     if not s:
         return 0.0
+    entries = s.entries
+    forest = ContainmentForest(entries)
     scale = VolumePowers(params.coeff_exponent)
-    if math.isinf(params.q):
-        forest = ContainmentForest(s.support)
-        b = {q: scale(q) * abs(s[q]) for q in s.support}
-        maxima = forest.chain_maxima(b)
-        constants = [m**params.p for m in maxima]
-        return forest.region_integral(constants) ** (1.0 / params.p)
-    powered = {q: (scale(q) * abs(v)) ** params.q for q, v in s.items()}
-    return integrate_power_of_cube_sum(powered, params.p / params.q, params.p)
+    b = [scale(q) * abs(entries[q]) for q in forest.cubes]
+    try:
+        if math.isinf(params.q):
+            chains = forest.chain_maxima(b)
+            exponent = params.p
+        else:
+            chains = forest.chain_values([x**params.q for x in b])
+            exponent = params.p / params.q
+        constants = [c**exponent if c > 0.0 else 0.0 for c in chains]
+    except OverflowError:  # a finite power past the float range
+        raise ScaleRangeError("a scaled coefficient exceeds the float range") from None
+    # An infinite term or chain value gives an infinite constant, for which
+    # region_integral raises.  Rounding can leave a tiny negative residue
+    # when the integral is zero.
+    integral = max(forest.region_integral(constants), 0.0)
+    try:
+        return integral ** (1.0 / params.p)
+    except OverflowError:  # p < 1 raises the integral to a power above 1
+        raise ScaleRangeError("the norm exceeds the float range") from None
+
+
+def _aggregate(values: list[float], p: float) -> float:
+    """(sum of v^p)^(1/p), or the max for p = inf; raises ScaleRangeError
+    when a power, the sum or the result exceeds the float range."""
+    try:
+        if math.isinf(p):
+            total = max(values)
+        else:
+            total = math.fsum([v**p for v in values]) ** (1.0 / p)
+    except OverflowError:  # a power, or a partial of the sum
+        total = math.inf
+    if not math.isfinite(total):
+        raise ScaleRangeError("a per-scale norm term exceeds the float range")
+    return total
 
 
 def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     """Per-scale quasi-norm: inner p-sum within a scale, outer q-sum across.
 
     Coefficients are normalized by |Q|^(-s/d + 1/p - 1/2) so that a unit atom
-    has norm |Q|^(-s/d + 1/p - 1/2) as well.
+    has norm |Q|^(-s/d + 1/p - 1/2) as well.  Raises ScaleRangeError when a
+    term, a per-scale value or the norm exceeds the float range.
     """
     _check_space(s, params, "besov")
     if not s:
@@ -142,18 +165,8 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     by_scale: dict[int, list[float]] = {}
     for cube, value in s.items():
         by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
-    inner: list[float] = []
-    for j in sorted(by_scale):
-        terms = by_scale[j]
-        if math.isinf(params.p):
-            inner.append(max(terms))
-        else:
-            inner.append(
-                math.fsum(t**params.p for t in terms) ** (1.0 / params.p)
-            )
-    if math.isinf(params.q):
-        return max(inner)
-    return math.fsum(v**params.q for v in inner) ** (1.0 / params.q)
+    inner = [_aggregate(by_scale[j], params.p) for j in sorted(by_scale)]
+    return _aggregate(inner, params.q)
 
 
 def space_norm(s: CoeffSeq, params: SpaceParams) -> float:

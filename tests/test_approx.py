@@ -38,6 +38,7 @@ from restapprox import (
     WeightFn,
 )
 from restapprox import approx
+from restapprox.dyadic import _CUBE_KEY
 
 from conftest import cube_strategy, seq_strategy
 
@@ -515,18 +516,23 @@ def test_exact_profile_never_enumerates(monkeypatch):
 
 
 def test_exact_profile_rejects_infinite_weights():
-    # With s = -3 the scale-(-300) cube's factor is 2^900, and 2^900 * 1e300
-    # overflows to an infinite captured weight.
-    space = SpaceParams(-3.0, 2.0, 2.0, 1, "tl")
-    s = CoeffSeq({Cube(-300, (0,)): 1e300, Cube(0, (0,)): 1.0, Cube(1, (0,)): 2.0})
-    params = ApproxParams(0.5, 2.0, space, MeasureSpec(0.0))
-    for solver in ("knapsack", "brute"):
+    # With s = -3 the scale-(-300) cube's factor is 2^900, and the product
+    # 2^900 * 1e300 overflows to an infinite captured weight.  With s = 0 the
+    # factor is 1, and the power (1e300)^2 overflows.
+    for smooth, huge in ((-3.0, Cube(-300, (0,))), (0.0, Cube(0, (5,)))):
+        space = SpaceParams(smooth, 2.0, 2.0, 1, "tl")
+        s = CoeffSeq({huge: 1e300, Cube(0, (0,)): 1.0, Cube(1, (0,)): 2.0})
+        params = ApproxParams(0.5, 2.0, space, MeasureSpec(0.0))
+        for solver in ("knapsack", "brute"):
+            with pytest.raises(ContractViolationError):
+                sigma_profile(s, params, solver)
+        # Enumeration would give 0 * inf = nan to every subset without the cube.
         with pytest.raises(ContractViolationError):
-            sigma_profile(s, params, solver)
-    # Branch and bound still takes the infinite weight first.
-    result = sigma_exact(s, 1.0, params, mode="knapsack")
-    assert result.support == (Cube(-300, (0,)),)
-    assert result.certified
+            sigma_exact(s, 1.0, params, mode="brute")
+        # Branch and bound still takes the infinite weight first.
+        result = sigma_exact(s, 1.0, params, mode="knapsack")
+        assert result.support == (huge,)
+        assert result.certified
 
 
 _positive = st.floats(min_value=1e-9, max_value=1e6)
@@ -576,7 +582,7 @@ def test_dantzig_bound_on_prefix_budgets():
 )
 def test_cube_key_orders_like_cube(cubes):
     # cube_strategy draws negative scales and positions too.
-    assert sorted(cubes, key=approx._CUBE_KEY) == sorted(cubes)
+    assert sorted(cubes, key=_CUBE_KEY) == sorted(cubes)
 
 
 @given(seq_strategy(max_size=25), st.floats(-1.0, 1.0), st.booleans())

@@ -173,6 +173,36 @@ def test_capability_limit_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+def test_overflowing_norm_is_a_typed_error_and_knapsack_takes_the_cube(
+    tmp_path, capsys
+):
+    # (1e200)^2 overflows: the norm is out of range, while the knapsack
+    # weight becomes inf and the cube is captured first.
+    seq = tmp_path / "over.seq"
+    seq.write_text("0 0 1e200\n1 0 1.0\n")
+    assert main(["norm", str(seq), "--out", str(tmp_path / "norm")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver = knapsack\n")
+    out = tmp_path / "sigma"
+    assert main(["sigma", str(seq), "--config", str(cfg), "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert _row(rows, "sigma/support")["value"] == "0 0"
+    assert _row(rows, "sigma/certified")["value"] == "1"
+    assert float(_row(rows, "sigma/error")["value"]) == 1.0
+
+
+def test_brute_sigma_with_an_infinite_weight_is_a_typed_error(tmp_path, capsys):
+    # 2^900 * 1e300 overflows to an infinite captured weight.
+    seq = tmp_path / "inf.seq"
+    seq.write_text("-300 0 1e300\n0 0 1.0\n1 0 2.0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = -3\np = 2\nq = 2\nalpha = 0\nsolver = brute\nbudget = 1\n")
+    out = tmp_path / "out"
+    assert main(["sigma", str(seq), "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_help_and_missing_subcommand(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out

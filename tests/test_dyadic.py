@@ -10,14 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from restapprox import (
+    CoeffSeq,
     ContainmentForest,
     ContractViolationError,
     Cube,
     MeasureSpec,
     ScaleRangeError,
-    integrate_power_of_cube_sum,
+    SpaceParams,
     nu_measure,
     pow2,
+    tl_norm,
 )
 from restapprox.democracy import random_cube_set
 from restapprox.dyadic import ExactSum, VolumePowers
@@ -126,69 +128,32 @@ def test_nu_measure_sums_exactly():
 def test_forest_chain_values_and_maxima():
     a, b, c, e = Cube(0, (0,)), Cube(1, (0,)), Cube(2, (1,)), Cube(0, (5,))
     forest = ContainmentForest([a, b, c, e])
-    per = {a: 1.0, b: 10.0, c: 100.0, e: 7.0}
-    by_cube = {node.cube: i for i, node in enumerate(forest.nodes)}
-    chains = forest.chain_values(per)
-    assert chains[by_cube[a]] == 1.0
-    assert chains[by_cube[b]] == 11.0
-    assert chains[by_cube[c]] == 111.0
-    assert chains[by_cube[e]] == 7.0
-    maxima = forest.chain_maxima(per)
-    assert maxima[by_cube[c]] == 100.0
-    assert maxima[by_cube[e]] == 7.0
+    assert forest.cubes == [a, b, c, e]
+    assert forest.parent == [-1, 0, 1, -1]
+    assert forest.chain_values([1.0, 10.0, 100.0, 7.0]) == [1.0, 11.0, 111.0, 7.0]
+    assert forest.chain_maxima([1.0, 10.0, 100.0, 7.0]) == [1.0, 10.0, 100.0, 7.0]
+    assert forest.chain_maxima([5.0, 1.0, 2.0, 7.0]) == [5.0, 5.0, 5.0, 7.0]
 
 
 def test_region_integral_by_hand():
     a, b = Cube(0, (0,)), Cube(1, (0,))  # [0,1) with child [0,0.5)
-    forest = ContainmentForest([a, b])
-    by_cube = {node.cube: i for i, node in enumerate(forest.nodes)}
-    constants = [0.0, 0.0]
-    constants[by_cube[a]] = 2.0  # on [0.5, 1)
-    constants[by_cube[b]] = 5.0  # on [0, 0.5)
-    assert forest.region_integral(constants) == 2.0 * 0.5 + 5.0 * 0.5
+    forest = ContainmentForest([b, a])
+    assert forest.cubes == [a, b]
+    # 2 on [0.5, 1), 5 on [0, 0.5)
+    assert forest.region_integral([2.0, 5.0]) == 2.0 * 0.5 + 5.0 * 0.5
 
 
-def test_integrate_power_hand_case():
-    # a*chi_[0,1) + b*chi_[0,0.5): integrand (a+b)^2 on [0,.5), a^2 on [.5,1).
-    terms = {Cube(0, (0,)): 3.0, Cube(1, (0,)): 1.0}
-    got = integrate_power_of_cube_sum(terms, 2.0, 2.0)
-    assert got == pytest.approx(math.sqrt(16.0 * 0.5 + 9.0 * 0.5), rel=1e-15)
-
-
-def test_integrate_power_rejects_negative():
-    with pytest.raises(ContractViolationError):
-        integrate_power_of_cube_sum({Cube(0, (0,)): -1.0}, 1.0, 1.0)
-
-
-def _brute_integral(terms: dict[Cube, float], theta: float) -> float:
-    """Independent oracle: sample the integrand on the finest-scale grid."""
-    finest = max(q.j for q in terms)
-    cells = set()
-    for q in terms:
-        span = 1 << (finest - q.j)
-        cells.update(range(q.k[0] * span, (q.k[0] + 1) * span))
-    width = 2.0**-finest
-    total = 0.0
-    for cell in sorted(cells):
-        x = (cell + 0.5) * width
-        value = math.fsum(a for q, a in terms.items() if q.contains_point(x))
-        total += value**theta * width
-    return total
-
-
-@given(
-    st.dictionaries(
-        cube_strategy(d=1, j_lo=-3, j_hi=3, k_span=8),
-        st.floats(min_value=0.0, max_value=10.0),
-        min_size=1,
-        max_size=8,
-    ),
-    st.floats(min_value=0.3, max_value=3.0),
+@pytest.mark.parametrize(
+    "cubes, constants",
+    [
+        ([Cube(-1000, (0,))], [1e100]),  # 1e100 * 2^1000 overflows
+        ([Cube(-1000, (0,)), Cube(-999, (0,))], [1e100, 1e100]),  # inf - inf
+        ([Cube(0, (0,)), Cube(0, (1,))], [1.7e308, 1.7e308]),  # the sum overflows
+    ],
 )
-def test_integrate_power_matches_grid_oracle(terms, theta):
-    got = integrate_power_of_cube_sum(terms, theta, 1.0)
-    want = _brute_integral(terms, theta)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+def test_region_integral_past_the_float_range_raises(cubes, constants):
+    with pytest.raises(ScaleRangeError):
+        ContainmentForest(cubes).region_integral(constants)
 
 
 @st.composite
@@ -222,14 +187,12 @@ def _tightest_container(cube: Cube, family: set[Cube]) -> Cube | None:
 def _assert_forest_matches_oracle(cubes: list[Cube]) -> None:
     family = set(cubes)
     forest = ContainmentForest(cubes)
-    assert sorted(node.cube for node in forest.nodes) == sorted(family)
-    for i, node in enumerate(forest.nodes):
-        parent = None if node.parent is None else forest.nodes[node.parent].cube
-        assert parent == _tightest_container(node.cube, family), node.cube
-        assert node.parent is None or node.parent < i  # parents come first
-        assert all(forest.nodes[c].parent == i for c in node.children)
-    assert forest.roots == [i for i, n in enumerate(forest.nodes) if n.parent is None]
-    assert sum(len(n.children) for n in forest.nodes) == len(family) - len(forest.roots)
+    assert sorted(forest.cubes) == sorted(family)
+    assert len(forest.parent) == len(forest.cubes)
+    for i, (cube, p) in enumerate(zip(forest.cubes, forest.parent)):
+        parent = None if p == -1 else forest.cubes[p]
+        assert parent == _tightest_container(cube, family), cube
+        assert -1 <= p < i  # parents come first
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -249,13 +212,21 @@ def test_forest_parents_match_brute_oracle_across_wide_gaps(d, data):
 
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):
     cubes = random_cube_set(np.random.default_rng(5), 1000, 2, -2, 6)
+    s = CoeffSeq({q: 1.0 + i for i, q in enumerate(cubes)})
     calls = []
     contains = Cube.contains
     monkeypatch.setattr(
         Cube, "contains", lambda q, other: calls.append(1) or contains(q, other)
     )
+
+    def refuse(q, other):
+        raise AssertionError("cubes compared through Cube.__lt__")
+
+    monkeypatch.setattr(Cube, "__lt__", refuse)
     forest = ContainmentForest(cubes)
     assert len(forest) == 1000
+    for q in (2.0, math.inf):
+        assert tl_norm(s, SpaceParams(0.5, 1.5, q, 2)) > 0
     assert calls == []
 
 
@@ -264,13 +235,13 @@ def test_forest_across_a_huge_gap_under_many_coarse_cubes():
     fine = [Cube(10**7, (0,)), Cube(10**7, (-1,)), Cube(10**7 + 5, (3,))]
     forest = ContainmentForest(coarse + fine)
     parents = {
-        n.cube: None if n.parent is None else forest.nodes[n.parent].cube
-        for n in forest.nodes
+        q: None if p == -1 else forest.cubes[p]
+        for q, p in zip(forest.cubes, forest.parent)
     }
     assert parents[fine[0]] == Cube(0, (0,))
     assert parents[fine[1]] == Cube(0, (-1,))
     assert parents[fine[2]] == fine[0]
-    assert len(forest.roots) == len(coarse)
+    assert forest.parent.count(-1) == len(coarse)
 
 
 ADVERSARIAL_FLOATS = st.one_of(

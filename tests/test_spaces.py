@@ -25,7 +25,7 @@ from restapprox import (
     tl_norm,
 )
 
-from conftest import seq_strategy
+from conftest import cube_strategy, seq_strategy
 
 Q0 = Cube(0, (0,))
 Q1 = Cube(1, (0,))
@@ -94,6 +94,63 @@ def test_aggregated_norm_sup_inner_exponent():
     f = SpaceParams(0.0, 1.0, math.inf, 1, "tl")
     want = math.sqrt(2.0) * 0.5 + 1.0 * 0.5
     assert tl_norm(s, f) == pytest.approx(want, rel=1e-14)
+
+
+def test_tl_norm_power_of_cube_sum_hand_case():
+    # At s = -d/2 and q = 1, b_Q = |s_Q|, so tl_norm^p integrates
+    # (sum_Q |s_Q| chi_Q)^p: (3 + 1)^2 on [0, 1/2) and 3^2 on [1/2, 1).
+    s = CoeffSeq({Q0: 3.0, Q1: 1.0})
+    got = tl_norm(s, SpaceParams(-0.5, 2.0, 1.0, 1))
+    assert got == pytest.approx(math.sqrt(16.0 * 0.5 + 9.0 * 0.5), rel=1e-15)
+
+
+def _brute_integral(terms: dict[Cube, float], theta: float) -> float:
+    """Independent oracle: sample the integrand on the finest-scale grid."""
+    finest = max(q.j for q in terms)
+    cells = set()
+    for q in terms:
+        span = 1 << (finest - q.j)
+        cells.update(range(q.k[0] * span, (q.k[0] + 1) * span))
+    width = 2.0**-finest
+    total = 0.0
+    for cell in sorted(cells):
+        x = (cell + 0.5) * width
+        value = math.fsum(a for q, a in terms.items() if q.contains_point(x))
+        total += value**theta * width
+    return total
+
+
+@given(
+    st.dictionaries(
+        cube_strategy(d=1, j_lo=-3, j_hi=3, k_span=8),
+        st.floats(min_value=0.0, max_value=10.0),
+        min_size=1,
+        max_size=8,
+    ),
+    st.floats(min_value=0.3, max_value=3.0),
+)
+def test_tl_norm_power_of_cube_sum_matches_grid_oracle(terms, theta):
+    got = tl_norm(CoeffSeq(terms), SpaceParams(-0.5, theta, 1.0, 1)) ** theta
+    want = _brute_integral(terms, theta)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "entries, smooth, p, q",
+    [
+        ({Q0: 1e200, Q1: 1.0}, 0.0, 2.0, 2.0),  # a power overflows
+        ({Q0: 1e200}, 0.0, 2.0, math.inf),  # the region constant overflows
+        ({Cube(-300, (0,)): 1e300, Q0: 1.0}, -3.0, 2.0, 2.0),  # a scaled term
+        ({Q0: 1.7e308, Q1: 1.7e308}, -0.5, 1.0, 1.0),  # a chain or scale sum
+        ({Cube(-300, (0,)): 1e300}, -0.5, 0.5, math.inf),  # the norm itself
+    ],
+)
+def test_norms_past_the_float_range_raise_scale_range_error(entries, smooth, p, q):
+    s = CoeffSeq(entries)
+    with pytest.raises(ScaleRangeError):
+        tl_norm(s, SpaceParams(smooth, p, q, 1, "tl"))
+    with pytest.raises(ScaleRangeError):
+        besov_norm(s, SpaceParams(smooth, p, q, 1, "besov"))
 
 
 def test_per_scale_norm_by_hand():
