@@ -62,6 +62,7 @@ from .spaces import (
     besov_norm,
     lorentz_equals_besov_check,
     space_norm,
+    suffix_norms,
     tl_norm,
 )
 from .verify import DEFAULT_SEED, CriterionResult, run_all
@@ -107,6 +108,7 @@ __all__ = [
     "tl_norm",
     "besov_norm",
     "space_norm",
+    "suffix_norms",
     "lorentz_equals_besov_check",
     # restricted approximation
     "ApproxParams",

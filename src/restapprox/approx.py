@@ -16,7 +16,10 @@ constant computations consume.  The exact profile of an additive error norm
 is the Pareto frontier of (support mass, captured weight), built by
 Nemhauser-Ullmann merging on exact integer sums instead of by enumerating
 every subset; greedy profiles and greedy decompositions read prefixes of one
-decreasing-|u_Q s_Q| order.
+decreasing-|u_Q s_Q| order.  A greedy profile's errors are the norms of the
+suffixes of that order, which ``spaces.suffix_norms`` computes in one pass by
+inserting cubes from the end, so the profile costs O(n * depth) instead of
+one norm per prefix.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, VolumePowers, pow2
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
-from .spaces import SpaceParams, space_norm
+from .spaces import SpaceParams, space_norm, suffix_norms
 
 __all__ = [
     "ApproxParams",
@@ -483,7 +486,10 @@ def sigma_profile(
     (``_pareto_frontier``); otherwise every subset.  Each tabulated support's
     mass is recomputed with ``math.fsum`` and its error with ``space_norm``.
     "greedy" tabulates the prefixes in decreasing |u_Q s_Q|, giving the
-    greedy upper bound at every budget.
+    greedy upper bound at every budget.  A prefix's error is the norm of the
+    suffix it leaves, and ``spaces.suffix_norms`` gives all n + 1 of them,
+    bit for bit, from one pass over one containment forest: O(n * depth)
+    instead of one norm per prefix.
     """
     cubes, values = _sorted_entries(s)
     n = len(cubes)
@@ -492,16 +498,10 @@ def sigma_profile(
     masses = [params.measure(q) for q in cubes]
     if solver == "greedy":
         order = _greedy_order(cubes, values, u)
-        raw = [(0.0, space_norm(s, params.space))]
+        errors = suffix_norms(s, params.space, [cubes[i] for i in order])
         prefix_mass = ExactSum()
-        for count in range(1, n + 1):
-            prefix = order[:count]
-            raw.append(
-                (
-                    prefix_mass.add(masses[order[count - 1]]),
-                    space_norm(s.without(cubes[i] for i in prefix), params.space),
-                )
-            )
+        raw = [(0.0, errors[0])]
+        raw += [(prefix_mass.add(masses[i]), err) for i, err in zip(order, errors[1:])]
     elif solver in ("brute", "knapsack"):
         if n > _BRUTE_MAX:
             raise CapabilityError(f"exact profiles handle at most {_BRUTE_MAX} cubes")
@@ -522,9 +522,16 @@ def sigma_profile(
         ]
     else:
         raise ContractViolationError("solver must be 'greedy', 'brute', or 'knapsack'")
-    # Lower envelope of the tabulated points.  Re-sorting by the compensated
-    # masses and keeping strict error improvements makes the step function
-    # well defined even when two supports round to the same total mass.
+    return _lower_envelope(raw)
+
+
+def _lower_envelope(raw: list[tuple[float, float]]) -> SigmaProfile:
+    """The profile of tabulated (support mass, error) points.
+
+    Re-sorting by the compensated masses and keeping strict error
+    improvements makes the step function well defined even when two supports
+    round to the same total mass.
+    """
     raw.sort()
     points: list[tuple[float, float]] = []
     best = math.inf

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -46,17 +46,25 @@ _FAMILY_TAGS = ("grid", "tower", "row")
 
 @dataclass(frozen=True)
 class DemocracyCase:
-    """Norm space ``f1``, weight space ``f2``, and measure exponent ``alpha``."""
+    """Norm space ``f1``, weight space ``f2``, and measure exponent ``alpha``.
+
+    The cube measure and the atom weights of ``f2`` are built once per case,
+    so their per-volume power caches serve every family the case evaluates.
+    """
 
     f1: SpaceParams
     f2: SpaceParams
     alpha: float
+    measure: MeasureSpec = field(init=False, repr=False, compare=False)
+    atom_weights: AtomWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.f1.kind != "tl":
             raise ContractViolationError("f1 must be of the aggregated kind")
         if self.f1.d != self.f2.d:
             raise ContractViolationError("f1 and f2 must share the dimension")
+        object.__setattr__(self, "measure", MeasureSpec(self.alpha))
+        object.__setattr__(self, "atom_weights", AtomWeights(self.f2))
 
     @property
     def d(self) -> int:
@@ -71,10 +79,6 @@ class DemocracyCase:
     def formula_alpha(self) -> float:
         """The unique candidate measure exponent, p1 * e + 1."""
         return self.f1.p * self.coefficient_exponent + 1.0
-
-    @property
-    def measure(self) -> MeasureSpec:
-        return MeasureSpec(self.alpha)
 
 
 class Admissibility(NamedTuple):
@@ -107,7 +111,7 @@ def predicted_admissible(case: DemocracyCase) -> Admissibility:
 
 def democracy_value(cubes: Iterable[Cube], case: DemocracyCase) -> float:
     """Aggregated norm of the indicator sequence with entries 1/u(Q)."""
-    seq = CoeffSeq.indicator(cubes, AtomWeights(case.f2))
+    seq = CoeffSeq.indicator(cubes, case.atom_weights)
     return tl_norm(seq, case.f1)
 
 

@@ -5,10 +5,11 @@ A cube with scale ``j`` and integer position vector ``k`` of length ``d`` is the
 half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  Any two such
 cubes are either disjoint or nested, which lets a finite family be organised
 into a containment forest: the cubes in preorder plus, for each, the index of
-its tightest container.  Per-cube values enter as lists aligned with that
-preorder, and one forward pass gives each cube's ancestor-chain sum or
-maximum.  Integrals of a function constant on each forest region (a cube minus
-its children) are then finite sums — no sampling, no quadrature.
+its tightest container, so that each cube's subtree is one run of the
+preorder.  Per-cube values enter as lists aligned with that preorder, and one
+forward pass gives each cube's ancestor-chain sum or maximum.  Integrals of a
+function constant on each forest region (a cube minus its children) are then
+finite sums — no sampling, no quadrature.
 """
 
 from __future__ import annotations
@@ -372,6 +373,17 @@ class ContainmentForest:
         for q, region in zip(self.cubes, regions):
             if region < 0:  # structurally impossible; guards construction bugs
                 raise ContractViolationError(f"negative region measure at cube {q}")
+
+    def subtree_ends(self) -> list[int]:
+        """For each cube, one past the last index of its subtree, so that
+        ``cubes[i:ends[i]]`` is cube i and its descendants in preorder."""
+        ends = list(range(1, len(self.cubes) + 1))
+        # Walking backwards, each cube's subtree is complete before its
+        # parent takes the end of it.
+        for i, p in zip(reversed(range(len(ends))), reversed(self.parent)):
+            if p >= 0 and ends[p] < ends[i]:
+                ends[p] = ends[i]
+        return ends
 
     def chain_values(self, per_cube: Sequence[float]) -> list[float]:
         """For each cube, the sum of ``per_cube`` along its ancestor chain

@@ -193,7 +193,23 @@ def rearrange(
 
     Entries with equal magnitude are merged into a single step whose length is
     their combined mass, which keeps the closed-form norm accumulation
-    unambiguous.
+    unambiguous.  Each cumulative mass is the ``math.fsum`` of the masses so
+    far.
+
+    A step whose mass leaves that rounded total T unchanged (a scale far
+    finer than the steps before it) has float length zero, and is folded
+    into the next step: its mass stays in the later totals and its value is
+    dropped.  Its exact mass is at most one ulp of T, the rounding every step
+    end already carries, and the norms lose nothing by the fold:
+
+    - for finite mu it would add an integral over [T, T], which is 0; in the
+      distribution form its term and the previous step's sum, in exact
+      arithmetic, to the previous step's term with the folded value skipped;
+    - for mu = inf its sup, taken at the point T, is its value times the
+      weight at T, at most the previous step's, which has a larger value and
+      T in its closed interval.
+
+    The first step has positive mass, so it is never folded.
     """
     weight = u_function(u)
     by_magnitude: dict[float, list[float]] = {}
@@ -201,14 +217,18 @@ def rearrange(
         magnitude = abs(weight(cube) * value)
         if magnitude > 0:
             by_magnitude.setdefault(magnitude, []).append(measure(cube))
-    magnitudes = sorted(by_magnitude, reverse=True)
     total = ExactSum()
     cumulative: list[float] = []
-    for magnitude in magnitudes:
+    values: list[float] = []
+    last = 0.0
+    for magnitude in sorted(by_magnitude, reverse=True):
         for mass in by_magnitude[magnitude]:
-            total.add(mass)
-        cumulative.append(total.value)
-    return StepRearrangement(tuple(cumulative), tuple(magnitudes))
+            end = total.add(mass)
+        if end > last:
+            last = end
+            cumulative.append(end)
+            values.append(magnitude)
+    return StepRearrangement(tuple(cumulative), tuple(values))
 
 
 def distribution(

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
-from .dyadic import ContainmentForest, Cube, MeasureSpec, VolumePowers
+from .dyadic import ContainmentForest, Cube, ExactSum, MeasureSpec, VolumePowers
 from .errors import ContractViolationError, ScaleRangeError
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .weights import WeightFn
@@ -27,6 +28,7 @@ __all__ = [
     "tl_norm",
     "besov_norm",
     "space_norm",
+    "suffix_norms",
     "lorentz_equals_besov_check",
 ]
 
@@ -98,6 +100,54 @@ class AtomWeights:
         return self._powers(cube)
 
 
+_COEFFICIENT_RANGE = "a scaled coefficient exceeds the float range"
+_INTEGRAL_RANGE = "the region integral exceeds the float range"
+_NORM_RANGE = "the norm exceeds the float range"
+_SCALE_RANGE = "a per-scale norm term exceeds the float range"
+
+
+def _tl_chain_inputs(
+    forest: ContainmentForest, entries: Mapping[Cube, float], params: SpaceParams
+) -> tuple[list[float], float]:
+    """What each cube of ``forest.cubes`` adds to its chain — b_Q^q, or b_Q
+    for ``q = inf`` — and the exponent taking a chain value to its region
+    constant."""
+    scale = VolumePowers(params.coeff_exponent)
+    b = [scale(q) * abs(entries[q]) for q in forest.cubes]
+    if math.isinf(params.q):
+        return b, params.p
+    try:
+        return [x**params.q for x in b], params.p / params.q
+    except OverflowError:  # a finite power past the float range
+        raise ScaleRangeError(_COEFFICIENT_RANGE) from None
+
+
+def _tl_root(integral: float, p: float) -> float:
+    """The norm from its region integral; rounding can leave a tiny negative
+    residue when the integral is zero."""
+    try:
+        return max(integral, 0.0) ** (1.0 / p)
+    except OverflowError:  # p < 1 raises the integral to a power above 1
+        raise ScaleRangeError(_NORM_RANGE) from None
+
+
+def _tl_forest_norm(
+    forest: ContainmentForest, values: list[float], exponent: float, params: SpaceParams
+) -> float:
+    """``tl_norm`` of the whole family, from its forest and chain inputs."""
+    if math.isinf(params.q):
+        chains = forest.chain_maxima(values)
+    else:
+        chains = forest.chain_values(values)
+    try:
+        constants = [c**exponent if c > 0.0 else 0.0 for c in chains]
+    except OverflowError:
+        raise ScaleRangeError(_COEFFICIENT_RANGE) from None
+    # An infinite term or chain value gives an infinite constant, for which
+    # region_integral raises.
+    return _tl_root(forest.region_integral(constants), params.p)
+
+
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     """Aggregated quasi-norm over the containment region decomposition.
 
@@ -112,28 +162,9 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "tl")
     if not s:
         return 0.0
-    entries = s.entries
-    forest = ContainmentForest(entries)
-    scale = VolumePowers(params.coeff_exponent)
-    b = [scale(q) * abs(entries[q]) for q in forest.cubes]
-    try:
-        if math.isinf(params.q):
-            chains = forest.chain_maxima(b)
-            exponent = params.p
-        else:
-            chains = forest.chain_values([x**params.q for x in b])
-            exponent = params.p / params.q
-        constants = [c**exponent if c > 0.0 else 0.0 for c in chains]
-    except OverflowError:  # a finite power past the float range
-        raise ScaleRangeError("a scaled coefficient exceeds the float range") from None
-    # An infinite term or chain value gives an infinite constant, for which
-    # region_integral raises.  Rounding can leave a tiny negative residue
-    # when the integral is zero.
-    integral = max(forest.region_integral(constants), 0.0)
-    try:
-        return integral ** (1.0 / params.p)
-    except OverflowError:  # p < 1 raises the integral to a power above 1
-        raise ScaleRangeError("the norm exceeds the float range") from None
+    forest = ContainmentForest(s.entries)
+    values, exponent = _tl_chain_inputs(forest, s.entries, params)
+    return _tl_forest_norm(forest, values, exponent, params)
 
 
 def _aggregate(values: list[float], p: float) -> float:
@@ -147,7 +178,7 @@ def _aggregate(values: list[float], p: float) -> float:
     except OverflowError:  # a power, or a partial of the sum
         total = math.inf
     if not math.isfinite(total):
-        raise ScaleRangeError("a per-scale norm term exceeds the float range")
+        raise ScaleRangeError(_SCALE_RANGE)
     return total
 
 
@@ -172,6 +203,153 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
 def space_norm(s: CoeffSeq, params: SpaceParams) -> float:
     """Dispatch to the norm named by ``params.kind``."""
     return tl_norm(s, params) if params.kind == "tl" else besov_norm(s, params)
+
+
+def suffix_norms(
+    s: CoeffSeq, params: SpaceParams, order: Sequence[Cube]
+) -> list[float]:
+    """``space_norm`` of ``s`` restricted to ``order[c:]``, for c = 0, ..., n.
+
+    ``order`` lists the support of ``s``, each cube once.  Every value is bit
+    for bit the norm of its suffix, and a suffix whose norm leaves the float
+    range raises the error that ``space_norm`` raises on the whole of ``s``.
+    The suffixes are built by inserting the cubes from the end of ``order``,
+    and each insertion recomputes only what it changes:
+
+    - tl: the chain values, constants and region terms of the inserted cube's
+      subtree in one forest of the whole support, so the list costs
+      sum(depth + 1) node visits over the family.  Each changed region term
+      is swapped in a running ``ExactSum`` by adding the negative of the old
+      term and then the new one; the cancellation is exact, so the integral
+      is ``math.fsum`` of the suffix's own terms.
+    - besov: the inserted cube's per-scale sum and that scale's term of the
+      sum across scales, each kept in an ``ExactSum``, or running maxima for
+      an infinite exponent.
+    """
+    _check_space(s, params, params.kind)
+    if len(order) != len(s) or set(order) != s.entries.keys():
+        raise ContractViolationError("order must list the support once each")
+    if not s:
+        return [0.0]
+    if params.kind == "tl":
+        return _tl_suffix_norms(s, params, order)
+    return _besov_suffix_norms(s, params, order)
+
+
+def _tl_suffix_norms(
+    s: CoeffSeq, params: SpaceParams, order: Sequence[Cube]
+) -> list[float]:
+    forest = ContainmentForest(s.entries)
+    values, exponent = _tl_chain_inputs(forest, s.entries, params)
+    cubes, parent = forest.cubes, forest.parent
+    n = len(cubes)
+    ends = forest.subtree_ends()
+    where = {q: i for i, q in enumerate(cubes)}
+    volume = VolumePowers(1)
+    maxima = math.isinf(params.q)
+    # Slot i holds the chain value and constant of cube i if it is present,
+    # else those of its nearest present ancestor; slot -1 stands for none.
+    seen = [-math.inf if maxima else 0.0] * (n + 1)
+    seen_constant = [0.0] * (n + 1)
+    present = [False] * n
+    # The constants of each cube's two region terms in the running integral:
+    # its own (+K|Q|) and its nearest present ancestor's (-K|Q|).
+    own = [0.0] * n
+    outer = [0.0] * n
+    integral = ExactSum()
+    add = integral.add
+    norms = [0.0] * (n + 1)
+    try:
+        for c in range(n - 1, -1, -1):
+            x = where[order[c]]
+            present[x] = True
+            for y in range(x, ends[x]):
+                p = parent[y]
+                if not present[y]:
+                    seen[y] = seen[p]
+                    seen_constant[y] = seen_constant[p]
+                    continue
+                # Root to leaf, as chain_values and chain_maxima add them.
+                chain = max(seen[p], values[y]) if maxima else seen[p] + values[y]
+                try:
+                    constant = chain**exponent if chain > 0.0 else 0.0
+                except OverflowError:
+                    raise ScaleRangeError(_COEFFICIENT_RANGE) from None
+                seen[y] = chain
+                seen_constant[y] = constant
+                above = seen_constant[p]
+                if constant != own[y] or above != outer[y]:
+                    q = cubes[y]
+                    size = volume[q.j * q.d]
+                    if constant != own[y]:
+                        if own[y]:
+                            add(-own[y] * size)
+                        if constant:
+                            add(constant * size)
+                        own[y] = constant
+                    if above != outer[y]:
+                        if outer[y]:
+                            add(outer[y] * size)
+                        if above:
+                            add(-above * size)
+                        outer[y] = above
+            if not math.isfinite(integral.value):
+                raise ScaleRangeError(_INTEGRAL_RANGE)
+            norms[c] = _tl_root(integral.value, params.p)
+    except (OverflowError, ValueError, ScaleRangeError) as error:
+        # The pass meets the longest suffix, the whole family, last; a norm
+        # taken prefix by prefix meets it first, and raises its error.
+        _tl_forest_norm(forest, values, exponent, params)
+        if isinstance(error, ScaleRangeError):
+            raise
+        # ExactSum re-sums every term when its partials overflow.
+        raise ScaleRangeError(_INTEGRAL_RANGE) from None
+    return norms
+
+
+def _besov_suffix_norms(
+    s: CoeffSeq, params: SpaceParams, order: Sequence[Cube]
+) -> list[float]:
+    # In the order of s, so that a scale outside the float range is reported
+    # as besov_norm reports it.
+    scale = VolumePowers(params.atom_exponent)
+    scaled = {cube: scale(cube) * abs(value) for cube, value in s.items()}
+    p, q = params.p, params.q
+    sums: dict[int, ExactSum] = {}
+    inner: dict[int, float] = {}  # per present scale
+    terms: dict[int, float] = {}  # inner**q per present scale, for finite q
+    across = ExactSum()
+    best = -math.inf
+    norms = [0.0] * (len(order) + 1)
+    try:
+        for c in range(len(order) - 1, -1, -1):
+            cube = order[c]
+            j = cube.j
+            value = scaled[cube]
+            old = inner.get(j)
+            if math.isinf(p):
+                new = value if old is None else max(old, value)
+            else:
+                if old is None:
+                    sums[j] = ExactSum()
+                new = sums[j].add(value**p) ** (1.0 / p)
+            inner[j] = new
+            if math.isinf(q):
+                # Inserting never lowers a scale's value: its sum is a
+                # correctly rounded fsum, and the power is monotone.
+                best = max(best, new)
+                total = best
+            else:
+                if old is not None:
+                    across.add(-terms[j])
+                terms[j] = new**q
+                total = across.add(terms[j]) ** (1.0 / q)
+            if not (math.isfinite(new) and math.isfinite(total)):
+                raise ScaleRangeError(_SCALE_RANGE)
+            norms[c] = total
+    except OverflowError:  # a power, or a partial of a sum
+        raise ScaleRangeError(_SCALE_RANGE) from None
+    return norms
 
 
 def _check_space(s: CoeffSeq, params: SpaceParams, kind: str) -> None:

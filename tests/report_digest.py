@@ -5,10 +5,11 @@ Usage:  PYTHONPATH=src python3 tests/report_digest.py
 Runs every subcommand at ``--seed 17`` and ``--seed 3`` with ``--format
 json`` (the commands that read a sequence read ``fixtures/sample.seq``),
 then ``sigma``, ``approx-norm`` and ``norm`` on that file under the configs
-in ``CONFIGS`` (exact solvers, mu = inf, q = inf), written to a temporary
-directory.  Each run drops the ``wall_time_s`` column and prints the exit code, the
-SHA-256 of the remaining report and the command's stdout with the report
-directory replaced by ``<out>``.  Two versions whose outputs are equal line
+in ``CONFIGS`` (exact solvers, mu = inf, q = inf, and greedy profiles of the
+per-scale norm), written to a temporary directory.  Each run drops the
+``wall_time_s`` column and prints the exit code, the SHA-256 of the remaining
+report and the command's stdout with the report directory replaced by
+``<out>``.  Two versions whose outputs are equal line
 for line wrote byte-identical reports modulo wall time.
 """
 
@@ -33,6 +34,9 @@ CONFIGS = (
     ("approx-norm", "brute", "solver = brute\n"),
     ("approx-norm", "mu-inf", "mu = inf\n"),
     ("approx-norm", "mu-inf-knapsack", "mu = inf\nsolver = knapsack\n"),
+    ("approx-norm", "q-inf", "q = inf\n"),
+    ("approx-norm", "besov", "kind = besov\n"),
+    ("approx-norm", "besov-inf", "kind = besov\np = inf\nq = inf\n"),
     ("norm", "q-inf", "q = inf\n"),
 )
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -20,6 +20,7 @@ from restapprox import (
     ContractViolationError,
     Cube,
     MeasureSpec,
+    ScaleRangeError,
     SigmaProfile,
     SpaceParams,
     approx_norm,
@@ -35,12 +36,13 @@ from restapprox import (
     sigma_greedy,
     sigma_profile,
     space_norm,
+    suffix_norms,
     WeightFn,
 )
-from restapprox import approx
-from restapprox.dyadic import _CUBE_KEY
+from restapprox import approx, spaces
+from restapprox.dyadic import _CUBE_KEY, ExactSum
 
-from conftest import cube_strategy, seq_strategy
+from conftest import cube_strategy, seq_strategy, signed_values
 
 EUCLID = SpaceParams(0.0, 2.0, 2.0, 1, "tl")  # atom exponent 0: plain l2
 LEBESGUE = MeasureSpec(1.0)
@@ -600,3 +602,208 @@ def test_greedy_pieces_are_disjoint_prefixes(s, alpha, weighted):
         assert block == set(order[len(seen) : len(seen) + len(block)])
         seen += order[len(seen) : len(seen) + len(block)]
     assert seen == order
+
+
+# --------------------------------------------------------------------------
+# Greedy profiles from one pass over one forest, against the per-prefix loop
+# they replace.
+# --------------------------------------------------------------------------
+
+
+def _greedy_profile_oracle(s, params, u=None) -> SigmaProfile:
+    """Oracle: the greedy profile with one ``space_norm`` per prefix, each on
+    a fresh sequence, the way ``sigma_profile`` computed it before."""
+    cubes, values = approx._sorted_entries(s)
+    n = len(cubes)
+    if n == 0:
+        return SigmaProfile((0.0,), ())
+    masses = [params.measure(q) for q in cubes]
+    order = approx._greedy_order(cubes, values, u)
+    raw = [(0.0, space_norm(s, params.space))]
+    prefix_mass = ExactSum()
+    for count in range(1, n + 1):
+        prefix = order[:count]
+        raw.append(
+            (
+                prefix_mass.add(masses[order[count - 1]]),
+                space_norm(s.without(cubes[i] for i in prefix), params.space),
+            )
+        )
+    return approx._lower_envelope(raw)
+
+
+# tl with finite q (q == p too) and q = inf; besov with p and q finite or inf.
+_suffix_spaces = st.sampled_from(
+    [
+        ("tl", 0.3, 1.5, 2.0),
+        ("tl", -0.4, 2.0, 2.0),
+        ("tl", 0.0, 0.7, 1.3),
+        ("tl", 0.5, 1.5, math.inf),
+        ("tl", 1.2, 0.8, math.inf),
+        ("besov", 0.3, 1.5, 2.0),
+        ("besov", -0.2, 0.6, 3.0),
+        ("besov", 0.3, math.inf, 2.0),
+        ("besov", 0.3, 1.5, math.inf),
+        ("besov", 0.0, math.inf, math.inf),
+    ]
+)
+# Magnitudes from a short list give exact ties in |u_Q s_Q|.
+_suffix_values = st.sampled_from([1.0, -1.0, 0.5, 2.0, -0.25]) | signed_values
+
+
+def _suffix_family(d):
+    """Up to 16 cubes of scales -1..4 inside [0, 2)^d: deep chains of nested
+    cubes, several cubes per scale."""
+    cube = st.integers(-1, 4).flatmap(
+        lambda j: st.builds(
+            Cube,
+            st.just(j),
+            st.lists(st.integers(0, (1 << max(j, 0)) - 1), min_size=d, max_size=d),
+        )
+    )
+    return st.dictionaries(cube, _suffix_values, max_size=16).map(CoeffSeq)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), _suffix_family(d))),
+    _suffix_spaces,
+    st.sampled_from([-0.5, 0.0, 1.0]),
+    st.sampled_from(["none", "atoms", "map"]),
+)
+def test_greedy_profile_equals_per_prefix_norms(d_and_s, space, alpha, weights):
+    d, s = d_and_s
+    kind, smooth, p, q = space
+    space = SpaceParams(smooth, p, q, d, kind)
+    params = ApproxParams(0.7, 2.0, space, MeasureSpec(alpha))
+    if weights == "atoms":
+        u = AtomWeights(SpaceParams(0.5, 1.0, 1.0, d))
+    elif weights == "map":
+        u = {cube: 1.0 + (cube.j % 3) for cube in s.support}
+    else:
+        u = None
+    profile = sigma_profile(s, params, "greedy", u)
+    oracle = _greedy_profile_oracle(s, params, u)
+    assert profile == oracle
+    assert repr(profile) == repr(oracle)  # the signs of zeros too
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), _suffix_family(d))),
+    _suffix_spaces,
+    st.randoms(use_true_random=False),
+)
+def test_suffix_norms_equal_norms_of_suffixes_in_any_order(d_and_s, space, rng):
+    d, s = d_and_s
+    kind, smooth, p, q = space
+    params = SpaceParams(smooth, p, q, d, kind)
+    order = list(s.support)
+    rng.shuffle(order)
+    want = [space_norm(s.restricted(order[c:]), params) for c in range(len(order) + 1)]
+    assert suffix_norms(s, params, order) == want
+
+
+def test_suffix_norms_small_cases_and_validation():
+    space = SpaceParams(0.0, 2.0, 2.0, 1)
+    assert suffix_norms(CoeffSeq({}), space, []) == [0.0]
+    assert suffix_norms(CoeffSeq({A: -3.0}), space, [A]) == [3.0, 0.0]
+    for bad in ([A, B, C], [A, B, C, D, D], [A, B, C, Cube(3, (0,))]):
+        with pytest.raises(ContractViolationError):
+            suffix_norms(HAND, space, bad)
+    with pytest.raises(ContractViolationError):
+        suffix_norms(HAND, SpaceParams(0.0, 2.0, 2.0, 2), list(HAND.support))
+
+
+# Families whose norm leaves the float range, each at a different check.
+_OVERFLOWING = [
+    # (b_Q)^q overflows: a scaled coefficient
+    (SpaceParams(0.0, 2.0, 2.0, 1), {Cube(0, (0,)): 1e200, Cube(1, (0,)): 1.0}),
+    # the chain maximum raised to p overflows: a region constant
+    (SpaceParams(0.0, 3.0, math.inf, 1), {Cube(0, (0,)): 1e150, Cube(2, (1,)): 2.0}),
+    # K |Q| overflows on a cube of volume 2^10: the region integral
+    (SpaceParams(0.0, 1.0, 1.0, 1), {Cube(-10, (0,)): 1e308, Cube(0, (3,)): 1.0}),
+    # the integral is finite, and its power 1/p = 2 is not: the norm
+    (SpaceParams(0.0, 0.5, 0.5, 1), {Cube(-900, (0,)): 1.0, Cube(0, (0,)): 1.0}),
+    # the volume 2^-1200 is outside the supported exponent range
+    (SpaceParams(0.0, 1.0, 1.0, 1), {Cube(1200, (0,)): 1.0, Cube(0, (0,)): 1.0}),
+    # The pass inserts the fine cube first and meets its volume's range
+    # error; the whole family's overflowing constant comes first.
+    (
+        SpaceParams(0.0, 3.0, math.inf, 1),
+        {Cube(1200, (0,)): 2.0**-700, Cube(0, (0,)): 1e150},
+    ),
+    # besov: a per-scale power, and a power across scales
+    (
+        SpaceParams(0.0, 2.0, 2.0, 1, "besov"),
+        {Cube(0, (0,)): 1e200, Cube(1, (0,)): 1.0},
+    ),
+    (
+        SpaceParams(0.0, math.inf, 2.0, 1, "besov"),
+        {Cube(0, (0,)): 1e300, Cube(3, (1,)): 1.0},
+    ),
+]
+
+
+@pytest.mark.parametrize("space, entries", _OVERFLOWING)
+def test_overflowing_greedy_profile_raises_as_the_per_prefix_loop(space, entries):
+    s = CoeffSeq(entries)
+    params = ApproxParams(0.5, 2.0, space, MeasureSpec(0.0))
+    with pytest.raises(ScaleRangeError) as oracle:
+        _greedy_profile_oracle(s, params)
+    with pytest.raises(ScaleRangeError) as got:
+        sigma_profile(s, params)
+    assert str(got.value) == str(oracle.value)
+
+
+class _CountingList(list):
+    """A list that counts its index reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_greedy_profile_builds_one_forest_and_no_norms(monkeypatch):
+    """Counted, not timed: one forest per profile, no norm call, and the
+    pass visits sum(depth + 1) nodes, each reading its parent once."""
+    forests = []
+
+    class CountingForest(spaces.ContainmentForest):
+        def __init__(self, cubes):
+            super().__init__(cubes)
+            self.parent = _CountingList(self.parent)
+            forests.append(self)
+
+    def refuse(*args):
+        raise AssertionError("a greedy profile called a norm")
+
+    monkeypatch.setattr(spaces, "ContainmentForest", CountingForest)
+    for name in ("space_norm", "tl_norm", "besov_norm"):
+        monkeypatch.setattr(spaces, name, refuse)
+    monkeypatch.setattr(approx, "space_norm", refuse)
+    # Complete dyadic trees of depths 6 and 9: n = 127 and 1023 = 8n + 7
+    # cubes, where a cube of scale j has depth j.
+    for depth in (6, 9):
+        s = CoeffSeq(
+            {
+                Cube(j, (k,)): 1.0 + ((7 * k + j) % 11) / 8.0
+                for j in range(depth + 1)
+                for k in range(1 << j)
+            }
+        )
+        for q in (2.0, math.inf):
+            forests.clear()
+            space = SpaceParams(0.3, 1.5, q, 1)
+            params = _params(space=space, measure=MeasureSpec(0.5))
+            profile = sigma_profile(s, params)
+            assert profile.total_mass == math.fsum(params.measure(c) for c in s.support)
+            assert len(forests) == 1
+            visits = forests[0].parent.reads
+            assert visits == sum((j + 1) << j for j in range(depth + 1))
+        forests.clear()
+        besov = SpaceParams(0.3, 1.5, 2.0, 1, "besov")
+        sigma_profile(s, _params(space=besov))
+        assert forests == []

@@ -340,3 +340,19 @@ def test_norm_exits_fast_across_a_huge_scale_gap(tmp_path):
     result = _run_child([*command, "--out", str(tmp_path)], tmp_path, timeout=30)
     assert result.returncode == 2, result.stderr
     assert "error:" in result.stderr
+
+
+def test_norm_across_a_900_scale_gap_folds_vanishing_steps(tmp_path):
+    # At alpha = 1 the two fine cubes' masses 2^-900 leave the float total 1
+    # unchanged; the rearrangement used to reject those zero-length steps.
+    seq = tmp_path / "gap.seq"
+    seq.write_text("0 0 1.0\n900 0 0.5\n900 1 0.25\n")
+    assert main(["norm", str(seq), "--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path)
+    values = {row["id"]: row["value"] for row in rows}
+    assert values == {
+        "norm/aggregated": "1.14564392373896",
+        "norm/per-scale": "1.14564392373896",
+        "norm/rearranged": "1.0",
+        "norm/budgeted": "1.14564392373896",
+    }

@@ -330,3 +330,32 @@ def test_admissible_spread_is_bounded():
     case = _case(s1=0.0, p1=2.0, q1=2.0, s2=0.5, p2=2.0)  # e = 0, alpha = 1
     mn, mx = admissible_spread(case, np.random.default_rng(7), 5, 30)
     assert 0.2 < mn <= mx < 5.0
+
+
+def test_case_builds_its_measure_and_atom_weights_once(monkeypatch):
+    """Counted: every family a case evaluates shares one MeasureSpec and one
+    AtomWeights, and so their per-volume power caches."""
+    from restapprox import democracy
+
+    built = {"MeasureSpec": 0, "AtomWeights": 0}
+
+    def counting(cls):
+        def build(*args):
+            built[cls.__name__] += 1
+            return cls(*args)
+
+        return build
+
+    for name in built:
+        monkeypatch.setattr(democracy, name, counting(getattr(democracy, name)))
+    f1 = SpaceParams(0.0, 2.0, 2.0, 1, "tl")
+    case = DemocracyCase(f1, SpaceParams(0.5, 2.0, 2.0, 1, "besov"), 1.0)
+    assert built == {"MeasureSpec": 1, "AtomWeights": 1}
+    admissible_spread(case, np.random.default_rng(7), 5, 30)
+    fam = GammaFamily("grid", 4, L=2, d=1)
+    value = democracy_value(fam.generate(), case)
+    assert built == {"MeasureSpec": 1, "AtomWeights": 1}
+    assert value == pytest.approx(fam.closed_form_value(case), rel=1e-12)
+    # The cached fields take no part in equality or repr.
+    assert case == _case(s1=0.0, p1=2.0, q1=2.0, s2=0.5, p2=2.0)
+    assert "measure" not in repr(case)

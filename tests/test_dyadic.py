@@ -193,6 +193,10 @@ def _assert_forest_matches_oracle(cubes: list[Cube]) -> None:
         parent = None if p == -1 else forest.cubes[p]
         assert parent == _tightest_container(cube, family), cube
         assert -1 <= p < i  # parents come first
+    # Each subtree is one run of the preorder: the cube and all it contains.
+    for start, end in enumerate(forest.subtree_ends()):
+        cube = forest.cubes[start]
+        assert set(forest.cubes[start:end]) == {q for q in family if cube.contains(q)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -126,12 +127,9 @@ def _refsummed_masses(s: CoeffSeq, measure: MeasureSpec) -> list[float]:
 def test_rearrange_masses_equal_per_step_fsum(s, alpha):
     measure = MeasureSpec(alpha)
     want = _refsummed_masses(s, measure)
-    try:
-        got = rearrange(s, measure).masses
-    except ContractViolationError:  # a step's mass vanished in the rounding
-        assert any(b <= a for a, b in zip([0.0, *want], want))
-        return
-    assert list(got) == want
+    # A step whose mass leaves the rounded total unchanged is folded.
+    folded = [b for a, b in zip([0.0, *want], want) if b > a]
+    assert list(rearrange(s, measure).masses) == folded
 
 
 def test_distribution_counts_strict_super_level():
@@ -258,3 +256,73 @@ def test_powerlog_routes_within_equivalence_constants():
     hi = (mu * math.log(2.0) * (1.0 + dilation_tail)) ** (1.0 / mu)
     lo = (mu * math.log(2.0)) ** (1.0 / mu) / w.doubling_constant
     assert lo * (1 - 1e-9) <= a / b <= hi * (1 + 1e-9)
+
+
+# Three cubes 900 scales apart: at alpha = 1 the masses 2^-900 vanish next to
+# the total 1, so two steps have float length zero.
+GAP = CoeffSeq({Q0: 1.0, Cube(900, (0,)): 0.5, Cube(900, (1,)): 0.25})
+
+
+def test_rearrange_folds_steps_of_zero_float_length():
+    r = rearrange(GAP, MeasureSpec(1.0))
+    assert r.masses == (1.0,)
+    assert r.values == (1.0,)
+    # At alpha = -1 the fine cubes carry the mass and the coarse one vanishes.
+    r = rearrange(GAP, MeasureSpec(-1.0))
+    assert r.masses == (1.0, 2.0**900, 2.0**901)
+    assert r.values == (1.0, 0.5, 0.25)
+
+
+def _exact_lorentz(s: CoeffSeq, alpha: int, p_eta: float, mu: float) -> float:
+    """Oracle for power weights t^(1/p_eta) with mu/p_eta a whole number e,
+    or mu = inf: every mass 2^(-j d alpha) is a dyadic rational, so the steps,
+    their ends and the integral sum_k v_k^mu (T_k^e - T_(k-1)^e) / e are exact
+    in Fractions, zero-length steps and all; only the last root is a float."""
+    by_value: dict[float, Fraction] = {}
+    for cube, value in s.items():
+        mass = Fraction(2) ** (-cube.j * cube.d * alpha)
+        by_value[abs(value)] = by_value.get(abs(value), Fraction(0)) + mass
+    ends, total = [], Fraction(0)
+    for value in sorted(by_value, reverse=True):
+        total += by_value[value]
+        ends.append((value, total))
+    if math.isinf(mu):
+        return max(value * float(end) ** (1.0 / p_eta) for value, end in ends)
+    e = round(mu / p_eta)
+    integral = Fraction(0)
+    start = Fraction(0)
+    for value, end in ends:
+        integral += Fraction(value) ** round(mu) * (end**e - start**e) / e
+        start = end
+    return float(integral) ** (1.0 / mu)
+
+
+_gap_seqs = st.dictionaries(
+    st.builds(
+        lambda j, k: Cube(j, (k,)),
+        st.sampled_from([-3, 0, 1, 2, 60, 61, 300, 301, 900]),
+        st.integers(0, 3),
+    ),
+    st.sampled_from([4.0, -2.0, 1.0, 0.5, -0.25, 0.125]) | st.floats(1e-2, 1e2),
+    min_size=1,
+    max_size=12,
+).map(CoeffSeq)
+
+
+@given(
+    _gap_seqs,
+    st.sampled_from([1, -1]),
+    st.sampled_from([(2.0, 2.0), (1.0, 2.0), (1.0, 1.0), (2.0, math.inf)]),
+)
+def test_lorentz_norm_across_scale_gaps_matches_exact_oracle(s, alpha, eta_mu):
+    p_eta, mu = eta_mu
+    measure = MeasureSpec(alpha)
+    params = LorentzParams(WeightFn.power(p_eta), mu=mu)
+    got = lorentz_norm(s, measure, params)
+    assert got == pytest.approx(_exact_lorentz(s, alpha, p_eta, mu), rel=1e-13)
+    # The distribution form, on the same folded steps, keeps its exact ratio.
+    other = lorentz_norm_via_distribution(s, measure, params)
+    if math.isinf(mu):
+        assert got == other
+    else:
+        assert got == pytest.approx(other * (1.0 / p_eta) ** (-1.0 / mu), rel=1e-12)
