@@ -73,6 +73,7 @@ from .weights import (
     geometric_sum_bound,
     smoothed_weight,
     weight_integral,
+    weight_integrals,
     weight_sup_on_interval,
 )
 
@@ -92,6 +93,7 @@ __all__ = [
     "geometric_sum_bound",
     "weight_sup_on_interval",
     "weight_integral",
+    "weight_integrals",
     "smoothed_weight",
     "boyd_lower_index",
     # sequences and rearrangement norms

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec
-from .errors import ContractViolationError
-from .weights import WeightFn, weight_integral, weight_sup_on_interval
+from .errors import ContractViolationError, ScaleRangeError
+from .weights import WeightFn, weight_integrals, weight_sup_on_interval
 
 __all__ = [
     "CoeffSeq",
@@ -30,6 +30,8 @@ __all__ = [
     "lorentz_norm",
     "lorentz_norm_via_distribution",
 ]
+
+_NORM_RANGE = "the Lorentz norm exceeds the float range"
 
 # A per-cube weight: absent (all ones), a mapping, or a callable.
 UWeights = Mapping[Cube, float] | Callable[[Cube], float] | None
@@ -88,9 +90,27 @@ class CoeffSeq:
 
     @classmethod
     def indicator(cls, cubes: Iterable[Cube], u: UWeights = None) -> "CoeffSeq":
-        """Entries 1/u(Q) on the given cubes (the normalized indicator)."""
+        """Entries 1/u(Q) on the given cubes (the normalized indicator).
+
+        Each entry is checked once, here, with ``__post_init__``'s errors:
+        u(Q) is finite and > 0, so 1/u(Q) is nonzero, and only a subnormal
+        u(Q) can make it overflow.
+        """
         weight = u_function(u)
-        return cls({q: 1.0 / weight(q) for q in cubes})
+        entries: dict[Cube, float] = {}
+        d: int | None = None
+        for cube in cubes:
+            value = float(1.0 / weight(cube))
+            if value == math.inf:
+                raise ContractViolationError(f"non-finite coefficient at {cube}")
+            if d is None:
+                d = cube.d
+            elif cube.d != d:
+                raise ContractViolationError("all cubes must share one dimension")
+            entries[cube] = value
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "entries", entries)
+        return seq
 
     # -- basic access ------------------------------------------------------
 
@@ -272,25 +292,33 @@ def lorentz_norm(s: CoeffSeq, measure: MeasureSpec, params: LorentzParams) -> fl
     """The rearrangement-form quasi-norm.
 
     For finite ``mu`` the integral splits over the rearrangement steps into
-    weight integrals computed by :func:`restapprox.weights.weight_integral`
-    (closed form for power weights).  For ``mu = inf`` the sup over each step
-    is the step value times the exact sup of the weight on that interval.
+    weight integrals, all computed in one call of
+    :func:`restapprox.weights.weight_integrals` (the closed form for power
+    weights, one batched Gauss-Kronrod pass for power-log weights), and the
+    ``math.fsum`` of ``value**mu`` times each step's integral.  For
+    ``mu = inf`` the sup over each step is the step value times the exact sup
+    of the weight on that interval.  A norm, a term or an integral past the
+    float range raises ScaleRangeError.
     """
     steps = rearrange(s, measure, params.u)
     if not steps.masses:
         return 0.0
     w = params.combined_weight
-    if math.isinf(params.mu):
-        return max(
-            value * weight_sup_on_interval(w, start, end)
-            for start, end, value in steps.pieces()
-        )
     mu = params.mu
-    total = math.fsum(
-        value**mu * weight_integral(w, mu, start, end)
-        for start, end, value in steps.pieces()
+    if math.isinf(mu):
+        return _finite(
+            lambda: max(
+                value * weight_sup_on_interval(w, start, end)
+                for start, end, value in steps.pieces()
+            )
+        )
+    integrals = weight_integrals(w, mu, steps.masses)
+    return _finite(
+        lambda: math.fsum(
+            value**mu * integral for value, integral in zip(steps.values, integrals)
+        )
+        ** (1.0 / mu)
     )
-    return total ** (1.0 / mu)
 
 
 def lorentz_norm_via_distribution(
@@ -303,7 +331,8 @@ def lorentz_norm_via_distribution(
     The super-level mass is a step function of the level, so the integral is a
     finite sum of monomial integrals between consecutive distinct magnitudes —
     no quadrature is needed.  Equals the rearrangement form up to equivalence constants
-    depending only on the weight, not on the sequence.
+    depending only on the weight, not on the sequence.  A norm or a term past
+    the float range raises ScaleRangeError.
     """
     steps = rearrange(s, measure, params.u)
     if not steps.masses:
@@ -311,12 +340,29 @@ def lorentz_norm_via_distribution(
     w = params.combined_weight
     values = steps.values + (0.0,)
     if math.isinf(params.mu):
-        return max(
-            value * w.value(mass) for value, mass in zip(steps.values, steps.masses)
+        return _finite(
+            lambda: max(
+                value * w.value(mass)
+                for value, mass in zip(steps.values, steps.masses)
+            )
         )
     mu = params.mu
-    total = math.fsum(
-        w.value(mass) ** mu * (values[k] ** mu - values[k + 1] ** mu) / mu
-        for k, mass in enumerate(steps.masses)
+    return _finite(
+        lambda: math.fsum(
+            w.value(mass) ** mu * (values[k] ** mu - values[k + 1] ** mu) / mu
+            for k, mass in enumerate(steps.masses)
+        )
+        ** (1.0 / mu)
     )
-    return total ** (1.0 / mu)
+
+
+def _finite(norm: Callable[[], float]) -> float:
+    """``norm()``, with an overflow or a result past the float range raised as
+    ScaleRangeError."""
+    try:
+        value = norm()
+    except OverflowError:
+        raise ScaleRangeError(_NORM_RANGE) from None
+    if not math.isfinite(value):
+        raise ScaleRangeError(_NORM_RANGE)
+    return value

@@ -18,13 +18,21 @@ For both families the dilation function
 has the closed form ``s^(1/p) * (1 + |log s|)^|b|``: the inner sup of
 ``(1 + |u + x|) / (1 + |x|)`` over x equals ``1 + |u|`` (attained at x = 0),
 and for negative exponents the infimum ``1/(1+|u|)`` is attained instead.
+
+The weight integrals of eta(t)^mu dt/t have a closed form for power weights.
+For powerlog weights ``weight_integral`` runs scipy's ``quad`` on one step,
+and ``weight_integrals`` runs the first step of ``quad`` on many steps at
+once with numpy, handing ``quad`` only the steps it could not finish there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import (
@@ -33,6 +41,7 @@ from .errors import (
     ContractViolationError,
     DivergenceError,
     QuadratureError,
+    ScaleRangeError,
 )
 
 __all__ = [
@@ -42,6 +51,7 @@ __all__ = [
     "smoothed_weight",
     "boyd_lower_index",
     "weight_integral",
+    "weight_integrals",
     "weight_sup_on_interval",
 ]
 
@@ -50,6 +60,45 @@ __all__ = [
 # better per step) without pushing s0 unnecessarily deep.
 _DELTA_MARGIN = 0.5
 _CERT_MAX_LEVEL = 60
+
+# Tolerances of every power-log quadrature: scipy's quad, and the batched
+# first step of weight_integrals, which accepts only where quad would stop.
+_EPSABS = 1e-300
+_EPSREL = 1e-11
+_INTEGRAL_RANGE = "a weight integral exceeds the float range"
+
+# QUADPACK's dqk21 (Piessens et al. 1983): the 21-point Kronrod abscissae on
+# [0, 1) (the odd ones, 0-based, are the 10-point Gauss nodes; the centre 0 is
+# the 21st), their Kronrod weights (the centre's last), and the Gauss weights.
+_XGK = np.array((
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+))
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980544751, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# dqk21 adds the Gauss abscissae's pairs first, then the Kronrod-only ones.
+_DQK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_EPMACH = sys.float_info.epsilon  # d1mach(4)
+# How far numpy's exp and pow, against libm's, can move dqk21's
+# |resk - resg|, relative to its resabs: each of the 21 values differs by a
+# few ulps, and so can each of the 31 additions' roundings.
+_ROUNDING_MARGIN = 64.0 * _EPMACH
+# Intervals per numpy block: keeps the (21, block) temporaries near 1 MiB.
+_GK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -265,12 +314,50 @@ def _max_dilation_on(w: WeightFn, lo: float, hi: float) -> float:
     return weight_sup_on_interval(twin, lo, hi)
 
 
+def _log_pieces(a: float, b: float) -> list[tuple[float, float, float]]:
+    """The x-intervals of [a, b] on either side of t = 1, as (sign, x_lo, x_hi).
+
+    t = e^(-x) maps (0, 1] onto [0, oo) (sign -1) and t = e^x maps [1, oo)
+    onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.
+    """
+    pieces = []
+    if a < 1.0:
+        # t in [a, min(b,1)]  ->  x = -log t in [max(0,-log b), -log a]
+        x_hi = math.inf if a == 0.0 else -math.log(a)
+        pieces.append((-1.0, -math.log(min(b, 1.0)), x_hi))
+    if b > 1.0:
+        # t in [max(a,1), b]  ->  x = log t
+        pieces.append((1.0, math.log(max(a, 1.0)), math.log(b)))
+    return pieces
+
+
+def _quad_piece(rate: float, bm: float, lo: float, hi: float) -> float:
+    """integral over [lo, hi] of e^(rate x) (1 + x)^bm dx by adaptive quadrature."""
+
+    def f(x: float) -> float:
+        return math.exp(rate * x) * (1.0 + x) ** bm
+
+    try:
+        val, err = quad(f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
+    except OverflowError:
+        raise ScaleRangeError(_INTEGRAL_RANGE) from None
+    if not math.isfinite(val):
+        raise ScaleRangeError(_INTEGRAL_RANGE)
+    if not err <= 1e-8 * abs(val) + 1e-250:
+        raise QuadratureError(
+            "weight integral did not converge",
+            achieved=err / abs(val) if val else math.inf,
+        )
+    return val
+
+
 def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
     """integral over [a, b] of eta(t)^mu dt/t; a may be 0.
 
-    Power family: closed form.  Powerlog: the substitutions t = e^(-x) on
-    (0, 1] and t = e^x on [1, oo) turn each part into a smooth, rapidly
-    decaying integrand handled by adaptive quadrature.
+    Power family: closed form.  Powerlog: the substitutions of
+    :func:`_log_pieces` turn each part into a smooth, rapidly decaying
+    integrand handled by adaptive quadrature.  A result past the float range
+    raises ScaleRangeError.
     """
     c = w.power_exponent
     if c * mu <= 0:
@@ -279,40 +366,152 @@ def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
         return 0.0
     if w.family == "power":
         e = c * mu
-        return (b**e - (a**e if a > 0 else 0.0)) / e
-
-    def piece(f, lo, hi) -> float:
-        val, err = quad(f, lo, hi, epsabs=1e-300, epsrel=1e-11, limit=400)
-        if err > 1e-8 * abs(val) + 1e-250:
-            raise QuadratureError(
-                "weight integral did not converge",
-                achieved=err / abs(val) if val else math.inf,
-            )
-        return val
-
+        try:
+            total = (b**e - (a**e if a > 0 else 0.0)) / e
+        except OverflowError:
+            raise ScaleRangeError(_INTEGRAL_RANGE) from None
+        if not math.isfinite(total):
+            raise ScaleRangeError(_INTEGRAL_RANGE)
+        return total
     total = 0.0
     bm = w.b * mu
     cm = c * mu
-    if a < 1.0:
-        # t in [a, min(b,1)]  ->  x = -log t in [max(0,-log b), -log a]
-        x_lo = -math.log(min(b, 1.0))
-        x_hi = math.inf if a == 0.0 else -math.log(a)
-        total += piece(lambda x: math.exp(-cm * x) * (1.0 + x) ** bm, x_lo, x_hi)
-    if b > 1.0:
-        # t in [max(a,1), b]  ->  x = log t
-        x_lo = math.log(max(a, 1.0))
-        x_hi = math.log(b)
-        total += piece(lambda x: math.exp(cm * x) * (1.0 + x) ** bm, x_lo, x_hi)
+    for sign, x_lo, x_hi in _log_pieces(a, b):
+        total += _quad_piece(sign * cm, bm, x_lo, x_hi)
     return total
 
 
 def weight_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
-    """integral over [a, b] of eta(t)^mu dt/t, with a = 0 allowed."""
+    """integral over [a, b] of eta(t)^mu dt/t, with a = 0 allowed.
+
+    One step at a time: the closed form for power weights, adaptive
+    quadrature (scipy's ``quad``) for power-log weights.  This is the scalar
+    reference of :func:`weight_integrals`; a result past the float range
+    raises ScaleRangeError.
+    """
     if not (0 <= a <= b):
         raise ContractViolationError("need 0 <= a <= b")
+    _check_mu(mu)
+    return _segment_integral(w, mu, a, b)
+
+
+def weight_integrals(
+    w: WeightFn, mu: float, masses: Sequence[float]
+) -> list[float]:
+    """The integrals of eta(t)^mu dt/t over every step [masses[k-1], masses[k]],
+    with masses[-1] read as 0.
+
+    Power weights take the per-step closed form of :func:`weight_integral`.
+    Power-log weights repeat, on all steps at once, the first step of
+    QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
+    Gauss-Kronrod rule ``dqk21`` on each finite x-interval of
+    :func:`_log_pieces`, evaluated with numpy in blocks of ``_GK_BLOCK``
+    intervals and summed in dqk21's order, then dqagse's first-step error
+    test, with a margin for rounding (see :func:`_gauss_kronrod_21`).  Short,
+    smooth steps pass it, and ``quad`` would stop there with the same
+    estimate up to the rounding of ``exp`` and ``pow``.  The first step (an
+    infinite x-range) and every step with an interval that fails the test
+    take :func:`weight_integral`'s path, so their results and errors are the
+    scalar ones bit for bit.
+    """
+    _check_mu(mu)
+    starts = [0.0, *masses[:-1]]
+    for a, b in zip(starts, masses):
+        if not (0 <= a <= b):
+            raise ContractViolationError("need 0 <= a <= b")
+    if w.family == "power" or not masses:
+        return [_segment_integral(w, mu, a, b) for a, b in zip(starts, masses)]
+    cm = w.power_exponent * mu
+    owners: list[int] = []
+    rates: list[float] = []
+    los: list[float] = []
+    his: list[float] = []
+    for k in range(1, len(masses)):
+        for sign, x_lo, x_hi in _log_pieces(starts[k], masses[k]):
+            owners.append(k)
+            rates.append(sign * cm)
+            los.append(x_lo)
+            his.append(x_hi)
+    values, accepted = _gauss_kronrod_21(
+        np.array(rates), w.b * mu, np.array(los), np.array(his)
+    )
+    totals = [0.0] * len(masses)
+    rejected = [0]
+    for k, value, ok in zip(owners, values.tolist(), accepted.tolist()):
+        totals[k] += value
+        if not ok and rejected[-1] != k:
+            rejected.append(k)
+    for k in rejected:
+        totals[k] = _segment_integral(w, mu, starts[k], masses[k])
+    return totals
+
+
+def _gauss_kronrod_21(
+    rates: np.ndarray, bm: float, los: np.ndarray, his: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """dqk21's estimates of the integrals of e^(rate x) (1 + x)^bm over the
+    intervals [lo, hi], and whether quad surely stops after that rule.
+
+    The nodes, weights and sums are dqk21's, so the estimates differ from
+    quad's only by the rounding of numpy's ``exp`` and ``pow``.  dqagse
+    stops when ``abserr <= max(epsabs, epsrel*|result|)`` and ``abserr !=
+    resasc`` (dqagse calls dqk21's resasc ``resabs``), or ``abserr == 0``.
+    That test is taken here with |resk - resg| raised by
+    ``_ROUNDING_MARGIN * resabs``, which bounds what those roundings can
+    change in it, and with ``abserr < resasc`` (dqk21's abserr is at most
+    resasc unless its 50*eps*resabs floor applies).  abserr grows with
+    |resk - resg|, so quad stops on every interval accepted here.  (Without
+    the margin, intervals a few hundred ulps wide, where |resk - resg| is
+    rounding noise, can pass where quad bisects, with results 1e-14 apart.)
+    A non-finite estimate is never accepted.
+    """
+    values = np.empty(len(rates))
+    accepted = np.empty(len(rates), dtype=bool)
+    for start in range(0, len(rates), _GK_BLOCK):
+        block = slice(start, start + _GK_BLOCK)
+        lo, hi = los[block], his[block]
+        centr = 0.5 * (lo + hi)
+        hlgth = 0.5 * (hi - lo)
+        absc = _XGK[:, None] * hlgth
+        # rows: the centre, then centr - absc and centr + absc per abscissa
+        x = np.concatenate((centr[None, :], centr - absc, centr + absc))
+        with np.errstate(all="ignore"):
+            f = np.exp(rates[block] * x) * (1.0 + x) ** bm
+            fc, fv1, fv2 = f[0], f[1:11], f[11:]
+            resk = _WGK[10] * fc
+            resabs = np.abs(resk)
+            resg = 0.0
+            for j in _DQK21_ORDER:
+                fsum = fv1[j] + fv2[j]
+                if j % 2:
+                    resg = resg + _WG[j // 2] * fsum
+                resk = resk + _WGK[j] * fsum
+                resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
+            reskh = resk * 0.5
+            resasc = _WGK[10] * np.abs(fc - reskh)
+            for j in range(10):
+                resasc = resasc + _WGK[j] * (
+                    np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh)
+                )
+            result = resk * hlgth
+            resabs = resabs * hlgth  # hlgth >= 0: lo <= hi
+            resasc = resasc * hlgth
+            # dqk21's abserr, from |resk - resg| raised by the rounding margin
+            raw = np.abs((resk - resg) * hlgth) + _ROUNDING_MARGIN * resabs
+            abserr = np.maximum(
+                (_EPMACH * 50.0) * resabs,
+                resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5),
+            )
+            errbnd = np.maximum(_EPSABS, _EPSREL * np.abs(result))
+            ok = (abserr <= errbnd) & (abserr < resasc) & np.isfinite(result)
+        values[block] = result
+        accepted[block] = ok
+    return values, accepted
+
+
+def _check_mu(mu: float) -> None:
     if mu <= 0 or not math.isfinite(mu):
         raise ContractViolationError("mu must be finite and > 0")
-    return _segment_integral(w, mu, a, b)
 
 
 def smoothed_weight(w: WeightFn, t: float, tol: float = 1e-10) -> float:

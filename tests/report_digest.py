@@ -5,8 +5,8 @@ Usage:  PYTHONPATH=src python3 tests/report_digest.py
 Runs every subcommand at ``--seed 17`` and ``--seed 3`` with ``--format
 json`` (the commands that read a sequence read ``fixtures/sample.seq``),
 then ``sigma``, ``approx-norm`` and ``norm`` on that file under the configs
-in ``CONFIGS`` (exact solvers, mu = inf, q = inf, and greedy profiles of the
-per-scale norm), written to a temporary directory.  Each run drops the
+in ``CONFIGS`` (exact solvers, mu = inf, q = inf, greedy profiles of the
+per-scale norm, and power-log Lorentz weights), written to a temporary directory.  Each run drops the
 ``wall_time_s`` column and prints the exit code, the SHA-256 of the remaining
 report and the command's stdout with the report directory replaced by
 ``<out>``.  Two versions whose outputs are equal line
@@ -38,6 +38,9 @@ CONFIGS = (
     ("approx-norm", "besov", "kind = besov\n"),
     ("approx-norm", "besov-inf", "kind = besov\np = inf\nq = inf\n"),
     ("norm", "q-inf", "q = inf\n"),
+    ("norm", "powerlog", "eta = powerlog:p=2,b=0.5\n"),
+    ("norm", "powerlog-mu3", "eta = powerlog:p=1.5,b=-0.4\nmu = 3\n"),
+    ("norm", "powerlog-mu-inf", "eta = powerlog:p=2,b=0.5\nmu = inf\n"),
 )
 
 

@@ -356,3 +356,24 @@ def test_norm_across_a_900_scale_gap_folds_vanishing_steps(tmp_path):
         "norm/rearranged": "1.0",
         "norm/budgeted": "1.14564392373896",
     }
+
+
+@pytest.mark.parametrize(
+    "line, eta",
+    [
+        ("-500 0 1.0", "powerlog:p=0.5,b=3"),  # the integral overflows to inf
+        ("-1000 0 1.0", "powerlog:p=0.5,b=3"),  # exp raises OverflowError
+        ("-1000 0 1.0", "power:p=0.5"),  # b**e raises OverflowError
+    ],
+)
+def test_norm_past_the_float_range_is_a_typed_error(tmp_path, capsys, line, eta):
+    # One cube of mass 2^500 or 2^1000 at alpha = 1: its Lorentz integral
+    # exceeds the float range.  This used to print nan or a traceback.
+    seq = tmp_path / "huge.seq"
+    seq.write_text(line + "\n")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"eta = {eta}\nmu = 1\n")
+    argv = ["norm", str(seq), "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: a weight integral exceeds the float range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -15,6 +15,7 @@ from restapprox import (
     Cube,
     LorentzParams,
     MeasureSpec,
+    ScaleRangeError,
     StepRearrangement,
     WeightFn,
     distribution,
@@ -326,3 +327,19 @@ def test_lorentz_norm_across_scale_gaps_matches_exact_oracle(s, alpha, eta_mu):
         assert got == other
     else:
         assert got == pytest.approx(other * (1.0 / p_eta) ** (-1.0 / mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("norm", [lorentz_norm, lorentz_norm_via_distribution])
+@pytest.mark.parametrize(
+    "entries, eta, mu",
+    [
+        ({Cube(-1000, (0,)): 1.0}, "power:p=0.5", math.inf),  # pow raises
+        ({Cube(-500, (0,)): 1.0}, "powerlog:p=0.5,b=3", math.inf),  # sup is inf
+        ({Q0: 1e200}, "power:p=2", 2.0),  # value**mu raises
+        ({Q0: 1.3e154, Q1: 1.29e154}, "power:p=1", 2.0),  # the sum overflows
+    ],
+)
+def test_lorentz_norms_past_the_float_range(norm, entries, eta, mu):
+    params = LorentzParams(WeightFn.parse(eta), mu=mu)
+    with pytest.raises(ScaleRangeError, match="Lorentz norm exceeds the float range"):
+        norm(CoeffSeq(entries), MeasureSpec(1.0), params)

@@ -10,17 +10,26 @@ from hypothesis import strategies as st
 
 from restapprox import (
     CapabilityError,
+    CoeffSeq,
     ConfigError,
     ContractViolationError,
+    Cube,
+    LorentzParams,
+    MeasureSpec,
+    ScaleRangeError,
     WeightFn,
     boyd_lower_index,
     dilation,
     geometric_sum_bound,
     pow2,
     smoothed_weight,
+    lorentz_norm,
+    rearrange,
     weight_integral,
+    weight_integrals,
     weight_sup_on_interval,
 )
+from restapprox import weights
 
 
 def weight_families() -> list[WeightFn]:
@@ -208,3 +217,106 @@ def test_times_power_composes():
     wl = WeightFn.power_log(2.0, 0.3).times_power(0.25)
     assert wl.power_exponent == pytest.approx(0.75, rel=1e-15)
     assert wl.b == 0.3
+
+
+def _steps(scales: list[int]) -> CoeffSeq:
+    """One 1-d cube per scale, with strictly decreasing values, so that at
+    alpha = 1 the rearrangement has one step of mass 2^-j per cube."""
+    return CoeffSeq(
+        {Cube(j, (i,)): 1.0 / (i + 1.0) for i, j in enumerate(scales)}
+    )
+
+
+def _oracle_norm(steps, w: WeightFn, mu: float) -> float:
+    """The rearrangement-form norm from one weight_integral per step."""
+    total = math.fsum(
+        value**mu * weight_integral(w, mu, start, end)
+        for start, end, value in steps.pieces()
+    )
+    return total ** (1.0 / mu)
+
+
+@given(
+    st.floats(0.3, 8.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.3, 8.0),
+    # scales -20..40 put steps on both sides of t = 1, across it, and down
+    # to a few ulps of their start
+    st.lists(st.integers(-20, 40), min_size=1, max_size=40),
+)
+def test_weight_integrals_match_the_per_step_oracle(p, b, mu, scales):
+    w = WeightFn.power_log(p, b)
+    seq = _steps(scales)
+    steps = rearrange(seq, MeasureSpec(1.0))
+    got = weight_integrals(w, mu, steps.masses)
+    assert len(got) == len(steps.masses)
+    for (start, end, _), value in zip(steps.pieces(), got):
+        assert value == pytest.approx(weight_integral(w, mu, start, end), rel=1e-14)
+    params = LorentzParams(w, mu)
+    assert lorentz_norm(seq, MeasureSpec(1.0), params) == pytest.approx(
+        _oracle_norm(steps, w, mu), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("w", [WeightFn.power(0.5), WeightFn.power(3.0)])
+def test_weight_integrals_power_family_is_the_closed_form(w):
+    masses = [k / 7.0 for k in range(1, 40)]
+    starts = [0.0] + masses[:-1]
+    expected = [weight_integral(w, 1.3, a, b) for a, b in zip(starts, masses)]
+    assert weight_integrals(w, 1.3, masses) == expected
+
+
+def test_weight_integrals_of_no_steps():
+    assert weight_integrals(WeightFn.power_log(2.0, 0.5), 2.0, ()) == []
+
+
+def _counting_quad(monkeypatch) -> list[int]:
+    calls = [0]
+    quad = weights.quad
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1e-6, 1e3),  # one 21-point rule cannot span 20 e-folds on both sides
+        (3.0, 3.0 + 64 * math.ulp(3.0)),  # |resk - resg| is rounding noise
+    ],
+)
+def test_rejected_steps_are_the_scalar_results(monkeypatch, a, b):
+    w = WeightFn.power_log(1.5, -0.4)
+    calls = _counting_quad(monkeypatch)
+    got = weight_integrals(w, 2.5, (a, b))
+    first_step = 1 if a < 1.0 else 2
+    assert calls[0] > first_step  # quad ran on the second step
+    assert got[1] == weight_integral(w, 2.5, a, b)
+    assert got[0] == weight_integral(w, 2.5, 0.0, a)
+
+
+def test_powerlog_norm_quad_calls_do_not_grow_with_steps(monkeypatch):
+    """One quad call per step would make 1 001 and 8 001 calls here; the
+    batched pass leaves only the first step's."""
+    w = WeightFn.power_log(2.0, 0.5)
+    params = LorentzParams(w, 2.0)
+    counts = []
+    for n in (1000, 8000):
+        # scale-9 and scale-13 cubes: the steps' total mass crosses t = 1
+        seq = _steps([9 if i % 2 else 13 for i in range(n)])
+        calls = _counting_quad(monkeypatch)
+        lorentz_norm(seq, MeasureSpec(1.0), params)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 2
+
+
+@pytest.mark.parametrize("w", [WeightFn.power(0.5), WeightFn.power_log(0.5, 3.0)])
+def test_weight_integral_past_the_float_range(w):
+    with pytest.raises(ScaleRangeError):
+        weight_integral(w, 1.0, 0.0, 2.0**1000)
+    with pytest.raises(ScaleRangeError):
+        weight_integrals(w, 1.0, (1.0, 2.0**1000))
