@@ -81,7 +81,6 @@ class SigmaResult:
     error: float
     support: tuple[Cube, ...]
     certified: bool
-    mode: str
     nodes: int = 0
 
 
@@ -404,7 +403,7 @@ def sigma_exact(
     cubes, values = _sorted_entries(s)
     n = len(cubes)
     if n == 0:
-        return SigmaResult(0.0, (), True, mode)
+        return SigmaResult(0.0, (), True)
     masses = [params.measure(q) for q in cubes]
     additive = _is_additive(params.space)
     if mode == "brute":
@@ -448,7 +447,7 @@ def sigma_exact(
         raise ContractViolationError("mode must be 'brute' or 'knapsack'")
     support = tuple(sorted(support, key=_CUBE_KEY))
     error = space_norm(s.without(support), params.space)
-    return SigmaResult(error, support, certified, mode, nodes)
+    return SigmaResult(error, support, certified, nodes)
 
 
 def sigma_greedy(
@@ -472,7 +471,7 @@ def sigma_greedy(
             kept_mass.add(mass)
     support = tuple(sorted(kept, key=_CUBE_KEY))
     error = space_norm(s.without(support), params.space)
-    return SigmaResult(error, support, certified=False, mode="greedy")
+    return SigmaResult(error, support, certified=False)
 
 
 def sigma_profile(

@@ -28,8 +28,9 @@ command-line seed overrides the config seed; the committed default is
 rows sorted by id; the wall-time column is last so byte comparison modulo
 that column is a plain text diff.
 
-Exit codes: 0 — success, all property rows pass; 1 — at least one property
-row failed; 2 — usage, config, or parameter error.
+Exit codes: 0 — success, no report row has status ``fail``; 1 — at least one
+row failed; 2 — usage, config, or parameter error.  The status is read from
+the report's rows, the same count the summary line prints.
 """
 
 from __future__ import annotations
@@ -50,13 +51,8 @@ from .approx import (
     sigma_greedy,
     sigma_profile,
 )
-from .democracy import (
-    DemocracyCase,
-    GammaFamily,
-    predicted_admissible,
-    democracy_value,
-)
-from .dyadic import Cube, MeasureSpec, nu_measure, pow2
+from .democracy import DemocracyCase, GammaFamily, predicted_admissible
+from .dyadic import Cube, MeasureSpec
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -69,12 +65,16 @@ from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow, failure_count, format_number, write_report
 from .spaces import SpaceParams, space_norm
 from .verify import (
+    CLOSED_FORM_TOL,
     DEFAULT_SEED,
-    _rel_err,
+    DRIFT_BOUND,
+    closed_form_checks,
     comparison_suites,
+    drift,
     lorentz_besov_draws,
     results_to_rows,
     run_all,
+    sandwich,
 )
 from .weights import WeightFn
 
@@ -224,6 +224,9 @@ def read_sequence(path: str | Path) -> CoeffSeq:
     return CoeffSeq(entries)
 
 
+_SOLVERS = ("greedy", "knapsack", "brute")
+
+
 def _space_from(cfg: Settings, d: int, *, kind_default: str = "tl") -> SpaceParams:
     kind = cfg.get_choice("kind", kind_default, ("tl", "besov"))
     allow_inf_p = kind == "besov"
@@ -237,13 +240,11 @@ def _space_from(cfg: Settings, d: int, *, kind_default: str = "tl") -> SpacePara
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers; each returns (rows, n_property_failures)
+# subcommand handlers; each returns its report rows
 # --------------------------------------------------------------------------
 
-_RowsAndFailures = tuple[list[ReportRow], int]
 
-
-def run_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures:
+def run_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> list[ReportRow]:
     del seed  # fully determined by the input file and config
     space = _space_from(cfg, seq.d)
     besov = SpaceParams(space.s, space.p, space.q, seq.d, "besov")
@@ -260,9 +261,9 @@ def run_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures:
         space,
         measure,
     )
-    solver = cfg.get_choice("solver", "greedy", ("greedy", "knapsack", "brute"))
+    solver = cfg.get_choice("solver", "greedy", _SOLVERS)
     space_desc = f"s={space.s:g} p={space.p:g} q={space.q:g} d={seq.d}"
-    rows = [
+    return [
         ReportRow(
             "norm/aggregated",
             space_desc,
@@ -290,22 +291,21 @@ def run_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures:
             format_number(approx_norm(seq, approx, solver)),
         ),
     ]
-    return rows, 0
 
 
-def run_sigma(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures:
+def run_sigma(seq: CoeffSeq, cfg: Settings, seed: int) -> list[ReportRow]:
     del seed
     space = _space_from(cfg, seq.d)
     measure = MeasureSpec(cfg.get_float("alpha", 1.0, lo=-16.0, hi=16.0))
     params = ApproxParams(1.0, 1.0, space, measure)
     budget = cfg.get_float("budget", 1.0, lo=0.0)
-    solver = cfg.get_choice("solver", "greedy", ("greedy", "knapsack", "brute"))
+    solver = cfg.get_choice("solver", "greedy", _SOLVERS)
     if solver == "greedy":
         result = sigma_greedy(seq, budget, params)
     else:
         result = sigma_exact(seq, budget, params, mode=solver)
     desc = f"budget={budget:g} solver={solver}"
-    rows = [
+    return [
         ReportRow("sigma/error", desc, "error", format_number(result.error)),
         ReportRow(
             "sigma/certified", desc, "certified", "1" if result.certified else "0"
@@ -317,60 +317,39 @@ def run_sigma(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures:
             "; ".join(str(c) for c in result.support),
         ),
     ]
-    return rows, 0
 
 
-def run_approx_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> _RowsAndFailures:
+def run_approx_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> list[ReportRow]:
     del seed
     space = _space_from(cfg, seq.d)
     measure = MeasureSpec(cfg.get_float("alpha", 1.0, lo=-16.0, hi=16.0))
     xi = cfg.get_float("xi", 0.5, lo=1e-6, hi=16.0)
     mu = cfg.get_float("mu", 2.0, lo=0.01, allow_inf=True)
     params = ApproxParams(xi, mu, space, measure)
-    solver = cfg.get_choice("solver", "greedy", ("greedy", "knapsack", "brute"))
-    profile = sigma_profile(seq, params, solver)
-    integral = profile.norm(xi, mu)
-    dyadic = profile.norm_dyadic(xi, mu)
+    solver = cfg.get_choice("solver", "greedy", _SOLVERS)
+    check = sandwich(sigma_profile(seq, params, solver), xi, mu)
     desc = f"xi={xi:g} mu={mu:g} solver={solver}"
-    rows = [
-        ReportRow("approx-norm/integral", desc, "norm", format_number(integral)),
-        ReportRow("approx-norm/dyadic", desc, "norm", format_number(dyadic)),
-    ]
-    failures = 0
-    ratio = integral / dyadic if dyadic > 0 else math.nan
-    # The two-sided window is guaranteed when the combined exponent xi*mu is
-    # at least 1 (always, for the sup form); below that the lower constant
-    # degrades and the row is informational only.
-    checkable = math.isinf(mu) or xi * mu >= 1.0
-    lo, hi = pow2(-xi) * (1 - 1e-9), pow2(xi) * (1 + 1e-9)
-    if checkable:
-        ok = dyadic > 0 and lo <= ratio <= hi
-        failures += 0 if ok else 1
-        rows.append(
-            ReportRow(
-                "approx-norm/sandwich",
-                "approx:integral-dyadic-sandwich",
-                "ratio",
-                format_number(ratio),
-                status="pass" if ok else "fail",
-                tolerance=f"within [2^-xi, 2^xi] = [{lo:.6g}, {hi:.6g}]",
-            )
-        )
+    # Below xi*mu = 1 the lower constant degrades: the row is informational.
+    if check.guaranteed:
+        status = "pass" if check.ok else "fail"
+        tolerance = f"within [2^-xi, 2^xi] = [{check.lo:.6g}, {check.hi:.6g}]"
     else:
-        rows.append(
-            ReportRow(
-                "approx-norm/sandwich",
-                "approx:integral-dyadic-sandwich",
-                "ratio",
-                format_number(ratio),
-                status="info",
-                tolerance="window not guaranteed for xi*mu < 1",
-            )
-        )
-    return rows, failures
+        status, tolerance = "info", "window not guaranteed for xi*mu < 1"
+    return [
+        ReportRow("approx-norm/integral", desc, "norm", format_number(check.integral)),
+        ReportRow("approx-norm/dyadic", desc, "norm", format_number(check.dyadic)),
+        ReportRow(
+            "approx-norm/sandwich",
+            "approx:integral-dyadic-sandwich",
+            "ratio",
+            format_number(check.ratio),
+            status=status,
+            tolerance=tolerance,
+        ),
+    ]
 
 
-def run_democracy(cfg: Settings, seed: int) -> _RowsAndFailures:
+def run_democracy(cfg: Settings, seed: int) -> list[ReportRow]:
     del seed
     d = cfg.get_int("d", 1, lo=1, hi=3)
     f1 = SpaceParams(
@@ -401,23 +380,14 @@ def run_democracy(cfg: Settings, seed: int) -> _RowsAndFailures:
             tolerance=adm.reason,
         )
     ]
-    failures = 0
-    tol = 1e-9
     for tag in ("grid", "tower", "row"):
         for n in (1, 2, 4, 8):
             l_values = (1, 2, 4) if tag == "grid" else (1,)
             for l_val in l_values:
                 fam = GammaFamily(tag, n, L=l_val, d=d)
-                cubes = fam.generate()
                 suffix = f"-L{l_val}" if tag == "grid" else ""
                 base_id = f"democracy/{tag}-N{n}{suffix}"
-                checks = (
-                    ("value", democracy_value(cubes, case), fam.closed_form_value(case)),
-                    ("mass", nu_measure(cubes, case.measure), fam.closed_form_mass(formula)),
-                )
-                for metric, got, want in checks:
-                    ok = _rel_err(got, want) <= tol
-                    failures += 0 if ok else 1
+                for metric, got, want, ok in closed_form_checks(fam, case, formula):
                     rows.append(
                         ReportRow(
                             f"{base_id}/{metric}",
@@ -425,20 +395,15 @@ def run_democracy(cfg: Settings, seed: int) -> _RowsAndFailures:
                             metric,
                             format_number(got),
                             status="pass" if ok else "fail",
-                            tolerance=f"rel<=1e-9 want={format_number(want)}",
+                            tolerance=f"rel<={CLOSED_FORM_TOL} "
+                            f"want={format_number(want)}",
                         )
                     )
-    return rows, failures
+    return rows
 
 
-def _run_constant(name: str, cfg: Settings, seed: int) -> _RowsAndFailures:
-    space = SpaceParams(
-        cfg.get_float("s", 0.0, lo=-64.0, hi=64.0),
-        cfg.get_float("p", 2.0, lo=0.01),
-        cfg.get_float("q", 2.0, lo=0.01, allow_inf=True),
-        1,
-        "tl",
-    )
+def _run_constant(name: str, cfg: Settings, seed: int) -> list[ReportRow]:
+    space = _space_from(cfg, 1)
     params = ApproxParams(
         cfg.get_float("xi", 0.5, lo=1e-6, hi=16.0),
         cfg.get_float("mu", math.inf, lo=0.01, allow_inf=True),
@@ -464,48 +429,42 @@ def _run_constant(name: str, cfg: Settings, seed: int) -> _RowsAndFailures:
                 format_number(value),
             )
         )
-    drift = max(constants) / min(constants)
-    ok = math.isfinite(drift) and drift < 4.0
+    ratio, ok = drift(constants)
     rows.append(
         ReportRow(
             f"{name}/drift",
             "constants:drift",
             "max/min",
-            format_number(drift),
+            format_number(ratio),
             status="pass" if ok else "fail",
-            tolerance="x<4 across sizes 16/32/64",
+            tolerance=f"x<{DRIFT_BOUND:g} across sizes 16/32/64",
         )
     )
-    return rows, 0 if ok else 1
+    return rows
 
 
-def run_lorentz_besov(cfg: Settings, seed: int) -> _RowsAndFailures:
+def run_lorentz_besov(cfg: Settings, seed: int) -> list[ReportRow]:
     draws = cfg.get_int("draws", 50, lo=1, hi=500)
-    rows = []
-    failures = 0
     draw_checks = lorentz_besov_draws(seed, 104, draws)
-    for i, (tau, d, alpha, gamma, gap, ok) in enumerate(draw_checks):
-        failures += 0 if ok else 1
-        rows.append(
-            ReportRow(
-                f"lorentz-besov/draw-{i:03d}",
-                f"tau={tau:g} d={d} alpha={alpha:.6g} gamma={gamma:.6g}",
-                "relative-gap",
-                format_number(gap),
-                status="pass" if ok else "fail",
-                tolerance="lorentz-besov:identity rel<=1e-10",
-            )
+    return [
+        ReportRow(
+            f"lorentz-besov/draw-{i:03d}",
+            f"tau={tau:g} d={d} alpha={alpha:.6g} gamma={gamma:.6g}",
+            "relative-gap",
+            format_number(gap),
+            status="pass" if ok else "fail",
+            tolerance="lorentz-besov:identity rel<=1e-10",
         )
-    return rows, failures
+        for i, (tau, d, alpha, gamma, gap, ok) in enumerate(draw_checks)
+    ]
 
 
-def run_verify_all(cfg: Settings, seed: int) -> _RowsAndFailures:
+def run_verify_all(cfg: Settings, seed: int) -> list[ReportRow]:
     alpha_perturb = cfg.get_float("alpha_perturb", 0.0, lo=-8.0, hi=8.0)
     results = run_all(seed, alpha_perturb)
     for result in results:
         print(result.line())
-    rows = results_to_rows(results)
-    return rows, sum(0 if r.passed else 1 for r in results)
+    return results_to_rows(results)
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +476,7 @@ class _Command(NamedTuple):
     """A subcommand's handler, whether it reads an input file (passed to the
     handler first), and the config keys it accepts besides ``seed``."""
 
-    run: Callable[..., _RowsAndFailures]
+    run: Callable[..., list[ReportRow]]
     takes_input: bool
     keys: frozenset[str]
 
@@ -584,13 +543,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         seed = cfg.get_seed(ns.seed)
         inputs = (read_sequence(ns.input),) if command.takes_input else ()
-        rows, failures = command.run(*inputs, cfg, seed)
+        rows = command.run(*inputs, cfg, seed)
         path = write_report(rows, ns.out, ns.command, ns.format)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    recorded_failures = failure_count(rows)
-    print(f"{len(rows)} rows -> {path} ({recorded_failures} failing)")
+    failures = failure_count(rows)
+    print(f"{len(rows)} rows -> {path} ({failures} failing)")
     return 1 if failures else 0
 
 

@@ -13,8 +13,10 @@ suites fail, which doubles as a self-test of the harness.
 
 The command-line ``lorentz-besov``, ``jackson`` and ``bernstein`` subcommands
 draw their instances from this module too (``lorentz_besov_draws`` and
-``comparison_suites``, under their own RNG salts), so each of those checks has
-one implementation.
+``comparison_suites``, under their own RNG salts), and the ``approx-norm``,
+``democracy``, ``jackson`` and ``bernstein`` reports make their checks through
+``sandwich``, ``closed_form_checks`` and ``drift``, so each check has one
+implementation, window, tolerance and bound.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .approx import (
     ApproxParams,
+    SigmaProfile,
     approx_norm,
     bernstein_constant,
     decompose,
@@ -63,6 +66,13 @@ __all__ = [
 ] + [f"criterion_{k}" for k in range(1, 11)]
 
 DEFAULT_SEED = 17
+
+# Relative tolerance of the democracy closed-form checks, as printed.
+CLOSED_FORM_TOL = "1e-9"
+# Jackson and Bernstein constants must stay within this factor across sizes.
+DRIFT_BOUND = 4.0
+# Relative rounding slack on both ends of the sandwich window [2^-xi, 2^xi].
+_SANDWICH_SLACK = 1e-9
 
 # Recorded equivalence bounds for the decomposition score against the
 # budget-weighted norm (criterion 8), fixed for xi = 0.5, mu = 1.  Frozen from
@@ -121,6 +131,55 @@ def comparison_suites(seed: int, salt: int) -> list[tuple[int, list[CoeffSeq]]]:
     ]
 
 
+class Sandwich(NamedTuple):
+    """The integral and dyadic budget aggregates of one profile, their ratio,
+    the window [lo, hi] around [2^-xi, 2^xi], and whether the ratio is in it.
+    The window is guaranteed only when mu is infinite or xi*mu >= 1."""
+
+    integral: float
+    dyadic: float
+    ratio: float
+    lo: float
+    hi: float
+    ok: bool
+    guaranteed: bool
+
+
+def sandwich(profile: SigmaProfile, xi: float, mu: float) -> Sandwich:
+    """The integral / dyadic aggregate sandwich of ``profile`` at (xi, mu)."""
+    integral = profile.norm(xi, mu)
+    dyadic = profile.norm_dyadic(xi, mu)
+    ratio = integral / dyadic if dyadic > 0 else math.nan
+    lo = pow2(-xi) * (1 - _SANDWICH_SLACK)
+    hi = pow2(xi) * (1 + _SANDWICH_SLACK)
+    ok = dyadic > 0 and lo <= ratio <= hi
+    guaranteed = math.isinf(mu) or xi * mu >= 1.0
+    return Sandwich(integral, dyadic, ratio, lo, hi, ok, guaranteed)
+
+
+def closed_form_checks(
+    fam: GammaFamily, case: DemocracyCase, mass_alpha: float | None = None
+) -> Iterator[tuple[str, float, float, bool]]:
+    """``(metric, got, want, ok)`` for the family's democracy value and, when
+    ``mass_alpha`` is given, its mass under ``case.measure`` against the
+    closed form at exponent ``mass_alpha``; ok when the relative error is at
+    most ``CLOSED_FORM_TOL``."""
+    cubes = fam.generate()
+    checks = [("value", democracy_value(cubes, case), fam.closed_form_value(case))]
+    if mass_alpha is not None:
+        mass = nu_measure(cubes, case.measure)
+        checks.append(("mass", mass, fam.closed_form_mass(mass_alpha)))
+    for metric, got, want in checks:
+        yield metric, got, want, _rel_err(got, want) <= float(CLOSED_FORM_TOL)
+
+
+def drift(constants: list[float]) -> tuple[float, bool]:
+    """max/min of comparison constants across suite sizes, and whether it is
+    finite and below ``DRIFT_BOUND``."""
+    value = max(constants) / min(constants)
+    return value, math.isfinite(value) and value < DRIFT_BOUND
+
+
 def _shrunk(rng: np.random.Generator, seq: CoeffSeq) -> CoeffSeq:
     """Entrywise |result| <= |seq|: each entry scaled into [0, 1], some zeroed."""
     entries = {}
@@ -171,6 +230,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_2(seed: int = DEFAULT_SEED, alpha_perturb: float = 0.0) -> CriterionResult:
     del seed  # fully deterministic: fixed parameter sets and family sizes
     worst = 0.0
+    failures = 0
     base_params = [
         dict(s1=0.3, p1=1.5, q1=2.2, s2=0.8, p2=2.5, q2=3.0),
         dict(s1=-0.4, p1=2.0, q1=2.0, s2=0.2, p2=1.3, q2=1.8),
@@ -184,14 +244,9 @@ def criterion_2(seed: int = DEFAULT_SEED, alpha_perturb: float = 0.0) -> Criteri
             for n in (1, 2, 4, 8):
                 for L in (1, 2, 4):
                     fam = GammaFamily("grid", n, L=L, d=d)
-                    cubes = fam.generate()
-                    value = democracy_value(cubes, case)
-                    mass = nu_measure(cubes, case.measure)
-                    worst = max(
-                        worst,
-                        _rel_err(value, fam.closed_form_value(case)),
-                        _rel_err(mass, fam.closed_form_mass(alpha0)),
-                    )
+                    for _, got, want, ok in closed_form_checks(fam, case, alpha0):
+                        worst = max(worst, _rel_err(got, want))
+                        failures += 0 if ok else 1
     for d in (1, 2):
         for p1, q1 in ((1.7, 1.7), (1.2, 2.8)):
             s1, p2 = 0.25, 2.0
@@ -201,13 +256,15 @@ def criterion_2(seed: int = DEFAULT_SEED, alpha_perturb: float = 0.0) -> Criteri
             for n in (1, 2, 4, 8):
                 for tag in ("tower", "row"):
                     fam = GammaFamily(tag, n, d=d)
-                    value = democracy_value(fam.generate(), case)
-                    worst = max(worst, _rel_err(value, fam.closed_form_value(case)))
+                    for _, got, want, ok in closed_form_checks(fam, case):
+                        worst = max(worst, _rel_err(got, want))
+                        failures += 0 if ok else 1
     return CriterionResult(
         2,
         "democracy values and masses match the family closed forms",
-        worst <= 1e-9,
-        f"grids, towers, rows; worst relative error {worst:.3e} (tolerance 1e-9)",
+        failures == 0,
+        f"grids, towers, rows; worst relative error {worst:.3e} "
+        f"(tolerance {CLOSED_FORM_TOL})",
         "democracy:closed-form",
     )
 
@@ -384,11 +441,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
             mu = float(rng.uniform(0.5, 4.0))
             xi = x / mu
         params = ApproxParams(xi, mu, space, MeasureSpec(float(rng.uniform(-1, 1))))
-        profile = sigma_profile(seq, params, "greedy")
-        integral = profile.norm(xi, mu)
-        dyadic = profile.norm_dyadic(xi, mu)
-        ratio = integral / dyadic
-        if not pow2(-xi) * (1 - 1e-9) <= ratio <= pow2(xi) * (1 + 1e-9):
+        if not sandwich(sigma_profile(seq, params, "greedy"), xi, mu).ok:
             sandwich_failures += 1
     worst_atom = 0.0
     for i in range(30):
@@ -443,8 +496,8 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         jacks.append(jackson_constant(suite, matched, lorentz_params))
         berns.append(bernstein_constant(suite, matched, lorentz_params))
     finite = all(math.isfinite(v) and v > 0 for v in jacks + berns)
-    drift_j = max(jacks) / min(jacks)
-    drift_b = max(berns) / min(berns)
+    drift_j, flat_j = drift(jacks)
+    drift_b, flat_b = drift(berns)
     j_ctrl = [
         jackson_constant(
             [_padded_tower(n)],
@@ -464,12 +517,13 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     controls_grow = (
         j_ctrl[0] < j_ctrl[1] < j_ctrl[2] and b_ctrl[0] < b_ctrl[1] < b_ctrl[2]
     )
-    passed = finite and drift_j < 4.0 and drift_b < 4.0 and controls_grow
+    passed = finite and flat_j and flat_b and controls_grow
     return CriterionResult(
         7,
         "comparison constants stay flat when matched and grow when not",
         passed,
-        f"sizes 16/32/64: drift x{drift_j:.2f} and x{drift_b:.2f} (< 4); "
+        f"sizes 16/32/64: drift x{drift_j:.2f} and x{drift_b:.2f} "
+        f"(< {DRIFT_BOUND:g}); "
         f"mismatched controls {['%.2f' % v for v in j_ctrl]} and "
         f"{['%.2f' % v for v in b_ctrl]} strictly increasing: {controls_grow}",
         "constants:drift",

@@ -306,14 +306,6 @@ def weight_sup_on_interval(w: WeightFn, a: float, b: float) -> float:
     return max(w.value(t) for t in candidates if a <= t <= b)
 
 
-def _max_dilation_on(w: WeightFn, lo: float, hi: float) -> float:
-    """max of M over [lo, hi]; M of (p, b) is the weight (p, |b|)."""
-    if w.family == "power":
-        return w.dilation_closed_form(hi)
-    twin = WeightFn.power_log(w.p, abs(w.b))
-    return weight_sup_on_interval(twin, lo, hi)
-
-
 def _log_pieces(a: float, b: float) -> list[tuple[float, float, float]]:
     """The x-intervals of [a, b] on either side of t = 1, as (sign, x_lo, x_hi).
 
@@ -337,8 +329,12 @@ def _quad_piece(rate: float, bm: float, lo: float, hi: float) -> float:
     def f(x: float) -> float:
         return math.exp(rate * x) * (1.0 + x) ** bm
 
+    # full_output returns quad's warning text instead of printing it; the
+    # error and finiteness checks below decide alone.
     try:
-        val, err = quad(f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
+        val, err = quad(
+            f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=400, full_output=1
+        )[:2]
     except OverflowError:
         raise ScaleRangeError(_INTEGRAL_RANGE) from None
     if not math.isfinite(val):
@@ -514,46 +510,18 @@ def _check_mu(mu: float) -> None:
         raise ContractViolationError("mu must be finite and > 0")
 
 
-def smoothed_weight(w: WeightFn, t: float, tol: float = 1e-10) -> float:
-    """g(t) = integral over (0, t] of eta(s)/s ds, to relative accuracy tol.
+def smoothed_weight(w: WeightFn, t: float) -> float:
+    """g(t) = integral over (0, t] of eta(s)/s ds.
 
-    The power family has the closed form p * t^(1/p).  Otherwise the integral
-    is accumulated over the dyadic-in-s0 subintervals [s0^(j+1) t, s0^j t]
-    until the geometric tail bound (via the contracting dilation) drops below
-    tolerance.
+    The power family has the closed form p * t^(1/p).  Power-log weights take
+    the weight integral of eta^1 over [0, t], one adaptive quadrature per
+    side of s = 1 after the substitutions of :func:`_log_pieces`.
     """
     if t <= 0:
         raise ContractViolationError("t must be > 0")
-    if tol <= 0:
-        raise ContractViolationError("tol must be > 0")
     if w.family == "power":
         return w.p * t**w.power_exponent
-    cert = w.certified_contraction
-    if cert is None:
-        raise CapabilityError(
-            f"{w.spec_string()} has no certified contracting dilation step"
-        )
-    s0, delta = cert
-    # eta(u) for u in [s0^(j+1) t, s0^j t] is at most delta^j * K * eta(t)
-    # where K bounds M on [s0, 1]; each subinterval then contributes at most
-    # delta^j * K * eta(t) * log(1/s0), a geometric tail.
-    k_factor = _max_dilation_on(w, s0, 1.0)
-    tail_unit = w.value(t) * math.log(1.0 / s0) * k_factor / (1.0 - delta)
-    total = 0.0
-    max_pieces = 10_000
-    for j in range(max_pieces):
-        hi = (s0**j) * t
-        lo = s0 * hi
-        if hi == 0.0:
-            return total
-        total += _segment_integral(w, 1.0, lo, hi)
-        tail = delta ** (j + 1) * tail_unit
-        if total > 0 and tail <= tol * total:
-            return total
-    raise QuadratureError(
-        "smoothing integral tail did not fall below tolerance",
-        achieved=tail / total if total else math.inf,
-    )
+    return _segment_integral(w, 1.0, 0.0, t)
 
 
 def boyd_lower_index(w: WeightFn, t_min: float) -> float:

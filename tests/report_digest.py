@@ -4,13 +4,16 @@ Usage:  PYTHONPATH=src python3 tests/report_digest.py
 
 Runs every subcommand at ``--seed 17`` and ``--seed 3`` with ``--format
 json`` (the commands that read a sequence read ``fixtures/sample.seq``),
-then ``sigma``, ``approx-norm`` and ``norm`` on that file under the configs
-in ``CONFIGS`` (exact solvers, mu = inf, q = inf, greedy profiles of the
-per-scale norm, and power-log Lorentz weights), written to a temporary directory.  Each run drops the
-``wall_time_s`` column and prints the exit code, the SHA-256 of the remaining
-report and the command's stdout with the report directory replaced by
-``<out>``.  Two versions whose outputs are equal line
-for line wrote byte-identical reports modulo wall time.
+then the runs in ``CONFIGS`` at ``--seed 17``: ``sigma``, ``approx-norm`` and
+``norm`` on that file (exact solvers, mu = inf, q = inf, greedy profiles of
+the per-scale norm, power-log Lorentz weights, and an informational
+sandwich row at xi*mu < 1), and ``democracy`` and ``verify-all`` with a
+perturbed measure exponent, whose reports hold failing rows (exit 1).  All
+reports go to a temporary directory.  Each run drops the ``wall_time_s``
+column and prints the exit code, the SHA-256 of the remaining report and the
+command's stdout with the report directory replaced by ``<out>``.  Two
+versions whose outputs are equal line for line wrote byte-identical reports
+modulo wall time, and exited alike.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from restapprox.cli import _COMMANDS, main
 
 SAMPLE = str(Path(__file__).resolve().parent.parent / "fixtures" / "sample.seq")
 SEEDS = (17, 3)
-# (command, config name, config text) of the runs on SAMPLE under a config.
+# (command, config name, config text) of the runs under a config.
 CONFIGS = (
     ("sigma", "knapsack", "budget = 1.25\nsolver = knapsack\n"),
     ("sigma", "brute", "budget = 1.25\nsolver = brute\n"),
@@ -41,6 +44,9 @@ CONFIGS = (
     ("norm", "powerlog", "eta = powerlog:p=2,b=0.5\n"),
     ("norm", "powerlog-mu3", "eta = powerlog:p=1.5,b=-0.4\nmu = 3\n"),
     ("norm", "powerlog-mu-inf", "eta = powerlog:p=2,b=0.5\nmu = inf\n"),
+    ("approx-norm", "xi-0.3", "xi = 0.3\n"),
+    ("democracy", "perturbed", "alpha_perturb = 0.05\n"),
+    ("verify-all", "perturbed", "alpha_perturb = 0.1\n"),
 )
 
 

@@ -7,9 +7,21 @@ tests/test_acceptance.py -s`` to see the verdict lines on the terminal.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from restapprox import verify
+from restapprox import (
+    ApproxParams,
+    CoeffSeq,
+    Cube,
+    DemocracyCase,
+    GammaFamily,
+    MeasureSpec,
+    SpaceParams,
+    sigma_profile,
+    verify,
+)
 from restapprox.verify import DEFAULT_SEED
 
 _CRITERIA = [
@@ -62,3 +74,38 @@ def test_injected_drift_is_detected():
     results = verify.run_all(DEFAULT_SEED, alpha_perturb=0.1)
     failed = [r.cid for r in results if not r.passed]
     assert failed == [2]
+
+
+def test_shared_checks_decide_at_their_bounds():
+    """The drift, sandwich and closed-form checks that the criteria and the
+    command-line reports both read."""
+    assert verify.drift([2.0, 1.0, 3.5]) == (3.5, True)
+    assert verify.drift([1.0, verify.DRIFT_BOUND]) == (verify.DRIFT_BOUND, False)
+    assert not verify.drift([1.0, math.inf])[1]
+    seq = CoeffSeq({Cube(0, (0,)): 1.0, Cube(2, (1,)): -0.5, Cube(1, (3,)): 0.25})
+    space = SpaceParams(0.0, 2.0, 2.0, 1, "tl")
+    cases = ((0.5, 2.0, True), (0.5, math.inf, True), (0.3, 2.0, False))
+    for xi, mu, guaranteed in cases:
+        profile = sigma_profile(seq, ApproxParams(xi, mu, space, MeasureSpec(1.0)))
+        check = verify.sandwich(profile, xi, mu)
+        assert check.ratio == check.integral / check.dyadic
+        assert check.lo < 2.0**-xi < 2.0**xi < check.hi
+        assert check.guaranteed == guaranteed
+        assert check.ok == (check.lo <= check.ratio <= check.hi)
+    fam = GammaFamily("grid", 4, L=2, d=1)
+    f1 = SpaceParams(0.3, 1.5, 2.2, 1, "tl")
+    f2 = SpaceParams(0.8, 2.5, 3.0, 1, "tl")
+    formula = DemocracyCase(f1, f2, 1.0).formula_alpha
+    matched = DemocracyCase(f1, f2, formula)
+    checks = list(verify.closed_form_checks(fam, matched, formula))
+    assert [metric for metric, *_ in checks] == ["value", "mass"]
+    assert all(ok for *_, ok in checks)
+    # Off the matched exponent the value still meets its closed form, which
+    # follows the case, but the mass misses the one at the formula exponent.
+    perturbed = DemocracyCase(f1, f2, formula + 0.05)
+    checks = list(verify.closed_form_checks(fam, perturbed, formula))
+    assert [(metric, ok) for metric, _, _, ok in checks] == [
+        ("value", True),
+        ("mass", False),
+    ]
+    assert [m for m, *_ in verify.closed_form_checks(fam, perturbed)] == ["value"]

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from restapprox import (
     lorentz_norm,
     space_norm,
 )
-from restapprox.cli import load_config, main, read_sequence
+from restapprox.cli import _COMMANDS, load_config, main, read_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -377,3 +378,32 @@ def test_norm_past_the_float_range_is_a_typed_error(tmp_path, capsys, line, eta)
     assert main(argv) == 2
     assert "error: a weight integral exceeds the float range" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_norm_past_the_float_range_prints_only_the_error_line(tmp_path):
+    # quad reports roundoff on this integral; its warning must not reach
+    # stderr ahead of the typed error.
+    seq = tmp_path / "huge.seq"
+    seq.write_text("-500 0 1.0\n")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("eta = powerlog:p=0.5,b=3\nmu = 1\n")
+    command = [sys.executable, "-m", "restapprox", "norm", str(seq), "--config", str(cfg)]
+    result = _run_child([*command, "--out", str(tmp_path)], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == "error: a weight integral exceeds the float range\n"
+
+
+def test_readme_config_table_lists_every_commands_keys():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n\n|", 1)[1]
+    table = {}
+    for line in ("|" + section).split("\n\n", 1)[0].splitlines():
+        names, keys = line.strip("|").split("|")
+        if "`" not in names:
+            continue  # header and rule
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in table, f"{name} listed twice"
+            table[name] = frozenset(keys.strip().strip("`").split())
+    assert set(table) == set(_COMMANDS)
+    for name, command in _COMMANDS.items():
+        assert table[name] == command.keys, name

@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given
+from scipy import special
 from hypothesis import strategies as st
 
 from restapprox import (
@@ -199,6 +200,63 @@ def test_smoothed_weight_between_proof_constants():
             t = pow2(k)
             ratio = smoothed_weight(w, t) / w.value(t)
             assert c1 * (1 - 1e-9) <= ratio <= c2 * (1 + 1e-9)
+
+
+def _dyadic_piece_sum(w: WeightFn, t: float, tol: float = 1e-10) -> float:
+    """g(t) by the former dyadic-piece loop: weight integrals over
+    [s0^(j+1) t, s0^j t] until the geometric tail bound of the certified
+    contraction (s0, delta) drops below tol times the running total."""
+    s0, delta = w.certified_contraction
+    k_factor = weight_sup_on_interval(WeightFn.power_log(w.p, abs(w.b)), s0, 1.0)
+    tail_unit = w.value(t) * math.log(1.0 / s0) * k_factor / (1.0 - delta)
+    total = 0.0
+    j = 0
+    while True:
+        hi = (s0**j) * t
+        if hi == 0.0:
+            return total
+        total += weight_integral(w, 1.0, s0 * hi, hi)
+        if total > 0 and delta ** (j + 1) * tail_unit <= tol * total:
+            return total
+        j += 1
+
+
+def test_smoothed_weight_matches_the_dyadic_piece_sum():
+    families = [
+        WeightFn.power_log(p, b)
+        for p in (0.5, 1.0, 2.0, 3.0)
+        for b in (-1.0, -0.3, 0.25, 1.0)
+    ]
+    for w in families:
+        for k in range(-30, 31, 6):
+            t = pow2(k)
+            assert smoothed_weight(w, t) == pytest.approx(
+                _dyadic_piece_sum(w, t), rel=1e-9
+            )
+
+
+def test_smoothed_weight_power_closed_form():
+    for p in (0.5, 2.0, 3.0):
+        w = WeightFn.power(p)
+        for t in (pow2(-20), 0.3, 1.0, pow2(17)):
+            assert smoothed_weight(w, t) == w.p * t ** (1.0 / p)
+
+
+def test_smoothed_weight_needs_no_contraction_certificate():
+    # (1 + |log s|)^5 outgrows s^(1/8) on every dyadic step the scan tries.
+    w = WeightFn.power_log(8.0, 5.0)
+    assert w.certified_contraction is None
+    c, b = w.power_exponent, w.b
+    for k in (-40, -12, -3, 0):
+        t = pow2(k)
+        # x = -log s, y = 1 + x: g(t) = e^c c^-(b+1) Gamma(b+1, c(1 - log t)).
+        want = (
+            math.exp(c)
+            * c ** -(b + 1)
+            * special.gammaincc(b + 1, c * (1 - math.log(t)))
+            * special.gamma(b + 1)
+        )
+        assert smoothed_weight(w, t) == pytest.approx(want, rel=1e-10)
 
 
 def test_boyd_lower_index_power_exact():
