@@ -33,6 +33,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, VolumePowers, pow2
+from .dyadic import exact_ratio, scaled_ints
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
 from .spaces import SpaceParams, space_norm, suffix_norms
@@ -261,13 +262,6 @@ def _subset_errors(
             yield mass, space_norm(s.without(cubes[i] for i in chosen), space), mask
 
 
-def _scaled_ints(values: list[float]) -> tuple[list[int], int]:
-    """Finite floats as exact integer multiples of 1/den, one power of two den."""
-    ratios = [x.as_integer_ratio() for x in values]
-    den = max((d for _, d in ratios), default=1)
-    return [num * (den // d) for num, d in ratios], den
-
-
 def _pareto_frontier(masses: list[float], weights: list[float]) -> list[int]:
     """All Pareto-optimal (mass, captured-weight) subsets, mass-ascending.
 
@@ -278,8 +272,8 @@ def _pareto_frontier(masses: list[float], weights: list[float]) -> list[int]:
     bitmask is kept.  Returns bitmasks whose captured weights strictly
     increase with mass; the first is the empty set.
     """
-    mass_ints, _ = _scaled_ints(masses)
-    weight_ints, _ = _scaled_ints(weights)
+    mass_ints, _ = scaled_ints(masses)
+    weight_ints, _ = scaled_ints(weights)
     # Points (mass, -weight, mask) sort by mass up, weight down, mask up.
     front = [(0, 0, 0)]
     for i, (m, w) in enumerate(zip(mass_ints, weight_ints)):
@@ -307,31 +301,31 @@ def _dantzig_bound(masses: list[float], weights: list[float]):
     ``level`` on.
     """
     n = len(masses)
-    mass_ints, mass_den = _scaled_ints(masses)
+    mass_ints, mass_shift = scaled_ints(masses)
     mp = list(accumulate(mass_ints, initial=0))
     finite = [w if math.isfinite(w) else 0.0 for w in weights]
-    weight_ints, weight_den = _scaled_ints(finite)
+    weight_ints, weight_shift = scaled_ints(finite)
     wp = list(accumulate(weight_ints, initial=0))
     infinite = sum(map(math.isinf, weights))
 
     def bound(level: int, cur_mass: float, cur_w: float, budget: float) -> float:
         room = budget - cur_mass
-        # Items level..r-1 fit whole: their exact mass is at most room.
+        # Items level..r-1 fit whole: exact mass <= room floored to the mass grid.
         whole = 0.0
         r = level
         if masses[level] <= room:
-            num, den = room.as_integer_ratio()
-            r = bisect_right(mp, mp[level] + num * mass_den // den, level) - 1
+            num, shift = exact_ratio(room)
+            r = bisect_right(mp, mp[level] + (num << mass_shift >> shift), level) - 1
             if level < infinite:
                 whole = math.inf
             else:
                 try:
-                    whole = (wp[r] - wp[level]) / weight_den
+                    whole = (wp[r] - wp[level]) / (1 << weight_shift)
                 except OverflowError:
                     whole = math.inf
         value = cur_w + whole
         if r < n:
-            left = room - (mp[r] - mp[level]) / mass_den
+            left = room - (mp[r] - mp[level]) / (1 << mass_shift)
             value += weights[r] * (left / masses[r])
         # Summed item by item in floats, the same bound can exceed the exact
         # one by a relative 2^-52 per item; raising it by 2^-51 per remaining
@@ -400,6 +394,8 @@ def sigma_exact(
     """
     if not (budget >= 0 and math.isfinite(budget)):
         raise ContractViolationError("budget must be finite and >= 0")
+    if mode not in ("brute", "knapsack"):
+        raise ContractViolationError("mode must be 'brute' or 'knapsack'")
     cubes, values = _sorted_entries(s)
     n = len(cubes)
     if n == 0:
@@ -416,26 +412,19 @@ def sigma_exact(
             _, best_mask = _enumerate_best(
                 np.asarray(masses), np.asarray(weights), budget
             )
-            support = [cubes[i] for i in range(n) if best_mask >> i & 1]
-            nodes = 1 << n
         else:
             if n > _BRUTE_MAX_NONADDITIVE:
                 raise CapabilityError(
                     "brute mode with a non-additive error norm handles at most "
                     f"{_BRUTE_MAX_NONADDITIVE} cubes"
                 )
-            best_err = math.inf
-            best_mask = 0
-            for _, err, mask in _subset_errors(
-                s, cubes, masses, params.space, range(1 << n), budget
-            ):
-                if err < best_err:
-                    best_err = err
-                    best_mask = mask
-            support = [cubes[i] for i in range(n) if best_mask >> i & 1]
-            nodes = 1 << n
+            # The first least error: the empty set always fits, masks ascend.
+            subsets = _subset_errors(s, cubes, masses, params.space, range(1 << n), budget)
+            best_mask = min(subsets, key=lambda point: point[1])[2]
+        support = [cubes[i] for i in range(n) if best_mask >> i & 1]
+        nodes = 1 << n
         certified = True
-    elif mode == "knapsack":
+    else:
         if not additive:
             raise CapabilityError(
                 "knapsack mode requires an additive error norm (p == q < inf)"
@@ -443,8 +432,6 @@ def sigma_exact(
         weights = _additive_weights(cubes, values, params.space)
         _, chosen, certified, nodes = _branch_and_bound(masses, weights, budget)
         support = [cubes[i] for i in chosen]
-    else:
-        raise ContractViolationError("mode must be 'brute' or 'knapsack'")
     support = tuple(sorted(support, key=_CUBE_KEY))
     error = space_norm(s.without(support), params.space)
     return SigmaResult(error, support, certified, nodes)
@@ -490,6 +477,7 @@ def sigma_profile(
     bit for bit, from one pass over one containment forest: O(n * depth)
     instead of one norm per prefix.
     """
+    _check_solver(solver)
     cubes, values = _sorted_entries(s)
     n = len(cubes)
     if n == 0:
@@ -498,10 +486,9 @@ def sigma_profile(
     if solver == "greedy":
         order = _greedy_order(cubes, values, u)
         errors = suffix_norms(s, params.space, [cubes[i] for i in order])
-        prefix_mass = ExactSum()
-        raw = [(0.0, errors[0])]
-        raw += [(prefix_mass.add(masses[i]), err) for i, err in zip(order, errors[1:])]
-    elif solver in ("brute", "knapsack"):
+        ends = map(ExactSum().add, [masses[i] for i in order])  # prefix masses
+        raw = [(0.0, errors[0]), *zip(ends, errors[1:])]
+    else:
         if n > _BRUTE_MAX:
             raise CapabilityError(f"exact profiles handle at most {_BRUTE_MAX} cubes")
         if _is_additive(params.space):
@@ -519,9 +506,12 @@ def sigma_profile(
             (mass, err)
             for mass, err, _ in _subset_errors(s, cubes, masses, params.space, masks)
         ]
-    else:
-        raise ContractViolationError("solver must be 'greedy', 'brute', or 'knapsack'")
     return _lower_envelope(raw)
+
+
+def _check_solver(solver: str) -> None:
+    if solver not in ("greedy", "brute", "knapsack"):
+        raise ContractViolationError("solver must be 'greedy', 'brute', or 'knapsack'")
 
 
 def _lower_envelope(raw: list[tuple[float, float]]) -> SigmaProfile:
@@ -570,6 +560,7 @@ def decompose(
     that order; exact solvers take ``sigma_exact``'s support.  The score
     aggregates 2^(k xi) ||s_k|| with exponent mu.
     """
+    _check_solver(solver)
     cubes, values = _sorted_entries(s)
     if not cubes:
         return DecomposeResult((), 0.0)
@@ -589,8 +580,7 @@ def decompose(
     ks = range(k_lo + 1, k_hi + 1)
     if solver == "greedy":
         order = _greedy_order(cubes, values, u)
-        prefix_mass = ExactSum()
-        ends = [prefix_mass.add(masses[i]) for i in order]
+        ends = list(map(ExactSum().add, [masses[i] for i in order]))
         supports = [
             frozenset(cubes[i] for i in order[: bisect_right(ends, pow2(k - 1))])
             for k in ks
@@ -636,6 +626,7 @@ def jackson_constant(
     Greedy profiles overestimate sigma, so the returned constant is an upper
     bound for the true one; exact solvers give it exactly on small supports.
     """
+    _check_solver(solver)
     best = 0.0
     for s in suite:
         if not s:

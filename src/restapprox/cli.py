@@ -63,7 +63,7 @@ from .errors import (
 )
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow, failure_count, format_number, write_report
-from .spaces import SpaceParams, space_norm
+from .spaces import IDENTITY_TOL, SpaceParams, space_norm
 from .verify import (
     CLOSED_FORM_TOL,
     DEFAULT_SEED,
@@ -453,7 +453,7 @@ def run_lorentz_besov(cfg: Settings, seed: int) -> list[ReportRow]:
             "relative-gap",
             format_number(gap),
             status="pass" if ok else "fail",
-            tolerance="lorentz-besov:identity rel<=1e-10",
+            tolerance=f"lorentz-besov:identity rel<={IDENTITY_TOL:g}",
         )
         for i, (tau, d, alpha, gamma, gap, ok) in enumerate(draw_checks)
     ]

@@ -177,48 +177,65 @@ def nu_measure(cubes: Iterable[Cube], measure: MeasureSpec) -> float:
     return math.fsum(map(measure, cubes))
 
 
-class ExactSum:
-    """Running sum whose every value is rounded exactly as ``math.fsum``
-    rounds the terms added so far.
+def exact_ratio(x: float) -> tuple[int, int]:
+    """``(num, shift)`` with ``x == num / 2**shift`` exactly, least shift >= 0."""
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
 
-    The state is the list of non-overlapping partials that ``math.fsum``
-    keeps internally (Shewchuk 1997, *Adaptive Precision Floating-Point
-    Arithmetic*): adding a term grows them by one pass, and ``math.fsum`` of
-    the partials, whose exact sum is that of the terms, rounds it correctly.
-    For finite doubles there are at most about 40 partials, so a term costs
-    O(1) where re-summing the whole prefix costs O(n).  An inf or nan term, or
-    an overflow among the partials, sends every later value through
-    ``math.fsum`` of all the terms, which keeps its result or error.
+
+def scaled_ints(values: Iterable[float]) -> tuple[list[int], int]:
+    """Finite floats as exact ints over one ``2**shift``, the least that fits."""
+    ratios = list(map(exact_ratio, values))
+    shift = max((own for _, own in ratios), default=0)
+    return [num << (shift - own) for num, own in ratios], shift
+
+
+class ExactSum:
+    """Running sum whose value is the correctly rounded sum of the terms so
+    far: on finite terms, ``math.fsum`` of them bit for bit.
+
+    The finite part is one int over ``2**shift``, shift growing only as terms
+    need it, so adds are exact, the state is O(1) and int true division
+    rounds the value once.  As in fsum, inf and nan terms sum apart and give
+    the value, +inf with -inf raises ValueError, and each restarts the finite
+    part.  Once that part rounds outside the float range, this add and every
+    later one raise OverflowError.  Unlike fsum, whose "intermediate
+    overflow" follows its partials, a sum in range never raises: fsum raises
+    on ``[-(M - 2**971), 2**969, 2**968, 2**968, M]`` (M the largest float).
     """
 
     def __init__(self) -> None:
-        self._terms: list[float] = []
-        self._partials: list[float] | None = []
+        self._num, self._shift, self._den = 0, 0, 1  # the finite part, num / den
+        self._special = self._inf = 0.0  # sums of the inf and nan, inf terms
+        self._overflow = False
         self.value = 0.0
 
     def add(self, term: float) -> float:
-        """Add ``term``; return ``math.fsum`` of every term added so far."""
-        x = float(term)
-        self._terms.append(x)
-        if self._partials is not None:
-            partials: list[float] = []
-            for y in self._partials:
-                if abs(x) < abs(y):
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials.append(lo)
-                x = hi
-            if math.isfinite(x):
-                if x:
-                    partials.append(x)
-                self._partials = partials
-                self.value = math.fsum(partials)
-                return self.value
-            self._partials = None
-        self.value = math.fsum(self._terms)
-        return self.value
+        """Add ``term``; return the rounded sum of every term added so far."""
+        if math.isfinite(term):
+            num, shift = exact_ratio(term)
+            if shift > self._shift:
+                self._num = (self._num << (shift - self._shift)) + num
+                self._shift, self._den = shift, 1 << shift
+            else:
+                self._num += num << (self._shift - shift)
+        else:
+            self._num = 0
+            self._special += term
+            self._inf += term if math.isinf(term) else 0.0
+        try:
+            if self._overflow:
+                raise OverflowError("the exact sum exceeds the float range")
+            value = self._num / self._den
+        except OverflowError:
+            self._overflow = True
+            raise
+        if self._special:
+            if math.isnan(self._inf):
+                raise ValueError("-inf + inf in the exact sum")
+            value = self._special
+        self.value = value
+        return value
 
 
 def _capped_levels(cubes: Sequence[Cube]) -> dict[int, int]:

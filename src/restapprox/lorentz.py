@@ -238,17 +238,15 @@ def rearrange(
         if magnitude > 0:
             by_magnitude.setdefault(magnitude, []).append(measure(cube))
     total = ExactSum()
-    cumulative: list[float] = []
+    cumulative = [0.0]  # the start of the first step, dropped below
     values: list[float] = []
-    last = 0.0
     for magnitude in sorted(by_magnitude, reverse=True):
         for mass in by_magnitude[magnitude]:
             end = total.add(mass)
-        if end > last:
-            last = end
+        if end > cumulative[-1]:
             cumulative.append(end)
             values.append(magnitude)
-    return StepRearrangement(tuple(cumulative), tuple(values))
+    return StepRearrangement(tuple(cumulative[1:]), tuple(values))
 
 
 def distribution(

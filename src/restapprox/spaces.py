@@ -14,6 +14,7 @@ a per-scale norm under the matched parameter map.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _KINDS = ("tl", "besov")
+IDENTITY_TOL = 1e-10  # relative, of the Lorentz / per-scale norm identity
 
 
 def _recip(p: float) -> float:
@@ -254,8 +256,7 @@ def _tl_suffix_norms(
     present = [False] * n
     # The constants of each cube's two region terms in the running integral:
     # its own (+K|Q|) and its nearest present ancestor's (-K|Q|).
-    own = [0.0] * n
-    outer = [0.0] * n
+    own, outer = [0.0] * n, [0.0] * n
     integral = ExactSum()
     add = integral.add
     norms = [0.0] * (n + 1)
@@ -281,18 +282,13 @@ def _tl_suffix_norms(
                 if constant != own[y] or above != outer[y]:
                     q = cubes[y]
                     size = volume[q.j * q.d]
-                    if constant != own[y]:
-                        if own[y]:
-                            add(-own[y] * size)
-                        if constant:
-                            add(constant * size)
-                        own[y] = constant
-                    if above != outer[y]:
-                        if outer[y]:
-                            add(outer[y] * size)
-                        if above:
-                            add(-above * size)
-                        outer[y] = above
+                    for old, new in ((own[y], constant), (-outer[y], -above)):
+                        if old != new:
+                            if old:
+                                add(-old * size)
+                            if new:
+                                add(new * size)
+                    own[y], outer[y] = constant, above
             if not math.isfinite(integral.value):
                 raise ScaleRangeError(_INTEGRAL_RANGE)
             norms[c] = _tl_root(integral.value, params.p)
@@ -302,7 +298,6 @@ def _tl_suffix_norms(
         _tl_forest_norm(forest, values, exponent, params)
         if isinstance(error, ScaleRangeError):
             raise
-        # ExactSum re-sums every term when its partials overflow.
         raise ScaleRangeError(_INTEGRAL_RANGE) from None
     return norms
 
@@ -315,7 +310,7 @@ def _besov_suffix_norms(
     scale = VolumePowers(params.atom_exponent)
     scaled = {cube: scale(cube) * abs(value) for cube, value in s.items()}
     p, q = params.p, params.q
-    sums: dict[int, ExactSum] = {}
+    sums: defaultdict[int, ExactSum] = defaultdict(ExactSum)
     inner: dict[int, float] = {}  # per present scale
     terms: dict[int, float] = {}  # inner**q per present scale, for finite q
     across = ExactSum()
@@ -330,8 +325,6 @@ def _besov_suffix_norms(
             if math.isinf(p):
                 new = value if old is None else max(old, value)
             else:
-                if old is None:
-                    sums[j] = ExactSum()
                 new = sums[j].add(value**p) ** (1.0 / p)
             inner[j] = new
             if math.isinf(q):
@@ -347,7 +340,7 @@ def _besov_suffix_norms(
             if not (math.isfinite(new) and math.isfinite(total)):
                 raise ScaleRangeError(_SCALE_RANGE)
             norms[c] = total
-    except OverflowError:  # a power, or a partial of a sum
+    except OverflowError:  # a power, or a sum
         raise ScaleRangeError(_SCALE_RANGE) from None
     return norms
 
@@ -375,7 +368,7 @@ def lorentz_equals_besov_check(
     (tau, tau) equals the per-scale norm with smoothness
     gamma = s1 + d (1/tau - 1/p1)(1 - alpha) and inner = outer = tau.
 
-    Returns (lhs, rhs, ok) with ok true when the two agree to 1e-10 relative.
+    Returns (lhs, rhs, ok), ok when the two agree to ``IDENTITY_TOL`` relative.
     """
     if not tau > 0 or math.isinf(tau):
         raise ContractViolationError("tau must be finite and > 0")
@@ -390,5 +383,5 @@ def lorentz_equals_besov_check(
         LorentzParams(eta=WeightFn.power(tau), mu=tau, u=AtomWeights(f2)),
     )
     rhs = besov_norm(s, SpaceParams(gamma, tau, tau, d, kind="besov"))
-    ok = abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+    ok = abs(lhs - rhs) <= IDENTITY_TOL * max(abs(lhs), abs(rhs), 1.0)
     return lhs, rhs, ok

@@ -50,7 +50,7 @@ from .democracy import (
 from .dyadic import Cube, MeasureSpec, nu_measure, pow2
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow
-from .spaces import SpaceParams, lorentz_equals_besov_check, space_norm
+from .spaces import IDENTITY_TOL, SpaceParams, lorentz_equals_besov_check, space_norm
 from .weights import (
     WeightFn,
     boyd_lower_index,
@@ -73,6 +73,7 @@ CLOSED_FORM_TOL = "1e-9"
 DRIFT_BOUND = 4.0
 # Relative rounding slack on both ends of the sandwich window [2^-xi, 2^xi].
 _SANDWICH_SLACK = 1e-9
+_ATOM_TOL = 1e-10  # relative, of criterion 6's single-atom closed form
 
 # Recorded equivalence bounds for the decomposition score against the
 # budget-weighted norm (criterion 8), fixed for xi = 0.5, mu = 1.  Frozen from
@@ -370,7 +371,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         "weighted rearrangement norm equals the per-scale norm",
         failures == 0,
         f"50 draws over tau in {_TAUS}, worst relative gap {worst:.3e} "
-        "(tolerance 1e-10)",
+        f"(tolerance {IDENTITY_TOL:g})",
         "lorentz-besov:identity",
     )
 
@@ -466,13 +467,13 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         expected = atom_norm * mass**xi * factor
         got = approx_norm(CoeffSeq.unit(cube, c), params, "greedy")
         worst_atom = max(worst_atom, _rel_err(got, expected))
-    passed = sandwich_failures == 0 and worst_atom <= 1e-10
+    passed = sandwich_failures == 0 and worst_atom <= _ATOM_TOL
     return CriterionResult(
         6,
         "integral and dyadic budget aggregates sandwich; atom closed form",
         passed,
         f"100 profiles within [2^-xi, 2^xi] ({sandwich_failures} failures); "
-        f"30 atoms, worst relative error {worst_atom:.3e} (tolerance 1e-10)",
+        f"30 atoms, worst relative error {worst_atom:.3e} (tolerance {_ATOM_TOL:g})",
         "approx:integral-dyadic-sandwich",
     )
 

@@ -8,8 +8,11 @@ then the runs in ``CONFIGS`` at ``--seed 17``: ``sigma``, ``approx-norm`` and
 ``norm`` on that file (exact solvers, mu = inf, q = inf, greedy profiles of
 the per-scale norm, power-log Lorentz weights, and an informational
 sandwich row at xi*mu < 1), and ``democracy`` and ``verify-all`` with a
-perturbed measure exponent, whose reports hold failing rows (exit 1).  All
-reports go to a temporary directory.  Each run drops the ``wall_time_s``
+perturbed measure exponent, whose reports hold failing rows (exit 1).  Last
+come the runs in ``LARGE_CONFIGS`` at ``--seed 17`` on a generated sequence
+of 2 000 cubes (``large_sequence``), written to a temporary directory:
+greedy ``approx-norm`` profiles and a power-log ``norm``, whose running
+exact sums see thousands of terms.  All reports go to a temporary directory.  Each run drops the ``wall_time_s``
 column and prints the exit code, the SHA-256 of the remaining report and the
 command's stdout with the report directory replaced by ``<out>``.  Two
 versions whose outputs are equal line for line wrote byte-identical reports
@@ -22,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -48,11 +52,35 @@ CONFIGS = (
     ("democracy", "perturbed", "alpha_perturb = 0.05\n"),
     ("verify-all", "perturbed", "alpha_perturb = 0.1\n"),
 )
+# (command, config name, config text) of the runs on the generated sequence.
+LARGE_CONFIGS = (
+    ("approx-norm", "large-tl", "solver = greedy\np = 1.5\n"),
+    ("approx-norm", "large-tl-q-inf", "solver = greedy\np = 1.5\nq = inf\n"),
+    ("approx-norm", "large-besov", "solver = greedy\nkind = besov\np = 1.5\n"),
+    ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n"),
+)
 
 
-def digest(command: str, seed: int, config: tuple[str, str] | None = None) -> str:
+def large_sequence(n: int = 2000) -> str:
+    """``n`` distinct 1-d cubes over scales 0..14 with signed values spread
+    over six decades, as ``j k value`` lines; the same text on every run."""
+    rng = random.Random(2000)
+    entries: dict[tuple[int, int], float] = {}
+    while len(entries) < n:
+        j = rng.randint(0, 14)
+        value = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        entries[j, rng.randrange(1 << j)] = value
+    return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
+
+
+def digest(
+    command: str,
+    seed: int,
+    config: tuple[str, str] | None = None,
+    sequence: str = SAMPLE,
+) -> str:
     """One line: command, seed, config name, exit code, report digest, stdout."""
-    argv = [command] + ([SAMPLE] if _COMMANDS[command].takes_input else [])
+    argv = [command] + ([sequence] if _COMMANDS[command].takes_input else [])
     argv += ["--seed", str(seed), "--format", "json"]
     label = f"{command} seed={seed}"
     with tempfile.TemporaryDirectory() as out_dir:
@@ -84,3 +112,8 @@ if __name__ == "__main__":
             print(digest(command, seed), flush=True)
     for command, name, settings in CONFIGS:
         print(digest(command, SEEDS[0], (name, settings)), flush=True)
+    with tempfile.TemporaryDirectory() as work:
+        large = Path(work) / "large.seq"
+        large.write_text(large_sequence())
+        for command, name, settings in LARGE_CONFIGS:
+            print(digest(command, SEEDS[0], (name, settings), str(large)), flush=True)

@@ -342,6 +342,25 @@ def test_empty_sequence_aggregates():
     assert profile.errors == ()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, p: sigma_exact(s, 1.0, p, mode="magic"),
+        lambda s, p: sigma_profile(s, p, "magic"),
+        lambda s, p: decompose(s, p, "magic"),
+        lambda s, p: approx_norm(s, p, "magic"),
+        lambda s, p: approx_norm_dyadic(s, p, "magic"),
+        lambda s, p: jackson_constant([s], p, LorentzParams(WeightFn.power(2.0), 2.0), "magic"),
+    ],
+    ids=["sigma_exact", "sigma_profile", "decompose", "approx_norm",
+         "approx_norm_dyadic", "jackson_constant"],
+)
+@pytest.mark.parametrize("s", [CoeffSeq({}), HAND], ids=["empty", "hand"])
+def test_unknown_solver_is_rejected_before_the_empty_return(call, s):
+    with pytest.raises(ContractViolationError):
+        call(s, _params())
+
+
 def test_prefix_sums_stay_linear(monkeypatch):
     """rearrange and sigma_greedy hand math.fsum O(n) elements in all, where
     re-summing every prefix hands it about n^2/2; counted, not timed."""

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +260,14 @@ ADVERSARIAL_FLOATS = st.one_of(
 )
 
 
+WITH_SPECIALS = st.one_of(
+    ADVERSARIAL_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])
+)
+
+# The least magnitude that rounds past the largest float, to 2**1024.
+_PAST_FLOAT_RANGE = Fraction(2**1024 - 2**970)
+
+
 def _outcome(thunk):
     try:
         return repr(thunk())  # repr tells -0.0 from 0.0
@@ -264,15 +275,69 @@ def _outcome(thunk):
         return type(exc).__name__
 
 
+def _exact_outcome(xs: list[float]) -> str:
+    """ExactSum's contract, from Fractions: the finite part restarts at each
+    inf or nan, the sum overflows for good once that part reaches the edge of
+    the float range, and otherwise inf and nan terms give the value as in
+    fsum."""
+    finite, special, infs, overflow = Fraction(0), 0.0, 0.0, False
+    for x in xs:
+        if math.isfinite(x):
+            finite += Fraction(x)
+        else:
+            finite, special = Fraction(0), special + x
+            infs += x if math.isinf(x) else 0.0
+        overflow = overflow or abs(finite) >= _PAST_FLOAT_RANGE
+    if overflow:
+        return "OverflowError"
+    if special:
+        return "ValueError" if math.isnan(infs) else repr(special)
+    return repr(float(finite))  # int true division: correctly rounded
+
+
 def _assert_every_prefix_is_fsum(xs: list[float]) -> None:
+    """Every prefix's value or error is fsum's, except where fsum raises its
+    history-dependent "intermediate overflow": there the exact oracle, which
+    also raises when the sum since the last inf or nan ever left the range."""
     total = ExactSum()
     for i, x in enumerate(xs):
-        assert _outcome(lambda: total.add(x)) == _outcome(lambda: math.fsum(xs[: i + 1]))
+        want = _outcome(lambda: math.fsum(xs[: i + 1]))
+        if want == "OverflowError":
+            want = _exact_outcome(xs[: i + 1])
+        assert _outcome(lambda: total.add(x)) == want
 
 
 @given(st.lists(ADVERSARIAL_FLOATS, max_size=60))
 def test_exact_sum_rounds_every_prefix_as_fsum(xs):
     _assert_every_prefix_is_fsum(xs)
+
+
+@given(st.lists(WITH_SPECIALS, max_size=60))
+def test_exact_sum_keeps_fsum_inf_and_nan_rules(xs):
+    _assert_every_prefix_is_fsum(xs)
+
+
+def test_exact_sum_rounds_where_fsum_overflows_in_its_partials():
+    big = sys.float_info.max
+    xs = [-(big - 2.0**971), 2.0**969, 2.0**968, 2.0**968, big]
+    with pytest.raises(OverflowError):
+        math.fsum(xs)
+    assert _exact_outcome(xs) == repr(3 * 2.0**970)
+    _assert_every_prefix_is_fsum(xs)
+
+
+def test_exact_sum_memory_stays_flat():
+    """10^5 adds over 61 binades retain a few bytes, not one slot per term."""
+    total = ExactSum()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100_000):
+            total.add(math.ldexp(1.0 + i / 7, -(i % 61)))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096
 
 
 @pytest.mark.parametrize(
@@ -285,6 +350,10 @@ def test_exact_sum_rounds_every_prefix_as_fsum(xs):
         [-0.0, -0.0],
         [2.0**-900, 1.0, -1.0],
         [1e16, 1.0, 1.0, -1e16],
+        [math.inf, 1.7e308, 1.7e308],
+        [1.7e308, math.inf, 1.7e308],
+        [math.nan, 1.7e308, 1.7e308],
+        [math.inf, -math.inf, 1.7e308, 1.7e308],
     ],
 )
 def test_exact_sum_keeps_fsum_special_cases(xs):
