@@ -8,18 +8,19 @@ equal inner and aggregation exponents it is additive across cubes, and the
 search is a 0/1 knapsack: maximize captured additive weight subject to the
 mass budget.
 
-Provided solvers: exhaustive enumeration ("brute"), depth-first
-branch-and-bound with a fractional relaxation bound ("knapsack"), and
-threshold greedy ("greedy", an upper bound on the optimal error).  Profiles
-tabulate the error as a step function of the budget, which the norm and
-constant computations consume.  The exact profile of an additive error norm
-is the Pareto frontier of (support mass, captured weight), built by
-Nemhauser-Ullmann merging on exact integer sums instead of by enumerating
-every subset; greedy profiles and greedy decompositions read prefixes of one
-decreasing-|u_Q s_Q| order.  A greedy profile's errors are the norms of the
-suffixes of that order, which ``spaces.suffix_norms`` computes in one pass by
-inserting cubes from the end, so the profile costs O(n * depth) instead of
-one norm per prefix.
+Provided solvers: exact search ("brute"), depth-first branch-and-bound with
+a fractional relaxation bound ("knapsack"), and threshold greedy ("greedy",
+an upper bound on the optimal error).  Both exact searches draw their
+candidate supports from one place (``_exact_masks``): for an additive error
+norm the Pareto frontier of (support mass, captured weight), built by
+Nemhauser-Ullmann merging on exact integer sums, and otherwise every subset.
+Brute sigma reads the frontier at the budget; exact profiles tabulate it.
+Profiles give the error as a step function of the budget, which the norm and
+constant computations consume.  Greedy profiles and greedy decompositions
+read prefixes of one decreasing-|u_Q s_Q| order.  A greedy profile's errors
+are the norms of the suffixes of that order, which ``spaces.suffix_norms``
+computes in one pass by inserting cubes from the end, so the profile costs
+O(n * depth) instead of one norm per prefix.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, VolumePowers, pow2
-from .dyadic import exact_ratio, scaled_ints
+from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
 from .spaces import SpaceParams, space_norm, suffix_norms
@@ -56,7 +55,6 @@ __all__ = [
 _BRUTE_MAX = 20
 _BRUTE_MAX_NONADDITIVE = 12
 _BNB_NODE_CAP = 500_000
-_ENUM_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,12 +146,8 @@ class SigmaProfile:
             return 0.0
         first_mass = self.breakpoints[1]
         last_mass = self.breakpoints[-1]
-        k_min = math.floor(math.log2(first_mass))
-        while pow2(k_min) > first_mass:
-            k_min -= 1
-        k_up = math.ceil(math.log2(last_mass))
-        while pow2(k_up) < last_mass:
-            k_up += 1
+        k_min = log2_floor_ceil(first_mass)[0]
+        k_up = log2_floor_ceil(last_mass)[1]
         full = self.errors[0]
         if math.isinf(mu):
             best = full * pow2((k_min - 1) * xi)
@@ -194,13 +188,6 @@ def _additive_weights(cubes: list[Cube], values: list[float], space: SpaceParams
     return weights
 
 
-def _require_finite_weights(weights: list[float]) -> None:
-    if not all(map(math.isfinite, weights)):
-        raise ContractViolationError(
-            "brute mode and exact profiles need finite captured weights"
-        )
-
-
 def _sorted_entries(s: CoeffSeq) -> tuple[list[Cube], list[float]]:
     cubes = list(s.support)
     return cubes, [s[q] for q in cubes]
@@ -212,33 +199,6 @@ def _greedy_order(cubes: list[Cube], values: list[float], u: UWeights) -> list[i
     return sorted(
         range(len(cubes)), key=lambda i: (-abs(weight(cubes[i]) * values[i]), i)
     )
-
-
-def _subset_sums(masses: np.ndarray, weights: np.ndarray):
-    """Every subset's bitmask, mass and weight, in chunks of ascending masks."""
-    n = len(masses)
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        rows = np.arange(start, min(start + _ENUM_CHUNK, 1 << n), dtype=np.uint64)
-        bits = ((rows[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        yield rows, bits @ masses, bits @ weights
-
-
-def _enumerate_best(masses: np.ndarray, weights: np.ndarray, budget: float):
-    """Feasible subset with maximal weight, by chunked exhaustive enumeration.
-
-    Returns (best_weight, best_mask); the empty set is always feasible.  Ties
-    resolve to the smallest bitmask, so results are deterministic.
-    """
-    best_w = -math.inf
-    best_mask = 0
-    for rows, mass, total in _subset_sums(masses, weights):
-        total[mass > budget] = -math.inf
-        j = int(np.argmax(total))
-        if total[j] > best_w:
-            best_w = float(total[j])
-            best_mask = int(rows[j])
-    return best_w, best_mask
 
 
 def _subset_errors(
@@ -288,6 +248,36 @@ def _pareto_frontier(masses: list[float], weights: list[float]) -> list[int]:
                 kept.append(point)
         front = kept
     return [mask for _, _, mask in front]
+
+
+def _exact_masks(
+    cubes: list[Cube], values: list[float], masses: list[float], space: SpaceParams
+) -> list[int] | range:
+    """The candidate supports of an exact search, as bitmasks.
+
+    For an additive error norm these are the Pareto frontier's masks
+    (``_pareto_frontier``); otherwise every subset, in ascending mask order.
+    Raises CapabilityError past ``_BRUTE_MAX`` cubes (``_BRUTE_MAX_NONADDITIVE``
+    for a non-additive error norm), and ContractViolationError when a
+    captured weight is infinite.
+    """
+    n = len(cubes)
+    additive = _is_additive(space)
+    cap = _BRUTE_MAX if additive else _BRUTE_MAX_NONADDITIVE
+    if n > cap:
+        kind = "an additive" if additive else "a non-additive"
+        raise CapabilityError(
+            f"brute mode and exact profiles handle at most {cap} cubes "
+            f"with {kind} error norm"
+        )
+    if not additive:
+        return range(1 << n)
+    weights = _additive_weights(cubes, values, space)
+    if not all(map(math.isfinite, weights)):
+        raise ContractViolationError(
+            "brute mode and exact profiles need finite captured weights"
+        )
+    return _pareto_frontier(masses, weights)
 
 
 def _dantzig_bound(masses: list[float], weights: list[float]):
@@ -386,11 +376,14 @@ def sigma_exact(
 ) -> SigmaResult:
     """Optimal budgeted approximation error and an optimal support.
 
-    ``mode="brute"`` enumerates every subset (support size <= 20; <= 12 when
-    the error norm is not additive).  ``mode="knapsack"`` runs branch and
-    bound and requires an additive error norm (p == q); its ``certified`` flag
-    reports whether the search completed within the node cap.  Brute mode on
-    an additive error norm needs every captured weight finite.
+    ``mode="brute"`` searches ``_exact_masks`` (support size <= 20; <= 12
+    when the error norm is not additive, and every captured weight finite
+    when it is).  For an additive error norm it reads the Pareto frontier at
+    the budget; otherwise it takes the first least error over every subset
+    that fits.  ``mode="knapsack"`` runs branch and bound and requires an
+    additive error norm (p == q); its ``certified`` flag reports whether the
+    search completed within the node cap.  ``nodes`` counts the masks brute
+    mode searched or the nodes branch and bound visited.
     """
     if not (budget >= 0 and math.isfinite(budget)):
         raise ContractViolationError("budget must be finite and >= 0")
@@ -403,26 +396,25 @@ def sigma_exact(
     masses = [params.measure(q) for q in cubes]
     additive = _is_additive(params.space)
     if mode == "brute":
-        if n > _BRUTE_MAX:
-            raise CapabilityError(f"brute mode handles at most {_BRUTE_MAX} cubes")
+        masks = _exact_masks(cubes, values, masses, params.space)
         if additive:
-            weights = _additive_weights(cubes, values, params.space)
-            # Enumeration would sum 0 * inf = nan for subsets without a cube.
-            _require_finite_weights(weights)
-            _, best_mask = _enumerate_best(
-                np.asarray(masses), np.asarray(weights), budget
+            # Frontier masses ascend exactly, so their fsums never decrease,
+            # and weights rise with them: the last mask that fits is a
+            # max-weight feasible support (the empty set always fits).
+            fits = bisect_right(
+                masks,
+                budget,
+                key=lambda mask: math.fsum(
+                    m for i, m in enumerate(masses) if mask >> i & 1
+                ),
             )
+            best_mask = masks[fits - 1]
         else:
-            if n > _BRUTE_MAX_NONADDITIVE:
-                raise CapabilityError(
-                    "brute mode with a non-additive error norm handles at most "
-                    f"{_BRUTE_MAX_NONADDITIVE} cubes"
-                )
             # The first least error: the empty set always fits, masks ascend.
-            subsets = _subset_errors(s, cubes, masses, params.space, range(1 << n), budget)
+            subsets = _subset_errors(s, cubes, masses, params.space, masks, budget)
             best_mask = min(subsets, key=lambda point: point[1])[2]
         support = [cubes[i] for i in range(n) if best_mask >> i & 1]
-        nodes = 1 << n
+        nodes = len(masks)
         certified = True
     else:
         if not additive:
@@ -467,10 +459,10 @@ def sigma_profile(
     """Error as a step function of the budget.
 
     Exact solvers ("brute"/"knapsack") give the true optimal error at every
-    budget.  For an additive error norm they tabulate the Pareto frontier of
-    (support mass, captured weight), built by Nemhauser-Ullmann merging
-    (``_pareto_frontier``); otherwise every subset.  Each tabulated support's
-    mass is recomputed with ``math.fsum`` and its error with ``space_norm``.
+    budget: they tabulate ``_exact_masks``, the Pareto frontier of (support
+    mass, captured weight) for an additive error norm and otherwise every
+    subset.  Each tabulated support's mass is recomputed with ``math.fsum``
+    and its error with ``space_norm``.
     "greedy" tabulates the prefixes in decreasing |u_Q s_Q|, giving the
     greedy upper bound at every budget.  A prefix's error is the norm of the
     suffix it leaves, and ``spaces.suffix_norms`` gives all n + 1 of them,
@@ -479,8 +471,7 @@ def sigma_profile(
     """
     _check_solver(solver)
     cubes, values = _sorted_entries(s)
-    n = len(cubes)
-    if n == 0:
+    if not cubes:
         return SigmaProfile((0.0,), ())
     masses = [params.measure(q) for q in cubes]
     if solver == "greedy":
@@ -489,19 +480,7 @@ def sigma_profile(
         ends = map(ExactSum().add, [masses[i] for i in order])  # prefix masses
         raw = [(0.0, errors[0]), *zip(ends, errors[1:])]
     else:
-        if n > _BRUTE_MAX:
-            raise CapabilityError(f"exact profiles handle at most {_BRUTE_MAX} cubes")
-        if _is_additive(params.space):
-            weights = _additive_weights(cubes, values, params.space)
-            _require_finite_weights(weights)
-            masks = _pareto_frontier(masses, weights)
-        else:
-            if n > _BRUTE_MAX_NONADDITIVE:
-                raise CapabilityError(
-                    "exact profiles with a non-additive error norm handle at most "
-                    f"{_BRUTE_MAX_NONADDITIVE} cubes"
-                )
-            masks = range(1 << n)
+        masks = _exact_masks(cubes, values, masses, params.space)
         raw = [
             (mass, err)
             for mass, err, _ in _subset_errors(s, cubes, masses, params.space, masks)
@@ -567,16 +546,8 @@ def decompose(
     masses = [params.measure(q) for q in cubes]
     total = math.fsum(masses)
     smallest = min(masses)
-    k_lo = math.floor(math.log2(smallest)) + 1
-    while pow2(k_lo - 1) >= smallest:
-        k_lo -= 1
-    while pow2(k_lo) < smallest:
-        k_lo += 1
-    k_hi = math.floor(math.log2(total)) + 1
-    while pow2(k_hi - 1) < total:
-        k_hi += 1
-    while k_hi - 1 > k_lo and pow2(k_hi - 2) >= total:
-        k_hi -= 1
+    k_lo = log2_floor_ceil(smallest)[1]
+    k_hi = log2_floor_ceil(total)[1] + 1
     ks = range(k_lo + 1, k_hi + 1)
     if solver == "greedy":
         order = _greedy_order(cubes, values, u)

@@ -52,6 +52,14 @@ def pow2(exponent: float) -> float:
     return 2.0**exponent
 
 
+def log2_floor_ceil(x: float) -> tuple[int, int]:
+    """Exact floor and ceil of log2(x) for a positive finite float, subnormals
+    included: ``x == m * 2**e`` with 0.5 <= m < 1, and only m == 0.5 is a
+    power of two."""
+    m, e = math.frexp(x)
+    return e - 1, e - 1 if m == 0.5 else e
+
+
 @dataclass(frozen=True, order=True, slots=True, init=False)
 class Cube:
     """The dyadic cube ``2^(-j) * ([0,1)^d + k)``.

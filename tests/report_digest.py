@@ -5,18 +5,19 @@ Usage:  PYTHONPATH=src python3 tests/report_digest.py
 Runs every subcommand at ``--seed 17`` and ``--seed 3`` with ``--format
 json`` (the commands that read a sequence read ``fixtures/sample.seq``),
 then the runs in ``CONFIGS`` at ``--seed 17``: ``sigma``, ``approx-norm`` and
-``norm`` on that file (exact solvers, mu = inf, q = inf, greedy profiles of
-the per-scale norm, power-log Lorentz weights, and an informational
-sandwich row at xi*mu < 1), and ``democracy`` and ``verify-all`` with a
-perturbed measure exponent, whose reports hold failing rows (exit 1).  Last
-come the runs in ``LARGE_CONFIGS`` at ``--seed 17`` on a generated sequence
-of 2 000 cubes (``large_sequence``), written to a temporary directory:
-greedy ``approx-norm`` profiles and a power-log ``norm``, whose running
-exact sums see thousands of terms.  All reports go to a temporary directory.  Each run drops the ``wall_time_s``
-column and prints the exit code, the SHA-256 of the remaining report and the
-command's stdout with the report directory replaced by ``<out>``.  Two
-versions whose outputs are equal line for line wrote byte-identical reports
-modulo wall time, and exited alike.
+``norm`` on that file (exact solvers, brute sigma at q = 3, mu = inf,
+q = inf, greedy profiles of the per-scale norm, power-log Lorentz weights,
+and an informational sandwich row at xi*mu < 1), and ``democracy`` and
+``verify-all`` with a perturbed measure exponent, whose reports hold failing
+rows (exit 1).  Last come the runs in ``LARGE_CONFIGS`` at ``--seed 17`` on
+generated sequences (``large_sequence``), written to a temporary directory:
+greedy ``approx-norm`` profiles and a power-log ``norm`` on 2 000 cubes,
+whose running exact sums see thousands of terms, and brute ``sigma`` on 16
+cubes, which reads the Pareto frontier at the budget.  All reports go to a
+temporary directory.  Each run drops the ``wall_time_s`` column and prints
+the exit code, the SHA-256 of the remaining report and the command's stdout
+with the report directory replaced by ``<out>``.  Two versions whose outputs
+are equal line for line wrote byte-identical reports modulo wall time, and exited alike.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ SEEDS = (17, 3)
 CONFIGS = (
     ("sigma", "knapsack", "budget = 1.25\nsolver = knapsack\n"),
     ("sigma", "brute", "budget = 1.25\nsolver = brute\n"),
+    ("sigma", "brute-q3", "budget = 1.25\nsolver = brute\nq = 3\n"),
     ("approx-norm", "knapsack", "solver = knapsack\n"),
     ("approx-norm", "brute", "solver = brute\n"),
     ("approx-norm", "mu-inf", "mu = inf\n"),
@@ -52,12 +54,13 @@ CONFIGS = (
     ("democracy", "perturbed", "alpha_perturb = 0.05\n"),
     ("verify-all", "perturbed", "alpha_perturb = 0.1\n"),
 )
-# (command, config name, config text) of the runs on the generated sequence.
+# (command, config name, config text, cubes) of the runs on generated sequences.
 LARGE_CONFIGS = (
-    ("approx-norm", "large-tl", "solver = greedy\np = 1.5\n"),
-    ("approx-norm", "large-tl-q-inf", "solver = greedy\np = 1.5\nq = inf\n"),
-    ("approx-norm", "large-besov", "solver = greedy\nkind = besov\np = 1.5\n"),
-    ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n"),
+    ("approx-norm", "large-tl", "solver = greedy\np = 1.5\n", 2000),
+    ("approx-norm", "large-tl-q-inf", "solver = greedy\np = 1.5\nq = inf\n", 2000),
+    ("approx-norm", "large-besov", "solver = greedy\nkind = besov\np = 1.5\n", 2000),
+    ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n", 2000),
+    ("sigma", "n16-brute", "budget = 0.5\nsolver = brute\n", 16),
 )
 
 
@@ -113,7 +116,7 @@ if __name__ == "__main__":
     for command, name, settings in CONFIGS:
         print(digest(command, SEEDS[0], (name, settings)), flush=True)
     with tempfile.TemporaryDirectory() as work:
-        large = Path(work) / "large.seq"
-        large.write_text(large_sequence())
-        for command, name, settings in LARGE_CONFIGS:
+        for command, name, settings, n in LARGE_CONFIGS:
+            large = Path(work) / f"large-{n}.seq"
+            large.write_text(large_sequence(n))
             print(digest(command, SEEDS[0], (name, settings), str(large)), flush=True)

@@ -40,6 +40,7 @@ from restapprox import (
     WeightFn,
 )
 from restapprox import approx, spaces
+from restapprox.democracy import random_cube_set
 from restapprox.dyadic import _CUBE_KEY, ExactSum
 
 from conftest import cube_strategy, seq_strategy, signed_values
@@ -154,7 +155,7 @@ def test_profile_shape_validation():
 
 
 @given(
-    seq_strategy(max_size=8),
+    seq_strategy(max_size=16),
     st.floats(0.0, 1.2),
     st.floats(0.7, 2.5),
     st.floats(-1.0, 1.0),
@@ -274,6 +275,19 @@ def test_decompose_hand_case():
     assert res.score == pytest.approx(recomputed, rel=1e-12)
 
 
+def test_decompose_brackets_a_mass_at_the_exponent_limit():
+    # One atom of mass 2^-1000: probing 2^-1001 while bracketing its exponent
+    # raised ScaleRangeError, although both aggregates are finite.
+    s = CoeffSeq({Cube(1000, (0,)): 1.0})
+    params = _params(xi=0.5, mu=1.0, measure=MeasureSpec(1.0))
+    for solver in ("greedy", "knapsack"):
+        res = decompose(s, params, solver)
+        assert res.pieces == ((-999, s),)
+        assert res.score == pow2(-499.5)
+    assert approx_norm(s, params) > 0.0
+    assert approx_norm_dyadic(s, params) > 0.0
+
+
 @given(seq_strategy(max_size=10), st.floats(-1.0, 1.0))
 def test_decompose_reconstructs_exactly(s, alpha):
     params = ApproxParams(0.8, 1.5, EUCLID, MeasureSpec(alpha))
@@ -388,19 +402,6 @@ def test_prefix_sums_stay_linear(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _enumerate_frontier(masses: np.ndarray, weights: np.ndarray) -> list[int]:
-    """Oracle: the Pareto frontier by sorting all 2^n subsets' float sums."""
-    rows, mass, w = map(np.concatenate, zip(*approx._subset_sums(masses, weights)))
-    order = np.lexsort((-w, mass))
-    frontier: list[int] = []
-    best = -math.inf
-    for idx in order:
-        if w[idx] > best:
-            best = float(w[idx])
-            frontier.append(int(rows[idx]))
-    return frontier
-
-
 def _fractional_bound(level, cur_mass, cur_w, masses, weights, budget) -> float:
     """Oracle: the Dantzig bound summed item by item in floats."""
     room = budget - cur_mass
@@ -413,14 +414,6 @@ def _fractional_bound(level, cur_mass, cur_w, masses, weights, budget) -> float:
             bound += weights[i] * (room / masses[i])
             break
     return bound
-
-
-def _exact_sums(mask: int, masses, weights) -> tuple[Fraction, Fraction]:
-    chosen = [i for i in range(len(masses)) if mask >> i & 1]
-    return (
-        sum((Fraction(masses[i]) for i in chosen), Fraction(0)),
-        sum((Fraction(weights[i]) for i in chosen), Fraction(0)),
-    )
 
 
 def _exact_frontier(masses, weights) -> list[int]:
@@ -451,52 +444,34 @@ def _frontier_inputs(s, alpha, s_and_p):
     return masses, approx._additive_weights(cubes, values, space)
 
 
-# Values and spaces whose captured weights are dyadic rationals of few bits,
-# with dyadic alpha (masses are powers of two) or half-integer alpha (masses
-# are dyadic multiples of 1 and of one float near sqrt 2).  Two subsets whose
-# exact sums differ then differ far beyond rounding, so the float oracle can
-# only go wrong on exact ties: it may split one in two, or keep another mask.
+# Besides any floats: values and spaces whose captured weights are dyadic
+# rationals of few bits, with dyadic alpha (masses are powers of two) or
+# half-integer alpha (masses are dyadic multiples of 1 and of one float near
+# sqrt 2), so that distinct subsets often tie exactly in mass and weight; and
+# all-equal values, where every subset of one size ties.
 _dyadic_values = st.sampled_from([0.25, -0.5, 0.75, 1.0, -1.5, 2.0, 3.0])
 _dyadic_seqs = st.dictionaries(
     cube_strategy(j_lo=-4, j_hi=4), _dyadic_values, min_size=1, max_size=14
 ).map(CoeffSeq)
-
-
-@given(
-    _dyadic_seqs,
-    st.sampled_from([-1.0, 0.0, 1.0, 2.0, 0.5, -0.5, 1.5]),
-    st.sampled_from([(0.0, 2.0), (0.5, 1.0), (1.0, 2.0)]),
-    st.booleans(),
-)
-def test_pareto_merge_matches_enumeration(s, alpha, s_and_p, equal):
-    if equal:
-        s = CoeffSeq({q: 1.0 for q in s.support})
-    masses, weights = _frontier_inputs(s, alpha, s_and_p)
-    oracle: list[tuple[tuple[Fraction, Fraction], int]] = []
-    for mask in _enumerate_frontier(np.asarray(masses), np.asarray(weights)):
-        point = _exact_sums(mask, masses, weights)
-        if oracle and point == oracle[-1][0]:
-            # One exact tie that the float sums told apart.
-            oracle[-1] = (point, min(mask, oracle[-1][1]))
-        else:
-            oracle.append((point, mask))
-    merged = approx._pareto_frontier(masses, weights)
-    assert merged[0] == 0
-    assert [_exact_sums(mask, masses, weights) for mask in merged] == [
-        point for point, _ in oracle
-    ]
-    # Of exactly tied subsets the merge keeps the smallest mask.
-    assert all(mine <= theirs for mine, (_, theirs) in zip(merged, oracle))
-
-
-@given(
+_float_frontier_inputs = st.tuples(
     seq_strategy(max_size=14),
     st.floats(-1.5, 1.5),
     st.sampled_from([(0.0, 2.0), (0.3, 1.0), (-0.7, 1.7)]),
 )
-def test_pareto_merge_matches_exact_frontier(s, alpha, s_and_p):
-    # Any floats: against exact sums over all subsets, mask for mask.
-    masses, weights = _frontier_inputs(s, alpha, s_and_p)
+_equal_seqs = _dyadic_seqs.map(lambda s: CoeffSeq({q: 1.0 for q in s.support}))
+_tied_frontier_inputs = st.tuples(
+    st.one_of(_dyadic_seqs, _equal_seqs),
+    st.sampled_from([-1.0, 0.0, 1.0, 2.0, 0.5, -0.5, 1.5]),
+    st.sampled_from([(0.0, 2.0), (0.5, 1.0), (1.0, 2.0)]),
+)
+
+
+@settings(max_examples=100)
+@given(st.one_of(_float_frontier_inputs, _tied_frontier_inputs))
+def test_pareto_merge_matches_exact_frontier(inputs):
+    # Against exact sums over all subsets, mask for mask: of exactly tied
+    # subsets the merge keeps the smallest mask.
+    masses, weights = _frontier_inputs(*inputs)
     assert approx._pareto_frontier(masses, weights) == _exact_frontier(
         masses, weights
     )
@@ -518,22 +493,75 @@ def test_pareto_merge_superincreasing_keeps_every_subset():
     assert merged == list(range(1 << n))
 
 
-def test_exact_profile_never_enumerates(monkeypatch):
-    """A 20-cube exact profile comes from the merge: counted, not timed."""
+def _counting(monkeypatch, calls: dict[str, int]) -> None:
+    """Count each call of the named ``approx`` functions into ``calls``."""
+    for name in calls:
 
+        def counted(*args, _name=name, _original=getattr(approx, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(approx, name, counted)
+
+
+def _refusing(monkeypatch, *names: str) -> None:
     def refuse(*args):
-        raise AssertionError("exact profile enumerated all subsets")
+        raise AssertionError("called a search the other side owns")
 
-    monkeypatch.setattr(approx, "_subset_sums", refuse)
+    for name in names:
+        monkeypatch.setattr(approx, name, refuse)
+
+
+def test_exact_profile_never_enumerates(monkeypatch):
+    """A 20-cube exact profile takes one merge and one norm per frontier
+    mask: counted, not timed."""
+    frontiers = []
+    merge = approx._pareto_frontier
+
+    def recording_merge(*args):
+        frontiers.append(merge(*args))
+        return frontiers[-1]
+
+    monkeypatch.setattr(approx, "_pareto_frontier", recording_merge)
+    calls = {"space_norm": 0}
+    _counting(monkeypatch, calls)
     s = CoeffSeq({Cube(j % 5, (j,)): 1.0 + 0.01 * j for j in range(20)})
     params = _params(measure=MeasureSpec(1.0))
     profile = sigma_profile(s, params, solver="knapsack")
+    assert len(frontiers) == 1
+    assert calls["space_norm"] == len(frontiers[0]) < 1 << 20
     assert profile.breakpoints[0] == 0.0
     assert profile.total_mass == math.fsum(params.measure(q) for q in s.support)
     assert approx_norm(s, params, "knapsack") == profile.norm(1.0, 2.0)
     big = CoeffSeq({Cube(j % 5, (j,)): 1.0 for j in range(21)})
     with pytest.raises(CapabilityError):
         sigma_profile(big, params, solver="knapsack")
+
+
+def test_brute_and_knapsack_share_no_search_code(monkeypatch):
+    """Criterion 5's two sides on one of its 14-cube additive instances:
+    brute sigma reads one merge and one norm and never runs branch and bound;
+    the knapsack never runs the merge or the per-subset errors."""
+    rng = np.random.default_rng([17, 5])
+    cubes = random_cube_set(rng, 14, 1, -2, 2)
+    values = [(-1.0) ** i * 10.0 ** float(rng.uniform(-0.5, 0.5)) for i in range(14)]
+    s = CoeffSeq(dict(zip(cubes, values)))
+    space = SpaceParams(0.4, 1.3, 1.3, 1, "tl")
+    params = ApproxParams(0.5, 1.0, space, MeasureSpec(-0.3))
+    budget = 0.6 * math.fsum(params.measure(q) for q in cubes)
+    with monkeypatch.context() as patched:
+        _refusing(patched, "_branch_and_bound", "_dantzig_bound")
+        calls = {"_pareto_frontier": 0, "space_norm": 0}
+        _counting(patched, calls)
+        brute = sigma_exact(s, budget, params, mode="brute")
+    assert calls == {"_pareto_frontier": 1, "space_norm": 1}
+    assert 0 < len(brute.support) < 14
+    assert brute.nodes < 1 << 14  # the frontier's masks, not every subset
+    with monkeypatch.context() as patched:
+        _refusing(patched, "_pareto_frontier", "_subset_errors")
+        knap = sigma_exact(s, budget, params, mode="knapsack")
+    assert knap.certified
+    assert knap.error == pytest.approx(brute.error, rel=1e-12)
 
 
 def test_exact_profile_rejects_infinite_weights():
@@ -547,7 +575,7 @@ def test_exact_profile_rejects_infinite_weights():
         for solver in ("knapsack", "brute"):
             with pytest.raises(ContractViolationError):
                 sigma_profile(s, params, solver)
-        # Enumeration would give 0 * inf = nan to every subset without the cube.
+        # The merge sums weights as exact integers, which an inf has not.
         with pytest.raises(ContractViolationError):
             sigma_exact(s, 1.0, params, mode="brute")
         # Branch and bound still takes the infinite weight first.

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restapprox import (
@@ -25,7 +25,7 @@ from restapprox import (
     tl_norm,
 )
 from restapprox.democracy import random_cube_set
-from restapprox.dyadic import ExactSum, VolumePowers
+from restapprox.dyadic import ExactSum, VolumePowers, log2_floor_ceil
 
 from conftest import cube_strategy
 
@@ -47,6 +47,37 @@ def test_pow2_out_of_range():
         pow2(1001)
     with pytest.raises(ScaleRangeError):
         pow2(-1200.5)
+
+
+def _exact_log2_floor_ceil(x: float) -> tuple[int, int]:
+    f = Fraction(x)
+    k = f.numerator.bit_length() - f.denominator.bit_length()
+    if Fraction(2) ** k > f:
+        k -= 1
+    return k, k if f == Fraction(2) ** k else k + 1
+
+
+def _near_power_of_two(e: int, step: int) -> float:
+    """2^e, or its float neighbour below (step -1) or above (step 1)."""
+    x = math.ldexp(1.0, e)
+    return math.nextafter(x, step * math.inf) if step else x
+
+
+_powers_of_two_and_neighbours = st.builds(
+    _near_power_of_two, st.integers(-1074, 1023), st.sampled_from([-1, 0, 1])
+).filter(lambda x: x > 0)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=5e-324, max_value=2.0**-1022),  # subnormals
+        _powers_of_two_and_neighbours,
+    )
+)
+def test_log2_floor_ceil_is_exact(x):
+    assert log2_floor_ceil(x) == _exact_log2_floor_ceil(x)
 
 
 def test_cube_basics():
