@@ -11,10 +11,11 @@ mass budget.
 Provided solvers: exact search ("brute"), depth-first branch-and-bound with
 a fractional relaxation bound ("knapsack"), and threshold greedy ("greedy",
 an upper bound on the optimal error).  Both exact searches draw their
-candidate supports from one place (``_exact_masks``): for an additive error
-norm the Pareto frontier of (support mass, captured weight), built by
+candidate supports and masses from one table (``_exact_candidates``, whose
+one cap ``_EXACT_WORK`` bounds candidates x cubes): for an additive error norm
+the Pareto frontier of (support mass, captured weight), built by
 Nemhauser-Ullmann merging on exact integer sums, and otherwise every subset.
-Brute sigma reads the frontier at the budget; exact profiles tabulate it.
+Brute sigma reads the table at the budget; exact profiles tabulate it.
 Profiles give the error as a step function of the budget, which the norm and
 constant computations consume.  Greedy profiles and greedy decompositions
 read prefixes of one decreasing-|u_Q s_Q| order.  A greedy profile's errors
@@ -52,8 +53,8 @@ __all__ = [
     "bernstein_constant",
 ]
 
-_BRUTE_MAX = 20
-_BRUTE_MAX_NONADDITIVE = 12
+# Candidate supports times cubes of an exact search: 2^12 subsets of 12 cubes.
+_EXACT_WORK = 12 << 12
 _BNB_NODE_CAP = 500_000
 
 
@@ -81,6 +82,8 @@ class SigmaResult:
     support: tuple[Cube, ...]
     certified: bool
     nodes: int = 0
+    """Brute mode's candidate supports, at most ``_EXACT_WORK`` over the cube
+    count, or the nodes branch and bound visited."""
 
 
 @dataclass(frozen=True)
@@ -202,37 +205,37 @@ def _greedy_order(cubes: list[Cube], values: list[float], u: UWeights) -> list[i
 
 
 def _subset_errors(
-    s: CoeffSeq,
-    cubes: list[Cube],
-    masses: list[float],
-    space: SpaceParams,
-    masks: Iterable[int],
-    budget: float = math.inf,
-) -> Iterator[tuple[float, float, int]]:
-    """(mass, error, mask) of each bitmask support whose mass fits the budget.
-
-    The mass is the ``math.fsum`` of the chosen cubes' masses and the error
-    the norm of what they leave out.
-    """
+    s: CoeffSeq, cubes: list[Cube], space: SpaceParams, masks: Iterable[int]
+) -> Iterator[float]:
+    """The error of each bitmask support: the norm of what it leaves out."""
     n = len(cubes)
     for mask in masks:
-        chosen = [i for i in range(n) if mask >> i & 1]
-        mass = math.fsum(masses[i] for i in chosen)
-        if mass <= budget:
-            yield mass, space_norm(s.without(cubes[i] for i in chosen), space), mask
+        yield space_norm(s.without(cubes[i] for i in range(n) if mask >> i & 1), space)
 
 
-def _pareto_frontier(masses: list[float], weights: list[float]) -> list[int]:
+def _check_work(candidates: int, n: int) -> None:
+    if candidates * n > _EXACT_WORK:
+        raise CapabilityError(
+            "brute mode and exact profiles handle at most "
+            f"{_EXACT_WORK} candidate supports x cubes"
+        )
+
+
+def _pareto_frontier(
+    masses: list[float], weights: list[float]
+) -> tuple[list[float], list[int]]:
     """All Pareto-optimal (mass, captured-weight) subsets, mass-ascending.
 
     Nemhauser-Ullmann merging (1969): starting from the empty set, each item
     merges the frontier with a copy of itself shifted by that item, and drops
     every point whose weight does not strictly increase with mass.  Sums are
     exact integers, and of subsets with equal mass and weight the smallest
-    bitmask is kept.  Returns bitmasks whose captured weights strictly
-    increase with mass; the first is the empty set.
+    bitmask is kept.  Returns the masses (exact sums rounded once) and masks
+    of subsets whose captured weights strictly increase with mass, the first
+    the empty set; raises CapabilityError once a step passes ``_EXACT_WORK``.
     """
-    mass_ints, _ = scaled_ints(masses)
+    n = len(masses)
+    mass_ints, mass_shift = scaled_ints(masses)
     weight_ints, _ = scaled_ints(weights)
     # Points (mass, -weight, mask) sort by mass up, weight down, mask up.
     front = [(0, 0, 0)]
@@ -247,31 +250,32 @@ def _pareto_frontier(masses: list[float], weights: list[float]) -> list[int]:
                 best = point[1]
                 kept.append(point)
         front = kept
-    return [mask for _, _, mask in front]
+        _check_work(len(front), n)
+    den = 1 << mass_shift
+    return [a / den for a, _, _ in front], [mask for _, _, mask in front]
 
 
-def _exact_masks(
+def _exact_candidates(
     cubes: list[Cube], values: list[float], masses: list[float], space: SpaceParams
-) -> list[int] | range:
-    """The candidate supports of an exact search, as bitmasks.
+) -> tuple[list[float], list[int] | range]:
+    """The masses and bitmasks of an exact search's candidate supports.
 
-    For an additive error norm these are the Pareto frontier's masks
+    For an additive error norm these are the Pareto frontier's
     (``_pareto_frontier``); otherwise every subset, in ascending mask order.
-    Raises CapabilityError past ``_BRUTE_MAX`` cubes (``_BRUTE_MAX_NONADDITIVE``
-    for a non-additive error norm), and ContractViolationError when a
-    captured weight is infinite.
+    Each mass is its exact sum rounded once: ``math.fsum``'s, bit for bit.
+    Raises CapabilityError when candidates x cubes passes ``_EXACT_WORK``
+    (checked before the 2^n table is built and after each merge step), and
+    ContractViolationError when a captured weight is infinite.
     """
     n = len(cubes)
-    additive = _is_additive(space)
-    cap = _BRUTE_MAX if additive else _BRUTE_MAX_NONADDITIVE
-    if n > cap:
-        kind = "an additive" if additive else "a non-additive"
-        raise CapabilityError(
-            f"brute mode and exact profiles handle at most {cap} cubes "
-            f"with {kind} error norm"
-        )
-    if not additive:
-        return range(1 << n)
+    if not _is_additive(space):
+        _check_work(1 << n, n)
+        mass_ints, shift = scaled_ints(masses)
+        table = [0]
+        for m in mass_ints:
+            table += [t + m for t in table]
+        den = 1 << shift
+        return [t / den for t in table], range(1 << n)
     weights = _additive_weights(cubes, values, space)
     if not all(map(math.isfinite, weights)):
         raise ContractViolationError(
@@ -376,14 +380,13 @@ def sigma_exact(
 ) -> SigmaResult:
     """Optimal budgeted approximation error and an optimal support.
 
-    ``mode="brute"`` searches ``_exact_masks`` (support size <= 20; <= 12
-    when the error norm is not additive, and every captured weight finite
-    when it is).  For an additive error norm it reads the Pareto frontier at
-    the budget; otherwise it takes the first least error over every subset
-    that fits.  ``mode="knapsack"`` runs branch and bound and requires an
-    additive error norm (p == q); its ``certified`` flag reports whether the
-    search completed within the node cap.  ``nodes`` counts the masks brute
-    mode searched or the nodes branch and bound visited.
+    ``mode="brute"`` searches ``_exact_candidates`` (candidates x cubes at
+    most ``_EXACT_WORK``; captured weights finite when the error norm is
+    additive): it reads the Pareto frontier at the budget, or takes the first
+    least error over every subset that fits.  ``mode="knapsack"`` runs branch
+    and bound and requires an additive error norm (p == q); its ``certified``
+    flag reports whether the search completed within the node cap.  ``nodes``
+    counts brute mode's candidates or the nodes branch and bound visited.
     """
     if not (budget >= 0 and math.isfinite(budget)):
         raise ContractViolationError("budget must be finite and >= 0")
@@ -396,23 +399,17 @@ def sigma_exact(
     masses = [params.measure(q) for q in cubes]
     additive = _is_additive(params.space)
     if mode == "brute":
-        masks = _exact_masks(cubes, values, masses, params.space)
+        table, masks = _exact_candidates(cubes, values, masses, params.space)
         if additive:
-            # Frontier masses ascend exactly, so their fsums never decrease,
-            # and weights rise with them: the last mask that fits is a
-            # max-weight feasible support (the empty set always fits).
-            fits = bisect_right(
-                masks,
-                budget,
-                key=lambda mask: math.fsum(
-                    m for i, m in enumerate(masses) if mask >> i & 1
-                ),
-            )
-            best_mask = masks[fits - 1]
+            # Frontier masses ascend exactly, so their roundings never
+            # decrease, and weights rise with them: the last mask that fits is
+            # a max-weight feasible support (the empty set always fits).
+            best_mask = masks[bisect_right(table, budget) - 1]
         else:
             # The first least error: the empty set always fits, masks ascend.
-            subsets = _subset_errors(s, cubes, masses, params.space, masks, budget)
-            best_mask = min(subsets, key=lambda point: point[1])[2]
+            fits = [mask for mass, mask in zip(table, masks) if mass <= budget]
+            errors = _subset_errors(s, cubes, params.space, fits)
+            best_mask = min(zip(errors, fits), key=lambda point: point[0])[1]
         support = [cubes[i] for i in range(n) if best_mask >> i & 1]
         nodes = len(masks)
         certified = True
@@ -459,10 +456,9 @@ def sigma_profile(
     """Error as a step function of the budget.
 
     Exact solvers ("brute"/"knapsack") give the true optimal error at every
-    budget: they tabulate ``_exact_masks``, the Pareto frontier of (support
-    mass, captured weight) for an additive error norm and otherwise every
-    subset.  Each tabulated support's mass is recomputed with ``math.fsum``
-    and its error with ``space_norm``.
+    budget: they pair the masses of ``_exact_candidates`` (the Pareto
+    frontier, or every subset when the error norm is not additive, under one
+    cap) with each candidate's error from ``space_norm``.
     "greedy" tabulates the prefixes in decreasing |u_Q s_Q|, giving the
     greedy upper bound at every budget.  A prefix's error is the norm of the
     suffix it leaves, and ``spaces.suffix_norms`` gives all n + 1 of them,
@@ -480,11 +476,8 @@ def sigma_profile(
         ends = map(ExactSum().add, [masses[i] for i in order])  # prefix masses
         raw = [(0.0, errors[0]), *zip(ends, errors[1:])]
     else:
-        masks = _exact_masks(cubes, values, masses, params.space)
-        raw = [
-            (mass, err)
-            for mass, err, _ in _subset_errors(s, cubes, masses, params.space, masks)
-        ]
+        table, masks = _exact_candidates(cubes, values, masses, params.space)
+        raw = list(zip(table, _subset_errors(s, cubes, params.space, masks)))
     return _lower_envelope(raw)
 
 
@@ -496,7 +489,7 @@ def _check_solver(solver: str) -> None:
 def _lower_envelope(raw: list[tuple[float, float]]) -> SigmaProfile:
     """The profile of tabulated (support mass, error) points.
 
-    Re-sorting by the compensated masses and keeping strict error
+    Re-sorting by the correctly rounded masses and keeping strict error
     improvements makes the step function well defined even when two supports
     round to the same total mass.
     """

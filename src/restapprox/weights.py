@@ -139,23 +139,28 @@ class WeightFn:
 
     @classmethod
     def parse(cls, spec: str) -> "WeightFn":
-        """Parse ``power:p=2`` or ``powerlog:p=2,b=1``."""
+        """Parse ``power:p=2`` or ``powerlog:p=2,b=1``; other keys are errors."""
         try:
             family, _, params = spec.partition(":")
             family = family.strip()
             kv = {}
-            for item in params.split(","):
-                if not item.strip():
-                    continue
+            for item in filter(str.strip, params.split(",")):
                 key, _, value = item.partition("=")
-                kv[key.strip()] = float(value)
+                key = key.strip()
+                if key in kv:
+                    raise ValueError(f"repeated key {key!r}")
+                kv[key] = float(value)
             if family == "power":
-                return cls.power(kv.pop("p"))
-            if family == "powerlog":
-                return cls.power_log(kv.pop("p"), kv.pop("b"))
+                weight = cls.power(kv.pop("p"))
+            elif family == "powerlog":
+                weight = cls.power_log(kv.pop("p"), kv.pop("b"))
+            else:
+                raise ValueError("unknown family")
+            if kv:
+                raise ValueError(f"unknown key {next(iter(kv))!r}")
         except (KeyError, ValueError, ContractViolationError) as exc:
             raise ConfigError(f"bad weight spec {spec!r}: {exc}") from exc
-        raise ConfigError(f"bad weight spec {spec!r}: unknown family")
+        return weight
 
     def spec_string(self) -> str:
         # repr keeps full float precision so parse() round-trips exactly

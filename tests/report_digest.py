@@ -10,14 +10,19 @@ q = inf, greedy profiles of the per-scale norm, power-log Lorentz weights,
 and an informational sandwich row at xi*mu < 1), and ``democracy`` and
 ``verify-all`` with a perturbed measure exponent, whose reports hold failing
 rows (exit 1).  Last come the runs in ``LARGE_CONFIGS`` at ``--seed 17`` on
-generated sequences (``large_sequence``), written to a temporary directory:
-greedy ``approx-norm`` profiles and a power-log ``norm`` on 2 000 cubes,
-whose running exact sums see thousands of terms, and brute ``sigma`` on 16
-cubes, which reads the Pareto frontier at the budget.  All reports go to a
-temporary directory.  Each run drops the ``wall_time_s`` column and prints
-the exit code, the SHA-256 of the remaining report and the command's stdout
-with the report directory replaced by ``<out>``.  Two versions whose outputs
-are equal line for line wrote byte-identical reports modulo wall time, and exited alike.
+generated sequences, written to a temporary directory: greedy
+``approx-norm`` profiles and a power-log ``norm`` on 2 000 cubes of
+``large_sequence``, whose running exact sums see thousands of terms; brute
+``sigma`` on 16 of its cubes, which reads the Pareto frontier at the budget,
+and on 24 of them at ``alpha = 0``, whose frontier has 25 points; and
+knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
+13 cubes, whose frontiers hold every subset, on either side of the exact
+search's cap.  All reports go to a temporary directory.  Each run drops the
+``wall_time_s`` column and prints the exit code, the SHA-256 of the
+remaining report, and the command's stdout and stderr with the report
+directory replaced by ``<out>``.  Two versions whose outputs are equal line
+for line wrote byte-identical reports modulo wall time, exited alike and
+printed the same messages.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -54,14 +60,14 @@ CONFIGS = (
     ("democracy", "perturbed", "alpha_perturb = 0.05\n"),
     ("verify-all", "perturbed", "alpha_perturb = 0.1\n"),
 )
-# (command, config name, config text, cubes) of the runs on generated sequences.
-LARGE_CONFIGS = (
-    ("approx-norm", "large-tl", "solver = greedy\np = 1.5\n", 2000),
-    ("approx-norm", "large-tl-q-inf", "solver = greedy\np = 1.5\nq = inf\n", 2000),
-    ("approx-norm", "large-besov", "solver = greedy\nkind = besov\np = 1.5\n", 2000),
-    ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n", 2000),
-    ("sigma", "n16-brute", "budget = 0.5\nsolver = brute\n", 16),
-)
+
+
+def superincreasing_sequence(n: int) -> str:
+    """Cubes of scales 0, -1, ..., -(n-1) at the origin with values 3^(i/2):
+    at alpha = 1, s = 0 and p = q = 2 each cube outweighs all earlier ones
+    together in mass and in captured weight, so every subset is on the
+    Pareto frontier."""
+    return "".join(f"{-i} 0 {math.sqrt(3**i)!r}\n" for i in range(n))
 
 
 def large_sequence(n: int = 2000) -> str:
@@ -76,13 +82,32 @@ def large_sequence(n: int = 2000) -> str:
     return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
 
 
+_SUPERINCREASING = "solver = knapsack\ns = 0\np = 2\nq = 2\nalpha = 1\n"
+# (command, config name, config text, sequence maker, cubes) of the runs on
+# generated sequences.
+LARGE_CONFIGS = (
+    ("approx-norm", "large-tl", "solver = greedy\np = 1.5\n", large_sequence, 2000),
+    ("approx-norm", "large-tl-q-inf", "solver = greedy\np = 1.5\nq = inf\n",
+     large_sequence, 2000),
+    ("approx-norm", "large-besov", "solver = greedy\nkind = besov\np = 1.5\n",
+     large_sequence, 2000),
+    ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n", large_sequence, 2000),
+    ("sigma", "n16-brute", "budget = 0.5\nsolver = brute\n", large_sequence, 16),
+    ("sigma", "n24-brute-alpha-0", "budget = 5\nsolver = brute\nalpha = 0\n",
+     large_sequence, 24),
+    ("approx-norm", "superincreasing-12", _SUPERINCREASING, superincreasing_sequence, 12),
+    ("approx-norm", "superincreasing-13", _SUPERINCREASING, superincreasing_sequence, 13),
+)
+
+
 def digest(
     command: str,
     seed: int,
     config: tuple[str, str] | None = None,
     sequence: str = SAMPLE,
 ) -> str:
-    """One line: command, seed, config name, exit code, report digest, stdout."""
+    """One line: command, seed, config name, exit code, report digest, stdout
+    and stderr."""
     argv = [command] + ([sequence] if _COMMANDS[command].takes_input else [])
     argv += ["--seed", str(seed), "--format", "json"]
     label = f"{command} seed={seed}"
@@ -93,8 +118,8 @@ def digest(
             cfg.write_text(settings)
             argv += ["--config", str(cfg)]
             label += f" config={name}"
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv + ["--out", out_dir])
         report = Path(out_dir) / f"{command}.json"
         if report.exists():
@@ -105,8 +130,11 @@ def digest(
             sha = hashlib.sha256(text.encode()).hexdigest()
         else:
             sha = "no-report"
-        printed = stdout.getvalue().replace(out_dir, "<out>").strip()
-    return f"{label} exit={code} sha256={sha} stdout={printed!r}"
+        printed, warned = (
+            stream.getvalue().replace(out_dir, "<out>").strip()
+            for stream in (stdout, stderr)
+        )
+    return f"{label} exit={code} sha256={sha} stdout={printed!r} stderr={warned!r}"
 
 
 if __name__ == "__main__":
@@ -116,7 +144,7 @@ if __name__ == "__main__":
     for command, name, settings in CONFIGS:
         print(digest(command, SEEDS[0], (name, settings)), flush=True)
     with tempfile.TemporaryDirectory() as work:
-        for command, name, settings, n in LARGE_CONFIGS:
-            large = Path(work) / f"large-{n}.seq"
-            large.write_text(large_sequence(n))
-            print(digest(command, SEEDS[0], (name, settings), str(large)), flush=True)
+        for command, name, settings, make, n in LARGE_CONFIGS:
+            sequence = Path(work) / f"{make.__name__}-{n}.seq"
+            sequence.write_text(make(n))
+            print(digest(command, SEEDS[0], (name, settings), str(sequence)), flush=True)

@@ -313,13 +313,26 @@ def test_rate_constants_single_atom_are_one():
     assert bernstein_constant(suite, params, lorentz) == pytest.approx(1.0, rel=1e-12)
 
 
+def _superincreasing(n: int) -> CoeffSeq:
+    """Cube(-i) has mass 2^i and, at s = 0 and p = q = 2, captured weight
+    3^i: each cube outweighs all earlier ones together in mass and in
+    weight, so every subset is on the Pareto frontier."""
+    return CoeffSeq({Cube(-i, (0,)): math.sqrt(3**i) for i in range(n)})
+
+
 def test_capability_limits():
     p = _params()
+    # 21 equal masses put only 22 supports on the frontier.
     big = CoeffSeq({Cube(0, (k,)): 1.0 + 0.001 * k for k in range(21)})
+    brute = sigma_exact(big, 5.0, p, mode="brute")
+    knap = sigma_exact(big, 5.0, p, mode="knapsack")
+    assert (brute.error, brute.support) == (knap.error, knap.support)
+    assert brute.nodes == 22
+    thirteen_deep = _superincreasing(13)
     with pytest.raises(CapabilityError):
-        sigma_exact(big, 1.0, p, mode="brute")
+        sigma_exact(thirteen_deep, 1.0, p, mode="brute")
     with pytest.raises(CapabilityError):
-        sigma_profile(big, p, solver="knapsack")
+        sigma_profile(thirteen_deep, p, solver="knapsack")
     assert sigma_greedy(big, 5.0, p).support  # greedy has no size cap
     nonadd = ApproxParams(1.0, 2.0, SpaceParams(0.0, 1.0, 2.0, 1, "tl"), LEBESGUE)
     with pytest.raises(CapabilityError):
@@ -416,8 +429,9 @@ def _fractional_bound(level, cur_mass, cur_w, masses, weights, budget) -> float:
     return bound
 
 
-def _exact_frontier(masses, weights) -> list[int]:
-    """Oracle: the Pareto frontier by sorting all 2^n subsets' exact sums."""
+def _exact_frontier(masses, weights) -> tuple[list[float], list[int]]:
+    """Oracle: the Pareto frontier by sorting all 2^n subsets' exact sums;
+    its masses are those sums rounded once by ``Fraction``."""
 
     def subset_sums(xs):
         fractions = [Fraction(x) for x in xs]
@@ -425,16 +439,16 @@ def _exact_frontier(masses, weights) -> list[int]:
         sums = [0]
         for f in fractions:
             sums += [total + int(f * den) for total in sums]
-        return sums
+        return sums, den
 
-    mass, weight = subset_sums(masses), subset_sums(weights)
+    (mass, den), (weight, _) = subset_sums(masses), subset_sums(weights)
     frontier: list[int] = []
     best = -1
     for mask in sorted(range(len(mass)), key=lambda k: (mass[k], -weight[k], k)):
         if weight[mask] > best:
             best = weight[mask]
             frontier.append(mask)
-    return frontier
+    return [float(Fraction(mass[mask], den)) for mask in frontier], frontier
 
 
 def _frontier_inputs(s, alpha, s_and_p):
@@ -469,8 +483,8 @@ _tied_frontier_inputs = st.tuples(
 @settings(max_examples=100)
 @given(st.one_of(_float_frontier_inputs, _tied_frontier_inputs))
 def test_pareto_merge_matches_exact_frontier(inputs):
-    # Against exact sums over all subsets, mask for mask: of exactly tied
-    # subsets the merge keeps the smallest mask.
+    # Against exact sums over all subsets, mask for mask and mass for mass:
+    # of exactly tied subsets the merge keeps the smallest mask.
     masses, weights = _frontier_inputs(*inputs)
     assert approx._pareto_frontier(masses, weights) == _exact_frontier(
         masses, weights
@@ -479,18 +493,84 @@ def test_pareto_merge_matches_exact_frontier(inputs):
 
 def test_pareto_merge_keeps_smallest_mask_on_ties():
     # Four equal items: every subset of a given size ties exactly.
-    merged = approx._pareto_frontier([0.5] * 4, [2.0] * 4)
+    _, merged = approx._pareto_frontier([0.5] * 4, [2.0] * 4)
     assert merged == [0b0000, 0b0001, 0b0011, 0b0111, 0b1111]
 
 
 def test_pareto_merge_superincreasing_keeps_every_subset():
     # Each item outweighs all earlier ones together, in mass and in weight,
-    # so every one of the 2^16 subsets is Pareto-optimal, in mask order.
-    n = 16
-    merged = approx._pareto_frontier(
+    # so every one of the 2^12 subsets is Pareto-optimal, in mask order: the
+    # most the cap admits for 12 items.
+    n = 12
+    masses, merged = approx._pareto_frontier(
         [2.0**i for i in range(n)], [3.0**i for i in range(n)]
     )
     assert merged == list(range(1 << n))
+    assert masses == [float(mask) for mask in merged]
+
+
+_alphas = st.one_of(st.sampled_from([0.5, -0.3, 0.7071, 1.5]), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=100)
+@given(seq_strategy(max_size=12), _alphas, st.sampled_from([(2.0, 2.0), (1.0, 2.0)]))
+def test_exact_candidate_masses_are_fsums(s, alpha, p_and_q):
+    # Both branches, the Pareto frontier (p == q) and every subset (p != q):
+    # each exact integer sum rounded once equals fsum of its support's masses.
+    cubes, values = approx._sorted_entries(s)
+    masses = [MeasureSpec(alpha)(q) for q in cubes]
+    space = SpaceParams(0.3, *p_and_q, 1, "tl")
+    table, masks = approx._exact_candidates(cubes, values, masses, space)
+    assert len(table) == len(masks)
+    for mass, mask in zip(table, masks):
+        assert mass == math.fsum(m for i, m in enumerate(masses) if mask >> i & 1)
+
+
+@pytest.mark.parametrize(
+    "space", [EUCLID, SpaceParams(0.0, 1.0, 2.0, 1, "tl")], ids=["p=q", "p!=q"]
+)
+def test_exact_cap_boundary_on_superincreasing_inputs(space):
+    # 2^12 candidate supports of 12 cubes is exactly the cap; 13 cubes pass
+    # it, whether the candidates are the frontier (p == q) or every subset.
+    params = _params(space=space)
+    twelve = _superincreasing(12)
+    brute = sigma_exact(twelve, 1000.0, params, mode="brute")
+    assert brute.nodes == 1 << 12
+    profile = sigma_profile(twelve, params, solver="brute")
+    assert profile.breakpoints == tuple(float(m) for m in range(1 << 12))
+    if space.p == space.q:
+        # Mass sums are binary numbers, and weight orders like the mask.
+        assert brute.support == tuple(Cube(-i, (0,)) for i in (9, 8, 7, 6, 5, 3))
+    thirteen = _superincreasing(13)
+    with pytest.raises(CapabilityError):
+        sigma_exact(thirteen, 1000.0, params, mode="brute")
+    with pytest.raises(CapabilityError):
+        sigma_profile(thirteen, params, solver="brute")
+
+
+def test_exact_search_fails_fast_past_the_cap(monkeypatch):
+    """A 20-cube superincreasing input has all 2^20 subsets on its frontier.
+    The merge stops at the step whose frontier times the cube count passes
+    the cap, before any norm: counted, not timed."""
+    sizes = []
+    check = approx._check_work
+
+    def recording_check(candidates, n):
+        sizes.append(candidates)
+        check(candidates, n)
+
+    monkeypatch.setattr(approx, "_check_work", recording_check)
+    calls = {"space_norm": 0}
+    _counting(monkeypatch, calls)
+    s = _superincreasing(20)
+    with pytest.raises(CapabilityError):
+        sigma_profile(s, _params(), solver="knapsack")
+    with pytest.raises(CapabilityError):
+        sigma_exact(s, 1.0, _params(), mode="brute")
+    assert calls == {"space_norm": 0}
+    # Each step doubles the frontier, and the step to 4 096 points raises,
+    # so no merge ever holds more than 4 096 points.
+    assert sizes == [1 << k for k in range(1, 13)] * 2
 
 
 def _counting(monkeypatch, calls: dict[str, int]) -> None:
@@ -529,13 +609,17 @@ def test_exact_profile_never_enumerates(monkeypatch):
     params = _params(measure=MeasureSpec(1.0))
     profile = sigma_profile(s, params, solver="knapsack")
     assert len(frontiers) == 1
-    assert calls["space_norm"] == len(frontiers[0]) < 1 << 20
+    _, masks = frontiers[0]
+    assert calls["space_norm"] == len(masks) < 1 << 20
     assert profile.breakpoints[0] == 0.0
     assert profile.total_mass == math.fsum(params.measure(q) for q in s.support)
     assert approx_norm(s, params, "knapsack") == profile.norm(1.0, 2.0)
+    # Past 20 cubes, five distinct masses keep the frontier small.
     big = CoeffSeq({Cube(j % 5, (j,)): 1.0 for j in range(21)})
+    brute = sigma_exact(big, 2.0, params, mode="brute")
+    assert brute.error == sigma_exact(big, 2.0, params, mode="knapsack").error
     with pytest.raises(CapabilityError):
-        sigma_profile(big, params, solver="knapsack")
+        sigma_profile(_superincreasing(21), params, solver="knapsack")
 
 
 def test_brute_and_knapsack_share_no_search_code(monkeypatch):

@@ -164,9 +164,10 @@ def test_missing_input_file_is_a_usage_error(tmp_path):
 
 
 def test_capability_limit_is_a_usage_error(tmp_path):
-    # 30 entries: too many for an exact profile enumeration
+    # 13 nested cubes of masses 2^i and captured weights 3^i: all 2^13
+    # subsets are on the frontier, too many for an exact profile.
     seq = tmp_path / "big.seq"
-    seq.write_text("".join(f"0 {k} 1.0\n" for k in range(30)))
+    seq.write_text("".join(f"{-i} 0 {math.sqrt(3**i)!r}\n" for i in range(13)))
     cfg = tmp_path / "run.cfg"
     cfg.write_text("solver = knapsack\n")
     out = tmp_path / "out"
@@ -377,6 +378,20 @@ def test_norm_past_the_float_range_is_a_typed_error(tmp_path, capsys, line, eta)
     argv = ["norm", str(seq), "--config", str(cfg), "--out", str(tmp_path)]
     assert main(argv) == 2
     assert "error: a weight integral exceeds the float range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_norm_rejects_a_weight_spec_with_a_leftover_key(tmp_path, capsys):
+    # ``b`` is not a key of the power family; it used to be dropped silently.
+    seq = tmp_path / "one.seq"
+    seq.write_text("0 0 1.0\n")
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text("eta = power:p=2,b=1\n")
+    argv = ["norm", str(seq), "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "error: bad weight spec 'power:p=2,b=1': unknown key 'b'" in (
+        capsys.readouterr().err
+    )
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -50,7 +50,17 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("gauss:p=2", "power", "power:p=0", "powerlog:p=2", "power:p=x"):
+    bad_specs = (
+        "gauss:p=2",
+        "power",
+        "power:p=0",
+        "powerlog:p=2",
+        "power:p=x",
+        "power:p=2,b=1",  # a key the family does not take
+        "powerlog:p=2,b=1,zzz=3",
+        "power:p=2,p=3",  # a repeated key
+    )
+    for bad in bad_specs:
         with pytest.raises(ConfigError):
             WeightFn.parse(bad)
 
