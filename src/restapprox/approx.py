@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, VolumePowers, pow2
+from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, pow2
 from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
@@ -180,7 +180,7 @@ def _is_additive(space: SpaceParams) -> bool:
 def _additive_weights(cubes: list[Cube], values: list[float], space: SpaceParams):
     """(|Q|^e |s_Q|)^p per cube.  A power past the float range gives inf,
     the value an overflowing product already gives."""
-    scale = VolumePowers(space.atom_exponent)
+    scale = space.atom_powers
     weights = []
     for q, v in zip(cubes, values):
         term = scale(q) * abs(v)

@@ -10,19 +10,27 @@ and alpha = 1 additionally requires p1 == q1.
 Structured families with closed-form values and masses (disjoint grids,
 nested towers, same-scale rows) make both the matching and the failure modes
 testable at sizes far beyond what can be materialized.
+
+Random families are drawn in bulk.  ``admissible_spread`` draws all its
+families from one block series of the generator's 32-bit words and scores
+them in one numpy pass, with no cube, sequence or forest per family, on any
+window of 2 to 33 scales whose per-level values are finite floats.  The
+oracle, run on every other window and kept as the tier-1 reference, is the
+per-family loop of ``random_cube_set``, ``democracy_value`` and
+``nu_measure``; the bulk path gives its ratios bit for bit and leaves the
+generator in its state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dyadic import Cube, MeasureSpec, nu_measure, pow2
+from .dyadic import VOLUMES, Cube, MeasureSpec, nu_measure, pow2
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq
 from .spaces import AtomWeights, SpaceParams, _recip, tl_norm
@@ -291,6 +299,16 @@ def divergence_exponent(
 
 
 _WORD = 1 << 32
+_CAP_MESSAGE = "cube window too small for the requested count"
+# A family with a region term beyond this goes to the per-family loop, so
+# that a norm past the float range raises the loop's own error.  Below it,
+# no partial of the family's fsum can overflow.
+_TERM_LIMIT = 2.0**960
+
+
+def _attempt_cap(count: int) -> int:
+    """Attempts after which ``random_cube_set`` gives up on ``count`` cubes."""
+    return 200 * count + 1000
 
 
 class _Words:
@@ -305,7 +323,7 @@ class _Words:
 
     def __init__(self, rng: np.random.Generator, chunk: int):
         self.rng = rng
-        self.words: list[int] = []
+        self.words = np.empty(0, dtype=np.uint64)
         self._chunk = chunk
         self._state: dict | None = None
 
@@ -314,7 +332,7 @@ class _Words:
         if self._state is None:
             self._state = self.rng.bit_generator.state
         block = self.rng.integers(0, _WORD, size=self._chunk, dtype=np.uint64)
-        self.words += block.tolist()
+        self.words = np.concatenate([self.words, block])
         self._chunk *= 2
 
     def sync(self, used: int) -> None:
@@ -324,7 +342,117 @@ class _Words:
             if used:
                 self.rng.integers(0, _WORD, size=used, dtype=np.uint64)
             self._state = None
-        self.words.clear()
+        self.words = np.empty(0, dtype=np.uint64)
+
+
+def _replays(n_sets: int, d: int, j_min: int, j_max: int) -> bool:
+    """Whether ``_draw_families`` serves the window: not one scale only
+    (numpy then takes no word), nor more than 33 (positions past one word),
+    nor codes of ``n_sets`` families past 2^63."""
+    depth = j_max - j_min
+    return 1 <= depth <= 32 and (n_sets * (depth + 1)) << (d * depth) <= 1 << 63
+
+
+def _draw_families(
+    block: _Words, n_sets: int, count: int, d: int, depth: int
+) -> tuple[list[int], list[int], int | None]:
+    """``n_sets`` families of ``random_cube_set``'s window [j_min, j_min +
+    depth], drawn one after another from ``block``'s words as its per-attempt
+    loop draws them.
+
+    Returns the codes of every family's cubes, the words used up to the end
+    of each family, and, when a family meets the attempt cap, the words used
+    up to its cap (the families after it are not drawn), else None.  A cube
+    at level L (scale j_min + L) with positions k of family f has the code
+    ``((f * (depth + 1) + L) << d * depth) | k[0] << (d - 1) * depth | ...
+    | k[d - 1]``.
+
+    An attempt at word i reads its level from word i and, at level L > 0,
+    each position from the top L bits of words i + 1 ... i + d; a rejected
+    level word is read again at i + 1 by the same attempt.  So the attempts
+    start on the orbit of word 0 under i -> i + 1 (rejected, or level 0) and
+    i -> i + 1 + d (otherwise), which pointer doubling finds in O(log words)
+    numpy steps.  Each family ends at the attempt where its ``count``-th
+    distinct cube first appears.  When the block runs out first, it takes
+    more words and starts over.
+    """
+    j_range = depth + 1
+    bits = d * depth
+    threshold = (_WORD - j_range) % j_range
+    cap = _attempt_cap(count)
+    while True:
+        block.fetch()
+        n = len(block.words)
+        # d zero words past the end, read by a last attempt at level 0.
+        words = np.concatenate([block.words, np.zeros(d, dtype=np.uint64)])
+        product = words[:n] * j_range
+        levels = product >> 32
+        accepted = (product & (_WORD - 1)) >= threshold
+        # stop[i]: the word after an attempt at i, or the retry of a
+        # rejected word; stop[n] is the sink that every jump past the block
+        # ends in.
+        stop = np.arange(1, n + 2)
+        stop[:n][accepted & (levels > 0)] += d
+        # jump is i -> stop[i] composed 2^r times, and on marks the first
+        # 2^r words of the orbit.
+        jump = np.minimum(stop, n)
+        on = np.zeros(n + 1, dtype=bool)
+        on[0] = True
+        while jump[0] < n:
+            on[jump[on]] = True
+            jump = jump[jump]
+        starts = np.flatnonzero(on[:n] & accepted)
+        stops = stop[starts].tolist()
+        if stops and stops[-1] > n:  # its position words are not drawn yet
+            starts, stops = starts[:-1], stops[:-1]
+        level = levels[starts]
+        keys = level << bits
+        shift = 32 - level  # at level 0 a word shifts to 0, as none is read
+        for axis in range(d):
+            at = starts + (1 + axis)
+            keys |= (words[at] >> shift) << ((d - 1 - axis) * depth)
+        codes: list[int] = []
+        ends: list[int] = []
+        seen: set[int] = set()
+        first = 0
+        for t, key in enumerate(keys.tolist()):
+            if t - first == cap:
+                return codes, ends, stops[t - 1]
+            seen.add(key)
+            if len(seen) == count:
+                offset = len(ends) * (j_range << bits)
+                codes += [offset + cube for cube in seen]
+                ends.append(stops[t])
+                if len(ends) == n_sets:
+                    return codes, ends, None
+                seen = set()
+                first = t + 1
+
+
+def _split_codes(
+    codes: list[int], d: int, depth: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Codes of ``_draw_families`` sorted, their heads ``f * (depth + 1) +
+    L``, and their positions, one array per axis."""
+    ordered = np.sort(np.array(codes, dtype=np.uint64))
+    mask = (1 << depth) - 1
+    axes = [(ordered >> ((d - 1 - axis) * depth)) & mask for axis in range(d)]
+    return ordered, ordered >> (d * depth), axes
+
+
+def _cubes_per_attempt(
+    rng: np.random.Generator, count: int, d: int, j_min: int, j_max: int
+) -> list[Cube]:
+    """``random_cube_set`` with two numpy calls per attempt."""
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    attempts = 0
+    while len(seen) < count:
+        attempts += 1
+        if attempts > _attempt_cap(count):
+            raise ContractViolationError(_CAP_MESSAGE)
+        j = int(rng.integers(j_min, j_max + 1))
+        seen.add((j, tuple(rng.integers(0, 1 << (j - j_min), size=d).tolist())))
+    return [Cube(j, k) for j, k in sorted(seen)]
 
 
 def random_cube_set(
@@ -334,22 +462,25 @@ def random_cube_set(
     j_min: int,
     j_max: int,
 ) -> list[Cube]:
-    """Exactly ``count`` distinct cubes with scales in [j_min, j_max].
+    """Exactly ``count`` distinct cubes with scales in [j_min, j_max], sorted.
 
     All cubes lie inside the axis box [0, 2^(-j_min))^d, so arbitrary nesting
     between scales can occur.
 
     Each attempt draws ``j = rng.integers(j_min, j_max + 1)`` and then
     ``k = rng.integers(0, 2^(j - j_min), size=d)``, until ``count`` distinct
-    cubes are seen.  For a range r <= 2^32 numpy's bounded draw (Lemire 2019,
-    *Fast Random Integer Generation in an Interval*) takes no word when
-    r == 1; otherwise it takes a 32-bit word w, rejects it while
-    (w * r) mod 2^32 < (2^32 - r) mod r, and returns (w * r) >> 32.  A power
-    of two never rejects, so each coordinate of k takes one word, or none at
-    j == j_min.  That rule is replayed here on words taken in blocks (see
-    ``_Words``), so a family costs a few numpy calls instead of two per
-    attempt.  Wider ranges, which numpy draws from 64-bit words, are drawn
-    by numpy itself after a sync.  The cubes and the generator's state
+    cubes are seen; after ``_attempt_cap(count)`` = 200 * count + 1000
+    attempts it raises ContractViolationError.  For a range r <= 2^32
+    numpy's bounded draw (Lemire 2019, *Fast Random Integer Generation in an
+    Interval*) takes no word when r == 1; otherwise it takes a 32-bit word w,
+    rejects it while (w * r) mod 2^32 < (2^32 - r) mod r, and returns
+    (w * r) >> 32.  A power of two never rejects, so each coordinate of k
+    takes one word, or none at j == j_min.
+
+    A window of 2 to 33 scales, with codes below 2^63 (see ``_replays``), is
+    drawn by replaying that rule on words taken in blocks: this is the
+    one-family case of the draw ``admissible_spread`` makes, a few numpy
+    calls per family.  Other windows run the two numpy calls per attempt.  Either way the cubes and the generator's state
     afterwards are those of the per-attempt calls, so every instance drawn
     after this family is unchanged too.
     """
@@ -357,51 +488,131 @@ def random_cube_set(
         raise ContractViolationError("need j_min <= j_max")
     if d < 1:
         raise ContractViolationError("cube position vector must be non-empty")
-    j_range = j_max - j_min + 1
-    threshold = (_WORD - j_range) % j_range
+    if count < 0:
+        raise ContractViolationError("count must be >= 0")
+    if not _replays(1, d, j_min, j_max):
+        return _cubes_per_attempt(rng, count, d, j_min, j_max)
+    if count == 0:
+        return []
+    depth = j_max - j_min
     block = _Words(rng, 2 * (d + 1) * count + 32)
-    words = block.words
     used = 0
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    attempts = 0
     try:
-        while len(seen) < count:
-            attempts += 1
-            if attempts > 200 * count + 1000:
-                raise ContractViolationError(
-                    "cube window too small for the requested count"
-                )
-            if j_range == 1:
-                level = 0
-            elif j_range > _WORD:
-                block.sync(used)
-                used = 0
-                level = int(rng.integers(j_min, j_max + 1)) - j_min
-            else:
-                while True:
-                    if used == len(words):
-                        block.fetch()
-                    m = words[used] * j_range
-                    used += 1
-                    if m % _WORD >= threshold:
-                        break
-                level = m >> 32
-            if level == 0:
-                k = (0,) * d
-            elif level > 32:
-                block.sync(used)
-                used = 0
-                k = tuple(rng.integers(0, 1 << level, size=d).tolist())
-            else:
-                while used + d > len(words):
-                    block.fetch()
-                shifts = itertools.repeat(32 - level, d)
-                k = tuple(map(operator.rshift, words[used : used + d], shifts))
-                used += d
-            seen.add((j_min + level, k))
+        codes, ends, capped = _draw_families(block, 1, count, d, depth)
+        used = ends[0] if capped is None else capped
     finally:
         block.sync(used)
-    return [Cube(j, k) for j, k in sorted(seen)]
+    if capped is not None:
+        raise ContractViolationError(_CAP_MESSAGE)
+    _, levels, axes = _split_codes(codes, d, depth)
+    positions = zip(*(axis.tolist() for axis in axes))
+    return [Cube(j_min + level, k) for level, k in zip(levels.tolist(), positions)]
+
+
+def _level_table(
+    case: DemocracyCase, j_min: int, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Per level L of the window (scale j_min + L): what an indicator cube
+    adds to its chain (b_Q^q1, or b_Q for q1 = inf), |Q| and |Q|^alpha, each
+    from the tables ``democracy_value`` and ``nu_measure`` read.  None when a
+    level's values are not all finite floats."""
+    f1, d = case.f1, case.d
+    rows = []
+    try:
+        for level in range(depth + 1):
+            jd = (j_min + level) * d
+            b = f1.coeff_powers[jd] * abs(float(1.0 / case.f2.atom_powers[jd]))
+            chain_in = b if math.isinf(f1.q) else b**f1.q
+            rows.append((chain_in, VOLUMES[jd], case.measure.powers[jd]))
+    except (ArithmeticError, ValueError):
+        return None
+    table = np.array(rows)
+    if not np.isfinite(table).all():
+        return None
+    return table[:, 0], table[:, 1], table[:, 2]
+
+
+def _family_ratios(
+    codes: list[int],
+    n_families: int,
+    case: DemocracyCase,
+    depth: int,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> list[float]:
+    """``value / mass^(1/p1)`` per family of ``codes`` (see
+    ``_draw_families``), bit for bit as ``democracy_value`` and
+    ``nu_measure`` give them, up to the first family with a region term past
+    ``_TERM_LIMIT`` or a value past the float range.
+
+    Every per-cube quantity of an indicator family depends only on the
+    level, and a cube's ancestor at level A < L is the cube (A, k >> (L -
+    A)), so one sort of the codes and one ``searchsorted`` per level mark the
+    ancestors present.  The chain values are then accumulated level by
+    level, coarsest first: the float adds (maxima for q1 = inf) of
+    ``ContainmentForest.chain_values`` in its order.  The value before a
+    cube's own level is its parent's chain value.  Constants are Python
+    float powers of the distinct chain values only, region terms are numpy
+    multiplies, rounded like Python's, and each family takes one
+    ``math.fsum`` for its integral and one for its mass.
+    """
+    chain_in, volume, mass = table
+    d, p = case.d, case.f1.p
+    maxima = math.isinf(case.f1.q)
+    ordered, head, axes = _split_codes(codes, d, depth)
+    family, level = np.divmod(head, depth + 1)
+    # The chain value of each cube's nearest ancestor present, as the forest
+    # reads it at a root: 0.0, or -inf for maxima.
+    above = np.full(len(ordered), -math.inf if maxima else 0.0)
+    has_parent = np.zeros(len(ordered), dtype=bool)
+    for ancestor in range(depth):
+        deeper = np.flatnonzero(level > ancestor)
+        gap = level[deeper] - ancestor
+        probe = (head[deeper] - gap) << (d * depth)
+        for axis, k in enumerate(axes):
+            probe |= (k[deeper] >> gap) << ((d - 1 - axis) * depth)
+        at = np.minimum(np.searchsorted(ordered, probe), len(ordered) - 1)
+        found = deeper[ordered[at] == probe]
+        if maxima:
+            above[found] = np.maximum(above[found], chain_in[ancestor])
+        else:
+            above[found] += chain_in[ancestor]
+        has_parent[found] = True
+    own = np.maximum(above, chain_in[level]) if maxima else above + chain_in[level]
+    exponent = p if maxima else p / case.f1.q
+    chains, back = np.unique(
+        np.concatenate([own, above[has_parent]]), return_inverse=True
+    )
+    powered = []
+    for c in chains.tolist():
+        try:
+            powered.append(c**exponent if c > 0.0 else 0.0)
+        except OverflowError:  # past the float range: the loop raises
+            powered.append(math.inf)
+    constants = np.array(powered)[back]
+    size = volume[level]
+    terms = np.concatenate(
+        [constants[: len(own)] * size, -constants[len(own) :] * size[has_parent]]
+    )
+    owner = np.concatenate([family, family[has_parent]])
+    kept = constants != 0.0
+    order = np.argsort(owner[kept], kind="stable")
+    terms, owner = terms[kept][order], owner[kept][order]
+    wide = owner[np.abs(terms) > _TERM_LIMIT]
+    last = min(n_families, int(wide.min())) if wide.size else n_families
+    bounds = np.searchsorted(owner, np.arange(last + 1, dtype=owner.dtype)).tolist()
+    terms = terms.tolist()
+    masses = mass[level].tolist()
+    count = len(ordered) // n_families
+    root = 1.0 / p
+    ratios = []
+    for f in range(last):
+        try:
+            value = max(math.fsum(terms[bounds[f] : bounds[f + 1]]), 0.0) ** root
+            total = math.fsum(masses[f * count : (f + 1) * count])
+            ratios.append(value / total**root)
+        except (ArithmeticError, ValueError):
+            break
+    return ratios
 
 
 def admissible_spread(
@@ -412,10 +623,42 @@ def admissible_spread(
     j_min: int = -3,
     j_max: int = 6,
 ) -> tuple[float, float]:
-    """(min, max) of the normalized ratio over random cube families."""
-    ratios = []
-    for _ in range(n_sets):
-        cubes = random_cube_set(rng, cube_count, case.d, j_min, j_max)
+    """(min, max) of the normalized ratio over ``n_sets`` random families of
+    ``cube_count`` cubes each.
+
+    The oracle is the per-family loop: ``random_cube_set``, then
+    ``democracy_value`` over ``nu_measure(...)^(1/p1)``.  On a window that
+    ``random_cube_set`` replays in words (2 to 33 scales), with the families'
+    codes below 2^63 and every level's values finite, all families are drawn
+    from one block series of words (``_draw_families``) and scored in one
+    numpy pass (``_family_ratios``), building no cube, sequence or forest.
+    The ratios are the loop's bit for bit, and the generator ends in the
+    loop's state.  From the first family whose values leave the float range
+    or that meets the attempt cap on, the families run the loop, which raises
+    its own error; other windows run the loop throughout.
+    """
+    if n_sets < 1:
+        raise ContractViolationError("n_sets must be >= 1")
+    if cube_count < 1:
+        raise ContractViolationError("cube_count must be >= 1")
+    d = case.d
+    depth = j_max - j_min
+    table = None
+    if _replays(n_sets, d, j_min, j_max):
+        table = _level_table(case, j_min, depth)
+    ratios: list[float] = []
+    if table is not None:
+        block = _Words(rng, n_sets * (2 * (d + 1) * cube_count + 32))
+        used = 0
+        try:
+            codes, ends, _ = _draw_families(block, n_sets, cube_count, d, depth)
+            if ends:
+                ratios = _family_ratios(codes, len(ends), case, depth, table)
+            used = ends[len(ratios) - 1] if ratios else 0
+        finally:
+            block.sync(used)
+    for _ in range(n_sets - len(ratios)):
+        cubes = random_cube_set(rng, cube_count, d, j_min, j_max)
         value = democracy_value(cubes, case)
         mass = nu_measure(cubes, case.measure)
         ratios.append(value / mass ** (1.0 / case.f1.p))

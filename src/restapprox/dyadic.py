@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolationError, ScaleRangeError
 
@@ -158,22 +158,27 @@ class VolumePowers(dict):
         return power
 
 
+# |Q| per volume, one table for every caller.  It only memoizes pow2, and
+# holds at most 2 001 entries, as pow2 raises past 2^(+-1000).
+VOLUMES = VolumePowers(1)
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """The measure assigning each cube the mass |Q|^alpha.
 
     ``alpha = 0`` is the counting measure; ``alpha = 1`` is Lebesgue volume.
-    Each mass is computed once per cube volume.
+    Each mass is computed once per cube volume, in ``powers``.
     """
 
     alpha: float = 0.0
-    _mass: VolumePowers = field(init=False, repr=False, compare=False)
+    powers: VolumePowers = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_mass", VolumePowers(self.alpha))
+        object.__setattr__(self, "powers", VolumePowers(self.alpha))
 
     def __call__(self, cube: Cube) -> float:
-        return self._mass(cube)
+        return self.powers(cube)
 
 
 def nu_measure(cubes: Iterable[Cube], measure: MeasureSpec) -> float:
@@ -267,8 +272,9 @@ def _capped_levels(cubes: Sequence[Cube]) -> dict[int, int]:
     return levels
 
 
-def _bit_spreader(width: int, d: int) -> Callable[[int], int]:
-    """Function moving bit i of a non-negative int below 2^width to bit i*d.
+def _spread_steps(width: int, d: int) -> list[tuple[int, int]]:
+    """``(shift, mask)`` steps moving bit i of a non-negative int below
+    2^width to bit i*d: ``x = (x | (x << shift)) & mask`` for each in turn.
 
     Each step moves the upper half of every block of bits up by half a block
     times (d - 1), so an int of b bits takes log2(b) big-int steps instead of
@@ -286,13 +292,7 @@ def _bit_spreader(width: int, d: int) -> Callable[[int], int]:
             mask |= mask << span
             span *= 2
         steps.append((block * (d - 1), mask))
-
-    def spread(x: int) -> int:
-        for shift, mask in steps:
-            x = (x | (x << shift)) & mask
-        return x
-
-    return spread
+    return steps
 
 
 def _preorder_ranges(
@@ -319,15 +319,18 @@ def _preorder_ranges(
         roots = [[c >> levels[q.j] for c in q.k] for q in cubes]
         origin = [min(column) for column in zip(*roots)]
         extent = max(max(column) - o for column, o in zip(zip(*roots), origin))
-        interleave = _bit_spreader(top + extent.bit_length(), d)
-
-        def corner(q: Cube, level: int) -> int:
-            code = 0
-            for c, o in zip(q.k, origin):
-                code = (code << 1) | interleave((c - (o << level)) << (top - level))
-            return code
-
-        codes = list(map(corner, cubes, cube_levels))
+        steps = _spread_steps(top + extent.bit_length(), d)
+        codes = [0] * len(cubes)
+        # One coordinate column at a time, each spread step over the whole
+        # column, then interleaved into the codes.
+        for axis, o in enumerate(origin):
+            column = [
+                (q.k[axis] - (o << level)) << (top - level)
+                for q, level in zip(cubes, cube_levels)
+            ]
+            for shift, mask in steps:
+                column = [(x | (x << shift)) & mask for x in column]
+            codes = [(code << 1) | x for code, x in zip(codes, column)]
     keys = [(code << tie) | level for code, level in zip(codes, cube_levels)]
     ends = [
         (code + (1 << ((top - level) * d))) << tie
@@ -437,12 +440,11 @@ class ContainmentForest:
         so the only rounding is one multiply per term.  Raises
         ScaleRangeError when the integral is not a finite float.
         """
-        volume = VolumePowers(1)
         terms: list[float] = []
         for q, p, c in zip(self.cubes, self.parent, constants):
             outer = constants[p] if p >= 0 else 0.0
             if c != 0.0 or outer != 0.0:
-                size = volume[q.j * q.d]
+                size = VOLUMES[q.j * q.d]
                 if c != 0.0:
                     terms.append(c * size)
                 if outer != 0.0:

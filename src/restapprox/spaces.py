@@ -18,7 +18,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .dyadic import ContainmentForest, Cube, ExactSum, MeasureSpec, VolumePowers
+from .dyadic import (
+    VOLUMES,
+    ContainmentForest,
+    Cube,
+    ExactSum,
+    MeasureSpec,
+    VolumePowers,
+)
 from .errors import ContractViolationError, ScaleRangeError
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .weights import WeightFn
@@ -44,13 +51,20 @@ def _recip(p: float) -> float:
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Smoothness s, inner exponent p, aggregation exponent q, dimension d."""
+    """Smoothness s, inner exponent p, aggregation exponent q, dimension d.
+
+    ``coeff_powers`` and ``atom_powers`` hold |Q|^coeff_exponent and
+    |Q|^atom_exponent per cube volume, built once per parameter set, so every
+    norm taken with it pays one ``pow2`` per volume the first time only.
+    """
 
     s: float
     p: float
     q: float
     d: int
     kind: str = "tl"
+    coeff_powers: VolumePowers = field(init=False, repr=False, compare=False)
+    atom_powers: VolumePowers = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -63,6 +77,8 @@ class SpaceParams:
             raise ContractViolationError("d must be a positive integer")
         if not math.isfinite(self.s):
             raise ContractViolationError("s must be finite")
+        object.__setattr__(self, "coeff_powers", VolumePowers(self.coeff_exponent))
+        object.__setattr__(self, "atom_powers", VolumePowers(self.atom_exponent))
 
     @property
     def rho(self) -> float:
@@ -85,21 +101,18 @@ class AtomWeights:
     """u(Q) = |Q|^e where e is the space's atom exponent.
 
     Callable on cubes, so it can serve directly as the ``u`` argument of the
-    Lorentz-norm functions.  Each power is computed once per cube volume.
+    Lorentz-norm functions.  Each power is computed once per cube volume, in
+    the space's ``atom_powers``.
     """
 
     space: SpaceParams
-    _powers: VolumePowers = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_powers", VolumePowers(self.space.atom_exponent))
 
     def __call__(self, cube: Cube) -> float:
         if cube.d != self.space.d:
             raise ContractViolationError(
                 f"cube dimension {cube.d} != space dimension {self.space.d}"
             )
-        return self._powers(cube)
+        return self.space.atom_powers(cube)
 
 
 _COEFFICIENT_RANGE = "a scaled coefficient exceeds the float range"
@@ -114,7 +127,7 @@ def _tl_chain_inputs(
     """What each cube of ``forest.cubes`` adds to its chain — b_Q^q, or b_Q
     for ``q = inf`` — and the exponent taking a chain value to its region
     constant."""
-    scale = VolumePowers(params.coeff_exponent)
+    scale = params.coeff_powers
     b = [scale(q) * abs(entries[q]) for q in forest.cubes]
     if math.isinf(params.q):
         return b, params.p
@@ -194,7 +207,7 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "besov")
     if not s:
         return 0.0
-    scale = VolumePowers(params.atom_exponent)
+    scale = params.atom_powers
     by_scale: dict[int, list[float]] = {}
     for cube, value in s.items():
         by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
@@ -247,7 +260,6 @@ def _tl_suffix_norms(
     n = len(cubes)
     ends = forest.subtree_ends()
     where = {q: i for i, q in enumerate(cubes)}
-    volume = VolumePowers(1)
     maxima = math.isinf(params.q)
     # Slot i holds the chain value and constant of cube i if it is present,
     # else those of its nearest present ancestor; slot -1 stands for none.
@@ -281,7 +293,7 @@ def _tl_suffix_norms(
                 above = seen_constant[p]
                 if constant != own[y] or above != outer[y]:
                     q = cubes[y]
-                    size = volume[q.j * q.d]
+                    size = VOLUMES[q.j * q.d]
                     for old, new in ((own[y], constant), (-outer[y], -above)):
                         if old != new:
                             if old:
@@ -307,7 +319,7 @@ def _besov_suffix_norms(
 ) -> list[float]:
     # In the order of s, so that a scale outside the float range is reported
     # as besov_norm reports it.
-    scale = VolumePowers(params.atom_exponent)
+    scale = params.atom_powers
     scaled = {cube: scale(cube) * abs(value) for cube, value in s.items()}
     p, q = params.p, params.q
     sums: defaultdict[int, ExactSum] = defaultdict(ExactSum)

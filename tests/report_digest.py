@@ -20,9 +20,13 @@ knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
 search's cap.  All reports go to a temporary directory.  Each run drops the
 ``wall_time_s`` column and prints the exit code, the SHA-256 of the
 remaining report, and the command's stdout and stderr with the report
-directory replaced by ``<out>``.  Two versions whose outputs are equal line
-for line wrote byte-identical reports modulo wall time, exited alike and
-printed the same messages.
+directory replaced by ``<out>``.  Last, for each case in ``SPREADS``,
+``democracy.admissible_spread``'s ``(min, max)`` as ``float.hex`` and the
+generator's next word afterwards: criterion 3's window at d = 1 and 2 (whose
+report prints the spread growth to 3 decimals only), the default window at
+d = 3, and an infinite aggregation exponent.  Two versions whose outputs are
+equal line for line wrote byte-identical reports modulo wall time, exited
+alike, printed the same messages, and drew and scored the same families.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from restapprox import DemocracyCase, SpaceParams, admissible_spread
 from restapprox.cli import _COMMANDS, main
 
 SAMPLE = str(Path(__file__).resolve().parent.parent / "fixtures" / "sample.seq")
@@ -100,6 +107,29 @@ LARGE_CONFIGS = (
 )
 
 
+# (label, d, q1, n_sets, cube_count, j_min, j_max) of the admissible_spread
+# runs, each on the generator default_rng([17, 3]).
+SPREADS = (
+    ("criterion-3-d1", 1, 2.4, 100, 30, -2, 5),
+    ("criterion-3-d2", 2, 2.4, 100, 60, -2, 5),
+    ("default-window-d3", 3, 2.4, 20, 30, -3, 6),
+    ("q-inf-d1", 1, math.inf, 100, 60, -2, 5),
+)
+
+
+def spread_digest(
+    label: str, d: int, q1: float, n_sets: int, count: int, j_min: int, j_max: int
+) -> str:
+    """One line: the spread's bounds as ``float.hex`` and the next word."""
+    f1 = SpaceParams(0.3, 1.7, q1, d, "tl")
+    f2 = SpaceParams(0.8, 2.0, 2.5, d, "tl")
+    case = DemocracyCase(f1, f2, DemocracyCase(f1, f2, 1.0).formula_alpha)
+    rng = np.random.default_rng([17, 3])
+    lo, hi = admissible_spread(case, rng, n_sets, count, j_min, j_max)
+    word = int(rng.integers(0, 1 << 32))
+    return f"spread {label} min={lo.hex()} max={hi.hex()} next-word={word}"
+
+
 def digest(
     command: str,
     seed: int,
@@ -148,3 +178,5 @@ if __name__ == "__main__":
             sequence = Path(work) / f"{make.__name__}-{n}.seq"
             sequence.write_text(make(n))
             print(digest(command, SEEDS[0], (name, settings), str(sequence)), flush=True)
+    for spread in SPREADS:
+        print(spread_digest(*spread), flush=True)

@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restapprox import (
     CapabilityError,
+    CoeffSeq,
+    ContainmentForest,
     ContractViolationError,
     Cube,
     DemocracyCase,
@@ -187,6 +191,11 @@ def test_random_cube_set_properties():
         random_cube_set(rng, 10, 1, 0, 0)  # only one cube exists in the window
     with pytest.raises(ContractViolationError):
         random_cube_set(rng, 3, 0, 0, 2)  # cubes need a position vector
+    state = rng.bit_generator.state
+    with pytest.raises(ContractViolationError, match="count must be >= 0"):
+        random_cube_set(rng, -1, 1, 0, 2)
+    assert random_cube_set(rng, 0, 1, 0, 2) == []
+    assert rng.bit_generator.state == state
 
 
 def _random_cube_set_oracle(rng, count, d, j_min, j_max):
@@ -330,6 +339,155 @@ def test_admissible_spread_is_bounded():
     case = _case(s1=0.0, p1=2.0, q1=2.0, s2=0.5, p2=2.0)  # e = 0, alpha = 1
     mn, mx = admissible_spread(case, np.random.default_rng(7), 5, 30)
     assert 0.2 < mn <= mx < 5.0
+
+
+def test_admissible_spread_needs_families_and_cubes():
+    case = _case()
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ContractViolationError, match="n_sets must be >= 1"):
+        admissible_spread(case, rng, 0, 30)
+    with pytest.raises(ContractViolationError, match="cube_count must be >= 1"):
+        admissible_spread(case, rng, 5, 0)
+    assert rng.bit_generator.state == state
+
+
+def _spread_oracle(case, rng, n_sets, count, j_min, j_max):
+    """The per-family loop ``admissible_spread`` replaces, drawing each family
+    with the per-attempt calls."""
+    ratios = []
+    for _ in range(n_sets):
+        cubes = _random_cube_set_oracle(rng, count, case.d, j_min, j_max)
+        value = democracy_value(cubes, case)
+        mass = nu_measure(cubes, case.measure)
+        ratios.append(value / mass ** (1.0 / case.f1.p))
+    return min(ratios), max(ratios)
+
+
+def _spread_outcome(spread, case, rng, *args):
+    """The bounds as ``float.hex`` or the error's type and text, and the
+    generator's state afterwards."""
+    try:
+        result = tuple(x.hex() for x in spread(case, rng, *args))
+    except (ArithmeticError, ValueError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, _plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_admissible_spread_matches_the_per_family_loop(generator):
+    for seed in range(3):
+        fast, slow = _GENERATORS[generator](seed), _GENERATORS[generator](seed)
+        for i, (count, d, j_min, j_max) in enumerate(_WINDOWS):
+            q1 = math.inf if i % 3 == 2 else 2.3
+            case = _case(s1=0.2, p1=1.6, q1=q1, s2=0.7, p2=1.9, q2=3.1, d=d)
+            for n_sets in (1, 7):
+                args = (n_sets, count, j_min, j_max)
+                assert _spread_outcome(admissible_spread, case, fast, *args) == (
+                    _spread_outcome(_spread_oracle, case, slow, *args)
+                ), (seed, count, d, j_min, j_max, n_sets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    s1=st.floats(-1.0, 1.0),
+    p1=st.floats(0.05, 4.0),
+    q1=st.one_of(st.floats(0.3, 4.0), st.just(math.inf)),
+    s2=st.floats(-1.0, 1.0),
+    p2=st.floats(0.5, 4.0),
+    alpha=st.one_of(
+        st.floats(-3.0, 3.0),
+        st.floats(-200.0, 200.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    n_sets=st.integers(1, 8),
+    count=st.integers(1, 40),
+    j_min=st.integers(-4, 2),
+    depth=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_admissible_spread_matches_the_loop_on_any_case(
+    d, s1, p1, q1, s2, p2, alpha, n_sets, count, j_min, depth, seed
+):
+    case = _case(s1=s1, p1=p1, q1=q1, s2=s2, p2=p2, d=d, alpha=alpha)
+    args = (n_sets, count, j_min, j_min + depth)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _spread_outcome(admissible_spread, case, fast, *args) == (
+        _spread_outcome(_spread_oracle, case, slow, *args)
+    )
+
+
+def test_admissible_spread_rejects_words_as_numpy_does():
+    """Two one-cube families in j in [0, 4] (r = 5, where word 0 is
+    rejected), read from given words; see
+    ``test_random_cube_set_rejects_words_as_numpy_does``."""
+    high = ((1 << 32) * 3) // 5 + 1  # j = 3
+    low = (1 << 32) // 5 + 1  # j = 1
+    words = [0, high, (5 << 29) + 1, 0, 0, low, (1 << 31) + 7, 99]
+    rng = _WordsGenerator(words)
+    case = _case(s1=0.2, p1=1.6, q1=2.3, s2=0.7, p2=1.9, d=1)
+    ratios = [
+        democracy_value([q], case) / nu_measure([q], case.measure) ** (1.0 / 1.6)
+        for q in (Cube(3, (5,)), Cube(1, (1,)))
+    ]
+    assert admissible_spread(case, rng, 2, 1, 0, 4) == (min(ratios), max(ratios))
+    assert rng.words == [99]
+
+
+def test_admissible_spread_hands_a_family_out_of_range_to_the_loop():
+    """At p1 = 0.05 and alpha = 60, a family holding only Cube(3, (5,)) has
+    mass 2^-180, whose 20th power is 0: the loop divides by zero there, after
+    a first family Cube(0, (0,)) of ratio 1.  The spread raises that error,
+    with the second family's words taken and no more."""
+    high = ((1 << 32) * 3) // 5 + 1
+    rng = _WordsGenerator([1, 0, high, (5 << 29) + 1, 99])
+    case = _case(s1=0.2, p1=0.05, q1=2.3, s2=0.7, p2=1.9, d=1, alpha=60.0)
+    with pytest.raises(ZeroDivisionError):
+        admissible_spread(case, rng, 2, 1, 0, 4)
+    assert rng.words == [99]
+
+
+def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
+    """Counted: a spread on criterion 3's window builds no Cube, CoeffSeq or
+    ContainmentForest, and makes as many ``integers`` calls for 80 families
+    as for 10: one block and one sync."""
+    built = {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
+
+    def count_init(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count_init(Cube)
+    count_init(ContainmentForest)
+    post_init, indicator = CoeffSeq.__post_init__, CoeffSeq.indicator.__func__
+
+    def counted_post_init(self):
+        built["CoeffSeq"] += 1
+        post_init(self)
+
+    def counted_indicator(cls, *args):
+        built["CoeffSeq"] += 1
+        return indicator(cls, *args)
+
+    monkeypatch.setattr(CoeffSeq, "__post_init__", counted_post_init)
+    monkeypatch.setattr(CoeffSeq, "indicator", classmethod(counted_indicator))
+    case = _case(s1=0.2, p1=1.6, q1=2.3, s2=0.7, p2=1.9, q2=3.1, d=2)
+    calls = []
+    for n_sets in (10, 80):
+        rng = _CountingGenerator(np.random.default_rng([17, 3]))
+        admissible_spread(case, rng, n_sets, 60, -2, 5)
+        calls.append(rng.calls)
+    assert built == {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
+    assert calls == [2, 2]
+    # The counters see the per-family loop's builds.
+    democracy_value(random_cube_set(np.random.default_rng(1), 5, 2, -2, 5), case)
+    assert built == {"Cube": 5, "CoeffSeq": 1, "ContainmentForest": 1}
 
 
 def test_case_builds_its_measure_and_atom_weights_once(monkeypatch):

@@ -24,6 +24,7 @@ from restapprox import (
     pow2,
     tl_norm,
 )
+from restapprox import dyadic
 from restapprox.democracy import random_cube_set
 from restapprox.dyadic import ExactSum, VolumePowers, log2_floor_ceil
 
@@ -246,6 +247,38 @@ def test_forest_parents_match_brute_oracle(d, data):
 @given(data=st.data())
 def test_forest_parents_match_brute_oracle_across_wide_gaps(d, data):
     _assert_forest_matches_oracle(data.draw(nested_families(d, max_shift=10**6)))
+
+
+def _spread_bits(x: int, d: int) -> int:
+    """Bit i of x moved to bit i*d, by writing d - 1 zeros between the
+    binary digits."""
+    return int(("0" * (d - 1)).join(bin(x)[2:]), 2)
+
+
+def _per_cube_keys(cubes: list[Cube], levels: dict[int, int]) -> list[int]:
+    """The keys of ``_preorder_ranges``, each cube's corner spread on its own."""
+    top = max(levels.values())
+    roots = [[c >> levels[q.j] for c in q.k] for q in cubes]
+    origin = [min(column) for column in zip(*roots)]
+    keys = []
+    for q in cubes:
+        level = levels[q.j]
+        code = 0
+        for c, o in zip(q.k, origin):
+            code = (code << 1) | _spread_bits((c - (o << level)) << (top - level), q.d)
+        keys.append((code << top.bit_length()) | level)
+    return keys
+
+
+@pytest.mark.parametrize("d, max_shift", [(2, 5), (3, 5), (2, 10**6), (3, 10**6)])
+@given(data=st.data())
+def test_morton_keys_equal_the_per_cube_spread(d, max_shift, data):
+    cubes = list(
+        set(data.draw(st.one_of(nested_families(d, max_shift), single_scale_grids(d))))
+    )
+    levels = dyadic._capped_levels(cubes)
+    keys, _ = dyadic._preorder_ranges(cubes, levels)
+    assert keys == _per_cube_keys(cubes, levels)
 
 
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):

@@ -237,3 +237,22 @@ def test_identity_check_reduces_to_weighted_sum():
         ),
     )
     assert lorentz_side == pytest.approx(direct, rel=1e-12)
+
+
+def test_norms_reuse_the_parameter_and_volume_tables(monkeypatch):
+    """Counted: ``SpaceParams`` holds its per-volume powers and the unit
+    volumes are one shared table, so a second norm over the same volumes
+    makes no ``pow2`` call, and gives the same value."""
+    from restapprox import dyadic
+
+    calls = []
+    pow2 = dyadic.pow2
+    monkeypatch.setattr(dyadic, "pow2", lambda e: calls.append(e) or pow2(e))
+    s = CoeffSeq({Cube(j, (k,)): 1.0 + j - 0.3 * k for j in range(-2, 4) for k in (0, 1)})
+    tl = SpaceParams(0.3, 1.5, 2.0, 1, "tl")
+    besov = SpaceParams(0.3, 1.5, 2.0, 1, "besov")
+    first = (tl_norm(s, tl), besov_norm(s, besov))
+    assert calls
+    calls.clear()
+    assert (tl_norm(s, tl), besov_norm(s, besov)) == first
+    assert calls == []
