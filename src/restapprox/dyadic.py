@@ -6,10 +6,13 @@ half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  Any two such
 cubes are either disjoint or nested, which lets a finite family be organised
 into a containment forest: the cubes in preorder plus, for each, the index of
 its tightest container, so that each cube's subtree is one run of the
-preorder.  Per-cube values enter as lists aligned with that preorder, and one
-forward pass gives each cube's ancestor-chain sum or maximum.  Integrals of a
-function constant on each forest region (a cube minus its children) are then
-finite sums — no sampling, no quadrature.
+preorder.  The preorder comes from one sort of integer keys: int64 numpy
+arrays for families of at least ``_INT64_MIN_CUBES`` cubes whose keys fit in
+62 bits, Python ints otherwise (small families, and positions of hundreds of
+bits across wide scale gaps).  Per-cube values enter as lists aligned with
+that preorder, and one forward pass gives each cube's ancestor-chain sum or
+maximum.  Integrals of a function constant on each forest region (a cube
+minus its children) are then finite sums — no sampling, no quadrature.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ContractViolationError, ScaleRangeError
 
@@ -339,6 +344,91 @@ def _preorder_ranges(
     return keys, ends
 
 
+# Families of at least this many cubes try the int64 key path; below it the
+# fixed cost of its numpy calls exceeds the Python key path's per-cube work.
+# Measured forest builds break even here at d = 1, and from about 48 cubes
+# at d = 2 and 3.
+_INT64_MIN_CUBES = 128
+# Every int64 key and end lies strictly between -_KEY_LIMIT and _KEY_LIMIT.
+_KEY_LIMIT = 1 << 62
+# Spread masks cut to int64; the codes they select stay below 2^62.
+_INT64_BITS = (1 << 63) - 1
+_J, _K = attrgetter("j"), attrgetter("k")
+
+
+def _int64_columns(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Scales (n) and positions (n x d) as int64 arrays, or None when one lies
+    outside (-2^62, 2^62); then the family takes the Python keys."""
+    n, d = len(cubes), cubes[0].d
+    try:
+        j = np.fromiter(map(_J, cubes), np.int64, n)
+        k = np.fromiter(chain.from_iterable(map(_K, cubes)), np.int64, n * d)
+    except OverflowError:  # past the int64 range
+        return None
+    for column in (j, k):
+        if column.min() <= -_KEY_LIMIT or column.max() >= _KEY_LIMIT:
+            return None
+    return j, k.reshape(n, d)
+
+
+def _int64_ranges(
+    j: np.ndarray, k: np.ndarray
+) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_capped_levels`` and ``_preorder_ranges`` on int64 arrays: the levels,
+    the keys and ends, and each cube's index in the sorted scales; or None
+    when some key or end lies outside (-2^62, 2^62).
+
+    Each early None is one such family, and each bound passed keeps the
+    shifts after it exact in int64: the coarsest cube's key range alone
+    spans 2^(top*d + tie); at d = 1 the key and end from position k need
+    -2^e <= k < 2^e, e = 62 - tie - shift; at d >= 2 the largest key has
+    exactly ``bits + tie`` bits, ``bits`` being the length of the largest
+    Morton code, read off the largest coordinate of each axis.  The last
+    test is the exact one.
+    """
+    n, d = k.shape
+    scales, scale_of = np.unique(j, return_inverse=True)
+    cap = 1 + int(np.abs(k).max()).bit_length()
+    scale_levels = np.concatenate(([0], np.cumsum(np.minimum(np.diff(scales), cap))))
+    top = int(scale_levels[-1])
+    tie = top.bit_length()
+    if top * d + tie > 61:
+        return None
+    level = scale_levels[scale_of]
+    shift = top - level
+    if d == 1:
+        limit = np.left_shift(1, 62 - tie - shift)
+        if ((k[:, 0] >= limit) | (k[:, 0] < -limit)).any():
+            return None
+        codes = k[:, 0] << shift
+    else:
+        roots = k >> level[:, None]
+        extents = roots - roots.min(axis=0)
+        width = top + int(extents.max()).bit_length()
+        if d * (width - 1) + tie > 61:
+            return None
+        low = k & ((1 << level[:, None]) - 1)
+        columns = ((extents << level[:, None]) | low) << shift[:, None]
+        bits = max(
+            d * int(c).bit_length() - axis
+            for axis, c in enumerate(columns.max(axis=0).tolist())
+        )
+        if bits + tie > 62:
+            return None
+        codes = np.zeros(n, np.int64)
+        steps = [(s, mask & _INT64_BITS) for s, mask in _spread_steps(width, d)]
+        for column in columns.T:
+            for s, mask in steps:
+                column = (column | (column << s)) & mask
+            codes = (codes << 1) | column
+    keys = (codes << tie) | level
+    ends = (codes + (1 << (shift * d))) << tie
+    if keys.min() <= -_KEY_LIMIT or ends.max() >= _KEY_LIMIT:
+        return None
+    levels = dict(zip(scales.tolist(), scale_levels.tolist()))
+    return levels, keys, ends, scale_of
+
+
 class ContainmentForest:
     """Nesting structure of a finite cube family, as two aligned lists.
 
@@ -346,6 +436,10 @@ class ContainmentForest:
     ``parent[i]`` is the index in ``cubes`` of the *tightest* cube of the
     family strictly containing ``cubes[i]``, or -1 for a root.  Every parent
     precedes its children, so single forward passes accumulate chain values.
+    ``order[i]`` is the index of ``cubes[i]`` among the distinct input cubes
+    in first-seen order (for a dict's keys, the index of its entry), and
+    ``scale_of[i]`` the index of its scale in the sorted list ``scales``, so
+    values and per-volume powers can be read by preorder index.
 
     The build is one sort and one stack pass, whatever the scale gap.  The
     sort key (see ``_preorder_ranges``) orders the cubes by lower corner,
@@ -357,6 +451,14 @@ class ContainmentForest:
     which keep every containment, so their length does not grow with the
     scale gap either.
 
+    The keys come one of two ways, equal key for key.  A family of at least
+    ``_INT64_MIN_CUBES`` cubes, with scales and positions inside +-2^62 and
+    every key and end inside 62 bits, has them computed on int64 numpy
+    arrays (``_int64_columns``, ``_int64_ranges``) and sorted by numpy.
+    Smaller families, where numpy's fixed costs dominate, and wider keys
+    (positions of hundreds of bits across a wide scale gap) take Python ints
+    (``_capped_levels``, ``_preorder_ranges``) and ``sorted``.
+
     Siblings are pairwise disjoint, hence every region (cube minus its
     children) has non-negative measure by construction — verified exactly in
     integer units of the finest cube volume on the capped grid, where each
@@ -364,17 +466,30 @@ class ContainmentForest:
     """
 
     def __init__(self, cubes: Iterable[Cube]):
-        unique = list(set(cubes))
+        unique = list(dict.fromkeys(cubes))
         self.cubes: list[Cube] = []
         self.parent: list[int] = []
+        self.order: list[int] = []
+        self.scales: list[int] = []
+        self.scale_of: list[int] = []
         if not unique:
             return
         d = unique[0].d
         if any(q.d != d for q in unique):
             raise ContractViolationError("all cubes must share one dimension")
-        levels = _capped_levels(unique)
-        keys, ends = _preorder_ranges(unique, levels)
-        order = sorted(range(len(unique)), key=keys.__getitem__)
+        columns = _int64_columns(unique) if len(unique) >= _INT64_MIN_CUBES else None
+        ranges = None if columns is None else _int64_ranges(*columns)
+        if ranges is None:
+            levels = _capped_levels(unique)
+            keys, ends = _preorder_ranges(unique, levels)
+            order = sorted(range(len(unique)), key=keys.__getitem__)
+            index = {j: i for i, j in enumerate(levels)}
+            scale_of = [index[unique[u].j] for u in order]
+        else:
+            levels, keys, ends, scale_of = ranges
+            ranked = np.argsort(keys)
+            keys, ends = keys.tolist(), ends.tolist()
+            order, scale_of = ranked.tolist(), scale_of[ranked].tolist()
         parent = self.parent
         stack: list[tuple[int, int]] = []  # (end of key range, index in cubes)
         for i, u in enumerate(order):
@@ -384,6 +499,7 @@ class ContainmentForest:
             parent.append(stack[-1][1] if stack else -1)
             stack.append((ends[u], i))
         self.cubes = [unique[u] for u in order]
+        self.order, self.scales, self.scale_of = order, list(levels), scale_of
         self._check_regions(levels)
 
     def __len__(self) -> int:
@@ -392,8 +508,8 @@ class ContainmentForest:
     def _check_regions(self, levels: Mapping[int, int]) -> None:
         top = max(levels.values())
         d = self.cubes[0].d
-        units = {j: 1 << ((top - level) * d) for j, level in levels.items()}
-        sizes = [units[q.j] for q in self.cubes]
+        units = [1 << ((top - level) * d) for level in levels.values()]
+        sizes = [units[i] for i in self.scale_of]
         regions = sizes.copy()
         for size, p in zip(sizes, self.parent):
             if p >= 0:
@@ -431,6 +547,30 @@ class ContainmentForest:
         out.pop()
         return out
 
+    def volume_powers(self, powers: VolumePowers, strict: bool = True) -> list[float]:
+        """``powers`` of each cube's volume, aligned with ``cubes``, one lookup
+        per scale.
+
+        Where ``pow2`` rejects a volume, the first cube of it in preorder
+        raises ``powers(cube)``'s ScaleRangeError if ``strict``; otherwise
+        its cubes read NaN, for the caller to raise that error on use.
+        """
+        if not self.cubes:
+            return []
+        d = self.cubes[0].d
+        table = []
+        for j in self.scales:
+            try:
+                table.append(powers[j * d])
+            except ScaleRangeError:
+                table.append(math.nan)
+        out = [table[i] for i in self.scale_of]
+        if strict and math.nan in table:
+            for q, power in zip(self.cubes, out):
+                if power != power:
+                    powers(q)
+        return out
+
     def region_integral(self, constants: Sequence[float]) -> float:
         """Integral of the function equal to ``constants[i]`` on region i.
 
@@ -438,13 +578,16 @@ class ContainmentForest:
         one positive term, and the measure of each non-root cube as one
         negative term of its parent's constant; math.fsum combines them all,
         so the only rounding is one multiply per term.  Raises
-        ScaleRangeError when the integral is not a finite float.
+        ScaleRangeError when the integral is not a finite float, or when a
+        nonzero term needs a volume outside ``pow2``'s range.
         """
+        sizes = self.volume_powers(VOLUMES, strict=False)
         terms: list[float] = []
-        for q, p, c in zip(self.cubes, self.parent, constants):
+        for q, p, c, size in zip(self.cubes, self.parent, constants, sizes):
             outer = constants[p] if p >= 0 else 0.0
             if c != 0.0 or outer != 0.0:
-                size = VOLUMES[q.j * q.d]
+                if size != size:
+                    VOLUMES(q)  # raises pow2's error
                 if c != 0.0:
                     terms.append(c * size)
                 if outer != 0.0:

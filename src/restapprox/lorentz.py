@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec
+from .dyadic import _CUBE_KEY, Cube, MeasureSpec, scaled_ints
 from .errors import ContractViolationError, ScaleRangeError
 from .weights import WeightFn, weight_integrals, weight_sup_on_interval
 
@@ -214,7 +214,9 @@ def rearrange(
     Entries with equal magnitude are merged into a single step whose length is
     their combined mass, which keeps the closed-form norm accumulation
     unambiguous.  Each cumulative mass is the ``math.fsum`` of the masses so
-    far.
+    far: masses are exact ints over one power of two, one per volume present
+    (``dyadic.scaled_ints``), summed step by step in an int and rounded by
+    one int true division per step.
 
     A step whose mass leaves that rounded total T unchanged (a scale far
     finer than the steps before it) has float length zero, and is folded
@@ -232,17 +234,25 @@ def rearrange(
     The first step has positive mass, so it is never folded.
     """
     weight = u_function(u)
-    by_magnitude: dict[float, list[float]] = {}
+    powers = measure.powers
+    masses: dict[int, float] = {}  # per volume j * d, in first-seen order
+    by_magnitude: dict[float, list[int]] = {}
     for cube, value in s.items():
         magnitude = abs(weight(cube) * value)
         if magnitude > 0:
-            by_magnitude.setdefault(magnitude, []).append(measure(cube))
-    total = ExactSum()
+            volume = cube.j * cube.d
+            if volume not in masses:
+                masses[volume] = powers[volume]
+            by_magnitude.setdefault(magnitude, []).append(volume)
+    nums, shift = scaled_ints(masses.values())
+    num = dict(zip(masses, nums)).__getitem__
+    den = 1 << shift
+    total = 0  # the exact sum of the masses so far, over den
     cumulative = [0.0]  # the start of the first step, dropped below
     values: list[float] = []
     for magnitude in sorted(by_magnitude, reverse=True):
-        for mass in by_magnitude[magnitude]:
-            end = total.add(mass)
+        total += sum(map(num, by_magnitude[magnitude]))
+        end = total / den  # correctly rounded, as math.fsum
         if end > cumulative[-1]:
             cumulative.append(end)
             values.append(magnitude)

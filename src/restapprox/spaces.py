@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .dyadic import (
     VOLUMES,
@@ -122,13 +122,15 @@ _SCALE_RANGE = "a per-scale norm term exceeds the float range"
 
 
 def _tl_chain_inputs(
-    forest: ContainmentForest, entries: Mapping[Cube, float], params: SpaceParams
+    forest: ContainmentForest, s: CoeffSeq, params: SpaceParams
 ) -> tuple[list[float], float]:
     """What each cube of ``forest.cubes`` adds to its chain — b_Q^q, or b_Q
     for ``q = inf`` — and the exponent taking a chain value to its region
-    constant."""
-    scale = params.coeff_powers
-    b = [scale(q) * abs(entries[q]) for q in forest.cubes]
+    constant.  ``forest`` is the forest of ``s.entries``, so its ``order``
+    reads the coefficients in preorder."""
+    magnitudes = list(map(abs, s.entries.values()))
+    scale = forest.volume_powers(params.coeff_powers)
+    b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
     if math.isinf(params.q):
         return b, params.p
     try:
@@ -178,7 +180,7 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     if not s:
         return 0.0
     forest = ContainmentForest(s.entries)
-    values, exponent = _tl_chain_inputs(forest, s.entries, params)
+    values, exponent = _tl_chain_inputs(forest, s, params)
     return _tl_forest_norm(forest, values, exponent, params)
 
 
@@ -255,10 +257,11 @@ def _tl_suffix_norms(
     s: CoeffSeq, params: SpaceParams, order: Sequence[Cube]
 ) -> list[float]:
     forest = ContainmentForest(s.entries)
-    values, exponent = _tl_chain_inputs(forest, s.entries, params)
+    values, exponent = _tl_chain_inputs(forest, s, params)
     cubes, parent = forest.cubes, forest.parent
     n = len(cubes)
     ends = forest.subtree_ends()
+    sizes = forest.volume_powers(VOLUMES, strict=False)
     where = {q: i for i, q in enumerate(cubes)}
     maxima = math.isinf(params.q)
     # Slot i holds the chain value and constant of cube i if it is present,
@@ -292,8 +295,9 @@ def _tl_suffix_norms(
                 seen_constant[y] = constant
                 above = seen_constant[p]
                 if constant != own[y] or above != outer[y]:
-                    q = cubes[y]
-                    size = VOLUMES[q.j * q.d]
+                    size = sizes[y]
+                    if size != size:
+                        VOLUMES(cubes[y])  # raises pow2's error
                     for old, new in ((own[y], constant), (-outer[y], -above)):
                         if old != new:
                             if old:

@@ -105,11 +105,13 @@ _GK_BLOCK = 1024
 class WeightFn:
     """One member of the power / powerlog weight families.
 
-    Derived structural constants are computed at construction:
+    Derived structural constants are properties, recomputed from ``p`` and
+    ``b`` on every access (nothing is stored at construction):
 
-    * ``doubling_constant`` -- exact sup of eta(2t)/eta(t);
-    * ``s0``, ``delta``     -- a certified contraction step: delta = M(s0) < 1;
-    * ``nondecreasing``     -- monotonicity (the extra membership the
+    * ``doubling_constant``     -- exact sup of eta(2t)/eta(t);
+    * ``certified_contraction`` -- a pair (s0, delta) with delta = M(s0) < 1,
+      found by scanning up to ``_CERT_MAX_LEVEL`` dyadic levels per access;
+    * ``nondecreasing``         -- monotonicity (the extra membership the
       smoothing bounds need).
     """
 
@@ -311,27 +313,45 @@ def weight_sup_on_interval(w: WeightFn, a: float, b: float) -> float:
     return max(w.value(t) for t in candidates if a <= t <= b)
 
 
-def _log_pieces(a: float, b: float) -> list[tuple[float, float, float]]:
-    """The x-intervals of [a, b] on either side of t = 1, as (sign, x_lo, x_hi).
+def _log_pieces(a: float, b: float) -> list[tuple[float, float, float, float]]:
+    """The x-intervals of [a, b] on either side of t = 1, as
+    (sign, x_lo, x_hi, width).
 
     t = e^(-x) maps (0, 1] onto [0, oo) (sign -1) and t = e^x maps [1, oo)
-    onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.
+    onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.  ``width``
+    is the length of the interval, log(hi / lo) for its side [lo, hi] of
+    [a, b]: x_hi - x_lo, except on a narrow side (hi <= 2 lo), where the two
+    rounded logs can cancel to a width off by far more than its own rounding.
+    There hi - lo is exact (Sterbenz's lemma), and the width is
+    log1p((hi - lo) / lo), within a few ulps.
     """
     pieces = []
     if a < 1.0:
         # t in [a, min(b,1)]  ->  x = -log t in [max(0,-log b), -log a]
-        x_hi = math.inf if a == 0.0 else -math.log(a)
-        pieces.append((-1.0, -math.log(min(b, 1.0)), x_hi))
+        hi = min(b, 1.0)
+        x_lo, x_hi = -math.log(hi), (math.inf if a == 0.0 else -math.log(a))
+        width = math.log1p((hi - a) / a) if hi <= 2.0 * a else x_hi - x_lo
+        pieces.append((-1.0, x_lo, x_hi, width))
     if b > 1.0:
         # t in [max(a,1), b]  ->  x = log t
-        pieces.append((1.0, math.log(max(a, 1.0)), math.log(b)))
+        lo = max(a, 1.0)
+        x_lo, x_hi = math.log(lo), math.log(b)
+        width = math.log1p((b - lo) / lo) if b <= 2.0 * lo else x_hi - x_lo
+        pieces.append((1.0, x_lo, x_hi, width))
     return pieces
 
 
-def _quad_piece(rate: float, bm: float, lo: float, hi: float) -> float:
-    """integral over [lo, hi] of e^(rate x) (1 + x)^bm dx by adaptive quadrature."""
+def _quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> float:
+    """integral over [lo, hi] of e^(rate x) (1 + x)^bm dx by adaptive
+    quadrature, where the interval's length is ``width``.  Where hi - lo
+    rounds away from it (a narrow interval far from x = 0), the integral runs
+    over y = x - lo in [0, width] instead."""
+    origin = 0.0
+    if hi - lo != width:
+        origin, lo, hi = lo, 0.0, width
 
-    def f(x: float) -> float:
+    def f(y: float) -> float:
+        x = origin + y
         return math.exp(rate * x) * (1.0 + x) ** bm
 
     # full_output returns quad's warning text instead of printing it; the
@@ -377,8 +397,8 @@ def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
     total = 0.0
     bm = w.b * mu
     cm = c * mu
-    for sign, x_lo, x_hi in _log_pieces(a, b):
-        total += _quad_piece(sign * cm, bm, x_lo, x_hi)
+    for sign, x_lo, x_hi, width in _log_pieces(a, b):
+        total += _quad_piece(sign * cm, bm, x_lo, x_hi, width)
     return total
 
 
@@ -427,14 +447,16 @@ def weight_integrals(
     rates: list[float] = []
     los: list[float] = []
     his: list[float] = []
+    widths: list[float] = []
     for k in range(1, len(masses)):
-        for sign, x_lo, x_hi in _log_pieces(starts[k], masses[k]):
+        for sign, x_lo, x_hi, width in _log_pieces(starts[k], masses[k]):
             owners.append(k)
             rates.append(sign * cm)
             los.append(x_lo)
             his.append(x_hi)
+            widths.append(width)
     values, accepted = _gauss_kronrod_21(
-        np.array(rates), w.b * mu, np.array(los), np.array(his)
+        np.array(rates), w.b * mu, np.array(los), np.array(his), np.array(widths)
     )
     totals = [0.0] * len(masses)
     rejected = [0]
@@ -448,10 +470,11 @@ def weight_integrals(
 
 
 def _gauss_kronrod_21(
-    rates: np.ndarray, bm: float, los: np.ndarray, his: np.ndarray
+    rates: np.ndarray, bm: float, los: np.ndarray, his: np.ndarray, widths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """dqk21's estimates of the integrals of e^(rate x) (1 + x)^bm over the
-    intervals [lo, hi], and whether quad surely stops after that rule.
+    intervals [lo, hi] of lengths ``widths`` (see :func:`_log_pieces`), and
+    whether quad surely stops after that rule.
 
     The nodes, weights and sums are dqk21's, so the estimates differ from
     quad's only by the rounding of numpy's ``exp`` and ``pow``.  dqagse
@@ -470,9 +493,8 @@ def _gauss_kronrod_21(
     accepted = np.empty(len(rates), dtype=bool)
     for start in range(0, len(rates), _GK_BLOCK):
         block = slice(start, start + _GK_BLOCK)
-        lo, hi = los[block], his[block]
-        centr = 0.5 * (lo + hi)
-        hlgth = 0.5 * (hi - lo)
+        centr = 0.5 * (los[block] + his[block])
+        hlgth = 0.5 * widths[block]
         absc = _XGK[:, None] * hlgth
         # rows: the centre, then centr - absc and centr + absc per abscissa
         x = np.concatenate((centr[None, :], centr - absc, centr + absc))
@@ -495,7 +517,7 @@ def _gauss_kronrod_21(
                     np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh)
                 )
             result = resk * hlgth
-            resabs = resabs * hlgth  # hlgth >= 0: lo <= hi
+            resabs = resabs * hlgth  # hlgth >= 0, as every width is
             resasc = resasc * hlgth
             # dqk21's abserr, from |resk - resg| raised by the rounding margin
             raw = np.abs((resk - resg) * hlgth) + _ROUNDING_MARGIN * resabs

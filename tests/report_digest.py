@@ -17,7 +17,9 @@ generated sequences, written to a temporary directory: greedy
 and on 24 of them at ``alpha = 0``, whose frontier has 25 points; and
 knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
 13 cubes, whose frontiers hold every subset, on either side of the exact
-search's cap.  All reports go to a temporary directory.  Each run drops the
+search's cap; and ``norm`` on the 4 000 cubes of ``large_sequence_d2`` and
+the 600 of ``far_sequence``, whose forests take the int64 key path, with
+Morton codes and with keys of 62 bits.  All reports go to a temporary directory.  Each run drops the
 ``wall_time_s`` column and prints the exit code, the SHA-256 of the
 remaining report, and the command's stdout and stderr with the report
 directory replaced by ``<out>``.  Last, for each case in ``SPREADS``,
@@ -89,6 +91,32 @@ def large_sequence(n: int = 2000) -> str:
     return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
 
 
+def large_sequence_d2(n: int = 4000) -> str:
+    """``n`` distinct 2-d cubes over scales 0..7 with values as in
+    ``large_sequence``: a family whose forest keys are Morton codes."""
+    rng = random.Random(4000)
+    entries: dict[tuple[int, int, int], float] = {}
+    while len(entries) < n:
+        j = rng.randint(0, 7)
+        value = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        entries[j, rng.randrange(1 << j), rng.randrange(1 << j)] = value
+    return "".join(f"{j} {a} {b} {v!r}\n" for (j, a, b), v in entries.items())
+
+
+def far_sequence(n: int = 600) -> str:
+    """``n`` distinct 1-d cubes over scales 0..14 inside [2^44 - 2, 2^44 - 1),
+    values as in ``large_sequence``: the largest forest key range ends at
+    (2^44 - 1) * 2^18, which needs 62 bits, just inside the int64 key path's
+    bound."""
+    rng = random.Random(600)
+    entries: dict[tuple[int, int], float] = {}
+    while len(entries) < n:
+        j = rng.randint(0, 14)
+        value = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        entries[j, ((2**44 - 2) << j) + rng.randrange(1 << j)] = value
+    return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
+
+
 _SUPERINCREASING = "solver = knapsack\ns = 0\np = 2\nq = 2\nalpha = 1\n"
 # (command, config name, config text, sequence maker, cubes) of the runs on
 # generated sequences.
@@ -104,6 +132,8 @@ LARGE_CONFIGS = (
      large_sequence, 24),
     ("approx-norm", "superincreasing-12", _SUPERINCREASING, superincreasing_sequence, 12),
     ("approx-norm", "superincreasing-13", _SUPERINCREASING, superincreasing_sequence, 13),
+    ("norm", "large-d2", "p = 1.5\neta = powerlog:p=2,b=0.5\n", large_sequence_d2, 4000),
+    ("norm", "far-62-bit", "p = 1.5\nalpha = 0.5\n", far_sequence, 600),
 )
 
 

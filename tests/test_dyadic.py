@@ -281,6 +281,99 @@ def test_morton_keys_equal_the_per_cube_spread(d, max_shift, data):
     assert keys == _per_cube_keys(cubes, levels)
 
 
+def _ranges_both_ways(cubes: list[Cube]):
+    """The Python keys and ends, and the int64 path's result (None where it
+    declines)."""
+    levels = dyadic._capped_levels(cubes)
+    keys, ends = dyadic._preorder_ranges(cubes, levels)
+    columns = dyadic._int64_columns(cubes)
+    ranges = None if columns is None else dyadic._int64_ranges(*columns)
+    return levels, keys, ends, ranges
+
+
+@pytest.mark.parametrize("d, max_shift", [(1, 5), (2, 5), (3, 5), (1, 40), (2, 40), (3, 40)])
+@given(data=st.data())
+def test_int64_keys_equal_the_python_keys(d, max_shift, data):
+    """The int64 path gives ``_preorder_ranges``' keys and ends exactly when
+    they all fit in 62 bits, and declines otherwise; either way the forest is
+    the oracle's."""
+    cubes = list(
+        dict.fromkeys(
+            data.draw(st.one_of(nested_families(d, max_shift), single_scale_grids(d)))
+        )
+    )
+    levels, keys, ends, ranges = _ranges_both_ways(cubes)
+    assert (ranges is not None) == (max(map(abs, keys + ends)) < 2**62)
+    if ranges is not None:
+        got_levels, got_keys, got_ends, scale_of = ranges
+        assert got_levels == levels
+        assert got_keys.tolist() == keys and got_ends.tolist() == ends
+        assert [list(levels)[i] for i in scale_of] == [q.j for q in cubes]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+        _assert_forest_matches_oracle(cubes)
+
+
+def _counted_key_builders(monkeypatch) -> dict[str, int]:
+    calls = {"_preorder_ranges": 0, "_int64_ranges": 0}
+    for name in calls:
+        builder = getattr(dyadic, name)
+
+        def counted(*args, _builder=builder, _name=name):
+            calls[_name] += 1
+            return _builder(*args)
+
+        monkeypatch.setattr(dyadic, name, counted)
+    return calls
+
+
+def _far_family(corner: int) -> list[Cube]:
+    """Cubes of scales 0..14 inside [corner, corner + 1), nested and not."""
+    return [
+        Cube(j, ((corner << j) + r,))
+        for j in range(15)
+        for r in {0, (1 << j) - 1, (5 * j) % (1 << j)}
+    ]
+
+
+@pytest.mark.parametrize("corner, bits, path", [
+    (2**44 - 2, 62, "_int64_ranges"),  # the last range ends at (2^44 - 1) 2^18
+    (2**44 - 1, 63, "_preorder_ranges"),  # ... and here at 2^62
+])
+def test_int64_keys_stop_at_62_bits(monkeypatch, corner, bits, path):
+    cubes = list(dict.fromkeys(_far_family(corner)))
+    _, keys, ends, _ = _ranges_both_ways(cubes)
+    assert max(map(abs, keys + ends)).bit_length() == bits
+    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+    calls = _counted_key_builders(monkeypatch)
+    _assert_forest_matches_oracle(cubes)
+    assert calls["_int64_ranges"] == 1  # tried, and taken or declined
+    assert calls["_preorder_ranges"] == (path == "_preorder_ranges")
+
+
+def test_key_path_follows_family_size_and_key_width(monkeypatch):
+    """Counted: a dense 4 000-cube d = 2 family takes the int64 keys, a
+    10-cube family and a family spanning 900 scales the Python keys."""
+    calls = _counted_key_builders(monkeypatch)
+    ContainmentForest(random_cube_set(np.random.default_rng(7), 4000, 2, 0, 7))
+    assert calls == {"_preorder_ranges": 0, "_int64_ranges": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    ContainmentForest(random_cube_set(np.random.default_rng(7), 10, 1, 0, 5))
+    coarse = [Cube(j, (k,)) for j in range(8) for k in range(0, 1 << j, 3)]
+    fine = [Cube(900 - j, (k * 37 << (890 - j),)) for j in range(10) for k in range(20)]
+    ContainmentForest(coarse + fine)
+    assert calls == {"_preorder_ranges": 2, "_int64_ranges": 0}
+
+
+def test_region_integral_reads_a_volume_only_where_a_term_uses_it():
+    """A cube past pow2's volume range raises only if one of its region
+    terms is nonzero, as when each volume was looked up on use."""
+    forest = ContainmentForest([Cube(-1001, (0,)), Cube(0, (0,))])
+    assert forest.region_integral([0.0, 3.0]) == 3.0
+    with pytest.raises(ScaleRangeError, match="2\\^1001"):
+        forest.region_integral([1.0, 3.0])
+
+
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):
     cubes = random_cube_set(np.random.default_rng(5), 1000, 2, -2, 6)
     s = CoeffSeq({q: 1.0 + i for i, q in enumerate(cubes)})

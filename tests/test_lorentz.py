@@ -133,6 +133,25 @@ def test_rearrange_masses_equal_per_step_fsum(s, alpha):
     assert list(rearrange(s, measure).masses) == folded
 
 
+def test_rearrange_sums_masses_per_volume(monkeypatch):
+    """Counted: on 2 000 cubes, rearrange makes no per-cube ``ExactSum.add``
+    or ``MeasureSpec`` call, and its masses stay per-step fsums."""
+    from restapprox.dyadic import ExactSum
+
+    s = CoeffSeq({Cube(i % 11, (i,)): 1.0 + (i % 500) / 7 for i in range(2000)})
+    measure = MeasureSpec(0.5)
+    want = _refsummed_masses(s, measure)
+    calls = []
+    add, call = ExactSum.add, MeasureSpec.__call__
+    monkeypatch.setattr(ExactSum, "add", lambda self, x: calls.append(x) or add(self, x))
+    monkeypatch.setattr(
+        MeasureSpec, "__call__", lambda self, q: calls.append(q) or call(self, q)
+    )
+    steps = rearrange(s, measure)
+    assert list(steps.masses) == want and len(want) == 500
+    assert calls == []
+
+
 def test_distribution_counts_strict_super_level():
     s = CoeffSeq({Q0: 3.0, Q1: -2.0, Q2: 1.0})
     m = MeasureSpec(1.0)

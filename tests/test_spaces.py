@@ -256,3 +256,35 @@ def test_norms_reuse_the_parameter_and_volume_tables(monkeypatch):
     calls.clear()
     assert (tl_norm(s, tl), besov_norm(s, besov)) == first
     assert calls == []
+
+
+def _counted_calls(monkeypatch, *methods) -> dict[str, int]:
+    """Count calls of each ``(class, name)`` method."""
+    calls = {}
+    for cls, name in methods:
+        key = f"{cls.__name__}.{name}"
+        calls[key] = 0
+        method = getattr(cls, name)
+
+        def counted(*args, _method=method, _key=key):
+            calls[_key] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_tl_norm_reads_values_and_powers_by_preorder_index(monkeypatch, q):
+    """Counted: on 2 000 cubes, tl_norm looks up no cube's coefficient or
+    volume power one at a time."""
+    from restapprox.dyadic import VolumePowers
+
+    s = CoeffSeq({Cube(i % 11, (i,)): 1.0 + i / 7 for i in range(2000)})
+    params = SpaceParams(0.3, 1.5, q, 1)
+    want = tl_norm(s, params)
+    calls = _counted_calls(
+        monkeypatch, (VolumePowers, "__call__"), (CoeffSeq, "__getitem__")
+    )
+    assert tl_norm(s, params) == want
+    assert calls == {"VolumePowers.__call__": 0, "CoeffSeq.__getitem__": 0}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -380,6 +381,41 @@ def test_powerlog_norm_quad_calls_do_not_grow_with_steps(monkeypatch):
         lorentz_norm(seq, MeasureSpec(1.0), params)
         counts.append(calls[0])
     assert counts[0] == counts[1] <= 2
+
+
+# Steps a few ulps wide, 1e-9 wide, and across t = 1, on both sides of it.
+NARROW_STEPS = [
+    (232415.005545051, 232415.00554505247),
+    (1000.0, 1000.0 * (1 + 1e-9)),
+    (0.3, 0.3 + 3 * math.ulp(0.3)),
+    (1e-3, 1e-3 * (1 + 1e-9)),
+    (1.0 - 2.0**-40, 1.0 + 2.0**-40),
+]
+
+
+def _exact_width(lo: float, hi: float) -> float:
+    """log1p of the exact ratio hi/lo - 1, rounded once."""
+    return math.log1p(float(Fraction(hi) / Fraction(lo) - 1))
+
+
+@pytest.mark.parametrize("a, b", NARROW_STEPS)
+def test_narrow_step_widths_come_from_log1p(a, b):
+    pieces = weights._log_pieces(a, b)
+    assert [sign for sign, *_ in pieces] == [-1.0] * (a < 1.0) + [1.0] * (b > 1.0)
+    for sign, _, _, width in pieces:
+        lo, hi = (a, min(b, 1.0)) if sign < 0 else (max(a, 1.0), b)
+        assert width == _exact_width(lo, hi)
+
+
+@pytest.mark.parametrize("a, b", NARROW_STEPS[:4])
+def test_narrow_step_integrals_are_accurate(a, b):
+    """On a step this narrow, the midpoint rule in x = log t (at t =
+    sqrt(ab)) is exact to 1e-17; the log difference was 15 % off on the
+    first step."""
+    w = WeightFn.power_log(2.0, 0.5)
+    want = _exact_width(a, b) * w.value(math.sqrt(a * b)) ** 1.5
+    assert weight_integral(w, 1.5, a, b) == pytest.approx(want, rel=1e-13)
+    assert weight_integrals(w, 1.5, (a, b))[1] == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("w", [WeightFn.power(0.5), WeightFn.power_log(0.5, 3.0)])
