@@ -38,9 +38,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .approx import (
     ApproxParams,
@@ -187,41 +187,83 @@ class Settings:
 def read_sequence(path: str | Path) -> CoeffSeq:
     """Parse ``j k1 ... kd value`` lines into a coefficient sequence.
 
-    The dimension is inferred from the first data line and must be constant.
+    Tokens are separated by any whitespace, ``#`` starts a comment that runs
+    to the end of its line, blank lines are skipped, and zero coefficients
+    are dropped.  The dimension is that of the first data line and must be
+    the same on every line.  The text is checked in bulk, column by column;
+    when a check fails, the error names the first bad line.
     """
-    entries: dict[Cube, float] = {}
-    d: int | None = None
     text = Path(path).read_text()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+        tokens = " ".join(lines).split()
+    else:
+        tokens = text.split()
+    widths = set(map(len, map(str.split, lines))) - {0}
+    del lines
+    if not widths:
+        raise ConfigError(f"{path}: no coefficients found")
+    width = max(widths)
+    columns = None
+    if len(widths) == 1 and width >= 3:
+        columns = _number_columns(tokens, width)
+    del tokens
+    if columns is not None:
+        js, ks, values = columns
+        entries = dict(zip(Cube.from_columns(js, ks), values))
+        if len(entries) == len(values):
+            if 0.0 in values:
+                entries = {cube: v for cube, v in entries.items() if v}
+            return CoeffSeq._from_clean(entries)
+    raise next(_bad_lines(path, text))
+
+
+def _number_columns(
+    tokens: list[str], width: int
+) -> tuple[list[int], list[tuple[int, ...]], list[float]] | None:
+    """Scales, position tuples and values of ``tokens`` read ``width`` to a
+    line, or None when a token is not a number or a value is not finite."""
+    try:
+        js = list(map(int, tokens[::width]))
+        axes = [map(int, tokens[axis::width]) for axis in range(1, width - 1)]
+        ks = list(zip(*axes))
+        values = list(map(float, tokens[width - 1 :: width]))
+    except ValueError:
+        return None
+    return (js, ks, values) if all(map(math.isfinite, values)) else None
+
+
+def _bad_lines(path: str | Path, text: str) -> Iterator[ConfigError]:
+    """The errors of ``text``'s bad lines in file order, each line checked
+    as ``read_sequence`` checks the whole text: at least three tokens, the
+    first data line's dimension, numbers, a finite value, a new cube."""
+    d: int | None = None
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
+        where = f"{path}:{lineno}"
         if len(parts) < 3:
-            raise ConfigError(
-                f"{path}:{lineno}: expected 'j k1 ... kd value', got {raw!r}"
-            )
+            yield ConfigError(f"{where}: expected 'j k1 ... kd value', got {raw!r}")
+            continue
         if d is None:
             d = len(parts) - 2
         elif len(parts) - 2 != d:
-            raise ConfigError(
-                f"{path}:{lineno}: expected dimension {d}, got {len(parts) - 2}"
-            )
+            yield ConfigError(f"{where}: expected dimension {d}, got {len(parts) - 2}")
+            continue
         try:
-            j = int(parts[0])
-            k = tuple(int(v) for v in parts[1:-1])
+            key = int(parts[0]), tuple(map(int, parts[1:-1]))
             value = float(parts[-1])
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad number in {raw!r}") from None
+            yield ConfigError(f"{where}: bad number in {raw!r}")
+            continue
         if not math.isfinite(value):
-            raise ConfigError(f"{path}:{lineno}: coefficient must be finite")
-        cube = Cube(j, k)
-        if cube in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate cube {cube}")
-        entries[cube] = value
-    if not entries:
-        raise ConfigError(f"{path}: no coefficients found")
-    return CoeffSeq(entries)
+            yield ConfigError(f"{where}: coefficient must be finite")
+        elif key in seen:
+            yield ConfigError(f"{where}: duplicate cube {Cube(*key)}")
+        seen.add(key)
 
 
 _SOLVERS = ("greedy", "knapsack", "brute")
@@ -510,7 +552,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="restapprox",
         description="Restricted nonlinear approximation toolkit.",

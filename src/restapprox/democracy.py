@@ -345,6 +345,14 @@ class _Words:
         self.words = np.empty(0, dtype=np.uint64)
 
 
+# Families of fewer cubes run the per-attempt loop: the replay's block decode
+# costs about 40 numpy calls, more than two calls per attempt.  Measured
+# per-draw times break even at 8 cubes at d = 1, 2 and 3 on scales -3..4 and
+# -2..5 (on a 2-core host, about 19 us a cube per attempt against 85-170 us
+# a family for a replay).
+_REPLAY_MIN_CUBES = 8
+
+
 def _replays(n_sets: int, d: int, j_min: int, j_max: int) -> bool:
     """Whether ``_draw_families`` serves the window: not one scale only
     (numpy then takes no word), nor more than 33 (positions past one word),
@@ -452,7 +460,8 @@ def _cubes_per_attempt(
             raise ContractViolationError(_CAP_MESSAGE)
         j = int(rng.integers(j_min, j_max + 1))
         seen.add((j, tuple(rng.integers(0, 1 << (j - j_min), size=d).tolist())))
-    return [Cube(j, k) for j, k in sorted(seen)]
+    pairs = sorted(seen)
+    return Cube.from_columns([j for j, _ in pairs], [k for _, k in pairs])
 
 
 def random_cube_set(
@@ -477,12 +486,14 @@ def random_cube_set(
     (w * r) >> 32.  A power of two never rejects, so each coordinate of k
     takes one word, or none at j == j_min.
 
-    A window of 2 to 33 scales, with codes below 2^63 (see ``_replays``), is
-    drawn by replaying that rule on words taken in blocks: this is the
-    one-family case of the draw ``admissible_spread`` makes, a few numpy
-    calls per family.  Other windows run the two numpy calls per attempt.  Either way the cubes and the generator's state
-    afterwards are those of the per-attempt calls, so every instance drawn
-    after this family is unchanged too.
+    A family of at least ``_REPLAY_MIN_CUBES`` cubes in a window of 2 to 33
+    scales, with codes below 2^63 (see ``_replays``), is drawn by replaying
+    that rule on words taken in blocks: this is the one-family case of the
+    draw ``admissible_spread`` makes, a few numpy calls per family.  Smaller
+    families and other windows run the two numpy calls per attempt.  Either
+    way the cubes and the generator's state afterwards are those of the
+    per-attempt calls, so every instance drawn after this family is
+    unchanged too.
     """
     if j_max < j_min:
         raise ContractViolationError("need j_min <= j_max")
@@ -490,10 +501,8 @@ def random_cube_set(
         raise ContractViolationError("cube position vector must be non-empty")
     if count < 0:
         raise ContractViolationError("count must be >= 0")
-    if not _replays(1, d, j_min, j_max):
+    if count < _REPLAY_MIN_CUBES or not _replays(1, d, j_min, j_max):
         return _cubes_per_attempt(rng, count, d, j_min, j_max)
-    if count == 0:
-        return []
     depth = j_max - j_min
     block = _Words(rng, 2 * (d + 1) * count + 32)
     used = 0
@@ -505,8 +514,8 @@ def random_cube_set(
     if capped is not None:
         raise ContractViolationError(_CAP_MESSAGE)
     _, levels, axes = _split_codes(codes, d, depth)
-    positions = zip(*(axis.tolist() for axis in axes))
-    return [Cube(j_min + level, k) for level, k in zip(levels.tolist(), positions)]
+    js = [j_min + level for level in levels.tolist()]
+    return Cube.from_columns(js, list(zip(*(axis.tolist() for axis in axes))))
 
 
 def _level_table(

@@ -18,8 +18,9 @@ minus its children) are then finite sums — no sampling, no quadrature.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -88,6 +89,21 @@ class Cube:
         _set_d(self, len(k))
         _set_hash(self, hash((j, k)))
 
+    @classmethod
+    def from_columns(
+        cls, js: Sequence[int], ks: Sequence[tuple[int, ...]]
+    ) -> list["Cube"]:
+        """``[Cube(j, k) for j, k in zip(js, ks)]`` with no ``__init__`` call:
+        the slots are filled one column at a time.  The caller vouches that
+        ``js`` and ``ks`` are equally long, and that each ``k`` is a non-empty
+        tuple of ints."""
+        cubes = list(map(cls.__new__, repeat(cls, len(ks))))
+        _drain(map(_set_j, cubes, js))
+        _drain(map(_set_k, cubes, ks))
+        _drain(map(_set_d, cubes, map(len, ks)))
+        _drain(map(_set_hash, cubes, map(hash, zip(js, ks))))
+        return cubes
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -112,17 +128,6 @@ class Cube:
             return False
         return all((ko >> shift) == ks for ko, ks in zip(other.k, self.k))
 
-    def contains_point(self, x: Sequence[float] | float) -> bool:
-        """Whether the point ``x`` lies in the half-open cube."""
-        coords = (x,) if isinstance(x, (int, float)) else tuple(x)
-        if len(coords) != self.d:
-            raise ContractViolationError("point dimension does not match cube")
-        for xi, ki in zip(coords, self.k):
-            # 2^j * x is an exact float scaling, so the floor test is reliable.
-            if math.floor(math.ldexp(xi, self.j)) != ki:
-                return False
-        return True
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in (self.j, *self.k))
 
@@ -130,11 +135,14 @@ class Cube:
 # Cube order by C tuple comparison; equal to the order of Cube.__lt__.
 _CUBE_KEY = attrgetter("j", "k")
 
-# Cube's fields are set once, in __init__, through their slot descriptors,
-# which skip the frozen __setattr__ and cost less than object.__setattr__.
+# Cube's fields are set once, in __init__ or from_columns, through their slot
+# descriptors, which skip the frozen __setattr__ and cost less than
+# object.__setattr__.
 _set_j, _set_k, _set_d, _set_hash = (
     Cube.__dict__[name].__set__ for name in ("j", "k", "d", "_hash")
 )
+# Runs an iterator to its end and keeps nothing.
+_drain = deque(maxlen=0).extend
 
 
 def cube_volume(cube: Cube) -> float:

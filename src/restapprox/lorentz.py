@@ -84,6 +84,15 @@ class CoeffSeq:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_clean(cls, entries: dict[Cube, float]) -> "CoeffSeq":
+        """A sequence that holds ``entries`` itself, with no
+        ``__post_init__`` pass: the caller vouches that every value is a
+        finite nonzero float and every cube has one dimension."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "entries", entries)
+        return seq
+
+    @classmethod
     def unit(cls, cube: Cube, value: float = 1.0) -> "CoeffSeq":
         """The single-atom sequence ``value`` at ``cube``."""
         return cls({cube: value})
@@ -108,9 +117,7 @@ class CoeffSeq:
             elif cube.d != d:
                 raise ContractViolationError("all cubes must share one dimension")
             entries[cube] = value
-        seq = cls.__new__(cls)
-        object.__setattr__(seq, "entries", entries)
-        return seq
+        return cls._from_clean(entries)
 
     # -- basic access ------------------------------------------------------
 
@@ -150,17 +157,18 @@ class CoeffSeq:
     def minus(self, other: "CoeffSeq") -> "CoeffSeq":
         return self.plus(other.scaled(-1.0))
 
+    # A subset of clean entries is clean.
     def restricted(self, cubes: Iterable[Cube]) -> "CoeffSeq":
         keep = set(cubes)
-        return CoeffSeq({q: v for q, v in self.entries.items() if q in keep})
+        return CoeffSeq._from_clean(
+            {q: v for q, v in self.entries.items() if q in keep}
+        )
 
     def without(self, cubes: Iterable[Cube]) -> "CoeffSeq":
         drop = set(cubes)
-        return CoeffSeq({q: v for q, v in self.entries.items() if q not in drop})
-
-    def abs_dominated_by(self, other: "CoeffSeq") -> bool:
-        """Entrywise |self| <= |other|."""
-        return all(abs(v) <= abs(other[q]) for q, v in self.entries.items())
+        return CoeffSeq._from_clean(
+            {q: v for q, v in self.entries.items() if q not in drop}
+        )
 
 
 @dataclass(frozen=True)

@@ -243,11 +243,6 @@ class WeightFn:
         """Vanishes at 0, nondecreasing, doubling."""
         return self.nondecreasing
 
-    @property
-    def in_class_w_plus(self) -> bool:
-        """Class membership plus a certified contracting dilation step."""
-        return self.in_class_w and self.certified_contraction is not None
-
 
 def dilation(
     w: WeightFn, s: float, grid: tuple[float, float, int] | None = None

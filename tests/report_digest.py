@@ -19,7 +19,10 @@ knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
 13 cubes, whose frontiers hold every subset, on either side of the exact
 search's cap; and ``norm`` on the 4 000 cubes of ``large_sequence_d2`` and
 the 600 of ``far_sequence``, whose forests take the int64 key path, with
-Morton codes and with keys of 62 bits.  All reports go to a temporary directory.  Each run drops the
+Morton codes and with keys of 62 bits; and ``norm`` on 200 cubes of
+``large_sequence`` and of ``large_sequence_d2`` written as a hand-edited
+file (comments, blank lines, CRLF line ends, tabs and a zero coefficient).
+All reports go to a temporary directory.  Each run drops the
 ``wall_time_s`` column and prints the exit code, the SHA-256 of the
 remaining report, and the command's stdout and stderr with the report
 directory replaced by ``<out>``.  Last, for each case in ``SPREADS``,
@@ -117,6 +120,35 @@ def far_sequence(n: int = 600) -> str:
     return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
 
 
+def _hand_edited(text: str) -> str:
+    """``j k1 ... kd value`` lines as a hand-edited file might hold them: a
+    comment header, CRLF line ends, tabs and extra spaces between tokens, a
+    blank line after every fifth line, a trailing comment on every third,
+    and the fourth line's value set to zero (``read_sequence`` drops it)."""
+    lines = ["# hand-edited copy", ""]
+    for i, line in enumerate(text.splitlines()):
+        tokens = line.split()
+        if i == 3:
+            tokens[-1] = "0.0"
+        line = ("\t" if i % 2 else "  ").join(tokens)
+        if i % 3 == 0:
+            line += "  # note"
+        lines.append(line)
+        if i % 5 == 4:
+            lines.append("   ")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def hand_edited_sequence(n: int = 200) -> str:
+    """``large_sequence(n)`` in ``_hand_edited`` form."""
+    return _hand_edited(large_sequence(n))
+
+
+def hand_edited_sequence_d2(n: int = 200) -> str:
+    """``large_sequence_d2(n)`` in ``_hand_edited`` form: a d = 2 file."""
+    return _hand_edited(large_sequence_d2(n))
+
+
 _SUPERINCREASING = "solver = knapsack\ns = 0\np = 2\nq = 2\nalpha = 1\n"
 # (command, config name, config text, sequence maker, cubes) of the runs on
 # generated sequences.
@@ -134,6 +166,8 @@ LARGE_CONFIGS = (
     ("approx-norm", "superincreasing-13", _SUPERINCREASING, superincreasing_sequence, 13),
     ("norm", "large-d2", "p = 1.5\neta = powerlog:p=2,b=0.5\n", large_sequence_d2, 4000),
     ("norm", "far-62-bit", "p = 1.5\nalpha = 0.5\n", far_sequence, 600),
+    ("norm", "hand-edited", "p = 1.5\n", hand_edited_sequence, 200),
+    ("norm", "hand-edited-d2", "p = 1.5\n", hand_edited_sequence_d2, 200),
 )
 
 

@@ -10,13 +10,17 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import restapprox
 from restapprox import (
     ApproxParams,
+    CoeffSeq,
     ConfigError,
     Cube,
     LorentzParams,
@@ -25,9 +29,11 @@ from restapprox import (
     WeightFn,
     approx_norm,
     lorentz_norm,
+    sigma_greedy,
     space_norm,
 )
-from restapprox.cli import _COMMANDS, load_config, main, read_sequence
+from restapprox.cli import _COMMANDS, build_parser, load_config, main, read_sequence
+from restapprox.report import format_number
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -93,6 +99,151 @@ def test_read_sequence_errors(tmp_path):
     raises, p = attempt("# nothing\n")
     with raises:
         read_sequence(p)  # empty
+
+
+def _line_loop_read(path):
+    """The line-by-line reader ``read_sequence`` replaced, kept as its
+    oracle: each line is stripped of its comment, split, and checked in
+    turn, and the first bad line raises."""
+    entries = {}
+    d = None
+    text = Path(path).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'j k1 ... kd value', got {raw!r}"
+            )
+        if d is None:
+            d = len(parts) - 2
+        elif len(parts) - 2 != d:
+            raise ConfigError(
+                f"{path}:{lineno}: expected dimension {d}, got {len(parts) - 2}"
+            )
+        try:
+            j = int(parts[0])
+            k = tuple(int(v) for v in parts[1:-1])
+            value = float(parts[-1])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad number in {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}:{lineno}: coefficient must be finite")
+        cube = Cube(j, k)
+        if cube in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate cube {cube}")
+        entries[cube] = value
+    if not entries:
+        raise ConfigError(f"{path}: no coefficients found")
+    return CoeffSeq(entries)
+
+
+def _read_outcome(reader, path):
+    """The entries in order (scale, position, dimension, hash and value as
+    hex) and the sequence's dimension, or the ConfigError's message."""
+    try:
+        seq = reader(path)
+    except ConfigError as exc:
+        return str(exc)
+    entries = [(q.j, q.k, q.d, hash(q), v.hex()) for q, v in seq.items()]
+    return entries, seq.d
+
+
+_JUNK = st.text("0123456789-.e", min_size=1, max_size=4) | st.sampled_from(
+    ["inf", "-inf", "nan", "1e999", "0", "-0.0", "+3", "1_0"]
+)
+_GAP = st.text(" \t\x1f", min_size=1, max_size=2)
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r", "\x85"])
+
+
+@st.composite
+def _sequence_texts(draw):
+    """Texts of ``j k1 ... kd value`` lines at d = 1 to 3 over a few cubes
+    (so some repeat), with zero values, blank and comment lines, lines of
+    other widths, and junk tokens, joined by assorted whitespace."""
+    d = draw(st.integers(1, 3))
+    text = ""
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["data"] * 5 + ["blank", "width", "junk"]))
+        width = draw(st.integers(1, 6)) if kind == "width" else d + 2
+        tokens = [str(draw(st.integers(-1, 2))) for _ in range(width - 1)]
+        value = draw(st.floats(allow_nan=False, allow_infinity=False) | st.just(0.0))
+        tokens.append(repr(value))
+        if kind == "junk":
+            tokens[draw(st.integers(0, width - 1))] = draw(_JUNK)
+        if kind == "blank":
+            tokens = []
+        line = draw(_GAP) if draw(st.booleans()) else ""
+        for token in tokens:
+            line += token + draw(_GAP)
+        if draw(st.integers(0, 4)) == 0:
+            line += "#" + draw(st.text(" 0123456789#-\x1f", max_size=6))
+        text += line + draw(_LINE_END)
+    return text
+
+
+@settings(max_examples=400)
+@given(_sequence_texts())
+def test_read_sequence_matches_the_line_loop(text):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "seq.txt"
+        path.write_bytes(text.encode())
+        got = _read_outcome(read_sequence, path)
+        assert got == _read_outcome(_line_loop_read, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "# only a comment\n\n",
+        "0 0 1.0\n1 0 0 2.0\n",
+        "0 0\n",
+        "0 zero 1.0\n",
+        "0 0 inf\n",
+        "0 0 1.0\n0 0 2.0\n",
+        "0 0 1.0\n1 0 0.0\n\n# zero dropped\n1 1 -0.0\n",
+        "0 0 1.0 # note\r\n1 1\t2.0\x1f\n",
+        "1 0 1.0\n0 0 inf\n2 0 0 1.0\n",
+    ],
+)
+def test_read_sequence_examples_match_the_line_loop(tmp_path, text):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(text.encode())
+    assert _read_outcome(read_sequence, path) == _read_outcome(_line_loop_read, path)
+
+
+def test_reading_and_dropping_cubes_builds_no_cube_or_sequence_one_by_one(
+    tmp_path, monkeypatch
+):
+    """Counted: reading a 2 000-line file, and ``CoeffSeq.without`` on it,
+    call neither ``Cube.__init__`` nor ``CoeffSeq.__post_init__``."""
+    path = tmp_path / "seq.txt"
+    path.write_text(
+        "".join(f"{i % 11} {i} {1.0 + i / 7!r}\n" for i in range(2000))
+    )
+    calls = {"Cube": 0, "CoeffSeq": 0}
+    init, post_init = Cube.__init__, CoeffSeq.__post_init__
+
+    def counted_init(self, *args):
+        calls["Cube"] += 1
+        init(self, *args)
+
+    def counted_post_init(self):
+        calls["CoeffSeq"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Cube, "__init__", counted_init)
+    monkeypatch.setattr(CoeffSeq, "__post_init__", counted_post_init)
+    seq = read_sequence(path)
+    rest = seq.without(seq.support[:100])
+    assert (len(seq), len(rest)) == (2000, 1900)
+    assert calls == {"Cube": 0, "CoeffSeq": 0}
+    # The counters see builds one by one.
+    assert _line_loop_read(path).entries == seq.entries
+    assert calls == {"Cube": 2000, "CoeffSeq": 1}
 
 
 def test_norm_rows_match_direct_computation(tmp_path):
@@ -209,6 +360,94 @@ def test_help_and_missing_subcommand(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
     assert main([]) == 2
+
+
+_SEED_RANGE = "--seed must fit in an unsigned 64-bit integer"
+
+
+@pytest.mark.parametrize(
+    "config, seed, message",
+    [
+        ("budget = 1.25\nsolver = greedy\n", None, None),
+        ("", str(2**64), _SEED_RANGE),
+        ("", "-1", _SEED_RANGE),
+        ("budget = lots\n", None, "key 'budget' is not a number: 'lots'"),
+        ("budget = nan\n", None, "key 'budget' must not be NaN"),
+        ("budget = inf\n", None, "key 'budget' must be finite"),
+        ("p = inf\n", None, "key 'p' must be finite"),
+        ("budget = -1\n", None, "key 'budget' must be >= 0, got -1"),
+        ("alpha = 17\n", None, "key 'alpha' must be <= 16, got 17"),
+        ("seed = 1.5\n", None, "key 'seed' is not an integer: '1.5'"),
+        (
+            f"seed = {2**64}\n",
+            None,
+            f"key 'seed' must be in [0, {2**64 - 1}], got {2**64}",
+        ),
+        (
+            "solver = magic\n",
+            None,
+            "key 'solver' must be one of ('greedy', 'knapsack', 'brute'), "
+            "got 'magic'",
+        ),
+    ],
+)
+def test_sigma_greedy_and_settings_errors(tmp_path, capsys, config, seed, message):
+    """``sigma`` under the greedy solver reports ``sigma_greedy``'s result;
+    each out-of-range ``--seed`` and each kind of bad config value exits 2
+    with its message."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    argv = ["sigma", SAMPLE, "--config", str(cfg), "--out", str(out)]
+    code = main(argv + (["--seed", seed] if seed is not None else []))
+    err = capsys.readouterr().err
+    if message is not None:
+        assert code == 2
+        where = "" if message == _SEED_RANGE else f"{cfg}: "
+        assert err == f"error: {where}{message}\n"
+        return
+    assert code == 0, err
+    space = SpaceParams(0.0, 2.0, 2.0, 1, "tl")
+    params = ApproxParams(1.0, 1.0, space, MeasureSpec(1.0))
+    result = sigma_greedy(read_sequence(SAMPLE), 1.25, params)
+    rows = _rows(out)
+    assert _row(rows, "sigma/error")["value"] == format_number(result.error)
+    assert _row(rows, "sigma/certified")["value"] == str(int(result.certified))
+    support = "; ".join(str(q) for q in result.support)
+    assert _row(rows, "sigma/support")["value"] == support
+    assert {r["params"] for r in rows} == {"budget=1.25 solver=greedy"}
+
+
+def test_main_twice_in_one_process_runs_like_two_processes(tmp_path, capsys):
+    """``main`` builds its argument parser once per process: a usage error
+    and then a good run exit, print and report as each does in a fresh
+    interpreter."""
+    out = str(tmp_path / "out")
+    runs = (
+        ["norm", SAMPLE, "--format", "xml", "--out", out],
+        ["norm", SAMPLE, "--format", "json", "--out", out],
+    )
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        printed = capsys.readouterr()
+        in_process.append((code, printed.out, printed.err))
+    report = _json_values(tmp_path / "out" / "norm.json")
+    separate = []
+    for argv in runs:
+        result = _run_child([sys.executable, "-m", "restapprox", *argv], tmp_path)
+        separate.append((result.returncode, result.stdout, result.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [2, 0]
+    assert _json_values(tmp_path / "out" / "norm.json") == report
+    assert build_parser() is build_parser()
+
+
+def _json_values(path: Path) -> list[dict]:
+    rows = json.loads(path.read_text())
+    for row in rows:
+        del row["wall_time_s"]
+    return rows
 
 
 def test_json_format(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restapprox import democracy
 from restapprox import (
     CapabilityError,
     CoeffSeq,
@@ -241,9 +242,10 @@ _GENERATORS = {
 
 # (count, d, j_min, j_max): the windows of criterion 3 (d = 1 and 2),
 # criterion 5 and the comparison suites, a d = 3 window, windows holding
-# exactly ``count`` cubes (both need more words than the first block), a
-# window with positions wider than 32 bits, and the three error cases (the
-# attempt cap once without draws and once after many).
+# exactly ``count`` cubes (they need more words than the first block), a
+# window with positions wider than 32 bits, families on either side of
+# ``_REPLAY_MIN_CUBES`` at d = 1 to 3, and the three error cases (the attempt
+# cap once without draws and once after many).
 _WINDOWS = [
     (30, 1, -2, 5),
     (60, 1, -2, 5),
@@ -256,6 +258,14 @@ _WINDOWS = [
     (7, 1, 0, 2),
     (63, 1, -3, 2),
     (12, 2, -3, 40),
+    (15, 1, 0, 3),
+    (1, 1, -3, 4),
+    (7, 1, -3, 4),
+    (8, 1, -3, 4),
+    (7, 2, -3, 4),
+    (8, 2, -3, 4),
+    (7, 3, -2, 5),
+    (8, 3, -2, 5),
     (3, 1, 2, 1),
     (10, 1, 0, 0),
     (5, 1, 0, 1),
@@ -317,10 +327,12 @@ class _WordsGenerator:
         return np.array(taken + [12345] * (size - len(taken)), dtype=np.uint64)
 
 
-def test_random_cube_set_rejects_words_as_numpy_does():
+def test_random_cube_set_rejects_words_as_numpy_does(monkeypatch):
     """Lemire's rule for range r: with m = word * r, a word is rejected iff
     m mod 2^32 < (2^32 - r) mod r, else the draw is m >> 32.  Real streams hit
-    a rejection about once in 2^32 / r words, so the words are given here."""
+    a rejection about once in 2^32 / r words, so the words are given here,
+    and one-cube families are replayed."""
+    monkeypatch.setattr(democracy, "_REPLAY_MIN_CUBES", 1)
     # j in [0, 4]: r = 5 and (2^32 - 5) mod 5 == 1, so only a word w with
     # 5 * w = 0 mod 2^32 is rejected.  Word 0 is; word `high` gives j = 3.
     high = ((1 << 32) * 3) // 5 + 1
@@ -435,11 +447,13 @@ def test_admissible_spread_rejects_words_as_numpy_does():
     assert rng.words == [99]
 
 
-def test_admissible_spread_hands_a_family_out_of_range_to_the_loop():
+def test_admissible_spread_hands_a_family_out_of_range_to_the_loop(monkeypatch):
     """At p1 = 0.05 and alpha = 60, a family holding only Cube(3, (5,)) has
     mass 2^-180, whose 20th power is 0: the loop divides by zero there, after
     a first family Cube(0, (0,)) of ratio 1.  The spread raises that error,
-    with the second family's words taken and no more."""
+    with the second family's words taken and no more.  The loop replays its
+    one-cube family, which takes the given words."""
+    monkeypatch.setattr(democracy, "_REPLAY_MIN_CUBES", 1)
     high = ((1 << 32) * 3) // 5 + 1
     rng = _WordsGenerator([1, 0, high, (5 << 29) + 1, 99])
     case = _case(s1=0.2, p1=0.05, q1=2.3, s2=0.7, p2=1.9, d=1, alpha=60.0)
@@ -450,8 +464,8 @@ def test_admissible_spread_hands_a_family_out_of_range_to_the_loop():
 
 def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
     """Counted: a spread on criterion 3's window builds no Cube, CoeffSeq or
-    ContainmentForest, and makes as many ``integers`` calls for 80 families
-    as for 10: one block and one sync."""
+    ContainmentForest, one at a time or in bulk, and makes as many
+    ``integers`` calls for 80 families as for 10: one block and one sync."""
     built = {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
 
     def count_init(cls):
@@ -465,18 +479,24 @@ def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
 
     count_init(Cube)
     count_init(ContainmentForest)
-    post_init, indicator = CoeffSeq.__post_init__, CoeffSeq.indicator.__func__
+    from_columns = Cube.from_columns.__func__
+    post_init, from_clean = CoeffSeq.__post_init__, CoeffSeq._from_clean.__func__
+
+    def counted_from_columns(cls, js, ks):
+        built["Cube"] += len(ks)
+        return from_columns(cls, js, ks)
 
     def counted_post_init(self):
         built["CoeffSeq"] += 1
         post_init(self)
 
-    def counted_indicator(cls, *args):
+    def counted_from_clean(cls, entries):
         built["CoeffSeq"] += 1
-        return indicator(cls, *args)
+        return from_clean(cls, entries)
 
+    monkeypatch.setattr(Cube, "from_columns", classmethod(counted_from_columns))
     monkeypatch.setattr(CoeffSeq, "__post_init__", counted_post_init)
-    monkeypatch.setattr(CoeffSeq, "indicator", classmethod(counted_indicator))
+    monkeypatch.setattr(CoeffSeq, "_from_clean", classmethod(counted_from_clean))
     case = _case(s1=0.2, p1=1.6, q1=2.3, s2=0.7, p2=1.9, q2=3.1, d=2)
     calls = []
     for n_sets in (10, 80):
@@ -493,8 +513,6 @@ def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
 def test_case_builds_its_measure_and_atom_weights_once(monkeypatch):
     """Counted: every family a case evaluates shares one MeasureSpec and one
     AtomWeights, and so their per-volume power caches."""
-    from restapprox import democracy
-
     built = {"MeasureSpec": 0, "AtomWeights": 0}
 
     def counting(cls):

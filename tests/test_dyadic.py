@@ -108,17 +108,6 @@ def test_cube_containment_negative_indices():
     assert not big.contains(Cube(0, (0,)))
 
 
-def test_cube_contains_point():
-    q = Cube(1, (1,))  # [0.5, 1)
-    assert q.contains_point(0.5)
-    assert q.contains_point(0.75)
-    assert not q.contains_point(1.0)  # half-open on the right
-    assert not q.contains_point(0.49)
-    q2 = Cube(0, (0, 0))
-    assert q2.contains_point((0.0, 0.999))
-    assert not q2.contains_point((1.0, 0.5))
-
-
 def test_dimension_mismatch_raises():
     with pytest.raises(ContractViolationError):
         Cube(0, (0,)).contains(Cube(0, (0, 0)))

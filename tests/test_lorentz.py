@@ -59,13 +59,6 @@ def test_coeffseq_algebra():
     assert s.restricted([Q0]).plus(s.without([Q0])).entries == s.entries
 
 
-def test_abs_domination():
-    s = CoeffSeq({Q0: 1.0, Q1: -0.5})
-    t = CoeffSeq({Q0: -2.0, Q1: 1.0, Q2: 5.0})
-    assert s.abs_dominated_by(t)
-    assert not t.abs_dominated_by(s)
-
-
 def test_indicator_uses_reciprocal_weights():
     u = {Q0: 2.0, Q2: 0.5}
     ind = CoeffSeq.indicator([Q0, Q2], u)

@@ -104,6 +104,12 @@ def test_tl_norm_power_of_cube_sum_hand_case():
     assert got == pytest.approx(math.sqrt(16.0 * 0.5 + 9.0 * 0.5), rel=1e-15)
 
 
+def _holds_point(cube: Cube, x: float) -> bool:
+    """Whether the half-open 1-d cube holds ``x``; 2^j * x is an exact float
+    scaling, so the floor test is reliable."""
+    return math.floor(math.ldexp(x, cube.j)) == cube.k[0]
+
+
 def _brute_integral(terms: dict[Cube, float], theta: float) -> float:
     """Independent oracle: sample the integrand on the finest-scale grid."""
     finest = max(q.j for q in terms)
@@ -115,7 +121,7 @@ def _brute_integral(terms: dict[Cube, float], theta: float) -> float:
     total = 0.0
     for cell in sorted(cells):
         x = (cell + 0.5) * width
-        value = math.fsum(a for q, a in terms.items() if q.contains_point(x))
+        value = math.fsum(a for q, a in terms.items() if _holds_point(q, x))
         total += value**theta * width
     return total
 

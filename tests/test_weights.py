@@ -100,7 +100,6 @@ def test_class_membership():
     assert WeightFn.power_log(2.0, 0.5).in_class_w  # |b| = 1/p
     assert WeightFn.power_log(2.0, -0.5).in_class_w
     assert not WeightFn.power_log(2.0, 1.0).in_class_w  # |b| > 1/p
-    assert WeightFn.power(0.5).in_class_w_plus
 
 
 @given(st.sampled_from(weight_families()), st.floats(-20.0, -0.01))
