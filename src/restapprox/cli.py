@@ -97,10 +97,18 @@ _USAGE_ERRORS = (
 # --------------------------------------------------------------------------
 
 
+def _read_text(path: str | Path) -> str:
+    """The file's text, or a ConfigError naming it when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     """Flat ``key=value`` lines; ``#`` starts a comment; blank lines ignored."""
     values: dict[str, str] = {}
-    text = Path(path).read_text()
+    text = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -193,7 +201,7 @@ def read_sequence(path: str | Path) -> CoeffSeq:
     the same on every line.  The text is checked in bulk, column by column;
     when a check fails, the error names the first bad line.
     """
-    text = Path(path).read_text()
+    text = _read_text(path)
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]

@@ -33,7 +33,7 @@ import numpy as np
 from .dyadic import VOLUMES, Cube, MeasureSpec, nu_measure, pow2
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq
-from .spaces import AtomWeights, SpaceParams, _recip, tl_norm
+from .spaces import AtomWeights, SpaceParams, _recip, matched_exponents, tl_norm
 
 __all__ = [
     "DemocracyCase",
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MATERIALIZE_CAP = 1 << 18
+_SWEEP_DIRECT_MAX = 4096
 _FAMILY_TAGS = ("grid", "tower", "row")
 
 
@@ -85,8 +86,9 @@ class DemocracyCase:
 
     @property
     def formula_alpha(self) -> float:
-        """The unique candidate measure exponent, p1 * e + 1."""
-        return self.f1.p * self.coefficient_exponent + 1.0
+        """The unique candidate measure exponent, p1 * e + 1: the alpha of
+        ``matched_exponents``, which does not depend on tau."""
+        return matched_exponents(self.f1.s, self.f1.p, self.f2, self.f1.p)[0]
 
 
 class Admissibility(NamedTuple):
@@ -230,18 +232,16 @@ class SweepRow:
 
 
 def democracy_ratio_sweep(
-    case: DemocracyCase,
-    families: Iterable[GammaFamily],
-    materialize_limit: int = 4096,
+    case: DemocracyCase, families: Iterable[GammaFamily]
 ) -> list[SweepRow]:
     """Evaluate value / mass^(1/p1) per family.
 
-    Families small enough are materialized and evaluated through the norm
-    machinery; larger ones use the closed forms.
+    Families of at most ``_SWEEP_DIRECT_MAX`` cubes are materialized and
+    evaluated through the norm machinery; larger ones use the closed forms.
     """
     rows = []
     for fam in families:
-        if fam.count <= materialize_limit:
+        if fam.count <= _SWEEP_DIRECT_MAX:
             cubes = fam.generate()
             value = democracy_value(cubes, case)
             mass = nu_measure(cubes, case.measure)
@@ -267,9 +267,7 @@ def democracy_ratio_sweep(
 
 
 def divergence_exponent(
-    case: DemocracyCase,
-    n_values: Iterable[int],
-    materialize_limit: int = 4096,
+    case: DemocracyCase, n_values: Iterable[int]
 ) -> tuple[float, list[SweepRow]]:
     """Log-log growth rate of the tower/row ratio spread in the family size.
 
@@ -288,7 +286,7 @@ def divergence_exponent(
             GammaFamily("tower", n, d=case.d),
             GammaFamily("row", n, d=case.d),
         ]
-        batch = democracy_ratio_sweep(case, fams, materialize_limit)
+        batch = democracy_ratio_sweep(case, fams)
         rows.extend(batch)
         ratios = [row.ratio for row in batch]
         spreads.append(max(ratios) / min(ratios))

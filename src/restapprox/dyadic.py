@@ -33,7 +33,6 @@ __all__ = [
     "MeasureSpec",
     "ContainmentForest",
     "pow2",
-    "cube_volume",
     "nu_measure",
 ]
 
@@ -107,14 +106,6 @@ class Cube:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def volume(self) -> float:
-        return cube_volume(self)
-
-    def side(self) -> float:
-        """Edge length 2^(-j)."""
-        return pow2(-self.j)
-
     def volume_power(self, exponent: float) -> float:
         """|Q|^exponent = 2^(-j*d*exponent), computed in one exponential."""
         return pow2(-self.j * self.d * exponent)
@@ -143,11 +134,6 @@ _set_j, _set_k, _set_d, _set_hash = (
 )
 # Runs an iterator to its end and keeps nothing.
 _drain = deque(maxlen=0).extend
-
-
-def cube_volume(cube: Cube) -> float:
-    """Lebesgue volume 2^(-j*d); exact, with an explicit range error."""
-    return pow2(-cube.j * cube.d)
 
 
 class VolumePowers(dict):
@@ -217,50 +203,33 @@ def scaled_ints(values: Iterable[float]) -> tuple[list[int], int]:
 
 
 class ExactSum:
-    """Running sum whose value is the correctly rounded sum of the terms so
-    far: on finite terms, ``math.fsum`` of them bit for bit.
+    """Running sum of finite terms whose value is their correctly rounded
+    sum: ``math.fsum`` of the terms so far, bit for bit.
 
-    The finite part is one int over ``2**shift``, shift growing only as terms
-    need it, so adds are exact, the state is O(1) and int true division
-    rounds the value once.  As in fsum, inf and nan terms sum apart and give
-    the value, +inf with -inf raises ValueError, and each restarts the finite
-    part.  Once that part rounds outside the float range, this add and every
-    later one raise OverflowError.  Unlike fsum, whose "intermediate
-    overflow" follows its partials, a sum in range never raises: fsum raises
-    on ``[-(M - 2**971), 2**969, 2**968, 2**968, M]`` (M the largest float).
+    The sum is one int over ``2**shift``, shift growing only as terms need
+    it, so adds are exact, the state is O(1) and int true division rounds
+    the value once.  An infinite term raises OverflowError and a nan term
+    ValueError, both from ``exact_ratio`` and with the sum left as it was.
+    An add whose sum rounds outside the float range raises OverflowError and
+    keeps the term, so later terms can bring the sum back.  Unlike fsum, whose
+    "intermediate overflow" follows its partials, a sum in range never
+    raises: fsum raises on ``[-(M - 2**971), 2**969, 2**968, 2**968, M]`` (M
+    the largest float).
     """
 
     def __init__(self) -> None:
-        self._num, self._shift, self._den = 0, 0, 1  # the finite part, num / den
-        self._special = self._inf = 0.0  # sums of the inf and nan, inf terms
-        self._overflow = False
+        self._num, self._shift, self._den = 0, 0, 1  # the sum, num / den
         self.value = 0.0
 
     def add(self, term: float) -> float:
         """Add ``term``; return the rounded sum of every term added so far."""
-        if math.isfinite(term):
-            num, shift = exact_ratio(term)
-            if shift > self._shift:
-                self._num = (self._num << (shift - self._shift)) + num
-                self._shift, self._den = shift, 1 << shift
-            else:
-                self._num += num << (self._shift - shift)
+        num, shift = exact_ratio(term)
+        if shift > self._shift:
+            self._num = (self._num << (shift - self._shift)) + num
+            self._shift, self._den = shift, 1 << shift
         else:
-            self._num = 0
-            self._special += term
-            self._inf += term if math.isinf(term) else 0.0
-        try:
-            if self._overflow:
-                raise OverflowError("the exact sum exceeds the float range")
-            value = self._num / self._den
-        except OverflowError:
-            self._overflow = True
-            raise
-        if self._special:
-            if math.isnan(self._inf):
-                raise ValueError("-inf + inf in the exact sum")
-            value = self._special
-        self.value = value
+            self._num += num << (self._shift - shift)
+        self.value = value = self._num / self._den
         return value
 
 

@@ -154,16 +154,7 @@ class CoeffSeq:
             merged[q] = merged.get(q, 0.0) + v
         return CoeffSeq(merged)
 
-    def minus(self, other: "CoeffSeq") -> "CoeffSeq":
-        return self.plus(other.scaled(-1.0))
-
     # A subset of clean entries is clean.
-    def restricted(self, cubes: Iterable[Cube]) -> "CoeffSeq":
-        keep = set(cubes)
-        return CoeffSeq._from_clean(
-            {q: v for q, v in self.entries.items() if q in keep}
-        )
-
     def without(self, cubes: Iterable[Cube]) -> "CoeffSeq":
         drop = set(cubes)
         return CoeffSeq._from_clean(

@@ -37,6 +37,7 @@ __all__ = [
     "besov_norm",
     "space_norm",
     "suffix_norms",
+    "matched_exponents",
     "lorentz_equals_besov_check",
 ]
 
@@ -305,8 +306,6 @@ def _tl_suffix_norms(
                             if new:
                                 add(new * size)
                     own[y], outer[y] = constant, above
-            if not math.isfinite(integral.value):
-                raise ScaleRangeError(_INTEGRAL_RANGE)
             norms[c] = _tl_root(integral.value, params.p)
     except (OverflowError, ValueError, ScaleRangeError) as error:
         # The pass meets the longest suffix, the whole family, last; a norm
@@ -370,6 +369,19 @@ def _check_space(s: CoeffSeq, params: SpaceParams, kind: str) -> None:
         )
 
 
+def matched_exponents(
+    s1: float, p1: float, f2: SpaceParams, tau: float
+) -> tuple[float, float]:
+    """The measure exponent alpha = p1 * ((s2 - s1)/d - 1/p2) + 1 matching
+    smoothness ``s1`` and inner exponent ``p1`` to the atom weights of
+    ``f2``, and the smoothness gamma = s1 + d (1/tau - 1/p1)(1 - alpha) of
+    the per-scale norm with exponents (tau, tau) that the weighted Lorentz
+    norm then equals."""
+    d = f2.d
+    alpha = p1 * ((f2.s - s1) / d - _recip(f2.p)) + 1.0
+    return alpha, s1 + d * (1.0 / tau - 1.0 / p1) * (1.0 - alpha)
+
+
 def lorentz_equals_besov_check(
     s: CoeffSeq,
     s1: float,
@@ -390,14 +402,12 @@ def lorentz_equals_besov_check(
         raise ContractViolationError("tau must be finite and > 0")
     if not p1 > 0 or math.isinf(p1):
         raise ContractViolationError("p1 must be finite and > 0")
-    d = f2.d
-    alpha = p1 * ((f2.s - s1) / d - _recip(f2.p)) + 1.0
-    gamma = s1 + d * (1.0 / tau - 1.0 / p1) * (1.0 - alpha)
+    alpha, gamma = matched_exponents(s1, p1, f2, tau)
     lhs = lorentz_norm(
         s,
         MeasureSpec(alpha),
         LorentzParams(eta=WeightFn.power(tau), mu=tau, u=AtomWeights(f2)),
     )
-    rhs = besov_norm(s, SpaceParams(gamma, tau, tau, d, kind="besov"))
+    rhs = besov_norm(s, SpaceParams(gamma, tau, tau, f2.d, kind="besov"))
     ok = abs(lhs - rhs) <= IDENTITY_TOL * max(abs(lhs), abs(rhs), 1.0)
     return lhs, rhs, ok

@@ -50,7 +50,8 @@ from .democracy import (
 from .dyadic import Cube, MeasureSpec, nu_measure, pow2
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow
-from .spaces import IDENTITY_TOL, SpaceParams, lorentz_equals_besov_check, space_norm
+from .spaces import IDENTITY_TOL, SpaceParams, lorentz_equals_besov_check
+from .spaces import matched_exponents, space_norm
 from .weights import (
     WeightFn,
     boyd_lower_index,
@@ -350,11 +351,10 @@ def lorentz_besov_draws(
             p1 = float(rng.uniform(1, 3))
             s2 = float(rng.uniform(-1, 1))
             p2 = float(rng.uniform(1, 3))
-            alpha = p1 * ((s2 - s1) / d - 1.0 / p2) + 1.0
-            gamma = s1 + d * (1.0 / tau - 1.0 / p1) * (1.0 - alpha)
+            f2 = SpaceParams(s2, p2, p2, d, "tl")
+            alpha, gamma = matched_exponents(s1, p1, f2, tau)
             if abs(alpha) <= 6.0 and abs(gamma) <= 5.0:
                 break
-        f2 = SpaceParams(s2, p2, p2, d, "tl")
         seq = _draw_seq(rng, int(rng.integers(3, 18)), d, -4, 4, 1.0)
         lhs, rhs, ok = lorentz_equals_besov_check(seq, s1, p1, f2, tau)
         yield tau, d, alpha, gamma, abs(lhs - rhs) / max(lhs, rhs, 1.0), ok

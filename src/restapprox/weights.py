@@ -238,11 +238,6 @@ class WeightFn:
                 return s0, delta
         return None
 
-    @property
-    def in_class_w(self) -> bool:
-        """Vanishes at 0, nondecreasing, doubling."""
-        return self.nondecreasing
-
 
 def dilation(
     w: WeightFn, s: float, grid: tuple[float, float, int] | None = None

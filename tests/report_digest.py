@@ -29,9 +29,13 @@ directory replaced by ``<out>``.  Last, for each case in ``SPREADS``,
 ``democracy.admissible_spread``'s ``(min, max)`` as ``float.hex`` and the
 generator's next word afterwards: criterion 3's window at d = 1 and 2 (whose
 report prints the spread growth to 3 decimals only), the default window at
-d = 3, and an infinite aggregation exponent.  Two versions whose outputs are
-equal line for line wrote byte-identical reports modulo wall time, exited
-alike, printed the same messages, and drew and scored the same families.
+d = 3, and an infinite aggregation exponent.  Then, for each solver,
+``approx.decompose``'s pieces (scale, then each cube and its value as
+``float.hex``) and score as ``float.hex``, on the sample file and on
+``UNDERFLOW``, under ``approx-norm``'s default parameters: ``decompose`` is
+no CLI command.  Two versions whose outputs are equal line for line wrote
+byte-identical reports modulo wall time, exited alike, printed the same
+messages, drew and scored the same families, and decomposed alike.
 """
 
 from __future__ import annotations
@@ -47,8 +51,17 @@ from pathlib import Path
 
 import numpy as np
 
-from restapprox import DemocracyCase, SpaceParams, admissible_spread
-from restapprox.cli import _COMMANDS, main
+from restapprox import (
+    ApproxParams,
+    CoeffSeq,
+    Cube,
+    DemocracyCase,
+    MeasureSpec,
+    SpaceParams,
+    admissible_spread,
+    decompose,
+)
+from restapprox.cli import _COMMANDS, main, read_sequence
 
 SAMPLE = str(Path(__file__).resolve().parent.parent / "fixtures" / "sample.seq")
 SEEDS = (17, 3)
@@ -194,6 +207,26 @@ def spread_digest(
     return f"spread {label} min={lo.hex()} max={hi.hex()} next-word={word}"
 
 
+# Besides the sample file, decompose runs on this sequence, whose second
+# cube's captured weight (1e-300)^2 underflows to 0.
+UNDERFLOW = CoeffSeq({Cube(0, (0,)): 1.0, Cube(1, (1,)): 1e-300})
+# approx-norm's defaults: tl with s = 0 and p = q = 2, alpha = 1, xi = 0.5,
+# mu = 2.
+DECOMPOSE_PARAMS = ApproxParams(
+    0.5, 2.0, SpaceParams(0.0, 2.0, 2.0, 1), MeasureSpec(1.0)
+)
+
+
+def decompose_digest(label: str, s: CoeffSeq, solver: str) -> str:
+    """One line: each piece's scale and entries, and the score."""
+    res = decompose(s, DECOMPOSE_PARAMS, solver)
+    pieces = " ".join(
+        f"{k}:[{', '.join(f'{q}={v.hex()}' for q, v in sorted(piece.items()))}]"
+        for k, piece in res.pieces
+    )
+    return f"decompose {label} solver={solver} pieces={pieces} score={res.score.hex()}"
+
+
 def digest(
     command: str,
     seed: int,
@@ -244,3 +277,6 @@ if __name__ == "__main__":
             print(digest(command, SEEDS[0], (name, settings), str(sequence)), flush=True)
     for spread in SPREADS:
         print(spread_digest(*spread), flush=True)
+    for label, sequence in ("sample", read_sequence(SAMPLE)), ("underflow", UNDERFLOW):
+        for solver in ("greedy", "knapsack", "brute"):
+            print(decompose_digest(label, sequence, solver), flush=True)

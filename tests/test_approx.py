@@ -40,7 +40,7 @@ from restapprox import (
     WeightFn,
 )
 from restapprox import approx, spaces
-from restapprox.democracy import random_cube_set
+from restapprox.democracy import GammaFamily, random_cube_set
 from restapprox.dyadic import _CUBE_KEY, ExactSum
 
 from conftest import cube_strategy, seq_strategy, signed_values
@@ -288,6 +288,28 @@ def test_decompose_brackets_a_mass_at_the_exponent_limit():
     assert approx_norm_dyadic(s, params) > 0.0
 
 
+def test_decompose_exact_solvers_keep_a_cube_of_underflowing_weight():
+    # The second cube's captured weight (1e-300)^2 underflows to 0, so no
+    # exact search puts it in a support; the last budget, 2, covers the
+    # total mass 1.5, and every solver takes the whole support there.
+    s = CoeffSeq({Cube(0, (0,)): 1.0, Cube(1, (1,)): 1e-300})
+    params = _params()
+    greedy = decompose(s, params, "greedy")
+    assert greedy.pieces == (
+        (1, CoeffSeq({Cube(0, (0,)): 1.0})),
+        (2, CoeffSeq({Cube(1, (1,)): 1e-300})),
+    )
+    for solver in ("knapsack", "brute"):
+        assert decompose(s, params, solver) == greedy
+
+
+def test_decompose_of_an_empty_sequence_has_no_pieces():
+    for solver in ("greedy", "knapsack", "brute"):
+        res = decompose(CoeffSeq({}), _params(), solver)
+        assert res.pieces == ()
+        assert res.score == 0.0
+
+
 @given(seq_strategy(max_size=10), st.floats(-1.0, 1.0))
 def test_decompose_reconstructs_exactly(s, alpha):
     params = ApproxParams(0.8, 1.5, EUCLID, MeasureSpec(alpha))
@@ -311,6 +333,25 @@ def test_rate_constants_single_atom_are_one():
     lorentz = LorentzParams(WeightFn.power(1.0), mu=math.inf, xi=0.0)
     assert jackson_constant(suite, params, lorentz) == pytest.approx(1.0, rel=1e-12)
     assert bernstein_constant(suite, params, lorentz) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_rate_constants_reject_a_suite_member_of_zero_norm():
+    # The Lorentz norm and the error norm of 1e-300 both underflow to 0.
+    suite = [CoeffSeq({Cube(0, (0,)): 1e-300})]
+    lorentz = LorentzParams(WeightFn.power(2.0), mu=2.0)
+    with pytest.raises(ContractViolationError, match="zero Lorentz norm"):
+        jackson_constant(suite, _params(), lorentz)
+    with pytest.raises(ContractViolationError, match="zero error norm"):
+        bernstein_constant(suite, _params(), lorentz)
+
+
+def test_branch_and_bound_stops_uncertified_at_the_node_cap(monkeypatch):
+    tower = CoeffSeq.indicator(GammaFamily("tower", 4).generate())  # 15 cubes
+    assert sigma_exact(tower, 1.0, _params(), "knapsack").certified
+    monkeypatch.setattr(approx, "_BNB_NODE_CAP", 5)
+    capped = sigma_exact(tower, 1.0, _params(), "knapsack")
+    assert not capped.certified
+    assert capped.nodes == 6
 
 
 def _superincreasing(n: int) -> CoeffSeq:
@@ -831,7 +872,10 @@ def test_suffix_norms_equal_norms_of_suffixes_in_any_order(d_and_s, space, rng):
     params = SpaceParams(smooth, p, q, d, kind)
     order = list(s.support)
     rng.shuffle(order)
-    want = [space_norm(s.restricted(order[c:]), params) for c in range(len(order) + 1)]
+    want = [
+        space_norm(CoeffSeq({q: s[q] for q in order[c:]}), params)
+        for c in range(len(order) + 1)
+    ]
     assert suffix_norms(s, params, order) == want
 
 

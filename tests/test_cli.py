@@ -314,6 +314,18 @@ def test_missing_input_file_is_a_usage_error(tmp_path):
     assert main(["norm", str(tmp_path / "nope.seq"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("as_config", [False, True])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, as_config):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0 1.0\n1 0 \xff2.0\n")
+    args = [SAMPLE, "--config", str(bad)] if as_config else [str(bad)]
+    assert main(["norm", *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text (")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_capability_limit_is_a_usage_error(tmp_path):
     # 13 nested cubes of masses 2^i and captured weights 3^i: all 2^13
     # subsets are on the frontier, too many for an exact profile.

@@ -153,12 +153,18 @@ def test_generate_cap():
 def test_sweep_switches_sources():
     case = _case()
     fam = GammaFamily("grid", 3, L=1, d=1)
-    direct = democracy_ratio_sweep(case, [fam], materialize_limit=4096)[0]
-    closed = democracy_ratio_sweep(case, [fam], materialize_limit=2)[0]
+    big = GammaFamily("row", democracy._SWEEP_DIRECT_MAX + 1)
+    direct, closed = democracy_ratio_sweep(case, [fam, big])
     assert direct.source == "direct"
     assert closed.source == "closed-form"
-    assert direct.ratio == pytest.approx(closed.ratio, rel=1e-12)
-    assert direct.count == closed.count == 3
+
+    def closed_ratio(family: GammaFamily) -> float:
+        mass = family.closed_form_mass(case.alpha)
+        return family.closed_form_value(case) / mass ** (1.0 / case.f1.p)
+
+    assert direct.ratio == pytest.approx(closed_ratio(fam), rel=1e-12)
+    assert closed.ratio == closed_ratio(big)
+    assert direct.count == 3
 
 
 def test_divergence_slope_admissible_is_flat():

@@ -84,12 +84,11 @@ def test_log2_floor_ceil_is_exact(x):
 def test_cube_basics():
     q = Cube(2, (3,))
     assert q.d == 1
-    assert q.side() == 0.25
-    assert q.volume == 0.25
+    assert dyadic.VOLUMES(q) == 0.25
     assert q.volume_power(2.0) == 0.0625
     q2 = Cube(1, (0, -1))
     assert q2.d == 2
-    assert q2.volume == 0.25
+    assert dyadic.VOLUMES(q2) == 0.25
 
 
 def test_cube_containment_one_dimension():
@@ -410,9 +409,6 @@ WITH_SPECIALS = st.one_of(
     ADVERSARIAL_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])
 )
 
-# The least magnitude that rounds past the largest float, to 2**1024.
-_PAST_FLOAT_RANGE = Fraction(2**1024 - 2**970)
-
 
 def _outcome(thunk):
     try:
@@ -422,34 +418,27 @@ def _outcome(thunk):
 
 
 def _exact_outcome(xs: list[float]) -> str:
-    """ExactSum's contract, from Fractions: the finite part restarts at each
-    inf or nan, the sum overflows for good once that part reaches the edge of
-    the float range, and otherwise inf and nan terms give the value as in
-    fsum."""
-    finite, special, infs, overflow = Fraction(0), 0.0, 0.0, False
-    for x in xs:
-        if math.isfinite(x):
-            finite += Fraction(x)
-        else:
-            finite, special = Fraction(0), special + x
-            infs += x if math.isinf(x) else 0.0
-        overflow = overflow or abs(finite) >= _PAST_FLOAT_RANGE
-    if overflow:
-        return "OverflowError"
-    if special:
-        return "ValueError" if math.isnan(infs) else repr(special)
-    return repr(float(finite))  # int true division: correctly rounded
+    """ExactSum's contract on finite terms, from Fractions: the exact sum
+    rounded once (int true division), or OverflowError past the float
+    range."""
+    return _outcome(lambda: float(sum(map(Fraction, xs), Fraction(0))))
 
 
 def _assert_every_prefix_is_fsum(xs: list[float]) -> None:
-    """Every prefix's value or error is fsum's, except where fsum raises its
-    history-dependent "intermediate overflow": there the exact oracle, which
-    also raises when the sum since the last inf or nan ever left the range."""
+    """Every add gives fsum of the finite terms so far, except where fsum
+    raises its history-dependent "intermediate overflow": there the exact
+    oracle.  An inf term raises OverflowError and a nan term ValueError, and
+    neither enters the sum."""
     total = ExactSum()
-    for i, x in enumerate(xs):
-        want = _outcome(lambda: math.fsum(xs[: i + 1]))
-        if want == "OverflowError":
-            want = _exact_outcome(xs[: i + 1])
+    finite: list[float] = []
+    for x in xs:
+        if math.isfinite(x):
+            finite.append(x)
+            want = _outcome(lambda: math.fsum(finite))
+            if want == "OverflowError":
+                want = _exact_outcome(finite)
+        else:
+            want = "ValueError" if math.isnan(x) else "OverflowError"
         assert _outcome(lambda: total.add(x)) == want
 
 
@@ -459,8 +448,22 @@ def test_exact_sum_rounds_every_prefix_as_fsum(xs):
 
 
 @given(st.lists(WITH_SPECIALS, max_size=60))
-def test_exact_sum_keeps_fsum_inf_and_nan_rules(xs):
+def test_exact_sum_rejects_inf_and_nan_terms(xs):
     _assert_every_prefix_is_fsum(xs)
+
+
+def test_exact_sum_raises_on_inf_and_nan_and_comes_back_in_range():
+    big = sys.float_info.max
+    total = ExactSum()
+    assert total.add(big) == big
+    with pytest.raises(OverflowError):
+        total.add(math.inf)
+    with pytest.raises(ValueError):
+        total.add(math.nan)
+    with pytest.raises(OverflowError):
+        total.add(big)  # the sum, 2 * big, is past the float range
+    assert total.value == big
+    assert total.add(-big) == big  # back in range: no sticky overflow
 
 
 def test_exact_sum_rounds_where_fsum_overflows_in_its_partials():
@@ -503,6 +506,8 @@ def test_exact_sum_memory_stays_flat():
     ],
 )
 def test_exact_sum_keeps_fsum_special_cases(xs):
+    """fsum's special cases: inf and nan terms, which ExactSum rejects, and
+    sums that pass the float range and come back, which it does not latch."""
     _assert_every_prefix_is_fsum(xs)
 
 

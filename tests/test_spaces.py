@@ -52,6 +52,13 @@ def test_tl_norm_fails_fast_across_a_huge_scale_gap():
         tl_norm(s, SpaceParams(-0.5, 2.0, 2.0, 1, "tl"))
 
 
+def test_tl_norm_raises_for_a_scale_factor_past_the_float_range():
+    # At s = 0 the scale factor of a scale-2100 cube is |Q|^(-1/2) = 2^1050:
+    # the strict ContainmentForest.volume_powers raises pow2's error.
+    with pytest.raises(ScaleRangeError, match=r"^2\^1050 is outside"):
+        tl_norm(CoeffSeq({Cube(2100, (0,)): 1.0}), SpaceParams(0.0, 2.0, 2.0, 1))
+
+
 def test_exponents():
     f = SpaceParams(1.0, 2.0, 3.0, 2, "tl")
     assert f.atom_exponent == -0.5 + 0.5 - 0.5

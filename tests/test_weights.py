@@ -96,10 +96,10 @@ def test_doubling_constant_dominates_samples(w, log_t):
 
 
 def test_class_membership():
-    assert WeightFn.power(2.0).in_class_w
-    assert WeightFn.power_log(2.0, 0.5).in_class_w  # |b| = 1/p
-    assert WeightFn.power_log(2.0, -0.5).in_class_w
-    assert not WeightFn.power_log(2.0, 1.0).in_class_w  # |b| > 1/p
+    assert WeightFn.power(2.0).nondecreasing
+    assert WeightFn.power_log(2.0, 0.5).nondecreasing  # |b| = 1/p
+    assert WeightFn.power_log(2.0, -0.5).nondecreasing
+    assert not WeightFn.power_log(2.0, 1.0).nondecreasing  # |b| > 1/p
 
 
 @given(st.sampled_from(weight_families()), st.floats(-20.0, -0.01))
