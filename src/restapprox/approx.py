@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .dyadic import _CUBE_KEY, Cube, ExactSum, MeasureSpec, pow2
+from .dyadic import Cube, ExactSum, MeasureSpec, pow2
 from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
 from .errors import CapabilityError, ContractViolationError
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
@@ -421,7 +421,7 @@ def sigma_exact(
         weights = _additive_weights(cubes, values, params.space)
         _, chosen, certified, nodes = _branch_and_bound(masses, weights, budget)
         support = [cubes[i] for i in chosen]
-    support = tuple(sorted(support, key=_CUBE_KEY))
+    support = tuple(sorted(support))
     error = space_norm(s.without(support), params.space)
     return SigmaResult(error, support, certified, nodes)
 
@@ -445,7 +445,7 @@ def sigma_greedy(
         if kept_mass.value + mass <= budget:
             kept.append(cubes[i])
             kept_mass.add(mass)
-    support = tuple(sorted(kept, key=_CUBE_KEY))
+    support = tuple(sorted(kept))
     error = space_norm(s.without(support), params.space)
     return SigmaResult(error, support, certified=False)
 
@@ -531,7 +531,7 @@ def decompose(
     profiles tabulate whose mass fits, so greedy pieces are disjoint runs of
     that order; exact solvers take ``sigma_exact``'s support.  At the last
     budget, which covers the total mass, every solver takes the whole
-    support.  The score
+    support.  Each piece lists its cubes in cube order.  The score
     aggregates 2^(k xi) ||s_k|| with exponent mu.
     """
     _check_solver(solver)
@@ -563,9 +563,9 @@ def decompose(
     previous: frozenset[Cube] = frozenset()
     pieces: list[tuple[int, CoeffSeq]] = []
     for k, current in zip(ks, supports):
-        entries = {q: s[q] for q in current - previous}
-        entries.update({q: -s[q] for q in previous - current})
-        piece = CoeffSeq(entries)
+        piece = CoeffSeq(
+            {q: s[q] if q in current else -s[q] for q in sorted(current ^ previous)}
+        )
         if piece:
             pieces.append((k, piece))
         previous = current

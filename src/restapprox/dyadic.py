@@ -1,27 +1,29 @@
 """Dyadic cubes, cube-set measures, and exact integration of piecewise-constant
 functions built from finite cube families.
 
-A cube with scale ``j`` and integer position vector ``k`` of length ``d`` is the
-half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  Any two such
-cubes are either disjoint or nested, which lets a finite family be organised
-into a containment forest: the cubes in preorder plus, for each, the index of
-its tightest container, so that each cube's subtree is one run of the
-preorder.  The preorder comes from one sort of integer keys: int64 numpy
-arrays for families of at least ``_INT64_MIN_CUBES`` cubes whose keys fit in
-62 bits, Python ints otherwise (small families, and positions of hundreds of
-bits across wide scale gaps).  Per-cube values enter as lists aligned with
-that preorder, and one forward pass gives each cube's ancestor-chain sum or
-maximum.  Integrals of a function constant on each forest region (a cube
-minus its children) are then finite sums — no sampling, no quadrature.
+A cube with scale ``j`` and integer position vector ``k`` of length ``d`` is
+the half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  A
+``Cube`` is the tuple ``(j, k, d)``, so cubes are equal, hashed and sorted by
+``(j, k)``, as tuples are.  Any two such cubes are either disjoint or nested,
+which lets a finite family be organised into a containment forest: the cubes in
+preorder plus, for each, the index of its tightest container, so that each
+cube's subtree is one run of the preorder.  The preorder comes from one sort of
+integer keys: int64 numpy arrays for families of at least ``_INT64_MIN_CUBES``
+cubes whose keys fit in 62 bits, Python ints otherwise (small families, and
+positions of hundreds of bits across wide scale gaps).  Per-cube values enter
+as lists aligned with that preorder, and one forward pass gives each cube's
+ancestor-chain sum or maximum.  Integrals of a function constant on each forest
+region (a cube minus its children) are then finite sums — no sampling, no
+quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import index, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,46 +67,44 @@ def log2_floor_ceil(x: float) -> tuple[int, int]:
     return e - 1, e - 1 if m == 0.5 else e
 
 
-@dataclass(frozen=True, order=True, slots=True, init=False)
-class Cube:
-    """The dyadic cube ``2^(-j) * ([0,1)^d + k)``.
+class Cube(namedtuple("Cube", "j k d")):
+    """The dyadic cube ``2^(-j) * ([0,1)^d + k)``, as the tuple ``(j, k, d)``.
 
     ``j`` may be negative (big cubes); ``k`` components may be negative.
-    Equality, ordering and hashing go by ``(j, k)``; the dimension ``d`` and
-    the hash are computed once, when the cube is built.
+    ``d`` is ``len(k)``, so equality, ordering and hashing, the tuple's, go
+    by ``(j, k)``.  ``j`` and each position pass through ``operator.index``:
+    ints, bools and numpy ints are taken, anything else is refused.
     """
 
-    j: int
-    k: tuple[int, ...]
-    d: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __init__(self, j: int, k: Sequence[int]) -> None:
+    def __new__(cls, j: int, k: Sequence[int]) -> "Cube":
+        try:
+            j = index(j)
+            k = tuple(map(index, k))
+        except TypeError:
+            raise ContractViolationError(
+                f"cube scale and positions must be integers, got {j!r}, {k!r}"
+            ) from None
         if not k:
             raise ContractViolationError("cube position vector must be non-empty")
-        k = tuple(map(int, k))
-        _set_j(self, j)
-        _set_k(self, k)
-        _set_d(self, len(k))
-        _set_hash(self, hash((j, k)))
+        return tuple.__new__(cls, (j, k, len(k)))
 
     @classmethod
     def from_columns(
         cls, js: Sequence[int], ks: Sequence[tuple[int, ...]]
     ) -> list["Cube"]:
-        """``[Cube(j, k) for j, k in zip(js, ks)]`` with no ``__init__`` call:
-        the slots are filled one column at a time.  The caller vouches that
-        ``js`` and ``ks`` are equally long, and that each ``k`` is a non-empty
-        tuple of ints."""
-        cubes = list(map(cls.__new__, repeat(cls, len(ks))))
-        _drain(map(_set_j, cubes, js))
-        _drain(map(_set_k, cubes, ks))
-        _drain(map(_set_d, cubes, map(len, ks)))
-        _drain(map(_set_hash, cubes, map(hash, zip(js, ks))))
-        return cubes
+        """``[Cube(j, k) for j, k in zip(js, ks)]`` with no ``Cube.__new__`` call.
+        The caller vouches that ``js`` and ``ks`` are equally long, and that
+        each ``k`` is a non-empty tuple of ints."""
+        return list(map(tuple.__new__, repeat(cls), zip(js, ks, map(len, ks))))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
+        # Copy and pickle rebuild through __new__, which takes (j, k), not d.
+        return self[:2]
+
+    def __repr__(self) -> str:
+        return f"Cube(j={self.j!r}, k={self.k!r})"
 
     def volume_power(self, exponent: float) -> float:
         """|Q|^exponent = 2^(-j*d*exponent), computed in one exponential."""
@@ -121,19 +121,6 @@ class Cube:
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in (self.j, *self.k))
-
-
-# Cube order by C tuple comparison; equal to the order of Cube.__lt__.
-_CUBE_KEY = attrgetter("j", "k")
-
-# Cube's fields are set once, in __init__ or from_columns, through their slot
-# descriptors, which skip the frozen __setattr__ and cost less than
-# object.__setattr__.
-_set_j, _set_k, _set_d, _set_hash = (
-    Cube.__dict__[name].__set__ for name in ("j", "k", "d", "_hash")
-)
-# Runs an iterator to its end and keeps nothing.
-_drain = deque(maxlen=0).extend
 
 
 class VolumePowers(dict):
@@ -330,7 +317,7 @@ _INT64_MIN_CUBES = 128
 _KEY_LIMIT = 1 << 62
 # Spread masks cut to int64; the codes they select stay below 2^62.
 _INT64_BITS = (1 << 63) - 1
-_J, _K = attrgetter("j"), attrgetter("k")
+_J, _K = itemgetter(0), itemgetter(1)
 
 
 def _int64_columns(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray] | None:

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .dyadic import _CUBE_KEY, Cube, MeasureSpec, scaled_ints
+from .dyadic import Cube, MeasureSpec, scaled_ints
 from .errors import ContractViolationError, ScaleRangeError
 from .weights import WeightFn, weight_integrals, weight_sup_on_interval
 
@@ -135,7 +135,7 @@ class CoeffSeq:
 
     @property
     def support(self) -> tuple[Cube, ...]:
-        return tuple(sorted(self.entries, key=_CUBE_KEY))
+        return tuple(sorted(self.entries))
 
     @property
     def d(self) -> int | None:

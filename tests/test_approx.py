@@ -41,7 +41,7 @@ from restapprox import (
 )
 from restapprox import approx, spaces
 from restapprox.democracy import GammaFamily, random_cube_set
-from restapprox.dyadic import _CUBE_KEY, ExactSum
+from restapprox.dyadic import ExactSum
 
 from conftest import cube_strategy, seq_strategy, signed_values
 
@@ -324,6 +324,14 @@ def test_decompose_reconstructs_exactly(s, alpha):
     for k, piece in res.pieces:
         mass = math.fsum(measure(q) for q in piece.support)
         assert mass <= pow2(k) * (1.0 + 1e-12)
+
+
+@given(seq_strategy(max_size=8), st.floats(-1.0, 1.0))
+def test_decompose_pieces_list_their_cubes_in_cube_order(s, alpha):
+    params = ApproxParams(0.8, 1.5, EUCLID, MeasureSpec(alpha))
+    for solver in ("greedy", "knapsack", "brute"):
+        for _, piece in decompose(s, params, solver).pieces:
+            assert list(piece.entries) == sorted(piece.entries)
 
 
 def test_rate_constants_single_atom_are_one():
@@ -756,7 +764,11 @@ def test_dantzig_bound_on_prefix_budgets():
 )
 def test_cube_key_orders_like_cube(cubes):
     # cube_strategy draws negative scales and positions too.
-    assert sorted(cubes, key=_CUBE_KEY) == sorted(cubes)
+    assert sorted(cubes) == sorted(cubes, key=lambda c: (c.j, c.k))
+    # Built column-wise, the same cubes, hash for hash.
+    built = Cube.from_columns([c.j for c in cubes], [c.k for c in cubes])
+    assert built == cubes and all(type(c) is Cube for c in built)
+    assert list(map(hash, built)) == list(map(hash, cubes))
 
 
 @given(seq_strategy(max_size=25), st.floats(-1.0, 1.0), st.booleans())

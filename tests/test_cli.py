@@ -219,23 +219,23 @@ def test_reading_and_dropping_cubes_builds_no_cube_or_sequence_one_by_one(
     tmp_path, monkeypatch
 ):
     """Counted: reading a 2 000-line file, and ``CoeffSeq.without`` on it,
-    call neither ``Cube.__init__`` nor ``CoeffSeq.__post_init__``."""
+    call neither ``Cube.__new__`` nor ``CoeffSeq.__post_init__``."""
     path = tmp_path / "seq.txt"
     path.write_text(
         "".join(f"{i % 11} {i} {1.0 + i / 7!r}\n" for i in range(2000))
     )
     calls = {"Cube": 0, "CoeffSeq": 0}
-    init, post_init = Cube.__init__, CoeffSeq.__post_init__
+    new, post_init = Cube.__new__, CoeffSeq.__post_init__
 
-    def counted_init(self, *args):
+    def counted_new(cls, *args):
         calls["Cube"] += 1
-        init(self, *args)
+        return new(cls, *args)
 
     def counted_post_init(self):
         calls["CoeffSeq"] += 1
         post_init(self)
 
-    monkeypatch.setattr(Cube, "__init__", counted_init)
+    monkeypatch.setattr(Cube, "__new__", counted_new)
     monkeypatch.setattr(CoeffSeq, "__post_init__", counted_post_init)
     seq = read_sequence(path)
     rest = seq.without(seq.support[:100])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -89,6 +91,33 @@ def test_cube_basics():
     q2 = Cube(1, (0, -1))
     assert q2.d == 2
     assert dyadic.VOLUMES(q2) == 0.25
+
+
+def test_cube_hashes_compares_and_orders_as_a_tuple_in_c():
+    """A cube is the tuple (j, k, d): no Python-level hash or comparison,
+    and no instance dict."""
+    for name in ("__hash__", "__eq__", "__lt__"):
+        assert getattr(Cube, name) is getattr(tuple, name), name
+    assert Cube.__slots__ == ()
+    assert not hasattr(Cube(0, (0,)), "__dict__")
+
+
+def test_cube_takes_integers_only():
+    assert Cube(np.int64(3), [np.int32(-1), True]) == Cube(3, (-1, 1))
+    assert type(Cube(np.int64(3), (0,)).j) is int
+    for j, k in [(1.5, (0,)), (0, (1.5,)), ("3", (0,)), (0, 5), (0, "12")]:
+        with pytest.raises(ContractViolationError, match="integers"):
+            Cube(j, k)
+    with pytest.raises(ContractViolationError, match="non-empty"):
+        Cube(0, ())
+
+
+def test_cube_survives_copy_and_pickle():
+    q = Cube(-3, (5, -2))
+    for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(other) is Cube
+        assert (other, hash(other)) == (q, hash(q))
+        assert repr(other) == "Cube(j=-3, k=(5, -2))"
 
 
 def test_cube_containment_one_dimension():
