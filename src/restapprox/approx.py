@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 from .dyadic import Cube, ExactSum, MeasureSpec, pow2
 from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
-from .errors import CapabilityError, ContractViolationError
+from .errors import CapabilityError, ContractViolationError, finite
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
 from .spaces import SpaceParams, space_norm, suffix_norms
 
@@ -56,6 +56,7 @@ __all__ = [
 # Candidate supports times cubes of an exact search: 2^12 subsets of 12 cubes.
 _EXACT_WORK = 12 << 12
 _BNB_NODE_CAP = 500_000
+_AGGREGATE_RANGE = "the budget aggregate exceeds the float range"
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,15 @@ class SigmaProfile:
             return 0.0
         bp = self.breakpoints
         if math.isinf(mu):
-            return max(err * bp[k + 1] ** xi for k, err in enumerate(self.errors))
+            terms = (err * bp[k + 1] ** xi for k, err in enumerate(self.errors))
+            return finite(lambda: max(terms), _AGGREGATE_RANGE)
         x = xi * mu
-        total = math.fsum(
+        terms = (
             err**mu * (bp[k + 1] ** x - bp[k] ** x) / x
             for k, err in enumerate(self.errors)
             if err > 0
         )
-        return total ** (1.0 / mu)
+        return finite(lambda: math.fsum(terms) ** (1.0 / mu), _AGGREGATE_RANGE)
 
     def norm_dyadic(self, xi: float, mu: float) -> float:
         """Dyadic-budget aggregate: sum of [2^(k xi) sigma(2^k)]^mu over integers k.
@@ -152,17 +154,22 @@ class SigmaProfile:
         k_min = log2_floor_ceil(first_mass)[0]
         k_up = log2_floor_ceil(last_mass)[1]
         full = self.errors[0]
-        if math.isinf(mu):
-            best = full * pow2((k_min - 1) * xi)
-            for k in range(k_min, k_up):
-                best = max(best, self.value_at(pow2(k)) * pow2(k * xi))
-            return best
-        x = xi * mu
-        tail = full**mu * pow2(k_min * x) / math.expm1(x * math.log(2.0))
-        explicit = math.fsum(
-            (self.value_at(pow2(k)) * pow2(k * xi)) ** mu for k in range(k_min, k_up)
-        )
-        return (tail + explicit) ** (1.0 / mu)
+
+        def aggregate() -> float:
+            if math.isinf(mu):
+                best = full * pow2((k_min - 1) * xi)
+                for k in range(k_min, k_up):
+                    best = max(best, self.value_at(pow2(k)) * pow2(k * xi))
+                return best
+            x = xi * mu
+            tail = full**mu * pow2(k_min * x) / math.expm1(x * math.log(2.0))
+            explicit = math.fsum(
+                (self.value_at(pow2(k)) * pow2(k * xi)) ** mu
+                for k in range(k_min, k_up)
+            )
+            return (tail + explicit) ** (1.0 / mu)
+
+        return finite(aggregate, _AGGREGATE_RANGE)
 
 
 @dataclass(frozen=True)
@@ -572,12 +579,13 @@ def decompose(
     norms = [
         pow2(k * params.xi) * space_norm(piece, params.space) for k, piece in pieces
     ]
-    if not norms:
-        score = 0.0
-    elif math.isinf(params.mu):
-        score = max(norms)
+    mu = params.mu
+    if math.isinf(mu):
+        score = finite(lambda: max(norms), _AGGREGATE_RANGE)
     else:
-        score = math.fsum(v**params.mu for v in norms) ** (1.0 / params.mu)
+        score = finite(
+            lambda: math.fsum(v**mu for v in norms) ** (1.0 / mu), _AGGREGATE_RANGE
+        )
     return DecomposeResult(tuple(pieces), score)
 
 
@@ -618,7 +626,9 @@ def bernstein_constant(
             continue
         numerator = lorentz_norm(s, params.measure, lorentz)
         mass = math.fsum(params.measure(q) for q in s.support)
-        denominator = mass**params.xi * space_norm(s, params.space)
+        denominator = finite(
+            lambda: mass**params.xi * space_norm(s, params.space), _AGGREGATE_RANGE
+        )
         if denominator == 0:
             raise ContractViolationError("suite member with zero error norm")
         best = max(best, numerator / denominator)

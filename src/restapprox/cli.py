@@ -40,7 +40,7 @@ import math
 import sys
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .approx import (
     ApproxParams,
@@ -219,12 +219,12 @@ def read_sequence(path: str | Path) -> CoeffSeq:
     del tokens
     if columns is not None:
         js, ks, values = columns
-        entries = dict(zip(Cube.from_columns(js, ks), values))
-        if len(entries) == len(values):
+        seq = CoeffSeq._from_clean(zip(Cube.from_columns(js, ks), values))
+        if len(seq) == len(values):
             if 0.0 in values:
-                entries = {cube: v for cube, v in entries.items() if v}
-            return CoeffSeq._from_clean(entries)
-    raise next(_bad_lines(path, text))
+                seq = CoeffSeq._from_clean((q, v) for q, v in seq.items() if v)
+            return seq
+    raise _first_bad_line(path, text)
 
 
 def _number_columns(
@@ -242,9 +242,9 @@ def _number_columns(
     return (js, ks, values) if all(map(math.isfinite, values)) else None
 
 
-def _bad_lines(path: str | Path, text: str) -> Iterator[ConfigError]:
-    """The errors of ``text``'s bad lines in file order, each line checked
-    as ``read_sequence`` checks the whole text: at least three tokens, the
+def _first_bad_line(path: str | Path, text: str) -> ConfigError:
+    """The error of ``text``'s first bad line, each line checked as
+    ``read_sequence`` checks the whole text: at least three tokens, the
     first data line's dimension, numbers, a finite value, a new cube."""
     d: int | None = None
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -254,23 +254,20 @@ def _bad_lines(path: str | Path, text: str) -> Iterator[ConfigError]:
             continue
         where = f"{path}:{lineno}"
         if len(parts) < 3:
-            yield ConfigError(f"{where}: expected 'j k1 ... kd value', got {raw!r}")
-            continue
+            return ConfigError(f"{where}: expected 'j k1 ... kd value', got {raw!r}")
         if d is None:
             d = len(parts) - 2
         elif len(parts) - 2 != d:
-            yield ConfigError(f"{where}: expected dimension {d}, got {len(parts) - 2}")
-            continue
+            return ConfigError(f"{where}: expected dimension {d}, got {len(parts) - 2}")
         try:
             key = int(parts[0]), tuple(map(int, parts[1:-1]))
             value = float(parts[-1])
         except ValueError:
-            yield ConfigError(f"{where}: bad number in {raw!r}")
-            continue
+            return ConfigError(f"{where}: bad number in {raw!r}")
         if not math.isfinite(value):
-            yield ConfigError(f"{where}: coefficient must be finite")
-        elif key in seen:
-            yield ConfigError(f"{where}: duplicate cube {Cube(*key)}")
+            return ConfigError(f"{where}: coefficient must be finite")
+        if key in seen:
+            return ConfigError(f"{where}: duplicate cube {Cube(*key)}")
         seen.add(key)
 
 
@@ -401,7 +398,7 @@ def run_approx_norm(seq: CoeffSeq, cfg: Settings, seed: int) -> list[ReportRow]:
 
 def run_democracy(cfg: Settings, seed: int) -> list[ReportRow]:
     del seed
-    d = cfg.get_int("d", 1, lo=1, hi=3)
+    d = cfg.get_int("d", 1, lo=1, hi=2)
     f1 = SpaceParams(
         cfg.get_float("s1", 0.3, lo=-64.0, hi=64.0),
         cfg.get_float("p1", 1.5, lo=0.01),

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .dyadic import VOLUMES, Cube, MeasureSpec, nu_measure, pow2
-from .errors import CapabilityError, ContractViolationError
+from .errors import CapabilityError, ContractViolationError, finite
 from .lorentz import CoeffSeq
 from .spaces import AtomWeights, SpaceParams, _recip, matched_exponents, tl_norm
 
@@ -213,7 +213,10 @@ def _dyadic_geometric_sum(exponent: float, n: int) -> float:
     if exponent == 0.0:
         return float(n)
     log_ratio = exponent * math.log(2.0)
-    return math.expm1(n * log_ratio) / math.expm1(log_ratio)
+    return finite(
+        lambda: math.expm1(n * log_ratio) / math.expm1(log_ratio),
+        "a closed form exceeds the float range",
+    )
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 __all__ = [
     "ScaleRangeError",
     "ContractViolationError",
@@ -43,3 +46,17 @@ class QuadratureError(ArithmeticError):
 
 class ConfigError(ValueError):
     """A config or data file failed validation; message carries the location."""
+
+
+def finite(compute: Callable[[], float], message: str) -> float:
+    """``compute()``, raising ``ScaleRangeError(message)`` on an overflow or
+    a result past the float range; pow2's ScaleRangeError passes unchanged."""
+    try:
+        value = compute()
+    except ScaleRangeError:
+        raise
+    except OverflowError:
+        raise ScaleRangeError(message) from None
+    if not math.isfinite(value):
+        raise ScaleRangeError(message)
+    return value

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .dyadic import Cube, MeasureSpec, scaled_ints
-from .errors import ContractViolationError, ScaleRangeError
+from .errors import ContractViolationError, finite
 from .weights import WeightFn, weight_integrals, weight_sup_on_interval
 
 __all__ = [
@@ -59,16 +59,16 @@ def u_function(u: UWeights) -> Callable[[Cube], float]:
     return weight
 
 
-@dataclass(frozen=True)
-class CoeffSeq:
-    """Finite-support map from cubes to real coefficients; zeros are dropped."""
+class CoeffSeq(dict):
+    """Finite-support map from cubes to real coefficients, zeros dropped: a
+    ``dict`` that reads 0.0 off its support.  A sequence is a value; callers
+    do not write to one once it is built."""
 
-    entries: dict[Cube, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned: dict[Cube, float] = {}
+    def __init__(self, entries: Mapping[Cube, float]) -> None:
         d: int | None = None
-        for cube, value in self.entries.items():
+        for cube, value in entries.items():
             value = float(value)
             if not math.isfinite(value):
                 raise ContractViolationError(f"non-finite coefficient at {cube}")
@@ -78,18 +78,20 @@ class CoeffSeq:
                 d = cube.d
             elif cube.d != d:
                 raise ContractViolationError("all cubes must share one dimension")
-            cleaned[cube] = value
-        object.__setattr__(self, "entries", cleaned)
+            self[cube] = value
+
+    def __missing__(self, cube: Cube) -> float:
+        return 0.0
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _from_clean(cls, entries: dict[Cube, float]) -> "CoeffSeq":
-        """A sequence that holds ``entries`` itself, with no
-        ``__post_init__`` pass: the caller vouches that every value is a
-        finite nonzero float and every cube has one dimension."""
+    def _from_clean(cls, entries: Iterable[tuple[Cube, float]]) -> "CoeffSeq":
+        """A sequence of the ``(cube, value)`` pairs ``entries``, with no
+        checks: the caller vouches that every value is a finite nonzero
+        float and every cube has one dimension."""
         seq = cls.__new__(cls)
-        object.__setattr__(seq, "entries", entries)
+        dict.update(seq, entries)
         return seq
 
     @classmethod
@@ -101,12 +103,12 @@ class CoeffSeq:
     def indicator(cls, cubes: Iterable[Cube], u: UWeights = None) -> "CoeffSeq":
         """Entries 1/u(Q) on the given cubes (the normalized indicator).
 
-        Each entry is checked once, here, with ``__post_init__``'s errors:
-        u(Q) is finite and > 0, so 1/u(Q) is nonzero, and only a subnormal
-        u(Q) can make it overflow.
+        Each entry is checked once, here, with ``__init__``'s errors: u(Q) is
+        finite and > 0, so 1/u(Q) is nonzero, and only a subnormal u(Q) can
+        make it overflow.
         """
         weight = u_function(u)
-        entries: dict[Cube, float] = {}
+        seq = cls._from_clean(())
         d: int | None = None
         for cube in cubes:
             value = float(1.0 / weight(cube))
@@ -116,50 +118,36 @@ class CoeffSeq:
                 d = cube.d
             elif cube.d != d:
                 raise ContractViolationError("all cubes must share one dimension")
-            entries[cube] = value
-        return cls._from_clean(entries)
+            seq[cube] = value
+        return seq
 
     # -- basic access ------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __getitem__(self, cube: Cube) -> float:
-        return self.entries.get(cube, 0.0)
-
-    def items(self):
-        return self.entries.items()
-
     @property
     def support(self) -> tuple[Cube, ...]:
-        return tuple(sorted(self.entries))
+        return tuple(sorted(self))
 
     @property
     def d(self) -> int | None:
-        for cube in self.entries:
+        for cube in self:
             return cube.d
         return None
 
     # -- lattice and vector operations ------------------------------------
 
     def scaled(self, c: float) -> "CoeffSeq":
-        return CoeffSeq({q: c * v for q, v in self.entries.items()})
+        return CoeffSeq({q: c * v for q, v in self.items()})
 
     def plus(self, other: "CoeffSeq") -> "CoeffSeq":
-        merged = dict(self.entries)
-        for q, v in other.entries.items():
+        merged = dict(self)
+        for q, v in other.items():
             merged[q] = merged.get(q, 0.0) + v
         return CoeffSeq(merged)
 
     # A subset of clean entries is clean.
     def without(self, cubes: Iterable[Cube]) -> "CoeffSeq":
         drop = set(cubes)
-        return CoeffSeq._from_clean(
-            {q: v for q, v in self.entries.items() if q not in drop}
-        )
+        return CoeffSeq._from_clean((q, v) for q, v in self.items() if q not in drop)
 
 
 @dataclass(frozen=True)
@@ -313,18 +301,20 @@ def lorentz_norm(s: CoeffSeq, measure: MeasureSpec, params: LorentzParams) -> fl
     w = params.combined_weight
     mu = params.mu
     if math.isinf(mu):
-        return _finite(
+        return finite(
             lambda: max(
                 value * weight_sup_on_interval(w, start, end)
                 for start, end, value in steps.pieces()
-            )
+            ),
+            _NORM_RANGE,
         )
     integrals = weight_integrals(w, mu, steps.masses)
-    return _finite(
+    return finite(
         lambda: math.fsum(
             value**mu * integral for value, integral in zip(steps.values, integrals)
         )
-        ** (1.0 / mu)
+        ** (1.0 / mu),
+        _NORM_RANGE,
     )
 
 
@@ -347,29 +337,20 @@ def lorentz_norm_via_distribution(
     w = params.combined_weight
     values = steps.values + (0.0,)
     if math.isinf(params.mu):
-        return _finite(
+        return finite(
             lambda: max(
                 value * w.value(mass)
                 for value, mass in zip(steps.values, steps.masses)
-            )
+            ),
+            _NORM_RANGE,
         )
     mu = params.mu
-    return _finite(
+    return finite(
         lambda: math.fsum(
             w.value(mass) ** mu * (values[k] ** mu - values[k + 1] ** mu) / mu
             for k, mass in enumerate(steps.masses)
         )
-        ** (1.0 / mu)
+        ** (1.0 / mu),
+        _NORM_RANGE,
     )
 
-
-def _finite(norm: Callable[[], float]) -> float:
-    """``norm()``, with an overflow or a result past the float range raised as
-    ScaleRangeError."""
-    try:
-        value = norm()
-    except OverflowError:
-        raise ScaleRangeError(_NORM_RANGE) from None
-    if not math.isfinite(value):
-        raise ScaleRangeError(_NORM_RANGE)
-    return value

@@ -26,7 +26,7 @@ from .dyadic import (
     MeasureSpec,
     VolumePowers,
 )
-from .errors import ContractViolationError, ScaleRangeError
+from .errors import ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .weights import WeightFn
 
@@ -127,9 +127,9 @@ def _tl_chain_inputs(
 ) -> tuple[list[float], float]:
     """What each cube of ``forest.cubes`` adds to its chain — b_Q^q, or b_Q
     for ``q = inf`` — and the exponent taking a chain value to its region
-    constant.  ``forest`` is the forest of ``s.entries``, so its ``order``
+    constant.  ``forest`` is the forest of ``s``, so its ``order``
     reads the coefficients in preorder."""
-    magnitudes = list(map(abs, s.entries.values()))
+    magnitudes = list(map(abs, s.values()))
     scale = forest.volume_powers(params.coeff_powers)
     b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
     if math.isinf(params.q):
@@ -143,10 +143,7 @@ def _tl_chain_inputs(
 def _tl_root(integral: float, p: float) -> float:
     """The norm from its region integral; rounding can leave a tiny negative
     residue when the integral is zero."""
-    try:
-        return max(integral, 0.0) ** (1.0 / p)
-    except OverflowError:  # p < 1 raises the integral to a power above 1
-        raise ScaleRangeError(_NORM_RANGE) from None
+    return finite(lambda: max(integral, 0.0) ** (1.0 / p), _NORM_RANGE)
 
 
 def _tl_forest_norm(
@@ -180,7 +177,7 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "tl")
     if not s:
         return 0.0
-    forest = ContainmentForest(s.entries)
+    forest = ContainmentForest(s)
     values, exponent = _tl_chain_inputs(forest, s, params)
     return _tl_forest_norm(forest, values, exponent, params)
 
@@ -188,16 +185,9 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
 def _aggregate(values: list[float], p: float) -> float:
     """(sum of v^p)^(1/p), or the max for p = inf; raises ScaleRangeError
     when a power, the sum or the result exceeds the float range."""
-    try:
-        if math.isinf(p):
-            total = max(values)
-        else:
-            total = math.fsum([v**p for v in values]) ** (1.0 / p)
-    except OverflowError:  # a power, or a partial of the sum
-        total = math.inf
-    if not math.isfinite(total):
-        raise ScaleRangeError(_SCALE_RANGE)
-    return total
+    if math.isinf(p):
+        return finite(lambda: max(values), _SCALE_RANGE)
+    return finite(lambda: math.fsum([v**p for v in values]) ** (1.0 / p), _SCALE_RANGE)
 
 
 def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -245,7 +235,7 @@ def suffix_norms(
       an infinite exponent.
     """
     _check_space(s, params, params.kind)
-    if len(order) != len(s) or set(order) != s.entries.keys():
+    if len(order) != len(s) or set(order) != s.keys():
         raise ContractViolationError("order must list the support once each")
     if not s:
         return [0.0]
@@ -257,7 +247,7 @@ def suffix_norms(
 def _tl_suffix_norms(
     s: CoeffSeq, params: SpaceParams, order: Sequence[Cube]
 ) -> list[float]:
-    forest = ContainmentForest(s.entries)
+    forest = ContainmentForest(s)
     values, exponent = _tl_chain_inputs(forest, s, params)
     cubes, parent = forest.cubes, forest.parent
     n = len(cubes)

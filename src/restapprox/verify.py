@@ -565,7 +565,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         acc = CoeffSeq({})
         for _, piece in result.pieces:
             acc = acc.plus(piece)
-        if acc.entries != seq.entries:
+        if acc != seq:
             recon_failures += 1
         for k, piece in result.pieces:
             mass = math.fsum(params.measure(qb) for qb in piece.support)

@@ -288,7 +288,8 @@ def geometric_sum_bound(w: WeightFn, t: float, J: int) -> tuple[float, float]:
 
 def weight_sup_on_interval(w: WeightFn, a: float, b: float) -> float:
     """max of eta over [a, b] (0 <= a <= b), via endpoints, the kink at t=1,
-    and the interior critical points of the powerlog family."""
+    and the interior maximum of the powerlog family on (0, 1).  Its critical
+    point on (1, oo), for b < -1/p, is a minimum, so it is no candidate."""
     if not (0 <= a <= b):
         raise ContractViolationError("need 0 <= a <= b")
     candidates = [a, b]
@@ -298,8 +299,6 @@ def weight_sup_on_interval(w: WeightFn, a: float, b: float) -> float:
             candidates.append(1.0)
         if w.b > c:  # critical point of t^c (1 - log t)^b on (0, 1)
             candidates.append(math.exp(1.0 - w.b / c))
-        if w.b < -c:  # critical point of t^c (1 + log t)^b on (1, oo)
-            candidates.append(math.exp(-1.0 - w.b / c))
     return max(w.value(t) for t in candidates if a <= t <= b)
 
 

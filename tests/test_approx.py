@@ -275,6 +275,14 @@ def test_decompose_hand_case():
     assert res.score == pytest.approx(recomputed, rel=1e-12)
 
 
+def test_decompose_score_at_an_infinite_exponent_is_the_largest_piece():
+    res = decompose(HAND, _params(xi=0.5, mu=math.inf), solver="greedy")
+    assert len(res.pieces) > 1
+    assert res.score == max(
+        pow2(k * 0.5) * space_norm(piece, EUCLID) for k, piece in res.pieces
+    )
+
+
 def test_decompose_brackets_a_mass_at_the_exponent_limit():
     # One atom of mass 2^-1000: probing 2^-1001 while bracketing its exponent
     # raised ScaleRangeError, although both aggregates are finite.
@@ -331,7 +339,7 @@ def test_decompose_pieces_list_their_cubes_in_cube_order(s, alpha):
     params = ApproxParams(0.8, 1.5, EUCLID, MeasureSpec(alpha))
     for solver in ("greedy", "knapsack", "brute"):
         for _, piece in decompose(s, params, solver).pieces:
-            assert list(piece.entries) == sorted(piece.entries)
+            assert list(piece) == sorted(piece)
 
 
 def test_rate_constants_single_atom_are_one():
@@ -341,6 +349,54 @@ def test_rate_constants_single_atom_are_one():
     lorentz = LorentzParams(WeightFn.power(1.0), mu=math.inf, xi=0.0)
     assert jackson_constant(suite, params, lorentz) == pytest.approx(1.0, rel=1e-12)
     assert bernstein_constant(suite, params, lorentz) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_rate_constants_skip_an_empty_suite_member():
+    suite = [CoeffSeq.unit(Cube(2, (3,)), -1.7)]
+    params = ApproxParams(1.0, math.inf, EUCLID, LEBESGUE)
+    lorentz = LorentzParams(WeightFn.power(1.0), mu=math.inf, xi=0.0)
+    for constant in (jackson_constant, bernstein_constant):
+        want = constant(suite, params, lorentz)
+        assert constant([CoeffSeq({}), *suite], params, lorentz) == want
+
+
+# The profile of A has breakpoint powers t^(xi mu) of exponent 1e-8, whose
+# integral and dyadic aggregates pass the float range; B's breakpoint 2^640
+# at alpha = -16 passes it at the power xi * mu = 8.
+_PAST_A = CoeffSeq(
+    {Cube(3, (3, 0)): 5.914754410877724, Cube(2, (3, -1)): -2.7285759707215473}
+)
+_PAST_B = CoeffSeq(
+    {Cube(40, (-2,)): -0.13175628821446664, Cube(0, (1,)): -0.0064791366410641175}
+)
+
+
+def test_budget_aggregates_past_the_float_range_are_typed_errors():
+    a = ApproxParams(1e-6, 0.01, SpaceParams(3.0, 2.0, 2.0, 2), MeasureSpec(1.0))
+    profile = sigma_profile(_PAST_A, a)
+    besov = SpaceParams(0.0, 2.0, 2.0, 1, "besov")
+    b = ApproxParams(0.5, 16.0, besov, MeasureSpec(-16.0))
+    for aggregate in (
+        lambda: profile.norm(1e-6, 0.01),
+        lambda: profile.norm_dyadic(1e-6, 0.01),
+        lambda: sigma_profile(_PAST_B, b).norm(16.0, math.inf),
+        lambda: approx_norm(_PAST_A, a),
+        lambda: approx_norm(_PAST_B, b),
+    ):
+        with pytest.raises(ScaleRangeError, match="budget aggregate"):
+            aggregate()
+    # nu(supp s)^xi = (2^960)^2 in bernstein's denominator
+    suite = [CoeffSeq.unit(Cube(-60, (0,)))]
+    wide = ApproxParams(2.0, math.inf, EUCLID, MeasureSpec(16.0))
+    lorentz = LorentzParams(WeightFn.power(1.0), mu=math.inf)
+    with pytest.raises(ScaleRangeError, match="budget aggregate"):
+        bernstein_constant(suite, wide, lorentz)
+    # decompose's score: the piece holding the cube of volume 2^60, weighted
+    # by 2^(k xi) at xi = 16, has a term past the float range
+    pair = CoeffSeq({Cube(-60, (0,)): 1e30, Cube(0, (0,)): 1.0})
+    for mu in (2.0, math.inf):
+        with pytest.raises(ScaleRangeError, match="budget aggregate"):
+            decompose(pair, ApproxParams(16.0, mu, EUCLID, LEBESGUE))
 
 
 def test_rate_constants_reject_a_suite_member_of_zero_norm():
@@ -929,6 +985,11 @@ _OVERFLOWING = [
         SpaceParams(0.0, math.inf, 2.0, 1, "besov"),
         {Cube(0, (0,)): 1e300, Cube(3, (1,)): 1.0},
     ),
+    # besov at p = q = inf: the scaled coefficient 2^121 * 1e300 is inf
+    (
+        SpaceParams(60.0, math.inf, math.inf, 1, "besov"),
+        {Cube(2, (0,)): 1e300, Cube(0, (0,)): 1.0},
+    ),
 ]
 
 
@@ -941,6 +1002,34 @@ def test_overflowing_greedy_profile_raises_as_the_per_prefix_loop(space, entries
     with pytest.raises(ScaleRangeError) as got:
         sigma_profile(s, params)
     assert str(got.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize(
+    "space, entries, message",
+    [
+        # K |Q| = 1e308 * 2^10 is inf: ExactSum's OverflowError, made typed
+        (
+            SpaceParams(0.0, 1.0, 1.0, 1),
+            {Cube(-10, (0,)): 1e308, Cube(0, (3,)): 1.0},
+            "the region integral exceeds the float range",
+        ),
+        # (1e150)^3 overflows: the pass's own ScaleRangeError, unchanged
+        (
+            SpaceParams(0.0, 3.0, math.inf, 1),
+            {Cube(0, (0,)): 1e150, Cube(2, (1,)): 2.0},
+            "a scaled coefficient exceeds the float range",
+        ),
+    ],
+)
+def test_tl_suffix_pass_raises_a_typed_error_of_its_own(
+    monkeypatch, space, entries, message
+):
+    """The suffix pass raises the whole family's error by re-checking it; if
+    that check passed, its own error still leaves as a ScaleRangeError."""
+    monkeypatch.setattr(spaces, "_tl_forest_norm", lambda *args: 0.0)
+    s = CoeffSeq(entries)
+    with pytest.raises(ScaleRangeError, match=message):
+        suffix_norms(s, space, list(s.support))
 
 
 class _CountingList(list):

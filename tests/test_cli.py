@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import restapprox
@@ -219,31 +221,47 @@ def test_reading_and_dropping_cubes_builds_no_cube_or_sequence_one_by_one(
     tmp_path, monkeypatch
 ):
     """Counted: reading a 2 000-line file, and ``CoeffSeq.without`` on it,
-    call neither ``Cube.__new__`` nor ``CoeffSeq.__post_init__``."""
+    call neither ``Cube.__new__`` nor ``CoeffSeq.__init__``: the cubes come
+    from one ``Cube.from_columns`` and each sequence from one
+    ``CoeffSeq._from_clean``."""
     path = tmp_path / "seq.txt"
     path.write_text(
         "".join(f"{i % 11} {i} {1.0 + i / 7!r}\n" for i in range(2000))
     )
-    calls = {"Cube": 0, "CoeffSeq": 0}
-    new, post_init = Cube.__new__, CoeffSeq.__post_init__
+    names = ("Cube.__new__", "Cube.from_columns")
+    calls = dict.fromkeys(names + ("CoeffSeq.__init__", "CoeffSeq._from_clean"), 0)
+    new, init = Cube.__new__, CoeffSeq.__init__
+    from_columns = Cube.from_columns.__func__
+    from_clean = CoeffSeq._from_clean.__func__
 
     def counted_new(cls, *args):
-        calls["Cube"] += 1
+        calls["Cube.__new__"] += 1
         return new(cls, *args)
 
-    def counted_post_init(self):
-        calls["CoeffSeq"] += 1
-        post_init(self)
+    def counted_from_columns(cls, js, ks):
+        calls["Cube.from_columns"] += 1
+        return from_columns(cls, js, ks)
+
+    def counted_init(self, *args):
+        calls["CoeffSeq.__init__"] += 1
+        init(self, *args)
+
+    def counted_from_clean(cls, entries):
+        calls["CoeffSeq._from_clean"] += 1
+        return from_clean(cls, entries)
 
     monkeypatch.setattr(Cube, "__new__", counted_new)
-    monkeypatch.setattr(CoeffSeq, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Cube, "from_columns", classmethod(counted_from_columns))
+    monkeypatch.setattr(CoeffSeq, "__init__", counted_init)
+    monkeypatch.setattr(CoeffSeq, "_from_clean", classmethod(counted_from_clean))
     seq = read_sequence(path)
     rest = seq.without(seq.support[:100])
     assert (len(seq), len(rest)) == (2000, 1900)
-    assert calls == {"Cube": 0, "CoeffSeq": 0}
+    bulk = {"Cube.from_columns": 1, "CoeffSeq._from_clean": 2}
+    assert calls == {"Cube.__new__": 0, "CoeffSeq.__init__": 0, **bulk}
     # The counters see builds one by one.
-    assert _line_loop_read(path).entries == seq.entries
-    assert calls == {"Cube": 2000, "CoeffSeq": 1}
+    assert _line_loop_read(path) == seq
+    assert calls == {"Cube.__new__": 2000, "CoeffSeq.__init__": 1, **bulk}
 
 
 def test_norm_rows_match_direct_computation(tmp_path):
@@ -673,3 +691,147 @@ def test_readme_config_table_lists_every_commands_keys():
     assert set(table) == set(_COMMANDS)
     for name, command in _COMMANDS.items():
         assert table[name] == command.keys, name
+
+
+def _run_in_process(
+    command: str, text: str | None, config: str
+) -> tuple[int, list[str]]:
+    """``main``'s exit code and stderr lines for ``command`` under
+    ``config``, reading ``text`` as its coefficient file when it takes one."""
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "run.cfg").write_text(config)
+        argv = [command, "--config", str(work / "run.cfg"), "--out", str(work / "out")]
+        if text is not None:
+            (work / "in.seq").write_text(text)
+            argv.insert(1, str(work / "in.seq"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+# Inputs whose budget aggregate or closed form leaves the float range (A: a
+# profile's integral and dyadic aggregates at xi * mu = 1e-8; B: a breakpoint
+# power at alpha = -16; C: the tower's geometric sum at N = 4), and a
+# democracy dimension whose tower of N = 8 holds 2 396 745 cubes.
+_REPRO_A = "3 3 0 5.914754410877724\n2 3 -1 -2.7285759707215473\n"
+_REPRO_B = "40 -2 -0.13175628821446664\n0 1 -0.0064791366410641175\n"
+_AGGREGATE_RANGE = "the budget aggregate exceeds the float range"
+_PAST_THE_RANGE = [
+    ("approx-norm", _REPRO_A, "s = 3\nxi = 1e-6\nmu = 0.01\n", _AGGREGATE_RANGE),
+    ("norm", _REPRO_A, "approx_xi = 1e-6\napprox_mu = 0.01\n", _AGGREGATE_RANGE),
+    ("approx-norm", _REPRO_B, "alpha = -16\nkind = besov\nmu = 16\n", _AGGREGATE_RANGE),
+    ("democracy", None, "s1 = 64\ns2 = -64\n", "a closed form exceeds the float range"),
+    ("democracy", None, "d = 3\n", "key 'd' must be in [1, 2], got 3"),
+]
+
+
+@pytest.mark.parametrize("command, text, config, message", _PAST_THE_RANGE)
+def test_values_past_the_float_range_exit_2_with_one_error_line(
+    command, text, config, message
+):
+    code, err = _run_in_process(command, text, config)
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("error: ") and err[0].endswith(message)
+
+
+# The config keys' limits as the commands check them, hi None for none; the
+# democracy command's alpha takes [-64, 64].
+_KEY_LIMITS = {
+    "s": (-64, 64), "s1": (-64, 64), "s2": (-64, 64),
+    "p": (0.01, None), "p1": (0.01, None), "p2": (0.01, math.inf),
+    "q": (0.01, math.inf), "q1": (0.01, math.inf), "q2": (0.01, math.inf),
+    "mu": (0.01, math.inf), "approx_mu": (0.01, math.inf),
+    "lorentz_mu": (0.01, math.inf), "alpha": (-16, 16), "alpha_perturb": (-8, 8),
+    "xi": (1e-6, 16), "approx_xi": (1e-6, 16), "lorentz_xi": (0, 16),
+    "budget": (0, None), "d": (1, 2), "draws": (1, 500), "seed": (0, 2**64 - 1),
+}
+_INT_KEYS = {"d", "draws", "seed"}
+# Each word key's valid words first, then the count of those.
+_WORD_KEYS = {
+    "kind": (["tl", "besov", "lorentz"], 2),
+    "solver": (["greedy", "knapsack", "brute", "exact"], 3),
+    "eta": (
+        [
+            "power:p=2", "power:p=0.01", "power:p=64", "powerlog:p=2,b=0.5",
+            "powerlog:p=0.5,b=3", "powerlog:p=2,b=-1.5", "power:p=nan",
+            "power:p=-1", "powerlog:p=2", "bogus:p=1",
+        ],
+        6,
+    ),
+}
+
+
+def _config_value(command: str, key: str, valid: bool) -> st.SearchStrategy[str]:
+    """A value of ``key`` at or inside its limits, or (``valid`` False) past
+    them: out of range, not a number, NaN or an infinity it does not take."""
+    if key in _WORD_KEYS:
+        words, count = _WORD_KEYS[key]
+        return st.sampled_from(words[:count] if valid else words[count:])
+    lo, hi = _KEY_LIMITS[key]
+    if (command, key) == ("democracy", "alpha"):
+        lo, hi = -64, 64
+    if key in _INT_KEYS:
+        if not valid:
+            return st.sampled_from([lo - 1, hi + 1, "1.5"]).map(str)
+        return (st.sampled_from([lo, hi]) | st.integers(lo, hi)).map(str)
+    if not valid:
+        past = [lo - 1e-3, "nan", "x", "-inf"]
+        if hi != math.inf:
+            past.append("inf")
+        if hi not in (None, math.inf):
+            past.append(hi + 1e-3)
+        return st.sampled_from(past).map(str)
+    top = 1e6 if hi is None else hi
+    inside = st.floats(lo, min(top, 1e3))
+    return (st.sampled_from([lo, top, 1.0, 2.0]) | inside).map(repr)
+
+
+_NEAR_SCALES = st.integers(-3, 3)
+_ALL_SCALES = _NEAR_SCALES | st.integers(-1003, -997) | st.integers(997, 1003)
+_POSITIONS = st.integers(-4, 4) | st.integers(-(2**70), 2**70)
+_VALUES = st.sampled_from(
+    [1e300, -1e300, 5e-324, -2.2e-308, 0.0, 3.0, -3.0]
+) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _hostile_runs(draw):
+    """A command other than ``verify-all``; for one taking a file, 0-12 lines
+    at d = 1-3, at scales near 0 (and, for one file in four, near +-1 000 as
+    well), positions of up to 70 bits, and values subnormal, near the float
+    limit, tied, zero or plain; and a config of up to six keys, at most one
+    of them past its limits."""
+    command = draw(st.sampled_from(sorted(set(_COMMANDS) - {"verify-all"})))
+    text = None
+    if _COMMANDS[command].takes_input:
+        d = draw(st.integers(1, 3))
+        scales = draw(st.sampled_from([_NEAR_SCALES] * 3 + [_ALL_SCALES]))
+        text = ""
+        for _ in range(draw(st.integers(0, 12))):
+            tokens = [draw(scales), *(draw(_POSITIONS) for _ in range(d))]
+            text += " ".join(map(str, tokens)) + f" {draw(_VALUES)!r}\n"
+    allowed = sorted(_COMMANDS[command].keys | {"seed"})
+    keys = draw(st.lists(st.sampled_from(allowed), unique=True, max_size=6))
+    bad = draw(st.sampled_from([None] * 4 + keys))
+    config = "".join(
+        f"{key} = {draw(_config_value(command, key, key != bad))}\n" for key in keys
+    )
+    return command, text, config
+
+
+@settings(max_examples=300)
+@given(_hostile_runs())
+@example(_PAST_THE_RANGE[0][:3])
+@example(_PAST_THE_RANGE[1][:3])
+@example(_PAST_THE_RANGE[2][:3])
+@example(_PAST_THE_RANGE[3][:3])
+@example(_PAST_THE_RANGE[4][:3])
+def test_hostile_inputs_exit_0_1_or_2_with_one_error_line(run):
+    """Every command but ``verify-all`` exits 0 or 1 on hostile but valid
+    inputs, or 2 with exactly one ``error:`` line; no exception escapes."""
+    code, err = _run_in_process(*run)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), err

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restapprox import democracy
@@ -19,6 +19,7 @@ from restapprox import (
     DemocracyCase,
     GammaFamily,
     MeasureSpec,
+    ScaleRangeError,
     SpaceParams,
     admissible_spread,
     democracy_ratio_sweep,
@@ -148,6 +149,17 @@ def test_generate_cap():
     case = _case(d=2)
     assert fam.closed_form_value(case) > 0.0
     assert fam.closed_form_mass(1.0) > 0.0
+
+
+def test_closed_forms_past_the_float_range_are_typed_errors():
+    # At s1 = 64, s2 = -64 the tower's sum of 2^(-d e q1 j) passes the float
+    # range at N = 4; at alpha = -200 so does its mass at N = 8.
+    case = _case(s1=64.0, p1=1.5, q1=2.2, s2=-64.0, p2=2.5, q2=3.0)
+    assert GammaFamily("tower", 2).closed_form_value(case) > 0.0
+    with pytest.raises(ScaleRangeError, match="closed form"):
+        GammaFamily("tower", 4).closed_form_value(case)
+    with pytest.raises(ScaleRangeError, match="closed form"):
+        GammaFamily("tower", 8).closed_form_mass(-200.0)
 
 
 def test_sweep_switches_sources():
@@ -425,6 +437,13 @@ def test_admissible_spread_matches_the_per_family_loop(generator):
     depth=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+# b_Q = 2^(j (s1 - s2 + d/p2)) passes the float range at j = 6: the level
+# table declines, and the loop raises.
+@example(d=1, s1=100.0, p1=1.5, q1=math.inf, s2=-100.0, p2=2.0, alpha=0.0,
+         n_sets=2, count=8, j_min=2, depth=6, seed=1)
+# b_Q = 2^300 at j = 8 is finite, and its power p1 = 4 is not.
+@example(d=1, s1=20.0, p1=4.0, q1=math.inf, s2=-17.0, p2=2.0, alpha=0.0,
+         n_sets=2, count=8, j_min=2, depth=6, seed=1)
 def test_admissible_spread_matches_the_loop_on_any_case(
     d, s1, p1, q1, s2, p2, alpha, n_sets, count, j_min, depth, seed
 ):
@@ -483,25 +502,25 @@ def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
 
-    count_init(Cube)
+    count_init(CoeffSeq)
     count_init(ContainmentForest)
-    from_columns = Cube.from_columns.__func__
-    post_init, from_clean = CoeffSeq.__post_init__, CoeffSeq._from_clean.__func__
+    new, from_columns = Cube.__new__, Cube.from_columns.__func__
+    from_clean = CoeffSeq._from_clean.__func__
+
+    def counted_new(cls, *args):
+        built["Cube"] += 1
+        return new(cls, *args)
 
     def counted_from_columns(cls, js, ks):
         built["Cube"] += len(ks)
         return from_columns(cls, js, ks)
 
-    def counted_post_init(self):
-        built["CoeffSeq"] += 1
-        post_init(self)
-
     def counted_from_clean(cls, entries):
         built["CoeffSeq"] += 1
         return from_clean(cls, entries)
 
+    monkeypatch.setattr(Cube, "__new__", counted_new)
     monkeypatch.setattr(Cube, "from_columns", classmethod(counted_from_columns))
-    monkeypatch.setattr(CoeffSeq, "__post_init__", counted_post_init)
     monkeypatch.setattr(CoeffSeq, "_from_clean", classmethod(counted_from_clean))
     case = _case(s1=0.2, p1=1.6, q1=2.3, s2=0.7, p2=1.9, q2=3.1, d=2)
     calls = []

@@ -368,6 +368,22 @@ def test_int64_keys_stop_at_62_bits(monkeypatch, corner, bits, path):
     assert calls["_preorder_ranges"] == (path == "_preorder_ranges")
 
 
+@pytest.mark.parametrize("cubes, tried", [
+    # positions of 2^63, past int64, and of 2^62: _int64_columns declines
+    ([Cube(0, (2**63,)), Cube(1, (0,))], 0),
+    ([Cube(0, (2**62,)), Cube(1, (0,))], 0),
+    # at d = 2, positions 2^40 apart need Morton codes of 80 bits
+    ([Cube(0, (0, 0)), Cube(0, (2**40, 0))], 1),
+    # at d = 2, codes of 2 * 31 bits and a tie bit pass 62 bits
+    ([Cube(0, (0, 0)), Cube(1, (0, 0)), Cube(0, (2**29, 0))], 1),
+])
+def test_int64_keys_decline_to_the_python_keys(monkeypatch, cubes, tried):
+    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+    calls = _counted_key_builders(monkeypatch)
+    _assert_forest_matches_oracle(cubes)
+    assert calls == {"_preorder_ranges": 1, "_int64_ranges": tried}
+
+
 def test_key_path_follows_family_size_and_key_width(monkeypatch):
     """Counted: a dense 4 000-cube d = 2 family takes the int64 keys, a
     10-cube family and a family spanning 900 scales the Python keys."""

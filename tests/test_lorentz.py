@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,26 @@ def test_coeffseq_drops_zeros_and_indexes():
     assert s.d == 1
 
 
+def test_coeffseq_is_a_dict_of_its_entries():
+    """Structural: lookup, length, equality and items are dict's own, in C;
+    a sequence holds no attribute dict and no ``entries`` field."""
+    for name in ("__getitem__", "__len__", "__eq__", "items"):
+        assert getattr(CoeffSeq, name) is getattr(dict, name), name
+    assert CoeffSeq.__slots__ == ()
+    assert not hasattr(CoeffSeq({Q0: 1.0}), "__dict__")
+    assert not hasattr(CoeffSeq, "entries")
+    assert CoeffSeq({Q0: 1.0})[Q1] == 0.0
+    assert CoeffSeq({Q0: 1.0}) == {Q0: 1.0}
+
+
+def test_coeffseq_copies_and_pickles_as_itself():
+    s = CoeffSeq({Q0: 1.0, Q2: -2.0})
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is CoeffSeq and twin == s and twin[Q1] == 0.0
+    with pytest.raises(TypeError):
+        hash(s)
+
+
 def test_coeffseq_rejects_bad_values():
     with pytest.raises(ContractViolationError):
         CoeffSeq({Q0: math.inf})
@@ -51,18 +73,18 @@ def test_coeffseq_rejects_bad_values():
 def test_coeffseq_algebra():
     s = CoeffSeq({Q0: 2.0, Q1: -1.0})
     t = CoeffSeq({Q1: 1.0, Q2: 3.0})
-    assert s.plus(t).entries == {Q0: 2.0, Q2: 3.0}  # Q1 cancels exactly
-    assert s.plus(t.scaled(-1.0)).entries == {Q0: 2.0, Q1: -2.0, Q2: -3.0}
-    assert s.scaled(-2.0).entries == {Q0: -4.0, Q1: 2.0}
-    assert s.without([Q0]).entries == {Q1: -1.0}
+    assert s.plus(t) == {Q0: 2.0, Q2: 3.0}  # Q1 cancels exactly
+    assert s.plus(t.scaled(-1.0)) == {Q0: 2.0, Q1: -2.0, Q2: -3.0}
+    assert s.scaled(-2.0) == {Q0: -4.0, Q1: 2.0}
+    assert s.without([Q0]) == {Q1: -1.0}
     kept = CoeffSeq({q: v for q, v in s.items() if q == Q0})
-    assert kept.plus(s.without([Q0])).entries == s.entries
+    assert kept.plus(s.without([Q0])) == s
 
 
 def test_indicator_uses_reciprocal_weights():
     u = {Q0: 2.0, Q2: 0.5}
     ind = CoeffSeq.indicator([Q0, Q2], u)
-    assert ind.entries == {Q0: 0.5, Q2: 2.0}
+    assert ind == {Q0: 0.5, Q2: 2.0}
 
 
 def test_step_rearrangement_validation():

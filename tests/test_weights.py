@@ -153,6 +153,18 @@ def test_weight_sup_on_interval_monotone_case():
     assert weight_sup_on_interval(wl, 0.25, 0.5) == wl.value(0.5)
 
 
+def test_weight_sup_on_interval_past_one_is_at_an_endpoint():
+    # b = -1.5 < -1/p: t^(1/2) (1 + log t)^(-3/2) has one critical point on
+    # (1, oo), t = e^2, and it is a minimum, so the sup over [1.5, 100] is
+    # at an endpoint and at least the maximum over a fine log grid.
+    w = WeightFn.power_log(2.0, -1.5)
+    got = weight_sup_on_interval(w, 1.5, 100.0)
+    assert got == w.value(100.0) == 0.7535581912447558
+    assert w.value(math.exp(2.0)) < min(w.value(1.5), got)
+    grid = [1.5 * (100.0 / 1.5) ** (i / 20000) for i in range(20001)]
+    assert got >= max(map(w.value, grid))
+
+
 def test_weight_integral_power_closed_form():
     # integral of (t^(1/2))^2 dt/t over [1, 4] = 3.
     assert weight_integral(WeightFn.power(2.0), 2.0, 1.0, 4.0) == pytest.approx(
