@@ -75,6 +75,7 @@ from .weights import (
     weight_integral,
     weight_integrals,
     weight_sup_on_interval,
+    weight_sups,
 )
 
 __version__ = "0.1.0"
@@ -92,6 +93,7 @@ __all__ = [
     "dilation",
     "geometric_sum_bound",
     "weight_sup_on_interval",
+    "weight_sups",
     "weight_integral",
     "weight_integrals",
     "smoothed_weight",

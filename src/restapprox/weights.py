@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +55,7 @@ __all__ = [
     "weight_integral",
     "weight_integrals",
     "weight_sup_on_interval",
+    "weight_sups",
 ]
 
 # Certification scan: first s0 = 2^-m with M(s0) below this margin is stored.
@@ -302,6 +305,59 @@ def weight_sup_on_interval(w: WeightFn, a: float, b: float) -> float:
     return max(w.value(t) for t in candidates if a <= t <= b)
 
 
+def weight_sups(w: WeightFn, masses: Sequence[float]) -> list[float]:
+    """:func:`weight_sup_on_interval` on every step [masses[k-1], masses[k]],
+    with masses[-1] read as 0, bit for bit.
+
+    The weight is evaluated once per mass (:func:`_values_at`), and each
+    step's sup is the max of its two ends' values, of eta(1) = 1 on the steps
+    across t = 1, and of the interior maximum's value on the steps that hold
+    it, which is evaluated only when one does.
+    """
+    if not masses:
+        return []
+    ts, starts = _checked_steps(masses)
+    values = _values_at(w, ts)
+    sups = np.maximum(np.concatenate(((0.0,), values[:-1])), values)
+    if w.family == "powerlog":
+        across = (starts < 1.0) & (ts > 1.0)
+        sups[across] = np.maximum(sups[across], w.value(1.0))
+        c = w.power_exponent
+        if w.b > c:
+            peak = math.exp(1.0 - w.b / c)
+            inside = (starts <= peak) & (peak <= ts)
+            if inside.any():
+                sups[inside] = np.maximum(sups[inside], w.value(peak))
+    return sups.tolist()
+
+
+def _checked_steps(masses: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The step ends and starts of ``masses`` (nonempty) as arrays, after
+    checking that 0 <= start <= end on every step."""
+    ts = np.array(masses, dtype=np.float64)
+    starts = np.concatenate(((0.0,), ts[:-1]))
+    if not ((0.0 <= starts) & (starts <= ts)).all():
+        raise ContractViolationError("need 0 <= a <= b")
+    return ts, starts
+
+
+def _values_at(w: WeightFn, ts: np.ndarray) -> np.ndarray:
+    """``w.value(t)`` for every t >= 0 of ``ts``, bit for bit: each ``pow``
+    and ``log`` is libm's through Python floats (numpy's vector ``power``
+    and ``log`` can differ in the last bit), and numpy does only the
+    correctly rounded ``+``, ``abs`` and ``*``.  A value past the float
+    range raises OverflowError, as ``w.value`` does."""
+    points = ts.tolist()
+    values = np.array(list(map(pow, points, repeat(w.power_exponent))))
+    if w.family == "powerlog":
+        positive = np.flatnonzero(ts > 0.0)
+        logs = np.array(list(map(math.log, ts[positive].tolist())))
+        factors = list(map(pow, (1.0 + np.abs(logs)).tolist(), repeat(w.b)))
+        with np.errstate(over="ignore"):  # as Python's float product, inf
+            values[positive] *= factors
+    return values
+
+
 def _log_pieces(a: float, b: float) -> list[tuple[float, float, float, float]]:
     """The x-intervals of [a, b] on either side of t = 1, as
     (sign, x_lo, x_hi, width).
@@ -328,6 +384,30 @@ def _log_pieces(a: float, b: float) -> list[tuple[float, float, float, float]]:
         width = math.log1p((b - lo) / lo) if b <= 2.0 * lo else x_hi - x_lo
         pieces.append((1.0, x_lo, x_hi, width))
     return pieces
+
+
+def _log_piece_columns(
+    ends: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_log_pieces` of every step [ends[k-1], ends[k]], k >= 1, of the
+    positive ``ends``, bit for bit and in its order, from one ``math.log``
+    per end: ``sides`` (steps x 2) marks which of the side t <= 1 (sign -1)
+    and the side t >= 1 (sign +1) each step has, and x_lo, x_hi and width
+    list the marked sides step by step, left first.  The narrow sides'
+    widths take one ``math.log1p`` each."""
+    logs = np.array(list(map(math.log, ends.tolist())))
+    a, b, log_a, log_b = ends[:-1], ends[1:], logs[:-1], logs[1:]
+    sides = np.stack((a < 1.0, b > 1.0), axis=1)
+    lo = np.stack((a, np.maximum(a, 1.0)), axis=1)[sides]
+    hi = np.stack((np.minimum(b, 1.0), b), axis=1)[sides]
+    # -log(min(b, 1)) and log(max(a, 1)) with log(1) = 0 written out
+    x_lo = np.stack((-np.where(b < 1.0, log_b, 0.0), np.where(a > 1.0, log_a, 0.0)), axis=1)
+    x_lo, x_hi = x_lo[sides], np.stack((-log_a, log_b), axis=1)[sides]
+    widths = x_hi - x_lo
+    narrow = np.flatnonzero(hi <= 2.0 * lo)
+    ratios = (hi[narrow] - lo[narrow]) / lo[narrow]
+    widths[narrow] = list(map(math.log1p, ratios.tolist()))
+    return sides, x_lo, x_hi, widths
 
 
 def _quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> float:
@@ -369,15 +449,12 @@ def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
     integrand handled by adaptive quadrature.  A result past the float range
     raises ScaleRangeError.
     """
-    c = w.power_exponent
-    if c * mu <= 0:
-        raise DivergenceError("eta(t)^mu / t is not integrable at 0")
+    cm = _rate(w, mu)
     if a == b:
         return 0.0
     if w.family == "power":
-        e = c * mu
         try:
-            total = (b**e - (a**e if a > 0 else 0.0)) / e
+            total = (b**cm - (a**cm if a > 0 else 0.0)) / cm
         except OverflowError:
             raise ScaleRangeError(_INTEGRAL_RANGE) from None
         if not math.isfinite(total):
@@ -385,10 +462,18 @@ def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
         return total
     total = 0.0
     bm = w.b * mu
-    cm = c * mu
     for sign, x_lo, x_hi, width in _log_pieces(a, b):
         total += _quad_piece(sign * cm, bm, x_lo, x_hi, width)
     return total
+
+
+def _rate(w: WeightFn, mu: float) -> float:
+    """The exponent c * mu of eta(t)^mu = t^(c mu) (1 + |log t|)^(b mu), c =
+    1/p; a product that underflows to 0 is the only way it is not > 0."""
+    cm = w.power_exponent * mu
+    if cm <= 0:
+        raise DivergenceError("eta(t)^mu / t is not integrable at 0")
+    return cm
 
 
 def weight_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
@@ -409,52 +494,59 @@ def weight_integrals(
     w: WeightFn, mu: float, masses: Sequence[float]
 ) -> list[float]:
     """The integrals of eta(t)^mu dt/t over every step [masses[k-1], masses[k]],
-    with masses[-1] read as 0.
+    with masses[-1] read as 0, as :func:`weight_integral` gives them.
 
-    Power weights take the per-step closed form of :func:`weight_integral`.
-    Power-log weights repeat, on all steps at once, the first step of
-    QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
-    Gauss-Kronrod rule ``dqk21`` on each finite x-interval of
-    :func:`_log_pieces`, evaluated with numpy in blocks of ``_GK_BLOCK``
-    intervals and summed in dqk21's order, then dqagse's first-step error
-    test, with a margin for rounding (see :func:`_gauss_kronrod_21`).  Short,
-    smooth steps pass it, and ``quad`` would stop there with the same
-    estimate up to the rounding of ``exp`` and ``pow``.  The first step (an
-    infinite x-range) and every step with an interval that fails the test
-    take :func:`weight_integral`'s path, so their results and errors are the
-    scalar ones bit for bit.
+    Both families work on step columns: each mass has its ``pow`` or
+    ``math.log`` taken once, through Python floats, so libm's bits stay, and
+    numpy does only correctly rounded work on them (differences, quotients,
+    products, comparisons).
+
+    Power weights take the closed form (b^e - a^e) / e, e = c mu, from one
+    ``pow`` per mass; where one overflows, every step takes the scalar path,
+    which raises its ScaleRangeError.  Power-log weights repeat, on all steps
+    at once, the first step of QUADPACK's ``dqagse`` that ``quad`` runs on
+    each: the 21-point Gauss-Kronrod rule ``dqk21`` on each finite
+    x-interval of :func:`_log_pieces` (built here from one log per mass, with
+    ``log1p`` widths on the narrow sides), evaluated with numpy in blocks of
+    ``_GK_BLOCK`` intervals and summed in dqk21's order, then dqagse's
+    first-step error test, with a margin for rounding (see
+    :func:`_gauss_kronrod_21`).  Short, smooth steps pass it, and ``quad``
+    would stop there with the same estimate up to the rounding of ``exp``
+    and ``pow``.  The steps from t = 0 (an infinite x-range) and every step
+    with an interval that fails the test take :func:`weight_integral`'s
+    path, so their results and errors are the scalar ones bit for bit.
     """
     _check_mu(mu)
-    starts = [0.0, *masses[:-1]]
-    for a, b in zip(starts, masses):
-        if not (0 <= a <= b):
-            raise ContractViolationError("need 0 <= a <= b")
-    if w.family == "power" or not masses:
-        return [_segment_integral(w, mu, a, b) for a, b in zip(starts, masses)]
-    cm = w.power_exponent * mu
-    owners: list[int] = []
-    rates: list[float] = []
-    los: list[float] = []
-    his: list[float] = []
-    widths: list[float] = []
-    for k in range(1, len(masses)):
-        for sign, x_lo, x_hi, width in _log_pieces(starts[k], masses[k]):
-            owners.append(k)
-            rates.append(sign * cm)
-            los.append(x_lo)
-            his.append(x_hi)
-            widths.append(width)
-    values, accepted = _gauss_kronrod_21(
-        np.array(rates), w.b * mu, np.array(los), np.array(his), np.array(widths)
-    )
-    totals = [0.0] * len(masses)
-    rejected = [0]
-    for k, value, ok in zip(owners, values.tolist(), accepted.tolist()):
-        totals[k] += value
-        if not ok and rejected[-1] != k:
-            rejected.append(k)
+    if not masses:
+        return []
+    ts, starts = _checked_steps(masses)
+    cm = _rate(w, mu)
+    points = ts.tolist()
+    scalar_starts = [0.0, *points[:-1]]
+    if w.family == "power":
+        try:
+            powers = np.array(list(map(pow, points, repeat(cm))))
+        except OverflowError:
+            return list(map(partial(_segment_integral, w, mu), scalar_starts, points))
+        with np.errstate(over="ignore"):
+            totals = (powers - np.concatenate(((0.0,), powers[:-1]))) / cm
+        if not np.isfinite(totals).all():
+            raise ScaleRangeError(_INTEGRAL_RANGE)
+        return totals.tolist()
+    # Steps 0..lead-1 start at t = 0; the rest start at a positive mass.
+    lead = int(np.searchsorted(ts, 0.0, side="right")) + 1
+    sides, x_lo, x_hi, widths = _log_piece_columns(ts[lead - 1:])
+    rates = np.broadcast_to(np.array((-cm, cm)), sides.shape)[sides]
+    values, accepted = _gauss_kronrod_21(rates, w.b * mu, x_lo, x_hi, widths)
+    sums = np.zeros(sides.shape)
+    sums[sides] = values
+    passed = np.ones(sides.shape, dtype=bool)
+    passed[sides] = accepted
+    # left + right is the per-step sum 0.0 + left + right, bit for bit
+    totals = [0.0] * lead + (sums[:, 0] + sums[:, 1]).tolist()
+    rejected = [*range(lead), *(np.flatnonzero(~passed.all(axis=1)) + lead).tolist()]
     for k in rejected:
-        totals[k] = _segment_integral(w, mu, starts[k], masses[k])
+        totals[k] = _segment_integral(w, mu, scalar_starts[k], points[k])
     return totals
 
 

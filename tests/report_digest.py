@@ -11,8 +11,11 @@ and an informational sandwich row at xi*mu < 1), and ``democracy`` and
 ``verify-all`` with a perturbed measure exponent, whose reports hold failing
 rows (exit 1).  Last come the runs in ``LARGE_CONFIGS`` at ``--seed 17`` on
 generated sequences, written to a temporary directory: greedy
-``approx-norm`` profiles and a power-log ``norm`` on 2 000 cubes of
-``large_sequence``, whose running exact sums see thousands of terms; brute
+``approx-norm`` profiles and ``norm`` on 2 000 cubes of ``large_sequence``,
+whose running exact sums see thousands of terms and whose rearrangements
+take the column path: a power-log weight, mu = inf with the power and the
+power-log weight, and a power weight with mu / p = 2.6 (whose integrals
+are no plain difference of masses); brute
 ``sigma`` on 16 of its cubes, which reads the Pareto frontier at the budget,
 and on 24 of them at ``alpha = 0``, whose frontier has 25 points; and
 knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
@@ -172,6 +175,10 @@ LARGE_CONFIGS = (
     ("approx-norm", "large-besov", "solver = greedy\nkind = besov\np = 1.5\n",
      large_sequence, 2000),
     ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n", large_sequence, 2000),
+    ("norm", "large-mu-inf", "mu = inf\n", large_sequence, 2000),
+    ("norm", "large-powerlog-mu-inf", "eta = powerlog:p=2,b=0.5\nmu = inf\n",
+     large_sequence, 2000),
+    ("norm", "large-power-mu-1.3", "eta = power:p=0.5\nmu = 1.3\n", large_sequence, 2000),
     ("sigma", "n16-brute", "budget = 0.5\nsolver = brute\n", large_sequence, 16),
     ("sigma", "n24-brute-alpha-0", "budget = 5\nsolver = brute\nalpha = 0\n",
      large_sequence, 24),

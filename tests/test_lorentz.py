@@ -7,6 +7,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +25,13 @@ from restapprox import (
     lorentz_norm,
     lorentz_norm_via_distribution,
     rearrange,
+    weight_integral,
+    weight_integrals,
+    weight_sup_on_interval,
+    weight_sups,
 )
+from restapprox import lorentz, weights
+from restapprox.errors import finite
 
 from conftest import cube_strategy, seq_strategy
 
@@ -377,3 +384,155 @@ def test_lorentz_norms_past_the_float_range(norm, entries, eta, mu):
     params = LorentzParams(WeightFn.parse(eta), mu=mu)
     with pytest.raises(ScaleRangeError, match="Lorentz norm exceeds the float range"):
         norm(CoeffSeq(entries), MeasureSpec(1.0), params)
+
+
+def _outcome(compute):
+    """``compute()`` as ``("value", result)``, or its error's type and text."""
+    try:
+        return "value", compute()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _per_step_integrals(w: WeightFn, mu: float, masses) -> list[float]:
+    """The per-step set-up of the batched pass, one ``_log_pieces`` call per
+    step, as the reference of the column set-up: the same intervals in the
+    same order through the same kernel, and the scalar path for the first
+    step, rejected steps and power weights."""
+    starts = [0.0, *masses[:-1]]
+    if w.family == "power":
+        return [weight_integral(w, mu, a, b) for a, b in zip(starts, masses)]
+    owners, rates, los, his, widths = [], [], [], [], []
+    for k in range(1, len(masses)):
+        for sign, x_lo, x_hi, width in weights._log_pieces(starts[k], masses[k]):
+            owners.append(k)
+            rates.append(sign * w.power_exponent * mu)
+            los.append(x_lo)
+            his.append(x_hi)
+            widths.append(width)
+    values, accepted = weights._gauss_kronrod_21(
+        np.array(rates), w.b * mu, np.array(los), np.array(his), np.array(widths)
+    )
+    totals = [0.0] * len(masses)
+    rejected = {0}
+    for k, value, ok in zip(owners, values.tolist(), accepted.tolist()):
+        totals[k] += value
+        if not ok:
+            rejected.add(k)
+    for k in sorted(rejected):
+        totals[k] = weight_integral(w, mu, starts[k], masses[k])
+    return totals
+
+
+def _per_step_norm(steps, w: WeightFn, mu: float) -> float:
+    """The norm from per-step integrals or ``weight_sup_on_interval`` calls."""
+    if math.isinf(mu):
+        return max(
+            value * weight_sup_on_interval(w, start, end)
+            for start, end, value in steps.pieces()
+        )
+    integrals = _per_step_integrals(w, mu, steps.masses)
+    return math.fsum(
+        value**mu * integral for value, integral in zip(steps.values, integrals)
+    ) ** (1.0 / mu)
+
+
+def _families(d: int):
+    """1-160 cubes of dimension d in scales 0..12, so on both sides of the
+    column threshold, with magnitudes often tied, and up to two cubes at
+    scales out to +-1000 (wide totals, folded steps and masses past the
+    float range)."""
+
+    def cubes(scales):
+        return st.builds(
+            lambda j, k: Cube(j, tuple(k)),
+            scales,
+            st.lists(st.integers(0, 1 << 20), min_size=d, max_size=d),
+        )
+
+    value = st.sampled_from([3.0, -3.0, 1.0, 0.5, -0.5]) | st.floats(1e-3, 1e3)
+    near = st.integers(1, 160).flatmap(
+        lambda n: st.dictionaries(cubes(st.integers(0, 12)), value, min_size=n, max_size=n)
+    )
+    far = st.dictionaries(
+        cubes(st.sampled_from([-1000, -400, -60, 60, 400, 1000])), value, max_size=2
+    )
+    return st.builds(lambda a, b: CoeffSeq({**a, **b}), near, far)
+
+
+@given(
+    st.integers(1, 3).flatmap(_families),
+    st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+    st.sampled_from(["power:p=2", "power:p=0.5", "powerlog:p=2,b=0.5",
+                     "powerlog:p=1.5,b=-0.4", "powerlog:p=0.5,b=3"]),
+    st.sampled_from([2.0, 1.3, 0.7, math.inf]),
+)
+def test_column_paths_equal_the_per_step_references(s, alpha, eta, mu):
+    """Bit for bit: the rearrangement against the per-cube loop (a ``u`` of
+    ones takes it at every size), the step integrals and sups against one
+    scalar call per step, and the norm against both; errors alike."""
+    measure = MeasureSpec(alpha)
+    steps = _outcome(lambda: rearrange(s, measure))
+    assert steps == _outcome(lambda: rearrange(s, measure, dict.fromkeys(s, 1.0)))
+    if steps[0] != "value":
+        return
+    steps = steps[1]
+    w = WeightFn.parse(eta)
+    if math.isinf(mu):
+        got = _outcome(lambda: [x.hex() for x in weight_sups(w, steps.masses)])
+        want = _outcome(lambda: [
+            weight_sup_on_interval(w, a, b).hex() for a, b, _ in steps.pieces()
+        ])
+    else:
+        got = _outcome(lambda: [x.hex() for x in weight_integrals(w, mu, steps.masses)])
+        want = _outcome(lambda: [
+            x.hex() for x in _per_step_integrals(w, mu, steps.masses)
+        ])
+    assert got == want
+    params = LorentzParams(w, mu)
+    got = _outcome(lambda: lorentz_norm(s, measure, params).hex())
+    want = _outcome(
+        lambda: finite(lambda: _per_step_norm(steps, w, mu), lorentz._NORM_RANGE).hex()
+    )
+    assert got == want
+
+
+def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):
+    """Counted, on 2 000 cubes: ``rearrange`` calls no per-cube weight
+    function, the sups make no ``weight_sup_on_interval`` call, and the
+    integrals call ``_segment_integral`` only for the first step and for
+    the steps with a rejected Gauss-Kronrod interval (none for power
+    weights)."""
+    s = CoeffSeq({Cube(i % 11, (i,)): 1.0 + (i % 500) / 7 for i in range(2000)})
+    calls = {"weight": 0, "sup": 0, "segment": 0, "rejected": 0}
+
+    def counted(module, name, key, original=None):
+        original = original or getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counted(lorentz, "u_function", "weight")
+    counted(lorentz, "_one", "weight")
+    for module in (weights, lorentz):  # lorentz imports no scalar sup today
+        counted(module, "weight_sup_on_interval", "sup", weight_sup_on_interval)
+    counted(weights, "_segment_integral", "segment")
+    kernel = weights._gauss_kronrod_21
+
+    def gauss_kronrod(*args):
+        values, accepted = kernel(*args)
+        calls["rejected"] += int((~accepted).sum())
+        return values, accepted
+
+    monkeypatch.setattr(weights, "_gauss_kronrod_21", gauss_kronrod)
+    for eta, mu in (("power:p=2", 2.0), ("power:p=0.5", 1.3), ("power:p=2", math.inf),
+                    ("powerlog:p=2,b=0.5", 2.0), ("powerlog:p=0.5,b=3", math.inf)):
+        for key in calls:
+            calls[key] = 0
+        lorentz_norm(s, MeasureSpec(1.0), LorentzParams(WeightFn.parse(eta), mu))
+        first = 1 if eta.startswith("powerlog") and math.isfinite(mu) else 0
+        assert calls["weight"] == calls["sup"] == 0, eta
+        assert first <= calls["segment"] <= first + calls["rejected"], eta
