@@ -444,7 +444,12 @@ def _quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> f
 def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
     """integral over [a, b] of eta(t)^mu dt/t; a may be 0.
 
-    Power family: closed form.  Powerlog: the substitutions of
+    Power family: the closed form (b^e - a^e) / e, e = c mu, except on a
+    narrow step (b <= 2a) with e != 1, where the two rounded powers can
+    cancel to a result off by far more than its own rounding: there b - a
+    is exact (Sterbenz's lemma), and b^e - a^e = a^e expm1(e log1p((b -
+    a) / a)) keeps the integral within a few ulps.  At e = 1 the
+    difference b - a is itself exact.  Powerlog: the substitutions of
     :func:`_log_pieces` turn each part into a smooth, rapidly decaying
     integrand handled by adaptive quadrature.  A result past the float range
     raises ScaleRangeError.
@@ -454,7 +459,10 @@ def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
         return 0.0
     if w.family == "power":
         try:
-            total = (b**cm - (a**cm if a > 0 else 0.0)) / cm
+            if cm != 1.0 and b <= 2.0 * a:
+                total = a**cm * math.expm1(cm * math.log1p((b - a) / a)) / cm
+            else:
+                total = (b**cm - (a**cm if a > 0 else 0.0)) / cm
         except OverflowError:
             raise ScaleRangeError(_INTEGRAL_RANGE) from None
         if not math.isfinite(total):
@@ -501,20 +509,21 @@ def weight_integrals(
     numpy does only correctly rounded work on them (differences, quotients,
     products, comparisons).
 
-    Power weights take the closed form (b^e - a^e) / e, e = c mu, from one
-    ``pow`` per mass; where one overflows, every step takes the scalar path,
-    which raises its ScaleRangeError.  Power-log weights repeat, on all steps
-    at once, the first step of QUADPACK's ``dqagse`` that ``quad`` runs on
-    each: the 21-point Gauss-Kronrod rule ``dqk21`` on each finite
-    x-interval of :func:`_log_pieces` (built here from one log per mass, with
-    ``log1p`` widths on the narrow sides), evaluated with numpy in blocks of
-    ``_GK_BLOCK`` intervals and summed in dqk21's order, then dqagse's
-    first-step error test, with a margin for rounding (see
-    :func:`_gauss_kronrod_21`).  Short, smooth steps pass it, and ``quad``
-    would stop there with the same estimate up to the rounding of ``exp``
-    and ``pow``.  The steps from t = 0 (an infinite x-range) and every step
-    with an interval that fails the test take :func:`weight_integral`'s
-    path, so their results and errors are the scalar ones bit for bit.
+    Power weights take :func:`_segment_integral`'s closed form from one
+    ``pow`` per mass (:func:`_power_integrals`); where a value overflows,
+    every step takes the scalar path, which raises its ScaleRangeError.
+    Power-log weights repeat, on all steps at once, the first step of
+    QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
+    Gauss-Kronrod rule ``dqk21`` on each finite x-interval of
+    :func:`_log_pieces` (built by :func:`_log_piece_columns`), evaluated
+    with numpy in blocks of ``_GK_BLOCK`` intervals and summed in dqk21's
+    order, then dqagse's first-step error test, with a margin for rounding
+    (see :func:`_gauss_kronrod_21`).  Short, smooth steps pass it, and
+    ``quad`` would stop there with the same estimate up to the rounding of
+    ``exp`` and ``pow``.  The steps from t = 0 (an infinite x-range) and
+    every step with an interval that fails the test take
+    :func:`weight_integral`'s path, so their results and errors are the
+    scalar ones bit for bit.
     """
     _check_mu(mu)
     if not masses:
@@ -525,11 +534,9 @@ def weight_integrals(
     scalar_starts = [0.0, *points[:-1]]
     if w.family == "power":
         try:
-            powers = np.array(list(map(pow, points, repeat(cm))))
+            totals = _power_integrals(ts, starts, cm)
         except OverflowError:
             return list(map(partial(_segment_integral, w, mu), scalar_starts, points))
-        with np.errstate(over="ignore"):
-            totals = (powers - np.concatenate(((0.0,), powers[:-1]))) / cm
         if not np.isfinite(totals).all():
             raise ScaleRangeError(_INTEGRAL_RANGE)
         return totals.tolist()
@@ -547,6 +554,24 @@ def weight_integrals(
     rejected = [*range(lead), *(np.flatnonzero(~passed.all(axis=1)) + lead).tolist()]
     for k in rejected:
         totals[k] = _segment_integral(w, mu, scalar_starts[k], points[k])
+    return totals
+
+
+def _power_integrals(ts: np.ndarray, starts: np.ndarray, e: float) -> np.ndarray:
+    """:func:`_segment_integral`'s power closed form on every step [starts[k],
+    ts[k]], bit for bit, from one ``pow`` per mass and, on the narrow steps
+    (0 < a, b <= 2a) when e != 1, one ``math.log1p`` and one ``math.expm1``
+    each.  Raises OverflowError where one of them overflows."""
+    powers = np.array(list(map(pow, ts.tolist(), repeat(e))))
+    below = np.concatenate(((0.0,), powers[:-1]))
+    with np.errstate(over="ignore"):
+        totals = (powers - below) / e
+        if e != 1.0:
+            narrow = np.flatnonzero((ts <= 2.0 * starts) & (starts > 0.0))
+            ratios = (ts[narrow] - starts[narrow]) / starts[narrow]
+            logs = np.array(list(map(math.log1p, ratios.tolist())))
+            growth = list(map(math.expm1, (e * logs).tolist()))
+            totals[narrow] = below[narrow] * growth / e
     return totals
 
 

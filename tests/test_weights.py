@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -427,6 +429,31 @@ def test_narrow_step_integrals_are_accurate(a, b):
     want = _exact_width(a, b) * w.value(math.sqrt(a * b)) ** 1.5
     assert weight_integral(w, 1.5, a, b) == pytest.approx(want, rel=1e-13)
     assert weight_integrals(w, 1.5, (a, b))[1] == pytest.approx(want, rel=1e-13)
+
+
+def _decimal_power_integral(a: float, b: float, e: float) -> float:
+    """(b^e - a^e) / e in 60-digit decimal arithmetic, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lo, hi, ex = Decimal(a), Decimal(b), Decimal(e)
+        return float(((hi.ln() * ex).exp() - (lo.ln() * ex).exp()) / ex)
+
+
+@pytest.mark.parametrize("a, b", NARROW_STEPS)
+@pytest.mark.parametrize(
+    "p, mu", [(0.5, 2.0), (1.0, 0.37), (0.5, 1.3), (10.0, 0.01), (2.0, 2.0)]
+)
+def test_narrow_power_step_integrals_are_accurate(a, b, p, mu):
+    """Exponents e = c mu of 4, 0.37, 2.6, 0.001 and 1: b^e - a^e cancelled
+    to 3.5e-2 relative off at (0.3, 0.3 + 3 ulp), e = 4, and to 0 on the
+    first step at e = 0.001.  At e = 1 the integral is b - a, exact."""
+    w = WeightFn.power(p)
+    e = w.power_exponent * mu
+    want = _decimal_power_integral(a, b, e)
+    for got in (weight_integral(w, mu, a, b), weight_integrals(w, mu, (a, b))[1]):
+        assert got == pytest.approx(want, rel=5e-16, abs=0.0)
+        if e == 1.0:
+            assert got == b - a
 
 
 @pytest.mark.parametrize("w", [WeightFn.power(0.5), WeightFn.power_log(0.5, 3.0)])
