@@ -8,6 +8,12 @@ to the total ``nu``-mass of the cubes whose (optionally weighted) magnitude
 equals ``v``.  Both quasi-norm forms below — the rearrangement form and the
 distribution-function form — reduce to finite sums over those steps, exactly
 for power weights and to quadrature accuracy for power-log weights.
+
+Large families are rearranged on numpy columns (one sort of the magnitudes,
+one int64 cumulative sum of exact masses), and the rearrangement-form norm
+takes its steps as columns: the weight integrals or sups of all steps in one
+call, then one C-level ``map`` for the powers and products and one ``fsum``
+or ``max``.  Both give the per-cube and per-step results bit for bit.
 """
 
 from __future__ import annotations

@@ -23,11 +23,21 @@ The weight integrals of eta(t)^mu dt/t have a closed form for power weights.
 For powerlog weights ``weight_integral`` runs scipy's ``quad`` on one step,
 and ``weight_integrals`` runs the first step of ``quad`` on many steps at
 once with numpy, handing ``quad`` only the steps it could not finish there.
+
+``weight_integrals`` and ``weight_sups`` take a whole rearrangement's steps
+as columns: the power closed form, the batched pass's intervals and the sups
+equal the one-step ``_segment_integral``, ``_log_pieces`` and
+``weight_sup_on_interval`` bit for bit.  Each step end's ``pow`` or
+``math.log`` is taken once, through Python floats, because numpy's vector
+``power``, ``log`` and ``log1p`` can differ from libm's in the last bit, and
+numpy does only correctly rounded work (differences, quotients, products,
+maxima, comparisons and finiteness checks).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -102,6 +112,12 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _ROUNDING_MARGIN = 64.0 * _EPMACH
 # Intervals per numpy block: keeps the (21, block) temporaries near 1 MiB.
 _GK_BLOCK = 1024
+# Power-weight integrals and all sups of at least this many steps take
+# numpy columns; fewer take one scalar call per step, which is faster there
+# (the two cross near 8 steps for sups and 40-64 for integrals, best of 5
+# on a 2-core host).  Power-log integrals always take columns, whose set-up
+# costs less than the first step's quad.
+_COLUMN_MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -309,14 +325,15 @@ def weight_sups(w: WeightFn, masses: Sequence[float]) -> list[float]:
     """:func:`weight_sup_on_interval` on every step [masses[k-1], masses[k]],
     with masses[-1] read as 0, bit for bit.
 
-    The weight is evaluated once per mass (:func:`_values_at`), and each
-    step's sup is the max of its two ends' values, of eta(1) = 1 on the steps
-    across t = 1, and of the interior maximum's value on the steps that hold
-    it, which is evaluated only when one does.
+    From ``_COLUMN_MIN_STEPS`` steps on, the weight is evaluated once per
+    mass (:func:`_values_at`), and each step's sup is the max of its two
+    ends' values, of eta(1) = 1 on the steps across t = 1, and of the
+    interior maximum's value on the steps that hold it, which is evaluated
+    only when one does.  Fewer steps take one scalar call each.
     """
-    if not masses:
-        return []
-    ts, starts = _checked_steps(masses)
+    if len(masses) < _COLUMN_MIN_STEPS:
+        return list(map(partial(weight_sup_on_interval, w), [0.0, *masses[:-1]], masses))
+    ts, starts = _column_steps(masses)
     values = _values_at(w, ts)
     sups = np.maximum(np.concatenate(((0.0,), values[:-1])), values)
     if w.family == "powerlog":
@@ -331,7 +348,7 @@ def weight_sups(w: WeightFn, masses: Sequence[float]) -> list[float]:
     return sups.tolist()
 
 
-def _checked_steps(masses: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _column_steps(masses: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """The step ends and starts of ``masses`` (nonempty) as arrays, after
     checking that 0 <= start <= end on every step."""
     ts = np.array(masses, dtype=np.float64)
@@ -504,14 +521,15 @@ def weight_integrals(
     """The integrals of eta(t)^mu dt/t over every step [masses[k-1], masses[k]],
     with masses[-1] read as 0, as :func:`weight_integral` gives them.
 
-    Both families work on step columns: each mass has its ``pow`` or
-    ``math.log`` taken once, through Python floats, so libm's bits stay, and
-    numpy does only correctly rounded work on them (differences, quotients,
-    products, comparisons).
+    Power weights with fewer than ``_COLUMN_MIN_STEPS`` steps take one
+    :func:`_segment_integral` call per step.  Otherwise the steps are
+    columns: each mass has its ``pow`` or ``math.log`` taken once, through
+    Python floats, so libm's bits stay, and numpy does only correctly
+    rounded work on them (differences, quotients, products, comparisons).
 
     Power weights take :func:`_segment_integral`'s closed form from one
     ``pow`` per mass (:func:`_power_integrals`); where a value overflows,
-    every step takes the scalar path, which raises its ScaleRangeError.
+    every step takes the scalar path, whose results or error are returned.
     Power-log weights repeat, on all steps at once, the first step of
     QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
     Gauss-Kronrod rule ``dqk21`` on each finite x-interval of
@@ -528,18 +546,18 @@ def weight_integrals(
     _check_mu(mu)
     if not masses:
         return []
-    ts, starts = _checked_steps(masses)
+    if w.family == "power" and len(masses) < _COLUMN_MIN_STEPS:
+        starts = [0.0, *masses[:-1]]
+        if not all(map(operator.le, starts, masses)):
+            raise ContractViolationError("need 0 <= a <= b")
+        return list(map(partial(_segment_integral, w, mu), starts, masses))
+    ts, starts = _column_steps(masses)
     cm = _rate(w, mu)
-    points = ts.tolist()
-    scalar_starts = [0.0, *points[:-1]]
     if w.family == "power":
-        try:
-            totals = _power_integrals(ts, starts, cm)
-        except OverflowError:
-            return list(map(partial(_segment_integral, w, mu), scalar_starts, points))
-        if not np.isfinite(totals).all():
-            raise ScaleRangeError(_INTEGRAL_RANGE)
-        return totals.tolist()
+        totals = _power_integrals(ts, starts, cm)
+        if totals is None:
+            return list(map(partial(_segment_integral, w, mu), starts.tolist(), ts.tolist()))
+        return totals
     # Steps 0..lead-1 start at t = 0; the rest start at a positive mass.
     lead = int(np.searchsorted(ts, 0.0, side="right")) + 1
     sides, x_lo, x_hi, widths = _log_piece_columns(ts[lead - 1:])
@@ -553,26 +571,32 @@ def weight_integrals(
     totals = [0.0] * lead + (sums[:, 0] + sums[:, 1]).tolist()
     rejected = [*range(lead), *(np.flatnonzero(~passed.all(axis=1)) + lead).tolist()]
     for k in rejected:
-        totals[k] = _segment_integral(w, mu, scalar_starts[k], points[k])
+        totals[k] = _segment_integral(w, mu, float(starts[k]), float(ts[k]))
     return totals
 
 
-def _power_integrals(ts: np.ndarray, starts: np.ndarray, e: float) -> np.ndarray:
+def _power_integrals(ts: np.ndarray, starts: np.ndarray, e: float) -> list[float] | None:
     """:func:`_segment_integral`'s power closed form on every step [starts[k],
     ts[k]], bit for bit, from one ``pow`` per mass and, on the narrow steps
     (0 < a, b <= 2a) when e != 1, one ``math.log1p`` and one ``math.expm1``
-    each.  Raises OverflowError where one of them overflows."""
-    powers = np.array(list(map(pow, ts.tolist(), repeat(e))))
-    below = np.concatenate(((0.0,), powers[:-1]))
-    with np.errstate(over="ignore"):
-        totals = (powers - below) / e
-        if e != 1.0:
-            narrow = np.flatnonzero((ts <= 2.0 * starts) & (starts > 0.0))
-            ratios = (ts[narrow] - starts[narrow]) / starts[narrow]
-            logs = np.array(list(map(math.log1p, ratios.tolist())))
-            growth = list(map(math.expm1, (e * logs).tolist()))
-            totals[narrow] = below[narrow] * growth / e
-    return totals
+    each; None where one of those overflows, so that the scalar path raises
+    its error.  A result past the float range raises ScaleRangeError."""
+    try:
+        powers = np.array(list(map(pow, ts.tolist(), repeat(e))))
+        below = np.concatenate(((0.0,), powers[:-1]))
+        with np.errstate(over="ignore"):
+            totals = (powers - below) / e
+            if e != 1.0:
+                narrow = np.flatnonzero((ts <= 2.0 * starts) & (starts > 0.0))
+                ratios = (ts[narrow] - starts[narrow]) / starts[narrow]
+                logs = np.array(list(map(math.log1p, ratios.tolist())))
+                growth = list(map(math.expm1, (e * logs).tolist()))
+                totals[narrow] = below[narrow] * growth / e
+    except OverflowError:
+        return None
+    if not np.isfinite(totals).all():
+        raise ScaleRangeError(_INTEGRAL_RANGE)
+    return totals.tolist()
 
 
 def _gauss_kronrod_21(

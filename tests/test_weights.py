@@ -18,8 +18,10 @@ from restapprox import (
     ConfigError,
     ContractViolationError,
     Cube,
+    DivergenceError,
     LorentzParams,
     MeasureSpec,
+    QuadratureError,
     ScaleRangeError,
     WeightFn,
     boyd_lower_index,
@@ -450,7 +452,9 @@ def test_narrow_power_step_integrals_are_accurate(a, b, p, mu):
     w = WeightFn.power(p)
     e = w.power_exponent * mu
     want = _decimal_power_integral(a, b, e)
-    for got in (weight_integral(w, mu, a, b), weight_integrals(w, mu, (a, b))[1]):
+    # 64 steps up to a, then [a, b]: enough steps for the column path
+    ends = [a * k / 64 for k in range(1, 65)] + [b]
+    for got in (weight_integral(w, mu, a, b), weight_integrals(w, mu, ends)[-1]):
         assert got == pytest.approx(want, rel=5e-16, abs=0.0)
         if e == 1.0:
             assert got == b - a
@@ -462,3 +466,29 @@ def test_weight_integral_past_the_float_range(w):
         weight_integral(w, 1.0, 0.0, 2.0**1000)
     with pytest.raises(ScaleRangeError):
         weight_integrals(w, 1.0, (1.0, 2.0**1000))
+
+
+def test_an_integral_quad_cannot_finish_raises_quadrature_error():
+    """On [1, 1e300] the integrand e^(x/2) (1 + x)^-300 in x = log t falls
+    from 1 at x = 0 to about e^-1620 at x = 599, and quad's error estimate
+    stays above a fifth of its result.  The column path rejects that step
+    and raises the scalar path's error."""
+    w = WeightFn.power_log(2.0, -300.0)
+    with pytest.raises(QuadratureError, match="did not converge") as scalar:
+        weight_integral(w, 1.0, 1.0, 1e300)
+    assert scalar.value.achieved > 1e-8
+    with pytest.raises(QuadratureError) as column:
+        weight_integrals(w, 1.0, (1.0, 1e300))
+    assert str(column.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("w", [WeightFn.power(1e308), WeightFn.power_log(1e308, 0.5)])
+def test_an_underflowing_exponent_raises_divergence_error(w):
+    """A valid weight has c = 1/p > 0 and a valid mu is > 0, so c * mu <= 0,
+    the divergence at t = 0, happens only when the product underflows to 0,
+    as 1e-308 * 1e-20 does.  Both paths raise it."""
+    assert w.power_exponent * 1e-20 == 0.0
+    with pytest.raises(DivergenceError, match="not integrable at 0"):
+        weight_integral(w, 1e-20, 1.0, 2.0)
+    with pytest.raises(DivergenceError, match="not integrable at 0"):
+        weight_integrals(w, 1e-20, (1.0, 2.0))
