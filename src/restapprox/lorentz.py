@@ -225,9 +225,9 @@ def rearrange(
     per step.
 
     Families of at least ``_COLUMN_MIN_CUBES`` cubes without ``u`` take
-    numpy columns (:func:`_column_steps`) while their totals stay below 2^53;
-    the rest, and u-weighted families, take the per-cube loop below, one int
-    true division per step.
+    numpy columns (:func:`_rearrange_columns`) while their totals stay below
+    2^53; the rest, and u-weighted families, take the per-cube loop below,
+    one int true division per step.
 
     A step whose mass leaves that rounded total T unchanged (a scale far
     finer than the steps before it) has float length zero, and is folded
@@ -245,7 +245,7 @@ def rearrange(
     The first step has positive mass, so it is never folded.
     """
     if u is None and len(s) >= _COLUMN_MIN_CUBES:
-        steps = _column_steps(s, measure)
+        steps = _rearrange_columns(s, measure)
         if steps is not None:
             return steps
     weight = u_function(u)
@@ -274,7 +274,9 @@ def rearrange(
     return StepRearrangement(tuple(cumulative[1:]), tuple(values))
 
 
-def _column_steps(s: CoeffSeq, measure: MeasureSpec) -> StepRearrangement | None:
+def _rearrange_columns(
+    s: CoeffSeq, measure: MeasureSpec
+) -> StepRearrangement | None:
     """``rearrange(s, measure)`` from numpy columns, or None when a scale
     passes int64 or the exact total of all masses could reach 2^53 (masses
     with 53-bit mantissas, as at alpha = 0.5, or scale gaps of dozens).

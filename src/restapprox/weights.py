@@ -332,7 +332,8 @@ def weight_sups(w: WeightFn, masses: Sequence[float]) -> list[float]:
     only when one does.  Fewer steps take one scalar call each.
     """
     if len(masses) < _COLUMN_MIN_STEPS:
-        return list(map(partial(weight_sup_on_interval, w), [0.0, *masses[:-1]], masses))
+        starts = [0.0, *masses[:-1]]
+        return list(map(partial(weight_sup_on_interval, w), starts, masses))
     ts, starts = _column_steps(masses)
     values = _values_at(w, ts)
     sups = np.maximum(np.concatenate(((0.0,), values[:-1])), values)
@@ -418,7 +419,7 @@ def _log_piece_columns(
     lo = np.stack((a, np.maximum(a, 1.0)), axis=1)[sides]
     hi = np.stack((np.minimum(b, 1.0), b), axis=1)[sides]
     # -log(min(b, 1)) and log(max(a, 1)) with log(1) = 0 written out
-    x_lo = np.stack((-np.where(b < 1.0, log_b, 0.0), np.where(a > 1.0, log_a, 0.0)), axis=1)
+    x_lo = np.stack((-np.where(b < 1.0, log_b, 0.0), np.where(a > 1.0, log_a, 0.0)), 1)
     x_lo, x_hi = x_lo[sides], np.stack((-log_a, log_b), axis=1)[sides]
     widths = x_hi - x_lo
     narrow = np.flatnonzero(hi <= 2.0 * lo)
@@ -556,7 +557,8 @@ def weight_integrals(
     if w.family == "power":
         totals = _power_integrals(ts, starts, cm)
         if totals is None:
-            return list(map(partial(_segment_integral, w, mu), starts.tolist(), ts.tolist()))
+            scalar = partial(_segment_integral, w, mu)
+            return list(map(scalar, starts.tolist(), ts.tolist()))
         return totals
     # Steps 0..lead-1 start at t = 0; the rest start at a positive mass.
     lead = int(np.searchsorted(ts, 0.0, side="right")) + 1
@@ -575,7 +577,9 @@ def weight_integrals(
     return totals
 
 
-def _power_integrals(ts: np.ndarray, starts: np.ndarray, e: float) -> list[float] | None:
+def _power_integrals(
+    ts: np.ndarray, starts: np.ndarray, e: float
+) -> list[float] | None:
     """:func:`_segment_integral`'s power closed form on every step [starts[k],
     ts[k]], bit for bit, from one ``pow`` per mass and, on the narrow steps
     (0 < a, b <= 2a) when e != 1, one ``math.log1p`` and one ``math.expm1``

@@ -178,7 +178,8 @@ LARGE_CONFIGS = (
     ("norm", "large-mu-inf", "mu = inf\n", large_sequence, 2000),
     ("norm", "large-powerlog-mu-inf", "eta = powerlog:p=2,b=0.5\nmu = inf\n",
      large_sequence, 2000),
-    ("norm", "large-power-mu-1.3", "eta = power:p=0.5\nmu = 1.3\n", large_sequence, 2000),
+    ("norm", "large-power-mu-1.3", "eta = power:p=0.5\nmu = 1.3\n",
+     large_sequence, 2000),
     ("sigma", "n16-brute", "budget = 0.5\nsolver = brute\n", large_sequence, 16),
     ("sigma", "n24-brute-alpha-0", "budget = 5\nsolver = brute\nalpha = 0\n",
      large_sequence, 24),

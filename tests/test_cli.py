@@ -680,7 +680,8 @@ def test_norm_past_the_float_range_prints_only_the_error_line(tmp_path):
 def test_norm_whose_weight_integral_does_not_converge_exits_2():
     """One cube of mass 2^990 under (1 + |log t|)^-300: quad's error on the
     integral over [0, 2^990] stays far above its tolerance."""
-    code, err = _run_in_process("norm", "-990 0 1.0\n", "eta = powerlog:p=2,b=-300\nmu = 1\n")
+    config = "eta = powerlog:p=2,b=-300\nmu = 1\n"
+    code, err = _run_in_process("norm", "-990 0 1.0\n", config)
     assert code == 2 and len(err) == 1
     assert err[0].startswith(
         "error: weight integral did not converge (achieved relative tolerance "

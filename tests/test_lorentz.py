@@ -452,7 +452,9 @@ def _families(d: int):
 
     value = st.sampled_from([3.0, -3.0, 1.0, 0.5, -0.5]) | st.floats(1e-3, 1e3)
     near = st.integers(1, 160).flatmap(
-        lambda n: st.dictionaries(cubes(st.integers(0, 12)), value, min_size=n, max_size=n)
+        lambda n: st.dictionaries(
+            cubes(st.integers(0, 12)), value, min_size=n, max_size=n
+        )
     )
     far = st.dictionaries(
         cubes(st.sampled_from([-1000, -400, -60, 60, 400, 1000])), value, max_size=2
