@@ -365,8 +365,7 @@ def _values_at(w: WeightFn, ts: np.ndarray) -> np.ndarray:
     and ``log`` can differ in the last bit), and numpy does only the
     correctly rounded ``+``, ``abs`` and ``*``.  A value past the float
     range raises OverflowError, as ``w.value`` does."""
-    points = ts.tolist()
-    values = np.array(list(map(pow, points, repeat(w.power_exponent))))
+    values = np.array(list(map(pow, ts.tolist(), repeat(w.power_exponent))))
     if w.family == "powerlog":
         positive = np.flatnonzero(ts > 0.0)
         logs = np.array(list(map(math.log, ts[positive].tolist())))
