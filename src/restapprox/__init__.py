@@ -51,9 +51,7 @@ from .lorentz import (
     CoeffSeq,
     LorentzParams,
     StepRearrangement,
-    distribution,
     lorentz_norm,
-    lorentz_norm_via_distribution,
     rearrange,
 )
 from .spaces import (
@@ -69,7 +67,6 @@ from .verify import DEFAULT_SEED, CriterionResult, run_all
 from .weights import (
     WeightFn,
     boyd_lower_index,
-    dilation,
     geometric_sum_bound,
     smoothed_weight,
     weight_integral,
@@ -90,7 +87,6 @@ __all__ = [
     "nu_measure",
     # weights
     "WeightFn",
-    "dilation",
     "geometric_sum_bound",
     "weight_sup_on_interval",
     "weight_sups",
@@ -103,9 +99,7 @@ __all__ = [
     "StepRearrangement",
     "LorentzParams",
     "rearrange",
-    "distribution",
     "lorentz_norm",
-    "lorentz_norm_via_distribution",
     # smoothness-space norms
     "SpaceParams",
     "AtomWeights",

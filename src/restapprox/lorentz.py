@@ -5,21 +5,19 @@ A finite-support sequence assigns a real coefficient to each cube of a finite
 family.  Its rearrangement with respect to the measure ``nu`` is the
 nonincreasing step function taking value ``v`` on an interval of length equal
 to the total ``nu``-mass of the cubes whose (optionally weighted) magnitude
-equals ``v``.  Both quasi-norm forms below — the rearrangement form and the
-distribution-function form — reduce to finite sums over those steps, exactly
-for power weights and to quadrature accuracy for power-log weights.
+equals ``v``.  The quasi-norm reduces to a finite sum over those steps,
+exactly for power weights and to quadrature accuracy for power-log weights.
 
 Large families are rearranged on numpy columns (one sort of the magnitudes,
-one int64 cumulative sum of exact masses), and the rearrangement-form norm
-takes its steps as columns: the weight integrals or sups of all steps in one
-call, then one C-level ``map`` for the powers and products and one ``fsum``
-or ``max``.  Both give the per-cube and per-step results bit for bit.
+one cumulative sum of exact integer masses), and the norm takes its steps as
+columns: the weight integrals or sups of all steps in one call, then one
+C-level ``map`` for the powers and products and one ``fsum`` or ``max``.
+Both give the per-cube and per-step results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, mul
@@ -36,9 +34,7 @@ __all__ = [
     "StepRearrangement",
     "LorentzParams",
     "rearrange",
-    "distribution",
     "lorentz_norm",
-    "lorentz_norm_via_distribution",
 ]
 
 _NORM_RANGE = "the Lorentz norm exceeds the float range"
@@ -48,8 +44,6 @@ _NORM_RANGE = "the Lorentz norm exceeds the float range"
 # two cross at 48-56 cubes for d = 1 and 3 (loop 62 against 84 us at 32
 # cubes, 71 against 62 us at 64, best of 7 on a 2-core host).
 _COLUMN_MIN_CUBES = 64
-# Every int64 total of the column path stays below 2^53, so it is a float.
-_EXACT_TOTAL = 1 << 53
 _J = itemgetter(0)
 
 # A per-cube weight: absent (all ones), a mapping, or a callable.
@@ -194,16 +188,6 @@ class StepRearrangement:
         if self.values and not self.values[-1] > 0:
             raise ContractViolationError("step values must be positive")
 
-    @property
-    def total_mass(self) -> float:
-        return self.masses[-1] if self.masses else 0.0
-
-    def value_at(self, t: float) -> float:
-        if t < 0:
-            raise ContractViolationError("argument must be >= 0")
-        idx = bisect_right(self.masses, t)
-        return self.values[idx] if idx < len(self.values) else 0.0
-
     def pieces(self) -> Iterable[tuple[float, float, float]]:
         """Yield (start, end, value) for each step interval."""
         start = 0.0
@@ -225,19 +209,17 @@ def rearrange(
     per step.
 
     Families of at least ``_COLUMN_MIN_CUBES`` cubes without ``u`` take
-    numpy columns (:func:`_rearrange_columns`) while their totals stay below
-    2^53; the rest, and u-weighted families, take the per-cube loop below,
-    one int true division per step.
+    numpy columns (:func:`_rearrange_columns`) at every measure exponent and
+    scale gap; smaller families, u-weighted ones and those with a scale past
+    int64 take the per-cube loop below, one int true division per step.
 
     A step whose mass leaves that rounded total T unchanged (a scale far
     finer than the steps before it) has float length zero, and is folded
     into the next step: its mass stays in the later totals and its value is
     dropped.  Its exact mass is at most one ulp of T, the rounding every step
-    end already carries, and the norms lose nothing by the fold:
+    end already carries, and the norm loses nothing by the fold:
 
-    - for finite mu it would add an integral over [T, T], which is 0; in the
-      distribution form its term and the previous step's sum, in exact
-      arithmetic, to the previous step's term with the folded value skipped;
+    - for finite mu it would add an integral over [T, T], which is 0;
     - for mu = inf its sup, taken at the point T, is its value times the
       weight at T, at most the previous step's, which has a larger value and
       T in its closed interval.
@@ -278,17 +260,15 @@ def _rearrange_columns(
     s: CoeffSeq, measure: MeasureSpec
 ) -> StepRearrangement | None:
     """``rearrange(s, measure)`` from numpy columns, or None when a scale
-    passes int64 or the exact total of all masses could reach 2^53 (masses
-    with 53-bit mantissas, as at alpha = 0.5, or scale gaps of dozens).
+    passes int64.
 
     The masses come once per scale, in the loop's first-seen order, so a
     scale past the float range raises the loop's ScaleRangeError.  One
-    argsort orders the magnitudes, an int64 cumulative sum of the exact
-    per-cube masses gives every total, and each group of equal magnitudes
-    ends a step at its last total.  A total below 2^53 is exactly a float,
-    and ``ldexp`` by the common shift stays exact (every mass is at least
-    2^-1000), so each end is the loop's ``total / den`` bit for bit.  Exact
-    totals strictly increase, so no step here is folded.
+    argsort orders the magnitudes, and one cumulative sum of the exact
+    per-cube masses, Python ints in an object column, gives every total.
+    Each group of equal magnitudes ends a step at its last total, rounded
+    once by the loop's int true division.  The ends never decrease, so a
+    step is folded exactly where its end equals the one before.
     """
     n = len(s)
     try:
@@ -300,28 +280,17 @@ def _rearrange_columns(
     d = next(iter(s)).d
     powers = measure.powers
     nums, shift = scaled_ints([powers[j * d] for j in levels[seen].tolist()])
-    if max(nums) * n >= _EXACT_TOTAL:
-        return None
-    per_scale = np.empty(len(levels), np.int64)
+    per_scale = np.empty(len(levels), object)
     per_scale[seen] = nums
     magnitudes = np.abs(np.fromiter(s.values(), np.float64, n))
     order = np.argsort(-magnitudes)
     magnitudes = magnitudes[order]
     totals = np.cumsum(per_scale[scale_of[order]])
     last = np.append(np.flatnonzero(magnitudes[1:] != magnitudes[:-1]), n - 1)
-    ends = np.ldexp(totals[last].astype(np.float64), -shift)
-    return StepRearrangement(tuple(ends.tolist()), tuple(magnitudes[last].tolist()))
-
-
-def distribution(
-    s: CoeffSeq, measure: MeasureSpec, lam: float, u: UWeights = None
-) -> float:
-    """Mass of the strict super-level set { I : |u_I * s_I| > lam }."""
-    if lam < 0:
-        raise ContractViolationError("level must be >= 0")
-    weight = u_function(u)
-    return math.fsum(
-        measure(cube) for cube, value in s.items() if abs(weight(cube) * value) > lam
+    ends = (totals[last] / (1 << shift)).astype(np.float64)
+    kept = np.diff(ends, prepend=0.0) > 0.0
+    return StepRearrangement(
+        tuple(ends[kept].tolist()), tuple(magnitudes[last][kept].tolist())
     )
 
 
@@ -377,43 +346,6 @@ def lorentz_norm(s: CoeffSeq, measure: MeasureSpec, params: LorentzParams) -> fl
     integrals = weight_integrals(w, mu, steps.masses)
     return finite(
         lambda: math.fsum(map(mul, map(pow, steps.values, repeat(mu)), integrals))
-        ** (1.0 / mu),
-        _NORM_RANGE,
-    )
-
-
-def lorentz_norm_via_distribution(
-    s: CoeffSeq,
-    measure: MeasureSpec,
-    params: LorentzParams,
-) -> float:
-    """The distribution-function form of the quasi-norm.
-
-    The super-level mass is a step function of the level, so the integral is a
-    finite sum of monomial integrals between consecutive distinct magnitudes —
-    no quadrature is needed.  Equals the rearrangement form up to equivalence constants
-    depending only on the weight, not on the sequence.  A norm or a term past
-    the float range raises ScaleRangeError.
-    """
-    steps = rearrange(s, measure, params.u)
-    if not steps.masses:
-        return 0.0
-    w = params.combined_weight
-    values = steps.values + (0.0,)
-    if math.isinf(params.mu):
-        return finite(
-            lambda: max(
-                value * w.value(mass)
-                for value, mass in zip(steps.values, steps.masses)
-            ),
-            _NORM_RANGE,
-        )
-    mu = params.mu
-    return finite(
-        lambda: math.fsum(
-            w.value(mass) ** mu * (values[k] ** mu - values[k + 1] ** mu) / mu
-            for k, mass in enumerate(steps.masses)
-        )
         ** (1.0 / mu),
         _NORM_RANGE,
     )

@@ -58,7 +58,6 @@ from .errors import (
 
 __all__ = [
     "WeightFn",
-    "dilation",
     "geometric_sum_bound",
     "smoothed_weight",
     "boyd_lower_index",
@@ -256,30 +255,6 @@ class WeightFn:
             if delta <= _DELTA_MARGIN:
                 return s0, delta
         return None
-
-
-def dilation(
-    w: WeightFn, s: float, grid: tuple[float, float, int] | None = None
-) -> float:
-    """The dilation function M(s) = sup_t eta(s*t)/eta(t).
-
-    With ``grid=None`` the exact closed form is returned.  With a grid
-    ``(t_min, t_max, n)`` the sup is taken over n log-spaced sample points —
-    a lower bound of the true sup, kept as an independent cross-check.
-    """
-    if grid is None:
-        return w.dilation_closed_form(s)
-    t_min, t_max, n = grid
-    if not (0 < t_min < t_max) or n < 2:
-        raise ContractViolationError("grid must satisfy 0 < t_min < t_max, n >= 2")
-    lo, hi = math.log(t_min), math.log(t_max)
-    best = 0.0
-    for i in range(n):
-        t = math.exp(lo + (hi - lo) * i / (n - 1))
-        denom = w.value(t)
-        if denom > 0:
-            best = max(best, w.value(s * t) / denom)
-    return best
 
 
 def geometric_sum_bound(w: WeightFn, t: float, J: int) -> tuple[float, float]:

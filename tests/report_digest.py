@@ -14,8 +14,10 @@ generated sequences, written to a temporary directory: greedy
 ``approx-norm`` profiles and ``norm`` on 2 000 cubes of ``large_sequence``,
 whose running exact sums see thousands of terms and whose rearrangements
 take the column path: a power-log weight, mu = inf with the power and the
-power-log weight, and a power weight with mu / p = 2.6 (whose integrals
-are no plain difference of masses); brute
+power-log weight, a power weight with mu / p = 2.6 (whose integrals
+are no plain difference of masses), and ``alpha = 0.5`` and ``1/3``, whose
+masses carry 53-bit mantissas; ``norm`` on the 200 cubes of
+``gap_sequence``, half of them 900 scales finer, whose steps fold; brute
 ``sigma`` on 16 of its cubes, which reads the Pareto frontier at the budget,
 and on 24 of them at ``alpha = 0``, whose frontier has 25 points; and
 knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
@@ -136,6 +138,19 @@ def far_sequence(n: int = 600) -> str:
     return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
 
 
+def gap_sequence(n: int = 200) -> str:
+    """``n`` distinct 1-d cubes, half over scales 0..14 and half over scales
+    890..900, values as in ``large_sequence``: at ``alpha = 1`` the fine
+    cubes' masses vanish next to the coarse ones', so their steps fold."""
+    rng = random.Random(900)
+    entries: dict[tuple[int, int], float] = {}
+    while len(entries) < n:
+        j = rng.randint(0, 14) if len(entries) % 2 else rng.randint(890, 900)
+        value = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        entries[j, rng.randrange(1 << j)] = value
+    return "".join(f"{j} {k} {v!r}\n" for (j, k), v in entries.items())
+
+
 def _hand_edited(text: str) -> str:
     """``j k1 ... kd value`` lines as a hand-edited file might hold them: a
     comment header, CRLF line ends, tabs and extra spaces between tokens, a
@@ -180,6 +195,9 @@ LARGE_CONFIGS = (
      large_sequence, 2000),
     ("norm", "large-power-mu-1.3", "eta = power:p=0.5\nmu = 1.3\n",
      large_sequence, 2000),
+    ("norm", "large-alpha-0.5", "alpha = 0.5\n", large_sequence, 2000),
+    ("norm", "large-alpha-third", "alpha = 0.3333333333333333\n", large_sequence, 2000),
+    ("norm", "gap-900", "p = 1.5\n", gap_sequence, 200),
     ("sigma", "n16-brute", "budget = 0.5\nsolver = brute\n", large_sequence, 16),
     ("sigma", "n24-brute-alpha-0", "budget = 5\nsolver = brute\nalpha = 0\n",
      large_sequence, 24),

@@ -21,9 +21,7 @@ from restapprox import (
     ScaleRangeError,
     StepRearrangement,
     WeightFn,
-    distribution,
     lorentz_norm,
-    lorentz_norm_via_distribution,
     rearrange,
     weight_integral,
     weight_integrals,
@@ -34,6 +32,7 @@ from restapprox import lorentz, weights
 from restapprox.errors import finite
 
 from conftest import cube_strategy, seq_strategy
+from oracles import distribution, lorentz_norm_via_distribution, total_mass, value_at
 
 Q0 = Cube(0, (0,))
 Q1 = Cube(1, (0,))
@@ -100,11 +99,11 @@ def test_step_rearrangement_validation():
     with pytest.raises(ContractViolationError):
         StepRearrangement((0.5, 1.0), (1.0, 2.0))  # values must decrease
     r = StepRearrangement((0.5, 1.5), (2.0, 1.0))
-    assert r.total_mass == 1.5
-    assert r.value_at(0.0) == 2.0
-    assert r.value_at(0.49) == 2.0
-    assert r.value_at(0.5) == 1.0
-    assert r.value_at(1.5) == 0.0
+    assert total_mass(r) == 1.5
+    assert value_at(r, 0.0) == 2.0
+    assert value_at(r, 0.49) == 2.0
+    assert value_at(r, 0.5) == 1.0
+    assert value_at(r, 1.5) == 0.0
     assert list(r.pieces()) == [(0.0, 0.5, 2.0), (0.5, 1.5, 1.0)]
 
 
@@ -441,7 +440,7 @@ def _families(d: int):
     """1-160 cubes of dimension d in scales 0..12, so on both sides of the
     column threshold, with magnitudes often tied, and up to two cubes at
     scales out to +-1000 (wide totals, folded steps and masses past the
-    float range)."""
+    float range), or at scale 2^63, past int64."""
 
     def cubes(scales):
         return st.builds(
@@ -457,14 +456,16 @@ def _families(d: int):
         )
     )
     far = st.dictionaries(
-        cubes(st.sampled_from([-1000, -400, -60, 60, 400, 1000])), value, max_size=2
+        cubes(st.sampled_from([-1000, -400, -60, 60, 400, 1000, 1 << 63])),
+        value,
+        max_size=2,
     )
     return st.builds(lambda a, b: CoeffSeq({**a, **b}), near, far)
 
 
 @given(
     st.integers(1, 3).flatmap(_families),
-    st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+    st.sampled_from([0.0, 0.5, 1.0, -1.0, 1 / 3, -0.7]),
     st.sampled_from(["power:p=2", "power:p=0.5", "powerlog:p=2,b=0.5",
                      "powerlog:p=1.5,b=-0.4", "powerlog:p=0.5,b=3"]),
     st.sampled_from([2.0, 1.3, 0.7, math.inf]),
@@ -497,6 +498,56 @@ def test_column_paths_equal_the_per_step_references(s, alpha, eta, mu):
         lambda: finite(lambda: _per_step_norm(steps, w, mu), lorentz._NORM_RANGE).hex()
     )
     assert got == want
+
+
+def _hex_steps(steps) -> tuple[list[str], list[str]]:
+    return [x.hex() for x in steps.masses], [x.hex() for x in steps.values]
+
+
+def test_a_scale_past_int64_takes_the_loop():
+    """63 cubes and one at scale 2^63: the columns decline, and rearrange
+    gives the loop's steps at alpha = 0 and its ScaleRangeError at 0.5."""
+    s = CoeffSeq({
+        **{Cube(i % 7, (i,)): 1.0 + i % 5 for i in range(63)},
+        Cube(1 << 63, (0,)): 2.5,
+    })
+    ones = dict.fromkeys(s, 1.0)
+    assert len(s) == lorentz._COLUMN_MIN_CUBES
+    assert lorentz._rearrange_columns(s, MeasureSpec(0.0)) is None
+    steps = rearrange(s, MeasureSpec(0.0))
+    assert _hex_steps(steps) == _hex_steps(rearrange(s, MeasureSpec(0.0), ones))
+    assert steps.masses[-1] == 64.0
+    with pytest.raises(ScaleRangeError) as loop:
+        rearrange(s, MeasureSpec(0.5), ones)
+    with pytest.raises(ScaleRangeError) as got:
+        rearrange(s, MeasureSpec(0.5))
+    assert str(got.value) == str(loop.value)
+
+
+# 2 000 cubes over scales 0..10, and 80 cubes of which half sit 900 scales
+# finer than the rest, their magnitudes interleaved with the coarse ones.
+LARGE = CoeffSeq({Cube(i % 11, (i,)): 1.0 + (i % 500) / 7 for i in range(2000)})
+WIDE_GAP = CoeffSeq({Cube(i % 5 + 900 * (i % 2), (i,)): 1.0 + i for i in range(80)})
+
+
+@pytest.mark.parametrize(
+    "s, alpha", [(LARGE, 0.5), (LARGE, 1 / 3), (LARGE, -0.7), (WIDE_GAP, 1.0)]
+)
+def test_rearrange_takes_the_columns_at_every_alpha(monkeypatch, s, alpha):
+    """Counted: a family of 64 cubes or more without u makes no per-cube
+    weight call, whatever its measure exponent or scale gap, and its steps
+    are the loop's bit for bit, folded steps included."""
+    measure = MeasureSpec(alpha)
+    want = rearrange(s, measure, dict.fromkeys(s, 1.0))
+    calls = []
+    u_function, one = lorentz.u_function, lorentz._one
+    monkeypatch.setattr(lorentz, "u_function", lambda u: calls.append(u) or u_function(u))
+    monkeypatch.setattr(lorentz, "_one", lambda q: calls.append(q) or one(q))
+    got = rearrange(s, measure)
+    assert calls == []
+    assert _hex_steps(got) == _hex_steps(want)
+    if s is WIDE_GAP:
+        assert len(got.masses) < len(set(map(abs, s.values())))
 
 
 def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):

@@ -25,7 +25,6 @@ from restapprox import (
     ScaleRangeError,
     WeightFn,
     boyd_lower_index,
-    dilation,
     geometric_sum_bound,
     pow2,
     smoothed_weight,
@@ -36,6 +35,8 @@ from restapprox import (
     weight_sup_on_interval,
 )
 from restapprox import weights
+
+from oracles import scanned_dilation
 
 
 def weight_families() -> list[WeightFn]:
@@ -110,14 +111,13 @@ def test_class_membership():
 def test_dilation_closed_form_dominates_scan(w, log_s):
     s = pow2(log_s)
     exact = w.dilation_closed_form(s)
-    scanned = dilation(w, s, grid=(1e-8, 1e8, 400))
+    scanned = scanned_dilation(w, s, 1e-8, 1e8, 400)
     assert scanned <= exact * (1 + 1e-9)
 
 
 def test_dilation_power_is_exact_power():
     w = WeightFn.power(2.0)
     assert w.dilation_closed_form(0.25) == 0.5
-    assert dilation(w, 0.25) == 0.5
 
 
 def test_certified_contraction_clears_margin():
@@ -492,3 +492,53 @@ def test_an_underflowing_exponent_raises_divergence_error(w):
         weight_integral(w, 1e-20, 1.0, 2.0)
     with pytest.raises(DivergenceError, match="not integrable at 0"):
         weight_integrals(w, 1e-20, (1.0, 2.0))
+
+
+def _counting_segments(monkeypatch) -> list[int]:
+    calls = [0]
+    segment = weights._segment_integral
+
+    def counted(*args):
+        calls[0] += 1
+        return segment(*args)
+
+    monkeypatch.setattr(weights, "_segment_integral", counted)
+    return calls
+
+
+@pytest.mark.parametrize("w", [WeightFn.power(0.5), WeightFn.power_log(2.0, 0.5)])
+def test_an_empty_step_integrates_to_zero(w):
+    assert weight_integral(w, 2.0, 1.5, 1.5) == 0.0
+    assert weight_integrals(w, 2.0, (1.0, 1.0))[1] == 0.0
+
+
+def test_power_integrals_past_the_float_range(monkeypatch):
+    """On the narrow step [1e154, 1.9e154] at e = 2, a^e * expm1(...)
+    overflows to inf in the scalar closed form.  At e = 1e-320 every power
+    is 1, and the first step's 1 / e is inf: the columns of 69 steps raise
+    that without a scalar call."""
+    with pytest.raises(ScaleRangeError, match="weight integral exceeds"):
+        weight_integral(WeightFn.power(0.5), 1.0, 1e154, 1.9e154)
+    w = WeightFn.power(1e300)
+    assert w.power_exponent * 1e-20 == 1e-320
+    calls = _counting_segments(monkeypatch)
+    with pytest.raises(ScaleRangeError, match="weight integral exceeds"):
+        weight_integrals(w, 1e-20, [float(k) for k in range(1, 70)])
+    assert calls == [0]
+
+
+@pytest.mark.parametrize(
+    "w, n",
+    [
+        (WeightFn.power(0.5), 63),  # one scalar call per step
+        (WeightFn.power(0.5), 64),  # the columns
+        (WeightFn.power_log(2.0, 0.5), 2),  # the columns at every size
+        (WeightFn.power_log(2.0, 0.5), 64),
+    ],
+)
+def test_steps_out_of_order_are_a_contract_violation(w, n):
+    falling = [float(k) for k in range(n, 0, -1)]
+    negative = [-1.0] + [float(k) for k in range(1, n)]
+    for masses in (falling, negative):
+        with pytest.raises(ContractViolationError, match="need 0 <= a <= b"):
+            weight_integrals(w, 2.0, masses)
