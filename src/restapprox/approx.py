@@ -109,10 +109,6 @@ class SigmaProfile:
             if e1 > e0 + slack:
                 raise ContractViolationError("profile errors must not increase")
 
-    @property
-    def total_mass(self) -> float:
-        return self.breakpoints[-1]
-
     def value_at(self, t: float) -> float:
         if t < 0:
             raise ContractViolationError("budget must be >= 0")

@@ -423,10 +423,13 @@ class ContainmentForest:
     (positions of hundreds of bits across a wide scale gap) take Python ints
     (``_capped_levels``, ``_preorder_ranges``) and ``sorted``.
 
-    Siblings are pairwise disjoint, hence every region (cube minus its
-    children) has non-negative measure by construction — verified exactly in
-    integer units of the finest cube volume on the capped grid, where each
-    child's share of its parent is at least its share on the true grid.
+    Every region (cube minus its children) has non-negative measure by
+    construction.  The capped levels keep every containment and every
+    non-containment of the true grid: two scales less than the cap apart
+    keep their gap, two scales further apart stay at least the cap apart,
+    and a shift of at least the cap gives 0 or -1 on both grids.  So a
+    cube's children are dyadic cubes inside it, none inside another (each
+    has the cube as its tightest container), hence pairwise disjoint.
     """
 
     def __init__(self, cubes: Iterable[Cube]):
@@ -464,23 +467,9 @@ class ContainmentForest:
             stack.append((ends[u], i))
         self.cubes = [unique[u] for u in order]
         self.order, self.scales, self.scale_of = order, list(levels), scale_of
-        self._check_regions(levels)
 
     def __len__(self) -> int:
         return len(self.cubes)
-
-    def _check_regions(self, levels: Mapping[int, int]) -> None:
-        top = max(levels.values())
-        d = self.cubes[0].d
-        units = [1 << ((top - level) * d) for level in levels.values()]
-        sizes = [units[i] for i in self.scale_of]
-        regions = sizes.copy()
-        for size, p in zip(sizes, self.parent):
-            if p >= 0:
-                regions[p] -= size
-        for q, region in zip(self.cubes, regions):
-            if region < 0:  # structurally impossible; guards construction bugs
-                raise ContractViolationError(f"negative region measure at cube {q}")
 
     def subtree_ends(self) -> list[int]:
         """For each cube, one past the last index of its subtree, so that

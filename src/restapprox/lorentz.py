@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter, mul
+from operator import gt, itemgetter, lt, mul
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -175,17 +175,14 @@ class StepRearrangement:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.masses) != len(self.values):
+        masses, values = self.masses, self.values
+        if len(masses) != len(values):
             raise ContractViolationError("masses and values must align")
-        prev = 0.0
-        for mass in self.masses:
-            if not mass > prev:
-                raise ContractViolationError("cumulative masses must increase")
-            prev = mass
-        for earlier, later in zip(self.values, self.values[1:]):
-            if not later < earlier:
-                raise ContractViolationError("step values must strictly decrease")
-        if self.values and not self.values[-1] > 0:
+        if not all(map(lt, (0.0, *masses), masses)):
+            raise ContractViolationError("cumulative masses must increase")
+        if not all(map(gt, values, values[1:])):
+            raise ContractViolationError("step values must strictly decrease")
+        if values and not values[-1] > 0:
             raise ContractViolationError("step values must be positive")
 
     def pieces(self) -> Iterable[tuple[float, float, float]]:
@@ -210,8 +207,8 @@ def rearrange(
 
     Families of at least ``_COLUMN_MIN_CUBES`` cubes without ``u`` take
     numpy columns (:func:`_rearrange_columns`) at every measure exponent and
-    scale gap; smaller families, u-weighted ones and those with a scale past
-    int64 take the per-cube loop below, one int true division per step.
+    scale, scale gap included; smaller families and u-weighted ones take the
+    per-cube loop below, one int true division per step.
 
     A step whose mass leaves that rounded total T unchanged (a scale far
     finer than the steps before it) has float length zero, and is folded
@@ -227,9 +224,7 @@ def rearrange(
     The first step has positive mass, so it is never folded.
     """
     if u is None and len(s) >= _COLUMN_MIN_CUBES:
-        steps = _rearrange_columns(s, measure)
-        if steps is not None:
-            return steps
+        return _rearrange_columns(s, measure)
     weight = u_function(u)
     powers = measure.powers
     masses: dict[int, float] = {}  # per volume j * d, in first-seen order
@@ -256,36 +251,30 @@ def rearrange(
     return StepRearrangement(tuple(cumulative[1:]), tuple(values))
 
 
-def _rearrange_columns(
-    s: CoeffSeq, measure: MeasureSpec
-) -> StepRearrangement | None:
-    """``rearrange(s, measure)`` from numpy columns, or None when a scale
-    passes int64.
+def _rearrange_columns(s: CoeffSeq, measure: MeasureSpec) -> StepRearrangement:
+    """``rearrange(s, measure)`` from numpy columns.
 
     The masses come once per scale, in the loop's first-seen order, so a
-    scale past the float range raises the loop's ScaleRangeError.  One
-    argsort orders the magnitudes, and one cumulative sum of the exact
-    per-cube masses, Python ints in an object column, gives every total.
-    Each group of equal magnitudes ends a step at its last total, rounded
-    once by the loop's int true division.  The ends never decrease, so a
-    step is folded exactly where its end equals the one before.
+    scale past the float range raises the loop's ScaleRangeError.  Each
+    cube's exact mass, a Python int, goes into an object column by one
+    lookup of its scale, so scales of any size take this path.  One
+    argsort orders the magnitudes, and one cumulative sum of the masses
+    gives every total.  Each group of equal magnitudes ends a step at its
+    last total, rounded once by the loop's int true division.  The ends
+    never decrease, so a step is folded exactly where its end equals the
+    one before.
     """
     n = len(s)
-    try:
-        scales = np.fromiter(map(_J, s), np.int64, n)
-    except OverflowError:
-        return None
-    levels, first, scale_of = np.unique(scales, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
     d = next(iter(s)).d
     powers = measure.powers
-    nums, shift = scaled_ints([powers[j * d] for j in levels[seen].tolist()])
-    per_scale = np.empty(len(levels), object)
-    per_scale[seen] = nums
+    scales = dict.fromkeys(map(_J, s))  # in first-seen order
+    nums, shift = scaled_ints([powers[j * d] for j in scales])
+    num = dict(zip(scales, nums)).__getitem__
+    per_cube = np.fromiter(map(num, map(_J, s)), object, n)
     magnitudes = np.abs(np.fromiter(s.values(), np.float64, n))
     order = np.argsort(-magnitudes)
     magnitudes = magnitudes[order]
-    totals = np.cumsum(per_scale[scale_of[order]])
+    totals = np.cumsum(per_cube[order])
     last = np.append(np.flatnonzero(magnitudes[1:] != magnitudes[:-1]), n - 1)
     ends = (totals[last] / (1 << shift)).astype(np.float64)
     kept = np.diff(ends, prepend=0.0) > 0.0

@@ -38,9 +38,14 @@ d = 3, and an infinite aggregation exponent.  Then, for each solver,
 ``approx.decompose``'s pieces (scale, then each cube and its value as
 ``float.hex``) and score as ``float.hex``, on the sample file and on
 ``UNDERFLOW``, under ``approx-norm``'s default parameters: ``decompose`` is
-no CLI command.  Two versions whose outputs are equal line for line wrote
-byte-identical reports modulo wall time, exited alike, printed the same
-messages, drew and scored the same families, and decomposed alike.
+no CLI command.  Last, for each case in ``REARRANGEMENTS``, ``rearrange``'s
+masses and values as ``float.hex``, or the text of its ScaleRangeError: 64
+cubes of which one sits at scale 2^63, past int64, at ``alpha = 0`` and at
+``alpha = 0.5`` (where that scale's mass leaves the float range), and 64
+cubes over scales 0..6 at ``alpha = 0.5``.  Two versions whose outputs are
+equal line for line wrote byte-identical reports modulo wall time, exited
+alike, printed the same messages, drew and scored the same families,
+decomposed alike and rearranged alike.
 """
 
 from __future__ import annotations
@@ -62,9 +67,11 @@ from restapprox import (
     Cube,
     DemocracyCase,
     MeasureSpec,
+    ScaleRangeError,
     SpaceParams,
     admissible_spread,
     decompose,
+    rearrange,
 )
 from restapprox.cli import _COMMANDS, main, read_sequence
 
@@ -253,6 +260,29 @@ def decompose_digest(label: str, s: CoeffSeq, solver: str) -> str:
     return f"decompose {label} solver={solver} pieces={pieces} score={res.score.hex()}"
 
 
+# 63 cubes over scales 0..6 with tied magnitudes, and the family with one
+# more cube at scale 2^63: both have 64 cubes, the column path's threshold.
+NEAR = {Cube(i % 7, (i,)): 1.0 + i % 5 for i in range(63)}
+PAST_INT64 = CoeffSeq({**NEAR, Cube(1 << 63, (0,)): 2.5})
+# (label, sequence, alpha) of the rearrange runs.
+REARRANGEMENTS = (
+    ("past-int64-alpha-0", PAST_INT64, 0.0),
+    ("past-int64-alpha-0.5", PAST_INT64, 0.5),
+    ("n64-alpha-0.5", CoeffSeq({**NEAR, Cube(6, (63,)): 0.75}), 0.5),
+)
+
+
+def rearrange_digest(label: str, s: CoeffSeq, alpha: float) -> str:
+    """One line: the steps' masses and values as ``float.hex``, or the error."""
+    try:
+        steps = rearrange(s, MeasureSpec(alpha))
+    except ScaleRangeError as exc:
+        return f"rearrange {label} error={exc}"
+    masses = " ".join(x.hex() for x in steps.masses)
+    values = " ".join(x.hex() for x in steps.values)
+    return f"rearrange {label} masses=[{masses}] values=[{values}]"
+
+
 def digest(
     command: str,
     seed: int,
@@ -306,3 +336,5 @@ if __name__ == "__main__":
     for label, sequence in ("sample", read_sequence(SAMPLE)), ("underflow", UNDERFLOW):
         for solver in ("greedy", "knapsack", "brute"):
             print(decompose_digest(label, sequence, solver), flush=True)
+    for rearrangement in REARRANGEMENTS:
+        print(rearrange_digest(*rearrangement), flush=True)

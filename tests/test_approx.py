@@ -127,7 +127,7 @@ def test_exact_profile_by_hand():
     want_sq = (13.01, 13.0, 9.01, 9.0, 5.01, 5.0, 4.01, 4.0, 0.01)
     for err, sq in zip(profile.errors, want_sq):
         assert err == pytest.approx(math.sqrt(sq), rel=1e-13)
-    assert profile.total_mass == 2.25
+    assert profile.breakpoints[-1] == 2.25
     assert profile.value_at(0.6) == pytest.approx(math.sqrt(9.01), rel=1e-13)
     assert profile.value_at(2.25) == 0.0
     assert profile.value_at(100.0) == 0.0
@@ -241,7 +241,7 @@ def test_dyadic_norm_matches_wide_explicit_sum(s, xi, mu):
         assert got == 0.0
         return
     profile = sigma_profile(s, params, solver="greedy")
-    k_hi = math.ceil(math.log2(profile.total_mass)) + 2
+    k_hi = math.ceil(math.log2(profile.breakpoints[-1])) + 2
     total = math.fsum(
         (pow2(k * xi) * profile.value_at(pow2(k))) ** mu
         for k in range(k_hi - 500, k_hi)
@@ -717,7 +717,7 @@ def test_exact_profile_never_enumerates(monkeypatch):
     _, masks = frontiers[0]
     assert calls["space_norm"] == len(masks) < 1 << 20
     assert profile.breakpoints[0] == 0.0
-    assert profile.total_mass == math.fsum(params.measure(q) for q in s.support)
+    assert profile.breakpoints[-1] == math.fsum(params.measure(q) for q in s.support)
     assert approx_norm(s, params, "knapsack") == profile.norm(1.0, 2.0)
     # Past 20 cubes, five distinct masses keep the frontier small.
     big = CoeffSeq({Cube(j % 5, (j,)): 1.0 for j in range(21)})
@@ -1075,7 +1075,8 @@ def test_greedy_profile_builds_one_forest_and_no_norms(monkeypatch):
             space = SpaceParams(0.3, 1.5, q, 1)
             params = _params(space=space, measure=MeasureSpec(0.5))
             profile = sigma_profile(s, params)
-            assert profile.total_mass == math.fsum(params.measure(c) for c in s.support)
+            total = math.fsum(params.measure(c) for c in s.support)
+            assert profile.breakpoints[-1] == total
             assert len(forests) == 1
             visits = forests[0].parent.reads
             assert visits == sum((j + 1) << j for j in range(depth + 1))

@@ -93,6 +93,9 @@ def test_family_validation():
         GammaFamily("tower", 3, L=2)
     with pytest.raises(ContractViolationError):
         GammaFamily("row", 3, L=2)
+    case = _case(s1=0.2, p1=1.6, q1=2.3, s2=0.7, p2=1.9, q2=3.1, d=2, alpha=0.8)
+    with pytest.raises(ContractViolationError, match="dimensions differ"):
+        GammaFamily("row", 3, d=1).closed_form_value(case)
 
 
 def test_generate_shapes():

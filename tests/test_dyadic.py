@@ -187,6 +187,15 @@ def test_forest_chain_values_and_maxima():
     assert forest.chain_maxima([5.0, 1.0, 2.0, 7.0]) == [5.0, 5.0, 5.0, 7.0]
 
 
+def test_empty_forest():
+    forest = ContainmentForest([])
+    assert len(forest) == 0
+    assert forest.volume_powers(dyadic.VOLUMES) == []
+    assert forest.region_integral([]) == 0.0
+    assert forest.chain_values([]) == []
+    assert forest.subtree_ends() == []
+
+
 def test_region_integral_by_hand():
     a, b = Cube(0, (0,)), Cube(1, (0,))  # [0,1) with child [0,0.5)
     forest = ContainmentForest([b, a])
@@ -236,9 +245,22 @@ def _tightest_container(cube: Cube, family: set[Cube]) -> Cube | None:
     return max(containers, key=lambda q: q.j, default=None)
 
 
+def _assert_regions_nonnegative(forest: ContainmentForest) -> None:
+    """Each region (cube minus its children) has exact non-negative measure,
+    in integer units of the finest cube volume on the true grid."""
+    finest = max(q.j for q in forest.cubes)
+    units = [1 << ((finest - q.j) * q.d) for q in forest.cubes]
+    regions = units.copy()
+    for unit, p in zip(units, forest.parent):
+        if p >= 0:
+            regions[p] -= unit
+    assert min(regions) >= 0
+
+
 def _assert_forest_matches_oracle(cubes: list[Cube]) -> None:
     family = set(cubes)
     forest = ContainmentForest(cubes)
+    _assert_regions_nonnegative(forest)
     assert sorted(forest.cubes) == sorted(family)
     assert len(forest.parent) == len(forest.cubes)
     for i, (cube, p) in enumerate(zip(forest.cubes, forest.parent)):
@@ -388,8 +410,9 @@ def test_key_path_follows_family_size_and_key_width(monkeypatch):
     """Counted: a dense 4 000-cube d = 2 family takes the int64 keys, a
     10-cube family and a family spanning 900 scales the Python keys."""
     calls = _counted_key_builders(monkeypatch)
-    ContainmentForest(random_cube_set(np.random.default_rng(7), 4000, 2, 0, 7))
+    forest = ContainmentForest(random_cube_set(np.random.default_rng(7), 4000, 2, 0, 7))
     assert calls == {"_preorder_ranges": 0, "_int64_ranges": 1}
+    _assert_regions_nonnegative(forest)
     calls.update(dict.fromkeys(calls, 0))
     ContainmentForest(random_cube_set(np.random.default_rng(7), 10, 1, 0, 5))
     coarse = [Cube(j, (k,)) for j in range(8) for k in range(0, 1 << j, 3)]

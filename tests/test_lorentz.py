@@ -107,6 +107,22 @@ def test_step_rearrangement_validation():
     assert list(r.pieces()) == [(0.0, 0.5, 2.0), (0.5, 1.5, 1.0)]
 
 
+@pytest.mark.parametrize("masses, values, message", [
+    ((math.nan,), (1.0,), "cumulative masses must increase"),
+    ((0.5, math.nan), (2.0, 1.0), "cumulative masses must increase"),
+    ((0.5, 1.0), (2.0, math.nan), "step values must strictly decrease"),
+    ((0.5,), (math.nan,), "step values must be positive"),
+    ((0.5, 0.5), (2.0, 1.0), "cumulative masses must increase"),
+    ((0.5, 1.0), (2.0, 0.0), "step values must be positive"),
+    ((0.5, 1.0), (2.0,), "masses and values must align"),
+    ((-0.5, 1.0), (1.0, 2.0), "cumulative masses must increase"),  # both wrong
+])
+def test_step_rearrangement_rejects(masses, values, message):
+    with pytest.raises(ContractViolationError) as err:
+        StepRearrangement(masses, values)
+    assert str(err.value) == message
+
+
 def test_rearrange_hand_case_with_ties():
     # |values| 3, 2, 2, 1 with measure alpha=1: masses 1, 0.5, 0.25, 0.5.
     s = CoeffSeq({Q0: 3.0, Q1: -2.0, Q3: 2.0, Q2: 1.0})
@@ -504,24 +520,30 @@ def _hex_steps(steps) -> tuple[list[str], list[str]]:
     return [x.hex() for x in steps.masses], [x.hex() for x in steps.values]
 
 
-def test_a_scale_past_int64_takes_the_loop():
-    """63 cubes and one at scale 2^63: the columns decline, and rearrange
-    gives the loop's steps at alpha = 0 and its ScaleRangeError at 0.5."""
+def test_a_scale_past_int64_takes_the_columns(monkeypatch):
+    """Counted: 63 cubes and one at scale 2^63 make no per-cube weight call,
+    and rearrange gives the loop's steps at alpha = 0 and its
+    ScaleRangeError at 0.5."""
     s = CoeffSeq({
         **{Cube(i % 7, (i,)): 1.0 + i % 5 for i in range(63)},
         Cube(1 << 63, (0,)): 2.5,
     })
     ones = dict.fromkeys(s, 1.0)
     assert len(s) == lorentz._COLUMN_MIN_CUBES
-    assert lorentz._rearrange_columns(s, MeasureSpec(0.0)) is None
-    steps = rearrange(s, MeasureSpec(0.0))
-    assert _hex_steps(steps) == _hex_steps(rearrange(s, MeasureSpec(0.0), ones))
-    assert steps.masses[-1] == 64.0
+    want = rearrange(s, MeasureSpec(0.0), ones)
     with pytest.raises(ScaleRangeError) as loop:
         rearrange(s, MeasureSpec(0.5), ones)
+    calls = []
+    u_function, one = lorentz.u_function, lorentz._one
+    monkeypatch.setattr(lorentz, "u_function", lambda u: calls.append(u) or u_function(u))
+    monkeypatch.setattr(lorentz, "_one", lambda q: calls.append(q) or one(q))
+    steps = rearrange(s, MeasureSpec(0.0))
+    assert _hex_steps(steps) == _hex_steps(want)
+    assert steps.masses[-1] == 64.0
     with pytest.raises(ScaleRangeError) as got:
         rearrange(s, MeasureSpec(0.5))
     assert str(got.value) == str(loop.value)
+    assert calls == []
 
 
 # 2 000 cubes over scales 0..10, and 80 cubes of which half sit 900 scales
