@@ -110,15 +110,6 @@ class Cube(namedtuple("Cube", "j k d")):
         """|Q|^exponent = 2^(-j*d*exponent), computed in one exponential."""
         return pow2(-self.j * self.d * exponent)
 
-    def contains(self, other: "Cube") -> bool:
-        """Whether this cube contains ``other`` (non-strict)."""
-        if other.d != self.d:
-            raise ContractViolationError("cubes of different dimension")
-        shift = other.j - self.j
-        if shift < 0:
-            return False
-        return all((ko >> shift) == ks for ko, ks in zip(other.k, self.k))
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in (self.j, *self.k))
 

@@ -318,9 +318,9 @@ def lorentz_norm(s: CoeffSeq, measure: MeasureSpec, params: LorentzParams) -> fl
     ``math.fsum`` of ``value**mu`` times each step's integral.  For
     ``mu = inf`` the sup over each step is the step value times the exact sup
     of the weight on that interval (:func:`restapprox.weights.weight_sups`).
-    Both take the steps as columns: ``pow``, products and the sum or max run
-    in C over the whole step list.  A norm, a term or an integral past the
-    float range raises ScaleRangeError.
+    Both take the whole step list in one call, and the products and the sum
+    or max run in C over it.  A norm, a term or an integral past the float
+    range raises ScaleRangeError.
     """
     steps = rearrange(s, measure, params.u)
     if not steps.masses:

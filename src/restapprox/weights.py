@@ -24,14 +24,16 @@ For powerlog weights ``weight_integral`` runs scipy's ``quad`` on one step,
 and ``weight_integrals`` runs the first step of ``quad`` on many steps at
 once with numpy, handing ``quad`` only the steps it could not finish there.
 
-``weight_integrals`` and ``weight_sups`` take a whole rearrangement's steps
-as columns: the power closed form, the batched pass's intervals and the sups
-equal the one-step ``_segment_integral``, ``_log_pieces`` and
-``weight_sup_on_interval`` bit for bit.  Each step end's ``pow`` or
-``math.log`` is taken once, through Python floats, because numpy's vector
-``power``, ``log`` and ``log1p`` can differ from libm's in the last bit, and
-numpy does only correctly rounded work (differences, quotients, products,
-maxima, comparisons and finiteness checks).
+The power closed form (``_power_integrals``), the weight values
+(``_values``) and the step sups (``_sups``) are each written once, as one
+Python pass over a list of step ends that takes each end's ``pow`` or
+``math.log`` once.  ``weight_integrals`` and ``weight_sups`` run them over a
+whole rearrangement's steps, at every length; ``weight_integral`` and
+``weight_sup_on_interval`` over one step.  The batched power-log pass's
+intervals equal the one-step ``_log_pieces`` bit for bit: its logs are
+libm's, through Python floats, because numpy's vector ``log`` and ``log1p``
+can differ in the last bit, and numpy does only correctly rounded work on
+them (differences, quotients, maxima, minima and comparisons).
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -111,12 +112,6 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _ROUNDING_MARGIN = 64.0 * _EPMACH
 # Intervals per numpy block: keeps the (21, block) temporaries near 1 MiB.
 _GK_BLOCK = 1024
-# Power-weight integrals and all sups of at least this many steps take
-# numpy columns; fewer take one scalar call per step, which is faster there
-# (the two cross near 8 steps for sups and 40-64 for integrals, best of 5
-# on a 2-core host).  Power-log integrals always take columns, whose set-up
-# costs less than the first step's quad.
-_COLUMN_MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -281,73 +276,57 @@ def geometric_sum_bound(w: WeightFn, t: float, J: int) -> tuple[float, float]:
 
 
 def weight_sup_on_interval(w: WeightFn, a: float, b: float) -> float:
-    """max of eta over [a, b] (0 <= a <= b), via endpoints, the kink at t=1,
-    and the interior maximum of the powerlog family on (0, 1).  Its critical
-    point on (1, oo), for b < -1/p, is a minimum, so it is no candidate."""
+    """max of eta over [a, b] (0 <= a <= b): one step of :func:`_sups`."""
     if not (0 <= a <= b):
         raise ContractViolationError("need 0 <= a <= b")
-    candidates = [a, b]
-    if w.family == "powerlog":
-        c = w.power_exponent
-        if a < 1.0 < b:
-            candidates.append(1.0)
-        if w.b > c:  # critical point of t^c (1 - log t)^b on (0, 1)
-            candidates.append(math.exp(1.0 - w.b / c))
-    return max(w.value(t) for t in candidates if a <= t <= b)
+    return _sups(w, [a, b])[0]
 
 
 def weight_sups(w: WeightFn, masses: Sequence[float]) -> list[float]:
     """:func:`weight_sup_on_interval` on every step [masses[k-1], masses[k]],
-    with masses[-1] read as 0, bit for bit.
-
-    From ``_COLUMN_MIN_STEPS`` steps on, the weight is evaluated once per
-    mass (:func:`_values_at`), and each step's sup is the max of its two
-    ends' values, of eta(1) = 1 on the steps across t = 1, and of the
-    interior maximum's value on the steps that hold it, which is evaluated
-    only when one does.  Fewer steps take one scalar call each.
-    """
-    if len(masses) < _COLUMN_MIN_STEPS:
-        starts = [0.0, *masses[:-1]]
-        return list(map(partial(weight_sup_on_interval, w), starts, masses))
-    ts, starts = _column_steps(masses)
-    values = _values_at(w, ts)
-    sups = np.maximum(np.concatenate(((0.0,), values[:-1])), values)
-    if w.family == "powerlog":
-        across = (starts < 1.0) & (ts > 1.0)
-        sups[across] = np.maximum(sups[across], w.value(1.0))
-        c = w.power_exponent
-        if w.b > c:
-            peak = math.exp(1.0 - w.b / c)
-            inside = (starts <= peak) & (peak <= ts)
-            if inside.any():
-                sups[inside] = np.maximum(sups[inside], w.value(peak))
-    return sups.tolist()
+    with masses[-1] read as 0."""
+    return _sups(w, _step_ends(masses))
 
 
-def _column_steps(masses: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The step ends and starts of ``masses`` (nonempty) as arrays, after
-    checking that 0 <= start <= end on every step."""
-    ts = np.array(masses, dtype=np.float64)
-    starts = np.concatenate(((0.0,), ts[:-1]))
-    if not ((0.0 <= starts) & (starts <= ts)).all():
+def _step_ends(masses: Sequence[float]) -> list[float]:
+    """``[0.0, *masses]``, after checking that 0 <= a <= b on every step."""
+    ends = [0.0, *masses]
+    if not all(map(operator.le, ends, masses)):
         raise ContractViolationError("need 0 <= a <= b")
-    return ts, starts
+    return ends
 
 
-def _values_at(w: WeightFn, ts: np.ndarray) -> np.ndarray:
-    """``w.value(t)`` for every t >= 0 of ``ts``, bit for bit: each ``pow``
-    and ``log`` is libm's through Python floats (numpy's vector ``power``
-    and ``log`` can differ in the last bit), and numpy does only the
-    correctly rounded ``+``, ``abs`` and ``*``.  A value past the float
-    range raises OverflowError, as ``w.value`` does."""
-    values = np.array(list(map(pow, ts.tolist(), repeat(w.power_exponent))))
+def _values(w: WeightFn, ts: Sequence[float]) -> list[float]:
+    """``w.value(t)`` for every t >= 0 of ``ts``, bit for bit, with each
+    ``pow`` and ``math.log`` taken once.  A value past the float range raises
+    OverflowError, as ``w.value`` does."""
+    c = w.power_exponent
+    if w.family == "power":
+        return list(map(pow, ts, repeat(c)))
+    b = w.b
+    return [t**c * (1.0 + abs(math.log(t))) ** b if t > 0.0 else 0.0 for t in ts]
+
+
+def _sups(w: WeightFn, ends: list[float]) -> list[float]:
+    """The max of eta over every step [ends[k], ends[k+1]] of the ordered
+    ``ends`` (>= 0): the larger of the two ends' values and, for the powerlog
+    family, eta(1) = 1 on the step across the kink at t = 1 and the interior
+    maximum on (0, 1) on the steps that hold it.  Its critical point on
+    (1, oo), for b < -1/p, is a minimum, so it is no candidate.  A step takes
+    its left end's value only where that is larger, so a nan at the right
+    end (eta(oo) at b < 0) is the step's sup; with ordered ends no other
+    value can be nan."""
+    values = _values(w, ends)
+    sups = [left if left > right else right for left, right in zip(values, values[1:])]
     if w.family == "powerlog":
-        positive = np.flatnonzero(ts > 0.0)
-        logs = np.array(list(map(math.log, ts[positive].tolist())))
-        factors = list(map(pow, (1.0 + np.abs(logs)).tolist(), repeat(w.b)))
-        with np.errstate(over="ignore"):  # as Python's float product, inf
-            values[positive] *= factors
-    return values
+        c = w.power_exponent
+        peak = math.exp(1.0 - w.b / c) if w.b > c else None
+        for k, (a, b) in enumerate(zip(ends, ends[1:])):
+            if a < 1.0 < b:
+                sups[k] = max(sups[k], 1.0)
+            if peak is not None and a <= peak <= b:
+                sups[k] = max(sups[k], w.value(peak))
+    return sups
 
 
 def _log_pieces(a: float, b: float) -> list[tuple[float, float, float, float]]:
@@ -436,30 +415,16 @@ def _quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> f
 def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
     """integral over [a, b] of eta(t)^mu dt/t; a may be 0.
 
-    Power family: the closed form (b^e - a^e) / e, e = c mu, except on a
-    narrow step (b <= 2a) with e != 1, where the two rounded powers can
-    cancel to a result off by far more than its own rounding: there b - a
-    is exact (Sterbenz's lemma), and b^e - a^e = a^e expm1(e log1p((b -
-    a) / a)) keeps the integral within a few ulps.  At e = 1 the
-    difference b - a is itself exact.  Powerlog: the substitutions of
-    :func:`_log_pieces` turn each part into a smooth, rapidly decaying
-    integrand handled by adaptive quadrature.  A result past the float range
-    raises ScaleRangeError.
+    Power family: one step of :func:`_power_integrals`.  Powerlog: the
+    substitutions of :func:`_log_pieces` turn each part into a smooth,
+    rapidly decaying integrand handled by adaptive quadrature.  A result past
+    the float range raises ScaleRangeError.
     """
     cm = _rate(w, mu)
+    if w.family == "power":
+        return _power_integrals(cm, [a, b])[0]
     if a == b:
         return 0.0
-    if w.family == "power":
-        try:
-            if cm != 1.0 and b <= 2.0 * a:
-                total = a**cm * math.expm1(cm * math.log1p((b - a) / a)) / cm
-            else:
-                total = (b**cm - (a**cm if a > 0 else 0.0)) / cm
-        except OverflowError:
-            raise ScaleRangeError(_INTEGRAL_RANGE) from None
-        if not math.isfinite(total):
-            raise ScaleRangeError(_INTEGRAL_RANGE)
-        return total
     total = 0.0
     bm = w.b * mu
     for sign, x_lo, x_hi, width in _log_pieces(a, b):
@@ -496,17 +461,9 @@ def weight_integrals(
     """The integrals of eta(t)^mu dt/t over every step [masses[k-1], masses[k]],
     with masses[-1] read as 0, as :func:`weight_integral` gives them.
 
-    Power weights with fewer than ``_COLUMN_MIN_STEPS`` steps take one
-    :func:`_segment_integral` call per step.  Otherwise the steps are
-    columns: each mass has its ``pow`` or ``math.log`` taken once, through
-    Python floats, so libm's bits stay, and numpy does only correctly
-    rounded work on them (differences, quotients, products, comparisons).
-
-    Power weights take :func:`_segment_integral`'s closed form from one
-    ``pow`` per mass (:func:`_power_integrals`); where a value overflows,
-    every step takes the scalar path, whose results or error are returned.
-    Power-log weights repeat, on all steps at once, the first step of
-    QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
+    Power weights take :func:`_power_integrals` over all steps, whatever
+    their number.  Power-log weights repeat, on all steps at once, the first
+    step of QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
     Gauss-Kronrod rule ``dqk21`` on each finite x-interval of
     :func:`_log_pieces` (built by :func:`_log_piece_columns`), evaluated
     with numpy in blocks of ``_GK_BLOCK`` intervals and summed in dqk21's
@@ -521,22 +478,14 @@ def weight_integrals(
     _check_mu(mu)
     if not masses:
         return []
-    if w.family == "power" and len(masses) < _COLUMN_MIN_STEPS:
-        starts = [0.0, *masses[:-1]]
-        if not all(map(operator.le, starts, masses)):
-            raise ContractViolationError("need 0 <= a <= b")
-        return list(map(partial(_segment_integral, w, mu), starts, masses))
-    ts, starts = _column_steps(masses)
+    ends = _step_ends(masses)
     cm = _rate(w, mu)
     if w.family == "power":
-        totals = _power_integrals(ts, starts, cm)
-        if totals is None:
-            scalar = partial(_segment_integral, w, mu)
-            return list(map(scalar, starts.tolist(), ts.tolist()))
-        return totals
+        return _power_integrals(cm, ends)
     # Steps 0..lead-1 start at t = 0; the rest start at a positive mass.
-    lead = int(np.searchsorted(ts, 0.0, side="right")) + 1
-    sides, x_lo, x_hi, widths = _log_piece_columns(ts[lead - 1:])
+    column = np.array(ends)
+    lead = int(np.searchsorted(column, 0.0, side="right"))
+    sides, x_lo, x_hi, widths = _log_piece_columns(column[lead:])
     rates = np.broadcast_to(np.array((-cm, cm)), sides.shape)[sides]
     values, accepted = _gauss_kronrod_21(rates, w.b * mu, x_lo, x_hi, widths)
     sums = np.zeros(sides.shape)
@@ -547,34 +496,51 @@ def weight_integrals(
     totals = [0.0] * lead + (sums[:, 0] + sums[:, 1]).tolist()
     rejected = [*range(lead), *(np.flatnonzero(~passed.all(axis=1)) + lead).tolist()]
     for k in rejected:
-        totals[k] = _segment_integral(w, mu, float(starts[k]), float(ts[k]))
+        totals[k] = _segment_integral(w, mu, ends[k], ends[k + 1])
     return totals
 
 
-def _power_integrals(
-    ts: np.ndarray, starts: np.ndarray, e: float
-) -> list[float] | None:
-    """:func:`_segment_integral`'s power closed form on every step [starts[k],
-    ts[k]], bit for bit, from one ``pow`` per mass and, on the narrow steps
-    (0 < a, b <= 2a) when e != 1, one ``math.log1p`` and one ``math.expm1``
-    each; None where one of those overflows, so that the scalar path raises
-    its error.  A result past the float range raises ScaleRangeError."""
+def _power_integrals(e: float, ends: Sequence[float]) -> list[float]:
+    """(b^e - a^e) / e, the integral of t^e dt/t, on every step [a, b] of the
+    ordered ``ends`` (>= 0), e > 0, taking each end's ``pow`` once and only
+    on the steps that need it.
+
+    On a narrow step (b <= 2a) with e != 1 the two rounded powers can cancel
+    to a result off by far more than its own rounding: there b - a is exact
+    (Sterbenz's lemma), and b^e - a^e = a^e expm1(e log1p((b - a) / a))
+    keeps the integral within a few ulps.  At e = 1 the difference b - a is
+    itself exact.  For e < 1 the powers cancel on wider steps too, wherever
+    (b/a)^e <= 2; there the pass takes a^e expm1(e log(b/a)), with log b -
+    log a when b/a overflows.  A result past the float range raises
+    ScaleRangeError.
+    """
+    totals = []
+    a, a_power = ends[0], None  # a_power: a**e once taken
     try:
-        powers = np.array(list(map(pow, ts.tolist(), repeat(e))))
-        below = np.concatenate(((0.0,), powers[:-1]))
-        with np.errstate(over="ignore"):
-            totals = (powers - below) / e
-            if e != 1.0:
-                narrow = np.flatnonzero((ts <= 2.0 * starts) & (starts > 0.0))
-                ratios = (ts[narrow] - starts[narrow]) / starts[narrow]
-                logs = np.array(list(map(math.log1p, ratios.tolist())))
-                growth = list(map(math.expm1, (e * logs).tolist()))
-                totals[narrow] = below[narrow] * growth / e
+        for b in islice(ends, 1, None):
+            if a == b:
+                totals.append(0.0)
+                continue
+            if a_power is None:
+                a_power = a**e
+            if e != 1.0 and b <= 2.0 * a:
+                totals.append(a_power * math.expm1(e * math.log1p((b - a) / a)) / e)
+                a_power = None
+            else:
+                b_power = b**e
+                if e < 1.0 and b_power <= 2.0 * a_power:
+                    ratio = b / a
+                    log = math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a)
+                    totals.append(a_power * math.expm1(e * log) / e)
+                else:
+                    totals.append((b_power - a_power) / e)
+                a_power = b_power
+            a = b
     except OverflowError:
-        return None
-    if not np.isfinite(totals).all():
+        raise ScaleRangeError(_INTEGRAL_RANGE) from None
+    if not all(map(math.isfinite, totals)):
         raise ScaleRangeError(_INTEGRAL_RANGE)
-    return totals.tolist()
+    return totals
 
 
 def _gauss_kronrod_21(

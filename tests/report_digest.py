@@ -7,14 +7,19 @@ json`` (the commands that read a sequence read ``fixtures/sample.seq``),
 then the runs in ``CONFIGS`` at ``--seed 17``: ``sigma``, ``approx-norm`` and
 ``norm`` on that file (exact solvers, brute sigma at q = 3, mu = inf,
 q = inf, greedy profiles of the per-scale norm, power-log Lorentz weights,
-and an informational sandwich row at xi*mu < 1), and ``democracy`` and
+an informational sandwich row at xi*mu < 1, ``norm`` at mu = inf with the
+power weight and with a power-log weight whose interior maximum lies on the
+first step, and power weights at mu / p = 2.6 and 0.125, whose steps past
+the first are narrow but [1.5, 3.5], where the powers at 0.125 still
+cancel), and ``democracy`` and
 ``verify-all`` with a perturbed measure exponent, whose reports hold failing
 rows (exit 1).  Last come the runs in ``LARGE_CONFIGS`` at ``--seed 17`` on
 generated sequences, written to a temporary directory: greedy
 ``approx-norm`` profiles and ``norm`` on 2 000 cubes of ``large_sequence``,
 whose running exact sums see thousands of terms and whose rearrangements
-take the column path: a power-log weight, mu = inf with the power and the
-power-log weight, a power weight with mu / p = 2.6 (whose integrals
+take the column path: a power-log weight, mu = inf with the power and two
+power-log weights (one with an interior maximum, on a step across t = 1
+there), a power weight with mu / p = 2.6 (whose integrals
 are no plain difference of masses), and ``alpha = 0.5`` and ``1/3``, whose
 masses carry 53-bit mantissas; ``norm`` on the 200 cubes of
 ``gap_sequence``, half of them 900 scales finer, whose steps fold; brute
@@ -93,6 +98,10 @@ CONFIGS = (
     ("norm", "powerlog", "eta = powerlog:p=2,b=0.5\n"),
     ("norm", "powerlog-mu3", "eta = powerlog:p=1.5,b=-0.4\nmu = 3\n"),
     ("norm", "powerlog-mu-inf", "eta = powerlog:p=2,b=0.5\nmu = inf\n"),
+    ("norm", "mu-inf", "mu = inf\n"),
+    ("norm", "powerlog-peak-mu-inf", "eta = powerlog:p=0.5,b=3\nmu = inf\n"),
+    ("norm", "power-mu-1.3", "eta = power:p=0.5\nmu = 1.3\n"),
+    ("norm", "power-mu-0.5", "eta = power:p=4\nmu = 0.5\n"),
     ("approx-norm", "xi-0.3", "xi = 0.3\n"),
     ("democracy", "perturbed", "alpha_perturb = 0.05\n"),
     ("verify-all", "perturbed", "alpha_perturb = 0.1\n"),
@@ -199,6 +208,8 @@ LARGE_CONFIGS = (
     ("norm", "large-powerlog", "eta = powerlog:p=2,b=0.5\n", large_sequence, 2000),
     ("norm", "large-mu-inf", "mu = inf\n", large_sequence, 2000),
     ("norm", "large-powerlog-mu-inf", "eta = powerlog:p=2,b=0.5\nmu = inf\n",
+     large_sequence, 2000),
+    ("norm", "large-powerlog-peak-mu-inf", "eta = powerlog:p=0.5,b=3\nmu = inf\n",
      large_sequence, 2000),
     ("norm", "large-power-mu-1.3", "eta = power:p=0.5\nmu = 1.3\n",
      large_sequence, 2000),

@@ -31,6 +31,7 @@ from restapprox.democracy import random_cube_set
 from restapprox.dyadic import ExactSum, VolumePowers, log2_floor_ceil
 
 from conftest import cube_strategy
+from oracles import contains
 
 
 def test_pow2_integral_exponents_are_exact():
@@ -123,22 +124,22 @@ def test_cube_survives_copy_and_pickle():
 def test_cube_containment_one_dimension():
     big = Cube(0, (0,))  # [0, 1)
     small = Cube(2, (3,))  # [0.75, 1)
-    assert big.contains(small)
-    assert not small.contains(big)
-    assert big.contains(big)
-    assert not big.contains(Cube(2, (4,)))  # [1, 1.25)
+    assert contains(big, small)
+    assert not contains(small, big)
+    assert contains(big, big)
+    assert not contains(big, Cube(2, (4,)))  # [1, 1.25)
 
 
 def test_cube_containment_negative_indices():
     big = Cube(-1, (-1,))  # [-2, 0)
-    assert big.contains(Cube(0, (-1,)))  # [-1, 0)
-    assert big.contains(Cube(3, (-16,)))  # [-2, -1.875)
-    assert not big.contains(Cube(0, (0,)))
+    assert contains(big, Cube(0, (-1,)))  # [-1, 0)
+    assert contains(big, Cube(3, (-16,)))  # [-2, -1.875)
+    assert not contains(big, Cube(0, (0,)))
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ContractViolationError):
-        Cube(0, (0,)).contains(Cube(0, (0, 0)))
+        contains(Cube(0, (0,)), Cube(0, (0, 0)))
 
 
 @given(
@@ -241,7 +242,7 @@ def single_scale_grids(d: int) -> st.SearchStrategy[list[Cube]]:
 
 def _tightest_container(cube: Cube, family: set[Cube]) -> Cube | None:
     """Independent oracle: the finest other cube of the family containing ``cube``."""
-    containers = [q for q in family if q != cube and q.contains(cube)]
+    containers = [q for q in family if q != cube and contains(q, cube)]
     return max(containers, key=lambda q: q.j, default=None)
 
 
@@ -270,7 +271,7 @@ def _assert_forest_matches_oracle(cubes: list[Cube]) -> None:
     # Each subtree is one run of the preorder: the cube and all it contains.
     for start, end in enumerate(forest.subtree_ends()):
         cube = forest.cubes[start]
-        assert set(forest.cubes[start:end]) == {q for q in family if cube.contains(q)}
+        assert set(forest.cubes[start:end]) == {q for q in family if contains(cube, q)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -431,13 +432,10 @@ def test_region_integral_reads_a_volume_only_where_a_term_uses_it():
 
 
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):
+    """The build sorts and nests int keys: no cube is ordered through
+    ``Cube.__lt__`` (and ``Cube`` has no containment test to call)."""
     cubes = random_cube_set(np.random.default_rng(5), 1000, 2, -2, 6)
     s = CoeffSeq({q: 1.0 + i for i, q in enumerate(cubes)})
-    calls = []
-    contains = Cube.contains
-    monkeypatch.setattr(
-        Cube, "contains", lambda q, other: calls.append(1) or contains(q, other)
-    )
 
     def refuse(q, other):
         raise AssertionError("cubes compared through Cube.__lt__")
@@ -447,7 +445,6 @@ def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):
     assert len(forest) == 1000
     for q in (2.0, math.inf):
         assert tl_norm(s, SpaceParams(0.5, 1.5, q, 2)) > 0
-    assert calls == []
 
 
 def test_forest_across_a_huge_gap_under_many_coarse_cubes():

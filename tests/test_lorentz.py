@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -32,7 +33,14 @@ from restapprox import lorentz, weights
 from restapprox.errors import finite
 
 from conftest import cube_strategy, seq_strategy
-from oracles import distribution, lorentz_norm_via_distribution, total_mass, value_at
+from oracles import (
+    distribution,
+    lorentz_norm_via_distribution,
+    power_integral,
+    sup_on_interval,
+    total_mass,
+    value_at,
+)
 
 Q0 = Cube(0, (0,))
 Q1 = Cube(1, (0,))
@@ -413,10 +421,10 @@ def _per_step_integrals(w: WeightFn, mu: float, masses) -> list[float]:
     """The per-step set-up of the batched pass, one ``_log_pieces`` call per
     step, as the reference of the column set-up: the same intervals in the
     same order through the same kernel, and the scalar path for the first
-    step, rejected steps and power weights."""
+    step and rejected steps; the per-step closed form for power weights."""
     starts = [0.0, *masses[:-1]]
     if w.family == "power":
-        return [weight_integral(w, mu, a, b) for a, b in zip(starts, masses)]
+        return [power_integral(w, mu, a, b) for a, b in zip(starts, masses)]
     owners, rates, los, his, widths = [], [], [], [], []
     for k in range(1, len(masses)):
         for sign, x_lo, x_hi, width in weights._log_pieces(starts[k], masses[k]):
@@ -440,10 +448,10 @@ def _per_step_integrals(w: WeightFn, mu: float, masses) -> list[float]:
 
 
 def _per_step_norm(steps, w: WeightFn, mu: float) -> float:
-    """The norm from per-step integrals or ``weight_sup_on_interval`` calls."""
+    """The norm from per-step integrals or sups."""
     if math.isinf(mu):
         return max(
-            value * weight_sup_on_interval(w, start, end)
+            value * sup_on_interval(w, start, end)
             for start, end, value in steps.pieces()
         )
     integrals = _per_step_integrals(w, mu, steps.masses)
@@ -488,8 +496,8 @@ def _families(d: int):
 )
 def test_column_paths_equal_the_per_step_references(s, alpha, eta, mu):
     """Bit for bit: the rearrangement against the per-cube loop (a ``u`` of
-    ones takes it at every size), the step integrals and sups against one
-    scalar call per step, and the norm against both; errors alike."""
+    ones takes it at every size), the step integrals and sups against the
+    per-step references, and the norm against both; errors alike."""
     measure = MeasureSpec(alpha)
     steps = _outcome(lambda: rearrange(s, measure))
     assert steps == _outcome(lambda: rearrange(s, measure, dict.fromkeys(s, 1.0)))
@@ -500,7 +508,7 @@ def test_column_paths_equal_the_per_step_references(s, alpha, eta, mu):
     if math.isinf(mu):
         got = _outcome(lambda: [x.hex() for x in weight_sups(w, steps.masses)])
         want = _outcome(lambda: [
-            weight_sup_on_interval(w, a, b).hex() for a, b, _ in steps.pieces()
+            sup_on_interval(w, a, b).hex() for a, b, _ in steps.pieces()
         ])
     else:
         got = _outcome(lambda: [x.hex() for x in weight_integrals(w, mu, steps.masses)])
@@ -573,12 +581,11 @@ def test_rearrange_takes_the_columns_at_every_alpha(monkeypatch, s, alpha):
 
 
 def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):
-    """Counted, on 2 000 cubes: ``rearrange`` calls no per-cube weight
-    function, the sups make no ``weight_sup_on_interval`` call, and the
-    integrals call ``_segment_integral`` only for the first step and for
-    the steps with a rejected Gauss-Kronrod interval (none for power
-    weights)."""
-    s = CoeffSeq({Cube(i % 11, (i,)): 1.0 + (i % 500) / 7 for i in range(2000)})
+    """Counted, on 20 and 2 000 cubes: the sups make no
+    ``weight_sup_on_interval`` call, and the integrals call
+    ``_segment_integral`` only for the first step and for the steps with a
+    rejected Gauss-Kronrod interval (none for power weights).  On 2 000
+    cubes ``rearrange`` also calls no per-cube weight function."""
     calls = {"weight": 0, "sup": 0, "segment": 0, "rejected": 0}
 
     def counted(module, name, key, original=None):
@@ -603,11 +610,16 @@ def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):
         return values, accepted
 
     monkeypatch.setattr(weights, "_gauss_kronrod_21", gauss_kronrod)
-    for eta, mu in (("power:p=2", 2.0), ("power:p=0.5", 1.3), ("power:p=2", math.inf),
-                    ("powerlog:p=2,b=0.5", 2.0), ("powerlog:p=0.5,b=3", math.inf)):
+    for n, eta, mu in itertools.product(
+        (20, 2000),
+        ("power:p=2", "power:p=0.5", "powerlog:p=2,b=0.5", "powerlog:p=0.5,b=3"),
+        (2.0, 1.3, math.inf),
+    ):
+        s = CoeffSeq({Cube(i % 11, (i,)): 1.0 + (i % 500) / 7 for i in range(n)})
         for key in calls:
             calls[key] = 0
         lorentz_norm(s, MeasureSpec(1.0), LorentzParams(WeightFn.parse(eta), mu))
         first = 1 if eta.startswith("powerlog") and math.isfinite(mu) else 0
-        assert calls["weight"] == calls["sup"] == 0, eta
-        assert first <= calls["segment"] <= first + calls["rejected"], eta
+        assert calls["sup"] == 0, (n, eta)
+        assert n < lorentz._COLUMN_MIN_CUBES or calls["weight"] == 0, (n, eta)
+        assert first <= calls["segment"] <= first + calls["rejected"], (n, eta)

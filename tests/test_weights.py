@@ -33,10 +33,11 @@ from restapprox import (
     weight_integral,
     weight_integrals,
     weight_sup_on_interval,
+    weight_sups,
 )
 from restapprox import weights
 
-from oracles import scanned_dilation
+from oracles import power_integral, scanned_dilation
 
 
 def weight_families() -> list[WeightFn]:
@@ -155,6 +156,24 @@ def test_weight_sup_on_interval_monotone_case():
     assert weight_sup_on_interval(w, 1.0, 4.0) == 2.0
     wl = WeightFn.power_log(2.0, 0.5)  # nondecreasing since |b| <= 1/p
     assert weight_sup_on_interval(wl, 0.25, 0.5) == wl.value(0.5)
+
+
+@pytest.mark.parametrize(
+    "w, a, b, at",
+    [
+        (WeightFn.power_log(1.0, -2.0), 0.5, 2.0, 1.0),  # the kink at t = 1
+        (WeightFn.power_log(1.0, -2.0), 1.5, 2.0, 1.5),  # falling on (1, e)
+        (WeightFn.power_log(0.5, 3.0), 0.5, 0.7, math.exp(-0.5)),  # interior max
+    ],
+)
+def test_sups_take_every_candidate(w, a, b, at):
+    """The sup over [a, b] is eta at ``at``, above eta(b): the kink at
+    t = 1 (b < -1/p), the left end of a falling stretch, and the interior
+    maximum e^(1 - bp) (b > 1/p); one step and the step list alike."""
+    want = w.value(at)
+    assert want > w.value(b)
+    assert weight_sup_on_interval(w, a, b) == want
+    assert weight_sups(w, [a, b])[1] == want
 
 
 def test_weight_sup_on_interval_past_one_is_at_an_endpoint():
@@ -346,7 +365,7 @@ def test_weight_integrals_match_the_per_step_oracle(p, b, mu, scales):
 def test_weight_integrals_power_family_is_the_closed_form(w):
     masses = [k / 7.0 for k in range(1, 40)]
     starts = [0.0] + masses[:-1]
-    expected = [weight_integral(w, 1.3, a, b) for a, b in zip(starts, masses)]
+    expected = [power_integral(w, 1.3, a, b) for a, b in zip(starts, masses)]
     assert weight_integrals(w, 1.3, masses) == expected
 
 
@@ -398,13 +417,15 @@ def test_powerlog_norm_quad_calls_do_not_grow_with_steps(monkeypatch):
     assert counts[0] == counts[1] <= 2
 
 
-# Steps a few ulps wide, 1e-9 wide, and across t = 1, on both sides of it.
+# Steps a few ulps wide, 1e-9 wide, and across t = 1, on both sides of it,
+# and one where a expm1(log1p((b - a) / a)) rounds away from b - a.
 NARROW_STEPS = [
     (232415.005545051, 232415.00554505247),
     (1000.0, 1000.0 * (1 + 1e-9)),
     (0.3, 0.3 + 3 * math.ulp(0.3)),
     (1e-3, 1e-3 * (1 + 1e-9)),
     (1.0 - 2.0**-40, 1.0 + 2.0**-40),
+    (0.23, 0.42),
 ]
 
 
@@ -452,12 +473,29 @@ def test_narrow_power_step_integrals_are_accurate(a, b, p, mu):
     w = WeightFn.power(p)
     e = w.power_exponent * mu
     want = _decimal_power_integral(a, b, e)
-    # 64 steps up to a, then [a, b]: enough steps for the column path
+    # 64 steps up to a, then [a, b]: the pass carries powers across steps
     ends = [a * k / 64 for k in range(1, 65)] + [b]
     for got in (weight_integral(w, mu, a, b), weight_integrals(w, mu, ends)[-1]):
         assert got == pytest.approx(want, rel=5e-16, abs=0.0)
         if e == 1.0:
             assert got == b - a
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1.0, 4.0), (1e-3, 1e3), (0.01, 0.07), (3.0, 7.0), (1e-300, 1e300)]
+)
+@pytest.mark.parametrize("p, mu", [(1e6, 0.01), (1e4, 1.0), (1 / 0.3, 1.0)])
+def test_wide_power_step_integrals_are_accurate(a, b, p, mu):
+    """Exponents e = c mu of 1e-8, 1e-4 and 0.3 on wide steps (b > 2a):
+    wherever (b/a)^e <= 2, b^e - a^e cancelled as on a narrow step, to
+    3.6e-9 relative off on [3, 7] at e = 1e-8.  On [1e-300, 1e300] at
+    e = 1e-8, b / a overflows and log(b / a) is log b - log a."""
+    w = WeightFn.power(p)
+    e = w.power_exponent * mu
+    want = _decimal_power_integral(a, b, e)
+    ends = [a * k / 64 for k in range(1, 65)] + [b]
+    for got in (weight_integral(w, mu, a, b), weight_integrals(w, mu, ends)[-1]):
+        assert got == pytest.approx(want, rel=5e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("w", [WeightFn.power(0.5), WeightFn.power_log(0.5, 3.0)])
@@ -514,9 +552,9 @@ def test_an_empty_step_integrates_to_zero(w):
 
 def test_power_integrals_past_the_float_range(monkeypatch):
     """On the narrow step [1e154, 1.9e154] at e = 2, a^e * expm1(...)
-    overflows to inf in the scalar closed form.  At e = 1e-320 every power
-    is 1, and the first step's 1 / e is inf: the columns of 69 steps raise
-    that without a scalar call."""
+    overflows to inf.  At e = 1e-320 every power is 1, and the first step's
+    1 / e is inf: the pass over 69 steps raises that without a per-step
+    call."""
     with pytest.raises(ScaleRangeError, match="weight integral exceeds"):
         weight_integral(WeightFn.power(0.5), 1.0, 1e154, 1.9e154)
     w = WeightFn.power(1e300)
@@ -530,15 +568,40 @@ def test_power_integrals_past_the_float_range(monkeypatch):
 @pytest.mark.parametrize(
     "w, n",
     [
-        (WeightFn.power(0.5), 63),  # one scalar call per step
-        (WeightFn.power(0.5), 64),  # the columns
-        (WeightFn.power_log(2.0, 0.5), 2),  # the columns at every size
+        (WeightFn.power(0.5), 63),
+        (WeightFn.power(0.5), 64),
+        (WeightFn.power_log(2.0, 0.5), 2),
         (WeightFn.power_log(2.0, 0.5), 64),
     ],
 )
 def test_steps_out_of_order_are_a_contract_violation(w, n):
+    """Short and long lists of both families meet the same order check."""
     falling = [float(k) for k in range(n, 0, -1)]
     negative = [-1.0] + [float(k) for k in range(1, n)]
     for masses in (falling, negative):
         with pytest.raises(ContractViolationError, match="need 0 <= a <= b"):
             weight_integrals(w, 2.0, masses)
+        with pytest.raises(ContractViolationError, match="need 0 <= a <= b"):
+            weight_sups(w, masses)
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_sups_check_the_order_before_any_value(n):
+    """eta(1e300) = 1e300^(1/0.3) overflows, but the order check comes
+    first, at every length."""
+    masses = [1e300, 1.0] + [float(k) for k in range(2, n)]
+    with pytest.raises(ContractViolationError, match="need 0 <= a <= b"):
+        weight_sups(WeightFn.power(0.3), masses)
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_an_infinite_mass_has_a_nan_sup_at_negative_b(n):
+    """eta(oo) = oo * (1 + oo)^b is nan for b < 0, and it is the sup of the
+    step to an infinite mass at every length, as it is of the one step
+    [1, oo]; the power family's eta(oo) is oo."""
+    masses = [float(k) for k in range(1, n)] + [math.inf]
+    w = WeightFn.power_log(2.0, -0.5)
+    sups = weight_sups(w, masses)
+    assert math.isnan(sups[-1]) and not any(map(math.isnan, sups[:-1]))
+    assert math.isnan(weight_sup_on_interval(w, 1.0, math.inf))
+    assert weight_sups(WeightFn.power(2.0), masses)[-1] == math.inf
