@@ -346,12 +346,14 @@ def _branch_and_bound(masses: list[float], weights: list[float], budget: float):
     w = [weights[i] for i in order]
     bound_at = _dantzig_bound(m, w)
     best_w = 0.0
-    best_sel: tuple[int, ...] = ()
+    best_sel = None
     nodes = 0
     certified = True
     # Stack of (level, mass so far, weight so far, chosen levels); the include
-    # branch is pushed last so it pops first.
-    stack: list[tuple[int, float, float, tuple[int, ...]]] = [(0, 0.0, 0.0, ())]
+    # branch is pushed last so it pops first.  The chosen levels are a linked
+    # chain (last level, earlier chain) or None, so an include costs O(1)
+    # instead of a copy of the whole selection.
+    stack = [(0, 0.0, 0.0, None)]
     while stack:
         nodes += 1
         if nodes > _BNB_NODE_CAP:
@@ -372,9 +374,13 @@ def _branch_and_bound(masses: list[float], weights: list[float], budget: float):
         stack.append((level + 1, cur_mass, cur_w, sel))
         if cur_mass + m[level] <= budget:
             stack.append(
-                (level + 1, cur_mass + m[level], cur_w + w[level], sel + (level,))
+                (level + 1, cur_mass + m[level], cur_w + w[level], (level, sel))
             )
-    chosen = tuple(order[i] for i in best_sel)
+    levels = []
+    while best_sel is not None:
+        level, best_sel = best_sel
+        levels.append(level)
+    chosen = tuple(order[i] for i in reversed(levels))
     return best_w, chosen, certified, nodes
 
 

@@ -424,7 +424,9 @@ class ContainmentForest:
     """
 
     def __init__(self, cubes: Iterable[Cube]):
-        unique = list(dict.fromkeys(cubes))
+        # a dict's keys (a CoeffSeq's cubes) are distinct and in first-seen
+        # order already
+        unique = list(cubes) if isinstance(cubes, dict) else list(dict.fromkeys(cubes))
         self.cubes: list[Cube] = []
         self.parent: list[int] = []
         self.order: list[int] = []

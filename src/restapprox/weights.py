@@ -23,6 +23,10 @@ The weight integrals of eta(t)^mu dt/t have a closed form for power weights.
 For powerlog weights ``weight_integral`` runs scipy's ``quad`` on one step,
 and ``weight_integrals`` runs the first step of ``quad`` on many steps at
 once with numpy, handing ``quad`` only the steps it could not finish there.
+scipy is imported by ``_quad_piece``, the one caller of ``quad``, when it
+first runs, not with this module: power weights, the sigma solvers and the
+tl/besov norms never load it, and its import would be most of the package's
+start-up.
 
 The power closed form (``_power_integrals``), the weight values
 (``_values``) and the step sups (``_sups``) are each written once, as one
@@ -46,7 +50,6 @@ from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     CapabilityError,
@@ -270,7 +273,7 @@ def geometric_sum_bound(w: WeightFn, t: float, J: int) -> tuple[float, float]:
     if t == 0.0:
         return 0.0, 0.0
     s0, delta = cert
-    total = math.fsum(w.value((s0**j) * t) for j in range(J + 1))
+    total = math.fsum(_values(w, [s0**j * t for j in range(J + 1)]))
     bound = w.value(t) / (1.0 - delta)
     return total, bound
 
@@ -394,6 +397,8 @@ def _quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> f
         x = origin + y
         return math.exp(rate * x) * (1.0 + x) ** bm
 
+    from scipy.integrate import quad  # here, not with the module: see its docstring
+
     # full_output returns quad's warning text instead of printing it; the
     # error and finiteness checks below decide alone.
     try:
@@ -482,10 +487,13 @@ def weight_integrals(
     cm = _rate(w, mu)
     if w.family == "power":
         return _power_integrals(cm, ends)
-    # Steps 0..lead-1 start at t = 0; the rest start at a positive mass.
+    # Steps 0..lead-1 start at t = 0, and the rest run between the positive
+    # ends column[zeros:].  lead counts the zero ends among the steps' left
+    # ends only: when every end is 0 it is every step, and no end is positive.
     column = np.array(ends)
-    lead = int(np.searchsorted(column, 0.0, side="right"))
-    sides, x_lo, x_hi, widths = _log_piece_columns(column[lead:])
+    zeros = int(np.searchsorted(column, 0.0, side="right"))
+    lead = min(zeros, len(masses))
+    sides, x_lo, x_hi, widths = _log_piece_columns(column[zeros:])
     rates = np.broadcast_to(np.array((-cm, cm)), sides.shape)[sides]
     values, accepted = _gauss_kronrod_21(rates, w.b * mu, x_lo, x_hi, widths)
     sums = np.zeros(sides.shape)

@@ -418,6 +418,22 @@ def test_branch_and_bound_stops_uncertified_at_the_node_cap(monkeypatch):
     assert capped.nodes == 6
 
 
+def test_branch_and_bound_certifies_a_long_density_prefix():
+    """2 000 items whose budget the first 1 300 in density order fill exactly:
+    that prefix is optimal, and the search certifies it with the prefix's
+    weight, summed in the search's order."""
+    n, k = 2000, 1300
+    masses = [1.0 + (i % 5) / 4 for i in range(n)]
+    densities = [2.0 - (i * 7919 % n) / n for i in range(n)]  # distinct, shuffled
+    weights = [m * d for m, d in zip(masses, densities)]
+    order = sorted(range(n), key=lambda i: -(weights[i] / masses[i]))
+    budget = math.fsum(masses[i] for i in order[:k])
+    best_w, chosen, certified, _ = approx._branch_and_bound(masses, weights, budget)
+    assert certified
+    assert chosen == tuple(order[:k])
+    assert best_w == functools.reduce(float.__add__, (weights[i] for i in order[:k]))
+
+
 def _superincreasing(n: int) -> CoeffSeq:
     """Cube(-i) has mass 2^i and, at s = 0 and p = q = 2, captured weight
     3^i: each cube outweighs all earlier ones together in mass and in

@@ -600,6 +600,52 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "4 rows" in result.stdout, result.stderr
 
 
+# The import gate runs in child processes: this one has imported scipy.
+_REPORT_SCIPY = (
+    "import sys; from restapprox.cli import main; code = main(sys.argv[1:]); "
+    "print('scipy' in sys.modules); sys.exit(code)"
+)
+
+
+def _loads_scipy(argv: list[str], cwd: Path) -> bool:
+    """Whether ``main(argv)``, run in a fresh interpreter, loads scipy."""
+    result = _run_child([sys.executable, "-c", _REPORT_SCIPY, *argv], cwd)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
+    code = "import sys, restapprox, restapprox.cli; print('scipy' in sys.modules)"
+    result = _run_child([sys.executable, "-c", code], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", SAMPLE],
+        ["approx-norm", SAMPLE],
+        ["jackson"],
+        ["norm", SAMPLE, "--config", "power.cfg"],
+    ],
+    ids=["sigma", "approx-norm", "jackson", "norm-power"],
+)
+def test_closed_form_commands_leave_scipy_unloaded(tmp_path, argv):
+    (tmp_path / "power.cfg").write_text("eta = power:p=2\n")
+    assert not _loads_scipy([*argv, "--out", str(tmp_path / "out")], tmp_path)
+
+
+def test_powerlog_norm_loads_scipy_and_keeps_its_value(tmp_path):
+    (tmp_path / "powerlog.cfg").write_text("eta = powerlog:p=2,b=0.5\n")
+    argv = ["norm", SAMPLE, "--config", "powerlog.cfg", "--out", str(tmp_path / "out")]
+    assert _loads_scipy(argv, tmp_path)
+    value = _row(_rows(tmp_path / "out"), "norm/rearranged")["value"]
+    assert value == "5.530291232650642"  # as printed when scipy loaded with the package
+    params = LorentzParams(WeightFn.power_log(2.0, 0.5), mu=2.0, xi=0.0)
+    assert float(value) == lorentz_norm(read_sequence(SAMPLE), MeasureSpec(1.0), params)
+
+
 def test_norm_exits_fast_across_a_huge_scale_gap(tmp_path):
     # The volume 2^-10^7 raises the range error only after the forest is
     # built; a build that walks the gap one scale at a time takes ~30 s.

@@ -8,6 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import scipy.integrate
 from hypothesis import given
 from scipy import special
 from hypothesis import strategies as st
@@ -139,6 +140,16 @@ def test_geometric_sum_bound_dominates(w, log_t, steps):
     total, bound = geometric_sum_bound(w, t, steps)
     assert total <= bound * (1 + 1e-12)
     assert math.isfinite(bound)
+
+
+@pytest.mark.parametrize("w", weight_families() + [WeightFn.power_log(0.7, 2.0)])
+def test_geometric_sum_is_the_fsum_of_weight_values(w):
+    """The partial sum takes every term's weight value bit for bit."""
+    s0, _ = w.certified_contraction
+    for t in (3e-7, 0.37, 1.0, 2.5e5):
+        for J in range(61):
+            total, _ = geometric_sum_bound(w, t, J)
+            assert total == math.fsum(w.value(s0**j * t) for j in range(J + 1))
 
 
 def test_geometric_sum_bound_needs_contraction():
@@ -373,15 +384,25 @@ def test_weight_integrals_of_no_steps():
     assert weight_integrals(WeightFn.power_log(2.0, 0.5), 2.0, ()) == []
 
 
+@pytest.mark.parametrize("masses", [[0.0], [0.0, 0.0], [0.0, 0.0, 1.0]])
+def test_powerlog_integrals_of_zero_masses_are_the_step_integrals(masses):
+    w = WeightFn.power_log(2.0, 0.5)
+    starts = [0.0, *masses[:-1]]
+    expected = [weight_integral(w, 2.0, a, b) for a, b in zip(starts, masses)]
+    assert weight_integrals(w, 2.0, masses) == expected
+
+
 def _counting_quad(monkeypatch) -> list[int]:
+    """Counts every ``quad`` call: ``weights`` imports it from
+    ``scipy.integrate`` at each call, so patching it there reaches them all."""
     calls = [0]
-    quad = weights.quad
+    quad = scipy.integrate.quad
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(weights, "quad", counted)
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
     return calls
 
 
