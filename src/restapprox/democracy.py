@@ -558,11 +558,11 @@ def _family_ratios(
     level, and a cube's ancestor at level A < L is the cube (A, k >> (L -
     A)), so one sort of the codes and one ``searchsorted`` per level mark the
     ancestors present.  The chain values are then accumulated level by
-    level, coarsest first: the float adds (maxima for q1 = inf) of
-    ``ContainmentForest.chain_values`` in its order.  The value before a
-    cube's own level is its parent's chain value.  Constants are Python
-    float powers of the distinct chain values only, region terms are numpy
-    multiplies, rounded like Python's, and each family takes one
+    level, coarsest first: the float adds (maxima for q1 = inf) of the
+    chain pass of ``spaces._tl_forest_norm``, in its order.  The value
+    before a cube's own level is its parent's chain value.  Constants are
+    Python float powers of the distinct chain values only, region terms are
+    numpy multiplies, rounded like Python's, and each family takes one
     ``math.fsum`` for its integral and one for its mass.
     """
     chain_in, volume, mass = table
@@ -570,8 +570,8 @@ def _family_ratios(
     maxima = math.isinf(case.f1.q)
     ordered, head, axes = _split_codes(codes, d, depth)
     family, level = np.divmod(head, depth + 1)
-    # The chain value of each cube's nearest ancestor present, as the forest
-    # reads it at a root: 0.0, or -inf for maxima.
+    # The chain value of each cube's nearest ancestor present, as the chain
+    # pass reads it at a root: 0.0, or -inf for maxima.
     above = np.full(len(ordered), -math.inf if maxima else 0.0)
     has_parent = np.zeros(len(ordered), dtype=bool)
     for ancestor in range(depth):

@@ -1,5 +1,5 @@
-"""Dyadic cubes, cube-set measures, and exact integration of piecewise-constant
-functions built from finite cube families.
+"""Dyadic cubes, cube-set measures, exact sums, and the containment forest of
+finite cube families.
 
 A cube with scale ``j`` and integer position vector ``k`` of length ``d`` is
 the half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  A
@@ -10,11 +10,10 @@ preorder plus, for each, the index of its tightest container, so that each
 cube's subtree is one run of the preorder.  The preorder comes from one sort of
 integer keys: int64 numpy arrays for families of at least ``_INT64_MIN_CUBES``
 cubes whose keys fit in 62 bits, Python ints otherwise (small families, and
-positions of hundreds of bits across wide scale gaps).  Per-cube values enter
-as lists aligned with that preorder, and one forward pass gives each cube's
-ancestor-chain sum or maximum.  Integrals of a function constant on each forest
-region (a cube minus its children) are then finite sums — no sampling, no
-quadrature.
+positions of hundreds of bits across wide scale gaps).  The forest holds
+containment only: callers read per-cube values and volume powers by preorder
+index, and the aggregated norm's chain and region arithmetic lives in
+``spaces``.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ _MAX_EXP = 1000.0
 def pow2(exponent: float) -> float:
     """2**exponent with exact results for integral exponents.
 
-    Raises ScaleRangeError outside the safe exponent range.
+    Raises ScaleRangeError outside the safe exponent range, and for nan.
     """
-    if abs(exponent) > _MAX_EXP:
+    if not abs(exponent) <= _MAX_EXP:
         raise ScaleRangeError(
             f"2^{exponent:g} is outside the supported float exponent range"
         )
@@ -152,6 +151,8 @@ class MeasureSpec:
     powers: VolumePowers = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise ContractViolationError("the measure exponent alpha must be finite")
         object.__setattr__(self, "powers", VolumePowers(self.alpha))
 
     def __call__(self, cube: Cube) -> float:
@@ -390,7 +391,9 @@ class ContainmentForest:
     ``cubes`` lists the family in a preorder of the dyadic tree, and
     ``parent[i]`` is the index in ``cubes`` of the *tightest* cube of the
     family strictly containing ``cubes[i]``, or -1 for a root.  Every parent
-    precedes its children, so single forward passes accumulate chain values.
+    precedes its children, so one forward pass over ``parent`` carries a
+    value from each root down to its leaves.  The forest holds containment
+    only; the arithmetic over it belongs to its callers.
     ``order[i]`` is the index of ``cubes[i]`` among the distinct input cubes
     in first-seen order (for a dict's keys, the index of its entry), and
     ``scale_of[i]`` the index of its scale in the sorted list ``scales``, so
@@ -475,31 +478,11 @@ class ContainmentForest:
                 ends[p] = ends[i]
         return ends
 
-    def chain_values(self, per_cube: Sequence[float]) -> list[float]:
-        """For each cube, the sum of ``per_cube`` along its ancestor chain
-        (the cube itself included); both aligned with ``cubes``."""
-        out = [0.0] * (len(self.cubes) + 1)  # out[-1]: the empty chain of a root
-        for i, (p, value) in enumerate(zip(self.parent, per_cube)):
-            out[i] = out[p] + value
-        out.pop()
-        return out
-
-    def chain_maxima(self, per_cube: Sequence[float]) -> list[float]:
-        """For each cube, the max of ``per_cube`` along its ancestor chain;
-        both aligned with ``cubes``."""
-        out = [-math.inf] * (len(self.cubes) + 1)  # out[-1]: the empty chain
-        for i, (p, value) in enumerate(zip(self.parent, per_cube)):
-            out[i] = max(out[p], value)
-        out.pop()
-        return out
-
-    def volume_powers(self, powers: VolumePowers, strict: bool = True) -> list[float]:
+    def volume_powers(self, powers: VolumePowers) -> list[float]:
         """``powers`` of each cube's volume, aligned with ``cubes``, one lookup
-        per scale.
-
-        Where ``pow2`` rejects a volume, the first cube of it in preorder
-        raises ``powers(cube)``'s ScaleRangeError if ``strict``; otherwise
-        its cubes read NaN, for the caller to raise that error on use.
+        per scale.  Where ``pow2`` rejects a volume its cubes read
+        ``math.nan``, for the caller to raise ``powers(cube)``'s
+        ScaleRangeError where it uses one.
         """
         if not self.cubes:
             return []
@@ -510,38 +493,4 @@ class ContainmentForest:
                 table.append(powers[j * d])
             except ScaleRangeError:
                 table.append(math.nan)
-        out = [table[i] for i in self.scale_of]
-        if strict and math.nan in table:
-            for q, power in zip(self.cubes, out):
-                if power != power:
-                    powers(q)
-        return out
-
-    def region_integral(self, constants: Sequence[float]) -> float:
-        """Integral of the function equal to ``constants[i]`` on region i.
-
-        Region i is ``cubes[i]`` minus its children.  Its measure enters as
-        one positive term, and the measure of each non-root cube as one
-        negative term of its parent's constant; math.fsum combines them all,
-        so the only rounding is one multiply per term.  Raises
-        ScaleRangeError when the integral is not a finite float, or when a
-        nonzero term needs a volume outside ``pow2``'s range.
-        """
-        sizes = self.volume_powers(VOLUMES, strict=False)
-        terms: list[float] = []
-        for q, p, c, size in zip(self.cubes, self.parent, constants, sizes):
-            outer = constants[p] if p >= 0 else 0.0
-            if c != 0.0 or outer != 0.0:
-                if size != size:
-                    VOLUMES(q)  # raises pow2's error
-                if c != 0.0:
-                    terms.append(c * size)
-                if outer != 0.0:
-                    terms.append(-outer * size)
-        try:
-            integral = math.fsum(terms)
-        except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
-            integral = math.inf
-        if not math.isfinite(integral):
-            raise ScaleRangeError("the region integral exceeds the float range")
-        return integral
+        return [table[i] for i in self.scale_of]

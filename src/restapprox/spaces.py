@@ -2,9 +2,11 @@
 
 Two families are implemented.  The aggregated family ("tl") integrates, over
 the region decomposition induced by cube containment, the p-th power of a
-q-aggregate of scale-normalized coefficients.  The per-scale family ("besov")
-takes an inner p-sum within each scale and an outer q-sum across scales.  When
-p == q the two quasi-norms coincide identically, which several tests pin.
+q-aggregate of scale-normalized coefficients.  The integrand is constant on
+each forest region (a cube minus its children), so the integral is a finite
+sum: no sampling, no quadrature.  The per-scale family ("besov") takes an
+inner p-sum within each scale and an outer q-sum across scales.  When p == q
+the two quasi-norms coincide identically, which several tests pin.
 
 Also provided: the canonical atom weights ``u(Q)`` (the norm of a normalized
 indicator atom), and the identity check equating a weighted Lorentz norm with
@@ -128,9 +130,12 @@ def _tl_chain_inputs(
     """What each cube of ``forest.cubes`` adds to its chain — b_Q^q, or b_Q
     for ``q = inf`` — and the exponent taking a chain value to its region
     constant.  ``forest`` is the forest of ``s``, so its ``order``
-    reads the coefficients in preorder."""
+    reads the coefficients in preorder.  A scale factor outside ``pow2``'s
+    range raises its error for the first such cube in preorder."""
     magnitudes = list(map(abs, s.values()))
     scale = forest.volume_powers(params.coeff_powers)
+    if math.nan in scale:  # volume_powers marks with math.nan itself
+        params.coeff_powers(forest.cubes[scale.index(math.nan)])  # raises
     b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
     if math.isinf(params.q):
         return b, params.p
@@ -149,18 +154,43 @@ def _tl_root(integral: float, p: float) -> float:
 def _tl_forest_norm(
     forest: ContainmentForest, values: list[float], exponent: float, params: SpaceParams
 ) -> float:
-    """``tl_norm`` of the whole family, from its forest and chain inputs."""
+    """``tl_norm`` of the whole family, from its forest and chain inputs:
+    one term +K|Q| per region (a cube minus its children) and one -K|Q| of
+    its parent's constant per non-root cube, combined by one ``math.fsum``,
+    so the only rounding is one multiply per term.  A volume outside
+    ``pow2``'s range raises only where a nonzero term needs it."""
+    parent = forest.parent
+    # Slot -1 holds the empty chain of a root, whose constant is 0.0.
     if math.isinf(params.q):
-        chains = forest.chain_maxima(values)
+        chains = [-math.inf] * (len(values) + 1)
+        for i, (p, value) in enumerate(zip(parent, values)):
+            chains[i] = max(chains[p], value)
     else:
-        chains = forest.chain_values(values)
+        chains = [0.0] * (len(values) + 1)
+        for i, (p, value) in enumerate(zip(parent, values)):
+            chains[i] = chains[p] + value
     try:
         constants = [c**exponent if c > 0.0 else 0.0 for c in chains]
     except OverflowError:
         raise ScaleRangeError(_COEFFICIENT_RANGE) from None
-    # An infinite term or chain value gives an infinite constant, for which
-    # region_integral raises.
-    return _tl_root(forest.region_integral(constants), params.p)
+    terms: list[float] = []
+    sizes = forest.volume_powers(VOLUMES)
+    for q, p, c, size in zip(forest.cubes, parent, constants, sizes):
+        outer = constants[p]
+        if c != 0.0 or outer != 0.0:
+            if size != size:
+                VOLUMES(q)  # raises pow2's error
+            if c != 0.0:
+                terms.append(c * size)
+            if outer != 0.0:
+                terms.append(-outer * size)
+    try:
+        integral = math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
+        integral = math.inf
+    if not math.isfinite(integral):
+        raise ScaleRangeError(_INTEGRAL_RANGE)
+    return _tl_root(integral, params.p)
 
 
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -252,7 +282,7 @@ def _tl_suffix_norms(
     cubes, parent = forest.cubes, forest.parent
     n = len(cubes)
     ends = forest.subtree_ends()
-    sizes = forest.volume_powers(VOLUMES, strict=False)
+    sizes = forest.volume_powers(VOLUMES)
     where = {q: i for i, q in enumerate(cubes)}
     maxima = math.isinf(params.q)
     # Slot i holds the chain value and constant of cube i if it is present,
@@ -276,7 +306,7 @@ def _tl_suffix_norms(
                     seen[y] = seen[p]
                     seen_constant[y] = seen_constant[p]
                     continue
-                # Root to leaf, as chain_values and chain_maxima add them.
+                # Root to leaf, as _tl_forest_norm adds them.
                 chain = max(seen[p], values[y]) if maxima else seen[p] + values[y]
                 try:
                     constant = chain**exponent if chain > 0.0 else 0.0

@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 
 _WEIGHTS = "tests/test_weights.py::"
 _LORENTZ = "tests/test_lorentz.py::"
+_DYADIC = "tests/test_dyadic.py::"
+_SPACES = "tests/test_spaces.py::"
 MUTANTS = (
     Mutant(
         "no-order-check",
@@ -104,6 +106,73 @@ MUTANTS = (
         "t**c if t > 0.0",
         (_WEIGHTS + "test_sups_take_every_candidate",
          _LORENTZ + "test_column_paths_equal_the_per_step_references"),
+    ),
+    Mutant(
+        "no-outer-region-term",
+        "spaces.py",
+        "            if outer != 0.0:\n                terms.append(-outer * size)\n",
+        "",
+        (_DYADIC + "test_region_integral_by_hand",
+         _SPACES + "test_tl_norm_matches_grid_oracle"),
+    ),
+    Mutant(
+        "chain-ignores-parent",
+        "spaces.py",
+        "chains[i] = chains[p] + value",
+        "chains[i] = 0.0 + value",
+        (_DYADIC + "test_forest_chain_values_and_maxima",
+         _SPACES + "test_tl_norm_matches_grid_oracle"),
+    ),
+    Mutant(
+        "q-inf-summed",
+        "spaces.py",
+        "    if math.isinf(params.q):\n        chains = [-math.inf]",
+        "    if False:\n        chains = [-math.inf]",
+        (_DYADIC + "test_forest_chain_values_and_maxima",
+         _SPACES + "test_tl_norm_matches_grid_oracle"),
+    ),
+    Mutant(
+        "no-nan-volume-check",
+        "spaces.py",
+        "            if size != size:\n                VOLUMES(q)  # raises pow2's error\n",
+        "",
+        (_DYADIC + "test_region_integral_reads_a_volume_only_where_a_term_uses_it",),
+    ),
+    Mutant(
+        "no-scale-factor-raise",
+        "spaces.py",
+        "params.coeff_powers(forest.cubes[scale.index(math.nan)])",
+        "pass",
+        (_SPACES + "test_tl_norm_raises_for_a_scale_factor_past_the_float_range",),
+    ),
+    Mutant(
+        "scale-factor-raise-in-input-order",
+        "spaces.py",
+        "params.coeff_powers(forest.cubes[scale.index(math.nan)])",
+        "params.coeff_powers(next(iter(s)))",
+        (_SPACES + "test_tl_norm_raises_for_a_scale_factor_past_the_float_range",),
+    ),
+    Mutant(
+        "no-constant-pass-through",
+        "spaces.py",
+        "                    seen_constant[y] = seen_constant[p]\n",
+        "",
+        ("tests/test_approx.py::test_suffix_norms_equal_norms_of_suffixes_in_any_order",),
+    ),
+    Mutant(
+        "pow2-passes-nan",
+        "dyadic.py",
+        "if not abs(exponent) <= _MAX_EXP:",
+        "if abs(exponent) > _MAX_EXP:",
+        (_DYADIC + "test_pow2_out_of_range",),
+    ),
+    Mutant(
+        "measure-takes-non-finite-alpha",
+        "dyadic.py",
+        "        if not math.isfinite(self.alpha):\n",
+        "        if False:\n",
+        (_DYADIC + "test_measure_spec",
+         "tests/test_democracy.py::test_case_validation"),
     ),
 )
 

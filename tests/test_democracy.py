@@ -57,6 +57,9 @@ def test_case_validation():
         DemocracyCase(f_b, f_b, 1.0)
     with pytest.raises(ContractViolationError):
         DemocracyCase(f_t, SpaceParams(0.0, 2.0, 2.0, 2, "besov"), 1.0)
+    # A nan alpha would pass the formula test and read as admissible at p1 == q1.
+    with pytest.raises(ContractViolationError, match="must be finite"):
+        DemocracyCase(f_t, f_b, math.nan)
 
 
 def test_predicted_admissible_truth_table():

@@ -29,6 +29,7 @@ from restapprox import (
 from restapprox import dyadic
 from restapprox.democracy import random_cube_set
 from restapprox.dyadic import ExactSum, VolumePowers, log2_floor_ceil
+from restapprox.spaces import _tl_forest_norm
 
 from conftest import cube_strategy
 from oracles import contains
@@ -51,6 +52,8 @@ def test_pow2_out_of_range():
         pow2(1001)
     with pytest.raises(ScaleRangeError):
         pow2(-1200.5)
+    with pytest.raises(ScaleRangeError, match="2\\^nan"):  # not a bare ValueError
+        pow2(math.nan)
 
 
 def _exact_log2_floor_ceil(x: float) -> tuple[int, int]:
@@ -171,6 +174,9 @@ def test_measure_spec():
     assert m(Cube(2, (0,))) == 0.5  # (1/4)^(1/2)
     assert MeasureSpec(-1.0)(Cube(1, (0,))) == 2.0
     assert MeasureSpec(0.0)(Cube(7, (3,))) == 1.0
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            MeasureSpec(alpha)
 
 
 def test_nu_measure_sums_exactly():
@@ -178,22 +184,33 @@ def test_nu_measure_sums_exactly():
     assert nu_measure(cubes, MeasureSpec(1.0)) == 1.0 + 0.5 + 0.25 + 0.125
 
 
+def _integral(forest: ContainmentForest, values: list[float], q: float = math.inf):
+    """``spaces._tl_forest_norm`` at p = 1 and exponent 1: the integral of
+    each region's chain sum (finite q) or chain maximum (q = inf) of
+    ``values``.  Values that never fall root to leaf are their own chain
+    maxima, so at q = inf they are the region constants."""
+    return _tl_forest_norm(forest, values, 1.0, SpaceParams(0.0, 1.0, q, 1))
+
+
 def test_forest_chain_values_and_maxima():
     a, b, c, e = Cube(0, (0,)), Cube(1, (0,)), Cube(2, (1,)), Cube(0, (5,))
     forest = ContainmentForest([a, b, c, e])
     assert forest.cubes == [a, b, c, e]
     assert forest.parent == [-1, 0, 1, -1]
-    assert forest.chain_values([1.0, 10.0, 100.0, 7.0]) == [1.0, 11.0, 111.0, 7.0]
-    assert forest.chain_maxima([1.0, 10.0, 100.0, 7.0]) == [1.0, 10.0, 100.0, 7.0]
-    assert forest.chain_maxima([5.0, 1.0, 2.0, 7.0]) == [5.0, 5.0, 5.0, 7.0]
+    # The regions a - b, b - c, c and e measure 1/2, 1/4, 1/4 and 1.
+    # Chain sums 1, 11, 111, 7:
+    assert _integral(forest, [1.0, 10.0, 100.0, 7.0], 1.0) == 0.5 + 2.75 + 27.75 + 7.0
+    # chain maxima 1, 10, 100, 7, and then 5, 5, 5, 7:
+    assert _integral(forest, [1.0, 10.0, 100.0, 7.0]) == 0.5 + 2.5 + 25.0 + 7.0
+    assert _integral(forest, [5.0, 1.0, 2.0, 7.0]) == 2.5 + 1.25 + 1.25 + 7.0
 
 
 def test_empty_forest():
     forest = ContainmentForest([])
     assert len(forest) == 0
     assert forest.volume_powers(dyadic.VOLUMES) == []
-    assert forest.region_integral([]) == 0.0
-    assert forest.chain_values([]) == []
+    assert _integral(forest, [], 1.0) == 0.0
+    assert _integral(forest, []) == 0.0
     assert forest.subtree_ends() == []
 
 
@@ -201,8 +218,9 @@ def test_region_integral_by_hand():
     a, b = Cube(0, (0,)), Cube(1, (0,))  # [0,1) with child [0,0.5)
     forest = ContainmentForest([b, a])
     assert forest.cubes == [a, b]
-    # 2 on [0.5, 1), 5 on [0, 0.5)
-    assert forest.region_integral([2.0, 5.0]) == 2.0 * 0.5 + 5.0 * 0.5
+    # 2 on [0.5, 1), 5 on [0, 0.5): chain maxima of 2 and 5, or sums of 2, 3
+    assert _integral(forest, [2.0, 5.0]) == 2.0 * 0.5 + 5.0 * 0.5
+    assert _integral(forest, [2.0, 3.0], 1.0) == 2.0 * 0.5 + 5.0 * 0.5
 
 
 @pytest.mark.parametrize(
@@ -214,8 +232,8 @@ def test_region_integral_by_hand():
     ],
 )
 def test_region_integral_past_the_float_range_raises(cubes, constants):
-    with pytest.raises(ScaleRangeError):
-        ContainmentForest(cubes).region_integral(constants)
+    with pytest.raises(ScaleRangeError, match="region integral"):
+        _integral(ContainmentForest(cubes), constants)
 
 
 @st.composite
@@ -426,9 +444,9 @@ def test_region_integral_reads_a_volume_only_where_a_term_uses_it():
     """A cube past pow2's volume range raises only if one of its region
     terms is nonzero, as when each volume was looked up on use."""
     forest = ContainmentForest([Cube(-1001, (0,)), Cube(0, (0,))])
-    assert forest.region_integral([0.0, 3.0]) == 3.0
+    assert _integral(forest, [0.0, 3.0]) == 3.0
     with pytest.raises(ScaleRangeError, match="2\\^1001"):
-        forest.region_integral([1.0, 3.0])
+        _integral(forest, [1.0, 3.0])
 
 
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,7 @@ from restapprox import (
     tl_norm,
 )
 
-from conftest import cube_strategy, seq_strategy
+from conftest import cube_strategy, seq_strategy, signed_values
 
 Q0 = Cube(0, (0,))
 Q1 = Cube(1, (0,))
@@ -53,10 +54,16 @@ def test_tl_norm_fails_fast_across_a_huge_scale_gap():
 
 
 def test_tl_norm_raises_for_a_scale_factor_past_the_float_range():
-    # At s = 0 the scale factor of a scale-2100 cube is |Q|^(-1/2) = 2^1050:
-    # the strict ContainmentForest.volume_powers raises pow2's error.
+    # At s = 0 the scale factor of a scale-2100 cube is |Q|^(-1/2) = 2^1050,
+    # and _tl_chain_inputs raises pow2's error for it.
+    params = SpaceParams(0.0, 2.0, 2.0, 1)
     with pytest.raises(ScaleRangeError, match=r"^2\^1050 is outside"):
-        tl_norm(CoeffSeq({Cube(2100, (0,)): 1.0}), SpaceParams(0.0, 2.0, 2.0, 1))
+        tl_norm(CoeffSeq({Cube(2100, (0,)): 1.0}), params)
+    # Of two such cubes, the error names the first in preorder, the coarser,
+    # though the sequence lists the finer (2^1100) first.
+    s = CoeffSeq({Cube(2200, (0,)): 1.0, Cube(2100, (0,)): 1.0})
+    with pytest.raises(ScaleRangeError, match=r"^2\^1050 is outside"):
+        tl_norm(s, params)
 
 
 def test_exponents():
@@ -111,41 +118,49 @@ def test_tl_norm_power_of_cube_sum_hand_case():
     assert got == pytest.approx(math.sqrt(16.0 * 0.5 + 9.0 * 0.5), rel=1e-15)
 
 
-def _holds_point(cube: Cube, x: float) -> bool:
-    """Whether the half-open 1-d cube holds ``x``; 2^j * x is an exact float
-    scaling, so the floor test is reliable."""
-    return math.floor(math.ldexp(x, cube.j)) == cube.k[0]
-
-
-def _brute_integral(terms: dict[Cube, float], theta: float) -> float:
-    """Independent oracle: sample the integrand on the finest-scale grid."""
-    finest = max(q.j for q in terms)
+def _brute_integral(s: CoeffSeq, params: SpaceParams) -> float:
+    """Independent oracle of ``tl_norm(s, params) ** p``: the integrand,
+    (sum of b_Q^q)^(p/q), or (max b_Q)^p for q = inf, over the cubes holding
+    a point, sampled at every cell of the finest grid that a cube covers.
+    A cell c at the finest scale lies in the cube (j, k) exactly when each
+    c_i >> (finest - j) == k_i."""
+    finest = max(q.j for q in s)
+    b = {q: 2.0 ** (q.j * (params.s + q.d / 2)) * abs(v) for q, v in s.items()}
     cells = set()
-    for q in terms:
-        span = 1 << (finest - q.j)
-        cells.update(range(q.k[0] * span, (q.k[0] + 1) * span))
-    width = 2.0**-finest
-    total = 0.0
-    for cell in sorted(cells):
-        x = (cell + 0.5) * width
-        value = math.fsum(a for q, a in terms.items() if _holds_point(q, x))
-        total += value**theta * width
-    return total
+    for q in s:
+        shift = finest - q.j
+        cells.update(product(*(range(k << shift, (k + 1) << shift) for k in q.k)))
+    width = 2.0 ** (-finest * s.d)
+    total = []
+    for cell in cells:
+        held = [
+            b[q]
+            for q in s
+            if all(c >> (finest - q.j) == k for c, k in zip(cell, q.k))
+        ]
+        if math.isinf(params.q):
+            value = max(held) ** params.p
+        else:
+            value = math.fsum(x**params.q for x in held) ** (params.p / params.q)
+        total.append(value * width)
+    return math.fsum(total)
 
 
 @given(
-    st.dictionaries(
-        cube_strategy(d=1, j_lo=-3, j_hi=3, k_span=8),
-        st.floats(min_value=0.0, max_value=10.0),
-        min_size=1,
-        max_size=8,
+    st.sampled_from([(1, -3, 3, 8), (2, -1, 2, 3)]).flatmap(
+        lambda grid: st.dictionaries(
+            cube_strategy(*grid), signed_values, min_size=1, max_size=8
+        )
     ),
-    st.floats(min_value=0.3, max_value=3.0),
+    st.one_of(st.just(-0.5), st.floats(-2.0, 2.0)),  # d = 1, s = -1/2: b_Q = |s_Q|
+    st.floats(0.3, 3.0),
+    st.one_of(st.just(1.0), st.just(math.inf), st.floats(0.3, 4.0)),
 )
-def test_tl_norm_power_of_cube_sum_matches_grid_oracle(terms, theta):
-    got = tl_norm(CoeffSeq(terms), SpaceParams(-0.5, theta, 1.0, 1)) ** theta
-    want = _brute_integral(terms, theta)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+def test_tl_norm_matches_grid_oracle(terms, smooth, p, q):
+    s = CoeffSeq(terms)
+    params = SpaceParams(smooth, p, q, s.d)
+    want = _brute_integral(s, params)
+    assert tl_norm(s, params) ** p == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
