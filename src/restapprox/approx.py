@@ -34,9 +34,10 @@ from typing import Iterable, Iterator
 
 from .dyadic import Cube, ExactSum, MeasureSpec, pow2
 from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
-from .errors import CapabilityError, ContractViolationError, finite
+from .errors import CapabilityError, ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
 from .spaces import SpaceParams, space_norm, suffix_norms
+from .weights import _power_integrals
 
 __all__ = [
     "ApproxParams",
@@ -119,8 +120,8 @@ class SigmaProfile:
         """Budget-weighted aggregate of the profile.
 
         Finite mu integrates [t^xi * sigma(t)]^mu dt/t piecewise in closed
-        form; mu = inf takes the sup, attained at right endpoints because
-        xi > 0 and sigma is constant on each piece.
+        form (``weights._power_integrals``); mu = inf takes the sup, attained
+        at right endpoints because xi > 0 and sigma is constant on each piece.
         """
         if not self.errors:
             return 0.0
@@ -128,12 +129,13 @@ class SigmaProfile:
         if math.isinf(mu):
             terms = (err * bp[k + 1] ** xi for k, err in enumerate(self.errors))
             return finite(lambda: max(terms), _AGGREGATE_RANGE)
-        x = xi * mu
-        terms = (
-            err**mu * (bp[k + 1] ** x - bp[k] ** x) / x
-            for k, err in enumerate(self.errors)
-            if err > 0
-        )
+        # the pieces up to the last positive error, as integrals of t^(xi mu) dt/t
+        last = max((k for k, err in enumerate(self.errors) if err > 0), default=-1)
+        try:
+            pieces = _power_integrals(xi * mu, bp[: last + 2])
+        except ScaleRangeError:
+            raise ScaleRangeError(_AGGREGATE_RANGE) from None
+        terms = (err**mu * piece for err, piece in zip(self.errors, pieces) if err > 0)
         return finite(lambda: math.fsum(terms) ** (1.0 / mu), _AGGREGATE_RANGE)
 
     def norm_dyadic(self, xi: float, mu: float) -> float:

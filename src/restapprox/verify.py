@@ -52,12 +52,7 @@ from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow
 from .spaces import IDENTITY_TOL, SpaceParams, lorentz_equals_besov_check
 from .spaces import matched_exponents, space_norm
-from .weights import (
-    WeightFn,
-    boyd_lower_index,
-    geometric_sum_bound,
-    smoothed_weight,
-)
+from .weights import WeightFn, _smoothed_weights, boyd_lower_index, geometric_sum_bound
 
 __all__ = [
     "DEFAULT_SEED",
@@ -619,14 +614,13 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         p = float(rng.uniform(0.5, 3.0))
         families.append(WeightFn.power_log(p, float(rng.uniform(-1.0, 1.0)) / p))
     smooth_failures = 0
+    ts = [pow2(k) for k in range(-30, 31, 2)]
     for w in families:
         s0, delta = w.certified_contraction
         c1 = math.log(2.0) / w.doubling_constant
         c2 = math.log(1.0 / s0) / (1.0 - delta)
-        for k in range(-30, 31, 2):
-            t = pow2(k)
-            ratio = smoothed_weight(w, t) / w.value(t)
-            if not c1 * (1 - 1e-9) <= ratio <= c2 * (1 + 1e-9):
+        for t, g in zip(ts, _smoothed_weights(w, ts)):
+            if not c1 * (1 - 1e-9) <= g / w.value(t) <= c2 * (1 + 1e-9):
                 smooth_failures += 1
     boyd_exact = all(
         boyd_lower_index(WeightFn.power(p), pow2(-40)) == 1.0 / p

@@ -20,24 +20,22 @@ has the closed form ``s^(1/p) * (1 + |log s|)^|b|``: the inner sup of
 and for negative exponents the infimum ``1/(1+|u|)`` is attained instead.
 
 The weight integrals of eta(t)^mu dt/t have a closed form for power weights.
-For powerlog weights ``weight_integral`` runs scipy's ``quad`` on one step,
-and ``weight_integrals`` runs the first step of ``quad`` on many steps at
-once with numpy, handing ``quad`` only the steps it could not finish there.
-scipy is imported by ``_quad_piece``, the one caller of ``quad``, when it
-first runs, not with this module: power weights, the sigma solvers and the
-tl/besov norms never load it, and its import would be most of the package's
-start-up.
+For powerlog weights ``weight_integral``, ``weight_integrals`` and
+``smoothed_weight`` run one adaptive Gauss-Kronrod kernel in numpy
+(``_gauss_kronrod_21``), on every x-interval of a call at once.  Nothing in
+the package imports scipy.
 
 The power closed form (``_power_integrals``), the weight values
 (``_values``) and the step sups (``_sups``) are each written once, as one
 Python pass over a list of step ends that takes each end's ``pow`` or
 ``math.log`` once.  ``weight_integrals`` and ``weight_sups`` run them over a
 whole rearrangement's steps, at every length; ``weight_integral`` and
-``weight_sup_on_interval`` over one step.  The batched power-log pass's
-intervals equal the one-step ``_log_pieces`` bit for bit: its logs are
-libm's, through Python floats, because numpy's vector ``log`` and ``log1p``
-can differ in the last bit, and numpy does only correctly rounded work on
-them (differences, quotients, maxima, minima and comparisons).
+``weight_sup_on_interval`` over one step.  The power-log x-intervals
+(``_log_piece_columns``) take libm's logs, through Python floats, because
+numpy's vector ``log`` and ``log1p`` can differ in the last bit, and numpy
+does only correctly rounded work on them (differences, quotients, maxima,
+minima and comparisons).  The kernel works elementwise, so a step's integral
+is the same bit for bit in a call of one step and in a call of many.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ __all__ = [
 _DELTA_MARGIN = 0.5
 _CERT_MAX_LEVEL = 60
 
-# Tolerances of every power-log quadrature: scipy's quad, and the batched
-# first step of weight_integrals, which accepts only where quad would stop.
+# Tolerances of every power-log quadrature, as QUADPACK's epsabs and epsrel:
+# the kernel accepts an interval whose error estimate is below both.
 _EPSABS = 1e-300
 _EPSREL = 1e-11
 _INTEGRAL_RANGE = "a weight integral exceeds the float range"
@@ -106,6 +104,7 @@ _WG = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
+_WGK_ROWS, _WG_ROWS = np.array(_WGK[:10])[:, None], np.array(_WG)[:, None]
 # dqk21 adds the Gauss abscissae's pairs first, then the Kronrod-only ones.
 _DQK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _EPMACH = sys.float_info.epsilon  # d1mach(4)
@@ -115,6 +114,13 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _ROUNDING_MARGIN = 64.0 * _EPMACH
 # Intervals per numpy block: keeps the (21, block) temporaries near 1 MiB.
 _GK_BLOCK = 1024
+# Caps of the adaptive kernel: its bisection rounds, and the intervals it may
+# hold beyond its first round's.  Past either it raises QuadratureError.
+_GK_ROUNDS = 64
+_GK_SPARE = 64 * _GK_BLOCK
+# An infinite range is cut where the tail bound falls below this share of a
+# lower bound of the integral.
+_TAIL_SHARE = 1e-3 * _EPSREL
 
 
 @dataclass(frozen=True)
@@ -332,45 +338,19 @@ def _sups(w: WeightFn, ends: list[float]) -> list[float]:
     return sups
 
 
-def _log_pieces(a: float, b: float) -> list[tuple[float, float, float, float]]:
-    """The x-intervals of [a, b] on either side of t = 1, as
-    (sign, x_lo, x_hi, width).
+def _log_piece_columns(
+    a: np.ndarray, b: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The x-intervals of every step [a[k], b[k]] (0 <= a < b) on either
+    side of t = 1, from the ends' logs (log 0 = -oo).
 
     t = e^(-x) maps (0, 1] onto [0, oo) (sign -1) and t = e^x maps [1, oo)
-    onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.  ``width``
-    is the length of the interval, log(hi / lo) for its side [lo, hi] of
-    [a, b]: x_hi - x_lo, except on a narrow side (hi <= 2 lo), where the two
-    rounded logs can cancel to a width off by far more than its own rounding.
-    There hi - lo is exact (Sterbenz's lemma), and the width is
-    log1p((hi - lo) / lo), within a few ulps.
-    """
-    pieces = []
-    if a < 1.0:
-        # t in [a, min(b,1)]  ->  x = -log t in [max(0,-log b), -log a]
-        hi = min(b, 1.0)
-        x_lo, x_hi = -math.log(hi), (math.inf if a == 0.0 else -math.log(a))
-        width = math.log1p((hi - a) / a) if hi <= 2.0 * a else x_hi - x_lo
-        pieces.append((-1.0, x_lo, x_hi, width))
-    if b > 1.0:
-        # t in [max(a,1), b]  ->  x = log t
-        lo = max(a, 1.0)
-        x_lo, x_hi = math.log(lo), math.log(b)
-        width = math.log1p((b - lo) / lo) if b <= 2.0 * lo else x_hi - x_lo
-        pieces.append((1.0, x_lo, x_hi, width))
-    return pieces
-
-
-def _log_piece_columns(
-    ends: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_log_pieces` of every step [ends[k-1], ends[k]], k >= 1, of the
-    positive ``ends``, bit for bit and in its order, from one ``math.log``
-    per end: ``sides`` (steps x 2) marks which of the side t <= 1 (sign -1)
-    and the side t >= 1 (sign +1) each step has, and x_lo, x_hi and width
-    list the marked sides step by step, left first.  The narrow sides'
-    widths take one ``math.log1p`` each."""
-    logs = np.array(list(map(math.log, ends.tolist())))
-    a, b, log_a, log_b = ends[:-1], ends[1:], logs[:-1], logs[1:]
+    onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.  ``sides``
+    (steps x 2) marks the sides each step has, and x_lo, x_hi and width list
+    them step by step, left first.  The width of a side [lo, hi] is x_hi -
+    x_lo, except where hi <= 2 lo and the rounded logs can cancel: there hi
+    - lo is exact (Sterbenz's lemma), and the width is one ``math.log1p((hi
+    - lo) / lo)``, within a few ulps."""
     sides = np.stack((a < 1.0, b > 1.0), axis=1)
     lo = np.stack((a, np.maximum(a, 1.0)), axis=1)[sides]
     hi = np.stack((np.minimum(b, 1.0), b), axis=1)[sides]
@@ -384,57 +364,20 @@ def _log_piece_columns(
     return sides, x_lo, x_hi, widths
 
 
-def _quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> float:
-    """integral over [lo, hi] of e^(rate x) (1 + x)^bm dx by adaptive
-    quadrature, where the interval's length is ``width``.  Where hi - lo
-    rounds away from it (a narrow interval far from x = 0), the integral runs
-    over y = x - lo in [0, width] instead."""
-    origin = 0.0
-    if hi - lo != width:
-        origin, lo, hi = lo, 0.0, width
-
-    def f(y: float) -> float:
-        x = origin + y
-        return math.exp(rate * x) * (1.0 + x) ** bm
-
-    from scipy.integrate import quad  # here, not with the module: see its docstring
-
-    # full_output returns quad's warning text instead of printing it; the
-    # error and finiteness checks below decide alone.
-    try:
-        val, err = quad(
-            f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=400, full_output=1
-        )[:2]
-    except OverflowError:
-        raise ScaleRangeError(_INTEGRAL_RANGE) from None
-    if not math.isfinite(val):
-        raise ScaleRangeError(_INTEGRAL_RANGE)
-    if not err <= 1e-8 * abs(val) + 1e-250:
-        raise QuadratureError(
-            "weight integral did not converge",
-            achieved=err / abs(val) if val else math.inf,
-        )
-    return val
-
-
-def _segment_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
-    """integral over [a, b] of eta(t)^mu dt/t; a may be 0.
-
-    Power family: one step of :func:`_power_integrals`.  Powerlog: the
-    substitutions of :func:`_log_pieces` turn each part into a smooth,
-    rapidly decaying integrand handled by adaptive quadrature.  A result past
-    the float range raises ScaleRangeError.
-    """
-    cm = _rate(w, mu)
-    if w.family == "power":
-        return _power_integrals(cm, [a, b])[0]
-    if a == b:
-        return 0.0
-    total = 0.0
-    bm = w.b * mu
-    for sign, x_lo, x_hi, width in _log_pieces(a, b):
-        total += _quad_piece(sign * cm, bm, x_lo, x_hi, width)
-    return total
+def _powerlog_integrals(
+    w: WeightFn, mu: float, a: np.ndarray, b: np.ndarray, log_a: np.ndarray,
+    log_b: np.ndarray,
+) -> np.ndarray:
+    """The integrals of eta(t)^mu dt/t over the steps [a[k], b[k]] (0 <= a
+    < b) of a power-log weight, from the ends' logs: one kernel call on the
+    x-intervals of every step, left side + right side per step."""
+    cm = w.power_exponent * mu
+    sides, x_lo, x_hi, widths = _log_piece_columns(a, b, log_a, log_b)
+    rates = np.broadcast_to(np.array((-cm, cm)), sides.shape)[sides]
+    sums = np.zeros(sides.shape)
+    sums[sides] = _gauss_kronrod_21(rates, w.b * mu, x_lo, x_hi, widths)
+    # left + right is the per-step sum 0.0 + left + right, bit for bit
+    return sums[:, 0] + sums[:, 1]
 
 
 def _rate(w: WeightFn, mu: float) -> float:
@@ -449,15 +392,20 @@ def _rate(w: WeightFn, mu: float) -> float:
 def weight_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
     """integral over [a, b] of eta(t)^mu dt/t, with a = 0 allowed.
 
-    One step at a time: the closed form for power weights, adaptive
-    quadrature (scipy's ``quad``) for power-log weights.  This is the scalar
-    reference of :func:`weight_integrals`; a result past the float range
-    raises ScaleRangeError.
+    One step of :func:`weight_integrals`: the closed form for power weights,
+    the adaptive kernel for power-log weights, with the same value bit for
+    bit.  A result past the float range raises ScaleRangeError.
     """
     if not (0 <= a <= b):
         raise ContractViolationError("need 0 <= a <= b")
     _check_mu(mu)
-    return _segment_integral(w, mu, a, b)
+    cm = _rate(w, mu)
+    if w.family == "power":
+        return _power_integrals(cm, [a, b])[0]
+    if a == b:
+        return 0.0
+    ends = ((a,), (b,), (math.log(a) if a else -math.inf,), (math.log(b),))
+    return _powerlog_integrals(w, mu, *np.array(ends))[0].item()
 
 
 def weight_integrals(
@@ -467,18 +415,10 @@ def weight_integrals(
     with masses[-1] read as 0, as :func:`weight_integral` gives them.
 
     Power weights take :func:`_power_integrals` over all steps, whatever
-    their number.  Power-log weights repeat, on all steps at once, the first
-    step of QUADPACK's ``dqagse`` that ``quad`` runs on each: the 21-point
-    Gauss-Kronrod rule ``dqk21`` on each finite x-interval of
-    :func:`_log_pieces` (built by :func:`_log_piece_columns`), evaluated
-    with numpy in blocks of ``_GK_BLOCK`` intervals and summed in dqk21's
-    order, then dqagse's first-step error test, with a margin for rounding
-    (see :func:`_gauss_kronrod_21`).  Short, smooth steps pass it, and
-    ``quad`` would stop there with the same estimate up to the rounding of
-    ``exp`` and ``pow``.  The steps from t = 0 (an infinite x-range) and
-    every step with an interval that fails the test take
-    :func:`weight_integral`'s path, so their results and errors are the
-    scalar ones bit for bit.
+    their number.  Power-log weights take one call of the adaptive kernel
+    :func:`_gauss_kronrod_21` on the x-intervals of every step (built by
+    :func:`_log_piece_columns` from one ``math.log`` per end); the steps
+    from t = 0 to t = 0 are 0.
     """
     _check_mu(mu)
     if not masses:
@@ -487,25 +427,16 @@ def weight_integrals(
     cm = _rate(w, mu)
     if w.family == "power":
         return _power_integrals(cm, ends)
-    # Steps 0..lead-1 start at t = 0, and the rest run between the positive
-    # ends column[zeros:].  lead counts the zero ends among the steps' left
-    # ends only: when every end is 0 it is every step, and no end is positive.
+    # Steps 0..last-1 run from 0 to 0, and the rest between the ends
+    # column[last:], of which only the first (the last zero end) is 0.
     column = np.array(ends)
-    zeros = int(np.searchsorted(column, 0.0, side="right"))
-    lead = min(zeros, len(masses))
-    sides, x_lo, x_hi, widths = _log_piece_columns(column[zeros:])
-    rates = np.broadcast_to(np.array((-cm, cm)), sides.shape)[sides]
-    values, accepted = _gauss_kronrod_21(rates, w.b * mu, x_lo, x_hi, widths)
-    sums = np.zeros(sides.shape)
-    sums[sides] = values
-    passed = np.ones(sides.shape, dtype=bool)
-    passed[sides] = accepted
-    # left + right is the per-step sum 0.0 + left + right, bit for bit
-    totals = [0.0] * lead + (sums[:, 0] + sums[:, 1]).tolist()
-    rejected = [*range(lead), *(np.flatnonzero(~passed.all(axis=1)) + lead).tolist()]
-    for k in rejected:
-        totals[k] = _segment_integral(w, mu, ends[k], ends[k + 1])
-    return totals
+    last = int(np.searchsorted(column, 0.0, side="right")) - 1
+    if last == len(masses):
+        return [0.0] * last
+    logs = np.array([-math.inf, *map(math.log, column[last + 1:].tolist())])
+    column = column[last:]
+    totals = _powerlog_integrals(w, mu, column[:-1], column[1:], logs[:-1], logs[1:])
+    return [0.0] * last + totals.tolist()
 
 
 def _power_integrals(e: float, ends: Sequence[float]) -> list[float]:
@@ -553,65 +484,129 @@ def _power_integrals(e: float, ends: Sequence[float]) -> list[float]:
 
 def _gauss_kronrod_21(
     rates: np.ndarray, bm: float, los: np.ndarray, his: np.ndarray, widths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """dqk21's estimates of the integrals of e^(rate x) (1 + x)^bm over the
-    intervals [lo, hi] of lengths ``widths`` (see :func:`_log_pieces`), and
-    whether quad surely stops after that rule.
+) -> np.ndarray:
+    """The integrals of e^(rate x) (1 + x)^bm over the intervals [lo, hi] of
+    lengths ``widths`` (see :func:`_log_piece_columns`), by QUADPACK's rule
+    ``dqk21`` (:func:`_dqk21`), adaptive over all intervals at once.
 
-    The nodes, weights and sums are dqk21's, so the estimates differ from
-    quad's only by the rounding of numpy's ``exp`` and ``pow``.  dqagse
-    stops when ``abserr <= max(epsabs, epsrel*|result|)`` and ``abserr !=
-    resasc`` (dqagse calls dqk21's resasc ``resabs``), or ``abserr == 0``.
-    That test is taken here with |resk - resg| raised by
-    ``_ROUNDING_MARGIN * resabs``, which bounds what those roundings can
-    change in it, and with ``abserr < resasc`` (dqk21's abserr is at most
-    resasc unless its 50*eps*resabs floor applies).  abserr grows with
-    |resk - resg|, so quad stops on every interval accepted here.  (Without
-    the margin, intervals a few hundred ulps wide, where |resk - resg| is
-    rounding noise, can pass where quad bisects, with results 1e-14 apart.)
-    A non-finite estimate is never accepted.
+    An infinite interval (rate < 0) ends at :func:`_tail_cut`'s X instead.
+    Each round evaluates the pending intervals, adds the accepted estimates
+    to their integrals in order, and bisects the rest.  An interval passes
+    at ``abserr <= max(epsabs, epsrel*|result|)``; the integrand is positive,
+    so the errors add up to at most epsrel times the integral.  The first
+    round also asks ``abserr < resasc``, as ``dqagse`` does to stop after one
+    rule; on a flat, narrow interval abserr equals resasc at every
+    bisection, so later rounds drop it.  A non-finite estimate raises
+    ScaleRangeError; more than ``_GK_ROUNDS`` rounds, or more than
+    ``_GK_SPARE`` intervals beyond the first round's, raise QuadratureError.
     """
-    values = np.empty(len(rates))
-    accepted = np.empty(len(rates), dtype=bool)
+    infinite = np.flatnonzero(np.isinf(his))
+    if len(infinite):
+        if not (rates[infinite] < 0.0).all():  # no cut bounds a growing tail
+            raise ScaleRangeError(_INTEGRAL_RANGE)
+        cut = _tail_cut(-rates[infinite], bm, los[infinite])
+        his, widths = his.copy(), widths.copy()
+        his[infinite], widths[infinite] = cut, cut - los[infinite]
+    totals = np.zeros(len(rates))
+    owners = np.arange(len(rates))
+    # An interval is its left end and half-length, and its centre left +
+    # hlgth past the first round's (lo + hi) / 2: a left half keeps its
+    # parent's left end exactly, however far from it the centre lies.
+    centr, lefts, hlgth = 0.5 * (los + his), los, 0.5 * widths
+    limit = len(rates) + _GK_SPARE
+    for rounds in range(_GK_ROUNDS):
+        result, abserr, resasc = _dqk21(rates, bm, centr, hlgth)
+        if not np.isfinite(result).all():
+            raise ScaleRangeError(_INTEGRAL_RANGE)
+        ok = abserr <= np.maximum(_EPSABS, _EPSREL * np.abs(result))
+        if rounds == 0:
+            ok &= abserr < resasc
+        np.add.at(totals, owners[ok], result[ok])
+        pending = np.flatnonzero(~ok)
+        if not len(pending):
+            return totals
+        if 2 * len(pending) > limit:
+            break
+        owners, rates = owners[pending], rates[pending]
+        owners, rates = np.concatenate((owners, owners)), np.concatenate((rates, rates))
+        lefts, hlgth = lefts[pending], hlgth[pending]
+        lefts, hlgth = np.concatenate((lefts, lefts + hlgth)), 0.5 * hlgth
+        hlgth = np.concatenate((hlgth, hlgth))
+        centr = lefts + hlgth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        achieved = float(np.max(abserr[pending] / np.abs(result[pending])))
+    raise QuadratureError("weight integral did not converge", achieved=achieved)
+
+
+def _tail_cut(r: np.ndarray, bm: float, lo: np.ndarray) -> np.ndarray:
+    """Where to end each infinite interval [lo, oo) of e^(-r x) (1 + x)^bm.
+
+    f is log-concave, so min(f(lo), f(lo + 1/r)) / r bounds its integral
+    below.  Where r (1 + X) > bm+, the tail past X is at most e^(-r X) (1 +
+    X)^bm / (r - bm+/(1 + X)), falling in X.  The cut is the first of x0 +
+    2^k / r, k < 64, x0 = max(lo, 2 bm+ / r - 1), whose tail bound is below
+    ``_TAIL_SHARE`` times the lower bound; then, twice, the first such of 32
+    even steps up to it from the point before.  The bounds are logs, so f
+    may underflow."""
+    beta = max(bm, 0.0)
+
+    def log_f(x: np.ndarray) -> np.ndarray:
+        return bm * np.log1p(x) - r * x
+
+    with np.errstate(all="ignore"):  # a subnormal r makes no finite cut
+        step = 1.0 / r
+        floor = np.log(step * _TAIL_SHARE) + np.minimum(log_f(lo), log_f(lo + step))
+
+        def first(grid: np.ndarray) -> np.ndarray:  # columns rise; the last passes
+            passed = log_f(grid) - np.log(r - beta / (1.0 + grid)) <= floor
+            return grid[np.argmax(passed, axis=0), np.arange(len(r))]
+
+        starts = np.maximum(lo, 2.0 * beta * step - 1.0)
+        cut = first(starts + step * np.exp2(np.arange(64.0))[:, None])
+        before = 0.5 * (starts + cut)
+        for _ in range(2):
+            gap = (cut - before) / 32.0
+            cut = first(np.linspace(before, cut, 33)[1:])
+            before = cut - gap
+    return cut
+
+
+def _dqk21(
+    rates: np.ndarray, bm: float, centr: np.ndarray, hlgth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dqk21's result, abserr and resasc, by its nodes, weights and sums in
+    its order, on intervals of centres ``centr`` and half-lengths ``hlgth``
+    >= 0, ``_GK_BLOCK`` at a time.  abserr takes |resk - resg| raised by
+    ``_ROUNDING_MARGIN * resabs``, a bound of what the rounding of numpy's
+    ``exp`` and ``pow`` can change in it: a few hundred ulps wide, an
+    interval's |resk - resg| is rounding noise, and it goes to bisection."""
+    result, abserr, resasc = np.empty((3, len(rates)))
     for start in range(0, len(rates), _GK_BLOCK):
         block = slice(start, start + _GK_BLOCK)
-        centr = 0.5 * (los[block] + his[block])
-        hlgth = 0.5 * widths[block]
-        absc = _XGK[:, None] * hlgth
-        # rows: the centre, then centr - absc and centr + absc per abscissa
-        x = np.concatenate((centr[None, :], centr - absc, centr + absc))
         with np.errstate(all="ignore"):
+            absc = _XGK[:, None] * hlgth[block]
+            # rows: the centre, then centr - absc and centr + absc per abscissa
+            x = np.concatenate((centr[None, block], centr[block] - absc, centr[block] + absc))
             f = np.exp(rates[block] * x) * (1.0 + x) ** bm
             fc, fv1, fv2 = f[0], f[1:11], f[11:]
-            resk = _WGK[10] * fc
-            resabs = np.abs(resk)
-            resg = 0.0
-            for j in _DQK21_ORDER:
-                fsum = fv1[j] + fv2[j]
-                if j % 2:
-                    resg = resg + _WG[j // 2] * fsum
-                resk = resk + _WGK[j] * fsum
-                resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
+            # every term of dqk21's sums at once; ``sum`` adds the rows in order
+            terms = _WGK_ROWS * (fv1 + fv2)
+            resk = sum((terms[j] for j in _DQK21_ORDER), _WGK[10] * fc)
+            terms = _WGK_ROWS * (np.abs(fv1) + np.abs(fv2))
+            resabs = sum((terms[j] for j in _DQK21_ORDER), np.abs(_WGK[10] * fc))
+            resg = sum(_WG_ROWS * (fv1[1::2] + fv2[1::2]), 0.0)
             reskh = resk * 0.5
-            resasc = _WGK[10] * np.abs(fc - reskh)
-            for j in range(10):
-                resasc = resasc + _WGK[j] * (
-                    np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh)
-                )
-            result = resk * hlgth
-            resabs = resabs * hlgth  # hlgth >= 0, as every width is
-            resasc = resasc * hlgth
-            # dqk21's abserr, from |resk - resg| raised by the rounding margin
-            raw = np.abs((resk - resg) * hlgth) + _ROUNDING_MARGIN * resabs
-            abserr = np.maximum(
-                (_EPMACH * 50.0) * resabs,
-                resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5),
-            )
-            errbnd = np.maximum(_EPSABS, _EPSREL * np.abs(result))
-            ok = (abserr <= errbnd) & (abserr < resasc) & np.isfinite(result)
-        values[block] = result
-        accepted[block] = ok
-    return values, accepted
+            terms = _WGK_ROWS * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))
+            asc = sum(terms, _WGK[10] * np.abs(fc - reskh))
+            result[block] = resk * hlgth[block]
+            resabs = resabs * hlgth[block]
+            asc = asc * hlgth[block]
+            raw = np.abs((resk - resg) * hlgth[block]) + _ROUNDING_MARGIN * resabs
+            # dqk21 scales abserr by resasc only where resasc != 0
+            scaled = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * raw / asc) ** 1.5), raw)
+            abserr[block] = np.maximum((_EPMACH * 50.0) * resabs, scaled)
+            resasc[block] = asc
+    return result, abserr, resasc
 
 
 def _check_mu(mu: float) -> None:
@@ -623,14 +618,21 @@ def smoothed_weight(w: WeightFn, t: float) -> float:
     """g(t) = integral over (0, t] of eta(s)/s ds.
 
     The power family has the closed form p * t^(1/p).  Power-log weights take
-    the weight integral of eta^1 over [0, t], one adaptive quadrature per
-    side of s = 1 after the substitutions of :func:`_log_pieces`.
+    the weight integral of eta^1 over [0, t] (see :func:`weight_integrals`).
     """
-    if t <= 0:
+    return _smoothed_weights(w, [t])[0]
+
+
+def _smoothed_weights(w: WeightFn, ts: Sequence[float]) -> list[float]:
+    """:func:`smoothed_weight` at every t of ``ts``, bit for bit, with one
+    kernel call for all of them."""
+    if not all(t > 0 for t in ts):
         raise ContractViolationError("t must be > 0")
     if w.family == "power":
-        return w.p * t**w.power_exponent
-    return _segment_integral(w, 1.0, 0.0, t)
+        return [w.p * t**w.power_exponent for t in ts]
+    ends, logs = np.array(ts, dtype=float), np.array(list(map(math.log, ts)))
+    zeros = np.zeros(len(ends))
+    return _powerlog_integrals(w, 1.0, zeros, ends, zeros - math.inf, logs).tolist()
 
 
 def boyd_lower_index(w: WeightFn, t_min: float) -> float:

@@ -108,6 +108,56 @@ MUTANTS = (
          _LORENTZ + "test_column_paths_equal_the_per_step_references"),
     ),
     Mutant(
+        "tail-bound-without-beta",
+        "weights.py",
+        "    beta = max(bm, 0.0)\n",
+        "    beta = 0.0\n",
+        (_WEIGHTS + "test_the_tail_past_the_cut_is_below_its_share",),
+    ),
+    Mutant(
+        "resasc-clause-in-every-round",
+        "weights.py",
+        "        if rounds == 0:\n            ok &= abserr < resasc\n",
+        "        ok &= abserr < resasc\n",
+        (_WEIGHTS + "test_a_flat_narrow_step_ends_in_few_rounds",),
+    ),
+    Mutant(
+        "no-rounding-margin",
+        "weights.py",
+        "raw = np.abs((resk - resg) * hlgth[block]) + _ROUNDING_MARGIN * resabs",
+        "raw = np.abs((resk - resg) * hlgth[block])",
+        (_WEIGHTS + "test_rejected_steps_are_the_scalar_results",),
+    ),
+    Mutant(
+        "cut-a-growing-tail",
+        "weights.py",
+        "        if not (rates[infinite] < 0.0).all():  # no cut bounds a growing tail\n",
+        "        if False:\n",
+        (_WEIGHTS + "test_a_step_to_an_infinite_mass_is_past_the_float_range",),
+    ),
+    Mutant(
+        "no-round-cap",
+        "weights.py",
+        "for rounds in range(_GK_ROUNDS):",
+        "for rounds in range(1 << 62):",
+        (_WEIGHTS + "test_the_round_cap_raises_quadrature_error",
+         "tests/test_cli.py::test_norm_whose_weight_integral_does_not_converge_exits_2"),
+    ),
+    Mutant(
+        "no-interval-cap",
+        "weights.py",
+        "        if 2 * len(pending) > limit:\n            break\n",
+        "",
+        (_WEIGHTS + "test_the_interval_cap_raises_quadrature_error",),
+    ),
+    Mutant(
+        "cap-returns-a-partial-sum",
+        "weights.py",
+        '    raise QuadratureError("weight integral did not converge", achieved=achieved)',
+        "    return totals",
+        (_WEIGHTS + "test_the_round_cap_raises_quadrature_error",),
+    ),
+    Mutant(
         "no-outer-region-term",
         "spaces.py",
         "            if outer != 0.0:\n                terms.append(-outer * size)\n",

@@ -1,7 +1,8 @@
 """Reference forms that only the tests use: the distribution-function form of
 the Lorentz quasi-norm, point reads of a step rearrangement, the dilation
-function sampled on a grid, the per-step power integral and weight sup, and
-cube containment."""
+function sampled on a grid, the per-step power integral and weight sup, the
+per-step x-intervals of a power-log step and their integrals by scipy's
+``quad``, and cube containment."""
 
 from __future__ import annotations
 
@@ -20,11 +21,12 @@ from restapprox import (
 from restapprox.errors import (
     ContractViolationError,
     DivergenceError,
+    QuadratureError,
     ScaleRangeError,
     finite,
 )
 from restapprox.lorentz import _NORM_RANGE
-from restapprox.weights import _INTEGRAL_RANGE
+from restapprox.weights import _EPSABS, _EPSREL, _INTEGRAL_RANGE
 
 
 def contains(big: Cube, small: Cube) -> bool:
@@ -144,3 +146,73 @@ def sup_on_interval(w: WeightFn, a: float, b: float) -> float:
         if w.b > c:  # critical point of t^c (1 - log t)^b on (0, 1)
             candidates.append(math.exp(1.0 - w.b / c))
     return max(w.value(t) for t in candidates if a <= t <= b)
+
+
+def log_pieces(a: float, b: float) -> list[tuple[float, float, float, float]]:
+    """The x-intervals of [a, b] (0 <= a < b) on either side of t = 1, as
+    (sign, x_lo, x_hi, width), one step at a time: the reference of
+    ``weights._log_piece_columns``.
+
+    t = e^(-x) maps (0, 1] onto [0, oo) (sign -1) and t = e^x maps [1, oo)
+    onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.  The width
+    is x_hi - x_lo, or log1p((hi - lo) / lo) on a narrow side [lo, hi] (hi
+    <= 2 lo)."""
+    pieces = []
+    if a < 1.0:
+        # t in [a, min(b,1)]  ->  x = -log t in [max(0,-log b), -log a]
+        hi = min(b, 1.0)
+        x_lo, x_hi = -math.log(hi), (math.inf if a == 0.0 else -math.log(a))
+        width = math.log1p((hi - a) / a) if hi <= 2.0 * a else x_hi - x_lo
+        pieces.append((-1.0, x_lo, x_hi, width))
+    if b > 1.0:
+        # t in [max(a,1), b]  ->  x = log t
+        lo = max(a, 1.0)
+        x_lo, x_hi = math.log(lo), math.log(b)
+        width = math.log1p((b - lo) / lo) if b <= 2.0 * lo else x_hi - x_lo
+        pieces.append((1.0, x_lo, x_hi, width))
+    return pieces
+
+
+def quad_piece(rate: float, bm: float, lo: float, hi: float, width: float) -> float:
+    """integral over [lo, hi] of e^(rate x) (1 + x)^bm dx by scipy's ``quad``
+    at the package's tolerances, where the interval's length is ``width``.
+    Where hi - lo rounds away from it (a narrow interval far from x = 0), the
+    integral runs over y = x - lo in [0, width] instead.  An overflow or a
+    non-finite result raises ScaleRangeError, and an error estimate above
+    1e-8 of the result QuadratureError."""
+    from scipy.integrate import quad
+
+    origin = 0.0
+    if hi - lo != width:
+        origin, lo, hi = lo, 0.0, width
+
+    def f(y: float) -> float:
+        x = origin + y
+        return math.exp(rate * x) * (1.0 + x) ** bm
+
+    try:
+        val, err = quad(
+            f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=400, full_output=1
+        )[:2]
+    except OverflowError:
+        raise ScaleRangeError(_INTEGRAL_RANGE) from None
+    if not math.isfinite(val):
+        raise ScaleRangeError(_INTEGRAL_RANGE)
+    if not err <= 1e-8 * abs(val) + 1e-250:
+        raise QuadratureError(
+            "weight integral did not converge",
+            achieved=err / abs(val) if val else math.inf,
+        )
+    return val
+
+
+def quad_weight_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
+    """integral over [a, b] (0 <= a <= b) of eta(t)^mu dt/t for a power-log
+    weight, one ``quad`` call per x-interval of :func:`log_pieces`."""
+    if a == b:
+        return 0.0
+    cm, bm = w.power_exponent * mu, w.b * mu
+    return sum(
+        quad_piece(sign * cm, bm, x_lo, x_hi, width)
+        for sign, x_lo, x_hi, width in log_pieces(a, b)
+    )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +223,49 @@ def test_norm_matches_quadrature(s, xi, mu):
             piece, _ = quad(lambda t: (t**xi * err) ** mu / t, a, b)
         total += piece
     assert got == pytest.approx(total ** (1.0 / mu), rel=1e-7, abs=1e-12)
+
+
+def _decimal_profile_norm(profile: SigmaProfile, xi: float, mu: float) -> Decimal:
+    """(sum of err^mu (b^x - a^x) / x over the pieces [a, b])^(1/mu), x =
+    xi * mu rounded as the package rounds it, in 60-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, m = Decimal(xi * mu), Decimal(mu)
+        total = Decimal(0)
+        bp = profile.breakpoints
+        for a, b, err in zip(bp, bp[1:], profile.errors):
+            if err > 0:
+                lower = (Decimal(a).ln() * x).exp() if a > 0 else Decimal(0)
+                piece = ((Decimal(b).ln() * x).exp() - lower) / x
+                total += (Decimal(err).ln() * m).exp() * piece
+        return (total.ln() / m).exp()
+
+
+@pytest.mark.parametrize(
+    "breakpoints, errors",
+    [
+        ((0.0, 1.0, 4.0), (2.0, 1.0)),
+        ((0.0, 0.5, 0.5000001, 3.0, 3.0000000001, 1e6), (5.0, 4.0, 2.5, 1.0, 0.3)),
+        ((0.0, 1e-3, 1.0 + 2.0**-40, 7.0), (1.0, 0.75, 0.125)),
+        ((0.0, 2.0, 2.0 + 2.0**-30, 1e12), (3.0, 3.0, 0.0)),
+    ],
+)
+@pytest.mark.parametrize("xi", [1e-6, 1e-4, 0.5])
+@pytest.mark.parametrize("mu", [0.01, 0.37, 1.0, 2.0, 40.0])
+def test_profile_norm_matches_a_decimal_reference(breakpoints, errors, xi, mu):
+    """Pieces narrow and wide, at xi mu down to 1e-8, where b^x - a^x
+    cancels (one piece of the first profile was 4.8e-11 relative off when
+    written so).  The norm is within a few ulps of its decimal reference
+    before the 1/mu root, which at mu = 0.01 multiplies relative errors by
+    100; past the float range it is the aggregate's ScaleRangeError."""
+    profile = SigmaProfile(breakpoints, errors)
+    want = _decimal_profile_norm(profile, xi, mu)
+    if want >= Decimal(sys.float_info.max):
+        with pytest.raises(ScaleRangeError, match="budget aggregate"):
+            profile.norm(xi, mu)
+        return
+    got = profile.norm(xi, mu)
+    assert got == pytest.approx(float(want), rel=2e-15 * max(1.0, 1.0 / mu), abs=0.0)
 
 
 def test_norm_sup_form_attained_at_right_endpoints():

@@ -34,6 +34,7 @@ from restapprox import (
     sigma_greedy,
     space_norm,
 )
+from restapprox import weights
 from restapprox.cli import _COMMANDS, build_parser, load_config, main, read_sequence
 from restapprox.report import format_number
 
@@ -636,12 +637,35 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path, argv):
     assert not _loads_scipy([*argv, "--out", str(tmp_path / "out")], tmp_path)
 
 
-def test_powerlog_norm_loads_scipy_and_keeps_its_value(tmp_path):
+# Every command in one fresh interpreter, with whether scipy is loaded after
+# each: the power-log norm and verify-all run the weight-integral kernel.
+_EVERY_COMMAND = (
+    "import json, sys; from restapprox.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    print('gate', argv[0], main(argv), 'scipy' in sys.modules)\n"
+)
+
+
+def test_every_command_leaves_scipy_unloaded(tmp_path):
     (tmp_path / "powerlog.cfg").write_text("eta = powerlog:p=2,b=0.5\n")
-    argv = ["norm", SAMPLE, "--config", "powerlog.cfg", "--out", str(tmp_path / "out")]
-    assert _loads_scipy(argv, tmp_path)
-    value = _row(_rows(tmp_path / "out"), "norm/rearranged")["value"]
-    assert value == "5.530291232650642"  # as printed when scipy loaded with the package
+    commands = [
+        ["norm", SAMPLE, "--config", "powerlog.cfg"],
+        ["sigma", SAMPLE],
+        ["approx-norm", SAMPLE],
+        ["democracy"],
+        ["jackson"],
+        ["bernstein"],
+        ["lorentz-besov"],
+        ["verify-all"],
+    ]
+    assert {argv[0] for argv in commands} == set(_COMMANDS)
+    argvs = [[*argv, "--out", str(tmp_path / str(k))] for k, argv in enumerate(commands)]
+    result = _run_child([sys.executable, "-c", _EVERY_COMMAND, json.dumps(argvs)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stdout.splitlines() if line.startswith("gate ")]
+    assert lines == [f"gate {argv[0]} 0 False" for argv in commands]
+    value = _row(_rows(tmp_path / "0"), "norm/rearranged")["value"]
+    assert value == "5.530291232650637"  # 5.530291232650642 with scipy's quad
     params = LorentzParams(WeightFn.power_log(2.0, 0.5), mu=2.0, xi=0.0)
     assert float(value) == lorentz_norm(read_sequence(SAMPLE), MeasureSpec(1.0), params)
 
@@ -711,8 +735,8 @@ def test_norm_rejects_a_weight_spec_with_a_leftover_key(tmp_path, capsys):
 
 
 def test_norm_past_the_float_range_prints_only_the_error_line(tmp_path):
-    # quad reports roundoff on this integral; its warning must not reach
-    # stderr ahead of the typed error.
+    # numpy's overflow in this integral must not print a warning ahead of
+    # the typed error.
     seq = tmp_path / "huge.seq"
     seq.write_text("-500 0 1.0\n")
     cfg = tmp_path / "huge.cfg"
@@ -723,9 +747,11 @@ def test_norm_past_the_float_range_prints_only_the_error_line(tmp_path):
     assert result.stderr == "error: a weight integral exceeds the float range\n"
 
 
-def test_norm_whose_weight_integral_does_not_converge_exits_2():
-    """One cube of mass 2^990 under (1 + |log t|)^-300: quad's error on the
-    integral over [0, 2^990] stays far above its tolerance."""
+def test_norm_whose_weight_integral_does_not_converge_exits_2(monkeypatch):
+    """One cube of mass 2^990 under (1 + |log t|)^-300: the kernel bisects
+    the integral over [0, 2^990] for several rounds towards t = 1, more
+    than the round cap, lowered here to 3, allows."""
+    monkeypatch.setattr(weights, "_GK_ROUNDS", 3)
     config = "eta = powerlog:p=2,b=-300\nmu = 1\n"
     code, err = _run_in_process("norm", "-990 0 1.0\n", config)
     assert code == 2 and len(err) == 1

@@ -24,7 +24,6 @@ from restapprox import (
     WeightFn,
     lorentz_norm,
     rearrange,
-    weight_integral,
     weight_integrals,
     weight_sup_on_interval,
     weight_sups,
@@ -35,6 +34,7 @@ from restapprox.errors import finite
 from conftest import cube_strategy, seq_strategy
 from oracles import (
     distribution,
+    log_pieces,
     lorentz_norm_via_distribution,
     power_integral,
     sup_on_interval,
@@ -418,32 +418,27 @@ def _outcome(compute):
 
 
 def _per_step_integrals(w: WeightFn, mu: float, masses) -> list[float]:
-    """The per-step set-up of the batched pass, one ``_log_pieces`` call per
+    """The per-step set-up of the batched pass, one ``log_pieces`` call per
     step, as the reference of the column set-up: the same intervals in the
-    same order through the same kernel, and the scalar path for the first
-    step and rejected steps; the per-step closed form for power weights."""
+    same order through one call of the same kernel, summed per step; the
+    per-step closed form for power weights."""
     starts = [0.0, *masses[:-1]]
     if w.family == "power":
         return [power_integral(w, mu, a, b) for a, b in zip(starts, masses)]
     owners, rates, los, his, widths = [], [], [], [], []
-    for k in range(1, len(masses)):
-        for sign, x_lo, x_hi, width in weights._log_pieces(starts[k], masses[k]):
+    for k, (a, b) in enumerate(zip(starts, masses)):
+        for sign, x_lo, x_hi, width in log_pieces(a, b) if b > 0.0 else ():
             owners.append(k)
             rates.append(sign * w.power_exponent * mu)
             los.append(x_lo)
             his.append(x_hi)
             widths.append(width)
-    values, accepted = weights._gauss_kronrod_21(
+    values = weights._gauss_kronrod_21(
         np.array(rates), w.b * mu, np.array(los), np.array(his), np.array(widths)
     )
     totals = [0.0] * len(masses)
-    rejected = {0}
-    for k, value, ok in zip(owners, values.tolist(), accepted.tolist()):
+    for k, value in zip(owners, values.tolist()):
         totals[k] += value
-        if not ok:
-            rejected.add(k)
-    for k in sorted(rejected):
-        totals[k] = weight_integral(w, mu, starts[k], masses[k])
     return totals
 
 
@@ -582,11 +577,10 @@ def test_rearrange_takes_the_columns_at_every_alpha(monkeypatch, s, alpha):
 
 def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):
     """Counted, on 20 and 2 000 cubes: the sups make no
-    ``weight_sup_on_interval`` call, and the integrals call
-    ``_segment_integral`` only for the first step and for the steps with a
-    rejected Gauss-Kronrod interval (none for power weights).  On 2 000
-    cubes ``rearrange`` also calls no per-cube weight function."""
-    calls = {"weight": 0, "sup": 0, "segment": 0, "rejected": 0}
+    ``weight_sup_on_interval`` call, and the integrals make one call of the
+    adaptive kernel for power-log weights at finite mu, and none otherwise.
+    On 2 000 cubes ``rearrange`` also calls no per-cube weight function."""
+    calls = {"weight": 0, "sup": 0, "kernel": 0}
 
     def counted(module, name, key, original=None):
         original = original or getattr(module, name)
@@ -601,15 +595,7 @@ def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):
     counted(lorentz, "_one", "weight")
     for module in (weights, lorentz):  # lorentz imports no scalar sup today
         counted(module, "weight_sup_on_interval", "sup", weight_sup_on_interval)
-    counted(weights, "_segment_integral", "segment")
-    kernel = weights._gauss_kronrod_21
-
-    def gauss_kronrod(*args):
-        values, accepted = kernel(*args)
-        calls["rejected"] += int((~accepted).sum())
-        return values, accepted
-
-    monkeypatch.setattr(weights, "_gauss_kronrod_21", gauss_kronrod)
+    counted(weights, "_gauss_kronrod_21", "kernel")
     for n, eta, mu in itertools.product(
         (20, 2000),
         ("power:p=2", "power:p=0.5", "powerlog:p=2,b=0.5", "powerlog:p=0.5,b=3"),
@@ -619,7 +605,7 @@ def test_large_norms_make_no_per_step_or_per_cube_call(monkeypatch):
         for key in calls:
             calls[key] = 0
         lorentz_norm(s, MeasureSpec(1.0), LorentzParams(WeightFn.parse(eta), mu))
-        first = 1 if eta.startswith("powerlog") and math.isfinite(mu) else 0
+        kernel = 1 if eta.startswith("powerlog") and math.isfinite(mu) else 0
         assert calls["sup"] == 0, (n, eta)
         assert n < lorentz._COLUMN_MIN_CUBES or calls["weight"] == 0, (n, eta)
-        assert first <= calls["segment"] <= first + calls["rejected"], (n, eta)
+        assert calls["kernel"] == kernel, (n, eta)

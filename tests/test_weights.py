@@ -7,8 +7,8 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given
 from scipy import special
 from hypothesis import strategies as st
@@ -38,7 +38,8 @@ from restapprox import (
 )
 from restapprox import weights
 
-from oracles import power_integral, scanned_dilation
+import oracles
+from oracles import log_pieces, power_integral, quad_weight_integral, scanned_dilation
 
 
 def weight_families() -> list[WeightFn]:
@@ -365,7 +366,8 @@ def test_weight_integrals_match_the_per_step_oracle(p, b, mu, scales):
     got = weight_integrals(w, mu, steps.masses)
     assert len(got) == len(steps.masses)
     for (start, end, _), value in zip(steps.pieces(), got):
-        assert value == pytest.approx(weight_integral(w, mu, start, end), rel=1e-14)
+        assert value == weight_integral(w, mu, start, end)
+        assert value == pytest.approx(quad_weight_integral(w, mu, start, end), rel=1e-13)
     params = LorentzParams(w, mu)
     assert lorentz_norm(seq, MeasureSpec(1.0), params) == pytest.approx(
         _oracle_norm(steps, w, mu), rel=1e-13
@@ -392,18 +394,18 @@ def test_powerlog_integrals_of_zero_masses_are_the_step_integrals(masses):
     assert weight_integrals(w, 2.0, masses) == expected
 
 
-def _counting_quad(monkeypatch) -> list[int]:
-    """Counts every ``quad`` call: ``weights`` imports it from
-    ``scipy.integrate`` at each call, so patching it there reaches them all."""
-    calls = [0]
-    quad = scipy.integrate.quad
+def _counting_rules(monkeypatch) -> list[int]:
+    """The number of intervals of every round of the adaptive kernel: one
+    ``_dqk21`` call per round."""
+    rounds = []
+    rule = weights._dqk21
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return quad(*args, **kwargs)
+    def counted(rates, *args):
+        rounds.append(len(rates))
+        return rule(rates, *args)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
-    return calls
+    monkeypatch.setattr(weights, "_dqk21", counted)
+    return rounds
 
 
 @pytest.mark.parametrize(
@@ -411,31 +413,47 @@ def _counting_quad(monkeypatch) -> list[int]:
     [
         (1e-6, 1e3),  # one 21-point rule cannot span 20 e-folds on both sides
         (3.0, 3.0 + 64 * math.ulp(3.0)),  # |resk - resg| is rounding noise
+        # |resk - resg| passes the test only without the rounding margin
+        (3.0, 3.0 + 512 * math.ulp(3.0)),
     ],
 )
 def test_rejected_steps_are_the_scalar_results(monkeypatch, a, b):
+    """[a, b] fails the first round's test, so the kernel bisects it; in a
+    call with the step from 0 each step is its one-step call bit for bit,
+    and [a, b] is within 1e-13 of ``quad``."""
     w = WeightFn.power_log(1.5, -0.4)
-    calls = _counting_quad(monkeypatch)
+    rounds = _counting_rules(monkeypatch)
+    scalar = weight_integral(w, 2.5, a, b)
+    assert len(rounds) > 1
     got = weight_integrals(w, 2.5, (a, b))
-    first_step = 1 if a < 1.0 else 2
-    assert calls[0] > first_step  # quad ran on the second step
-    assert got[1] == weight_integral(w, 2.5, a, b)
-    assert got[0] == weight_integral(w, 2.5, 0.0, a)
+    assert got == [weight_integral(w, 2.5, 0.0, a), scalar]
+    assert scalar == pytest.approx(quad_weight_integral(w, 2.5, a, b), rel=1e-13)
 
 
-def test_powerlog_norm_quad_calls_do_not_grow_with_steps(monkeypatch):
-    """One quad call per step would make 1 001 and 8 001 calls here; the
-    batched pass leaves only the first step's."""
+def test_powerlog_norm_rounds_do_not_grow_with_steps(monkeypatch):
+    """Counted: a power-log norm makes one kernel call, and 1 000 and 8 000
+    steps take the same number of rounds; past the first round only the
+    step from t = 0 and the wide steps are bisected, so the intervals past
+    it stay few."""
     w = WeightFn.power_log(2.0, 0.5)
     params = LorentzParams(w, 2.0)
     counts = []
+    rounds = _counting_rules(monkeypatch)
     for n in (1000, 8000):
         # scale-9 and scale-13 cubes: the steps' total mass crosses t = 1
         seq = _steps([9 if i % 2 else 13 for i in range(n)])
-        calls = _counting_quad(monkeypatch)
+        rounds.clear()
         lorentz_norm(seq, MeasureSpec(1.0), params)
-        counts.append(calls[0])
-    assert counts[0] == counts[1] <= 2
+        counts.append(list(rounds))
+    assert len(counts[0]) == len(counts[1]) <= 12
+    assert counts[0][0] > 1000 and counts[1][0] > 8000
+    assert counts[0][1:] == counts[1][1:] and sum(counts[1][1:]) <= 64
+
+
+def _one_step(a: float, b: float):
+    """``weights._log_piece_columns`` of the one step [a, b]."""
+    log_a = math.log(a) if a else -math.inf
+    return weights._log_piece_columns(*np.array(((a,), (b,), (log_a,), (math.log(b),))))
 
 
 # Steps a few ulps wide, 1e-9 wide, and across t = 1, on both sides of it,
@@ -457,8 +475,10 @@ def _exact_width(lo: float, hi: float) -> float:
 
 @pytest.mark.parametrize("a, b", NARROW_STEPS)
 def test_narrow_step_widths_come_from_log1p(a, b):
-    pieces = weights._log_pieces(a, b)
-    assert [sign for sign, *_ in pieces] == [-1.0] * (a < 1.0) + [1.0] * (b > 1.0)
+    sides, x_lo, x_hi, widths = _one_step(a, b)
+    assert sides.tolist() == [[a < 1.0, b > 1.0]]
+    pieces = log_pieces(a, b)
+    assert [x.hex() for x in widths] == [width.hex() for *_, width in pieces]
     for sign, _, _, width in pieces:
         lo, hi = (a, min(b, 1.0)) if sign < 0 else (max(a, 1.0), b)
         assert width == _exact_width(lo, hi)
@@ -527,18 +547,172 @@ def test_weight_integral_past_the_float_range(w):
         weight_integrals(w, 1.0, (1.0, 2.0**1000))
 
 
-def test_an_integral_quad_cannot_finish_raises_quadrature_error():
+def test_an_integral_quad_cannot_finish_matches_its_series():
     """On [1, 1e300] the integrand e^(x/2) (1 + x)^-300 in x = log t falls
-    from 1 at x = 0 to about e^-1620 at x = 599, and quad's error estimate
-    stays above a fifth of its result.  The column path rejects that step
-    and raises the scalar path's error."""
+    from 1 at x = 0 to about e^-1620 at x = 599; quad's error estimate stays
+    above a fifth of its result, and it gives up.  The kernel bisects
+    towards x = 0 instead.  With u = 1 + x and the series of e^(u/2), the
+    integral is e^(-1/2) sum_k (1 - U^(k-299)) / ((299 - k) 2^k k!) over k <
+    299, U = 1 + log 1e300, plus terms for k >= 299 below e^-1600; the U
+    terms are below 691^-200 wherever 2^k k! leaves a term above 1e-100."""
     w = WeightFn.power_log(2.0, -300.0)
+    series = math.exp(-0.5) * math.fsum(
+        1.0 / ((299 - k) * 2.0**k * math.factorial(k)) for k in range(100)
+    )
+    got = weight_integral(w, 1.0, 1.0, 1e300)
+    assert got == pytest.approx(series, rel=1e-13, abs=0.0)
+    assert weight_integrals(w, 1.0, (1.0, 1e300))[1] == got
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quad_weight_integral(w, 1.0, 1.0, 1e300)
+
+
+@pytest.mark.parametrize("a", [3.0, 1e100])
+def test_a_flat_narrow_step_ends_in_few_rounds(monkeypatch, a):
+    """An x-interval 1.3e-10 wide on which the integrand, at the smallest
+    mu the CLI takes, is flat to 1e-12: dqk21's abserr equals its resasc
+    there at every bisection, so the kernel accepts it only because later
+    rounds drop dqagse's abserr != resasc clause (with it the step bisects
+    until the interval cap).  Near t = 1e100 the interval is four million
+    ulps of x = 230 wide."""
+    w = WeightFn.power_log(2.0, 0.5)
+    b = a * math.exp(1.3e-10)
+    rounds = _counting_rules(monkeypatch)
+    got = weight_integral(w, 0.01, a, b)
+    assert rounds == [1, 2]
+    assert got == pytest.approx(quad_weight_integral(w, 0.01, a, b), rel=1e-13)
+
+
+def test_the_kernel_matches_quad_on_random_pieces():
+    """2 000 pieces in one kernel call: rates +-10^U(-2, 0.7), log
+    exponents U(-3, 3), widths 10^U(-10, log10 30) from x = U(0, 20) or
+    10^U(-3, 1), and 30 % of the decaying pieces infinite.  Each is within
+    1e-13 of ``quad`` on its own piece."""
+    rng = np.random.default_rng(2026)
+    n = 2000
+    rates = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-2.0, 0.7, n)
+    los = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 20.0, n), 10.0 ** rng.uniform(-3.0, 1.0, n))
+    his = los + 10.0 ** rng.uniform(-10.0, math.log10(30.0), n)
+    his[(rates < 0.0) & (rng.random(n) < 0.3)] = math.inf
+    widths = his - los
+    for bm in (-3.0, -0.7, 0.0, 1.9, 3.0):
+        got = weights._gauss_kronrod_21(rates, bm, los, his, widths)
+        want = [oracles.quad_piece(*piece) for piece in zip(rates, [bm] * n, los, his, widths)]
+        assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("b", [3.0, -3.0])
+@pytest.mark.parametrize("p, mu", [(100.0, 1.0), (1.0, 0.01), (3.0, 0.05)])
+def test_infinite_ranges_at_small_rates(p, mu, b):
+    """Steps from t = 0 at rates c mu of 0.01, 0.01 and 0.017 and log
+    exponents b mu from -3 to 3: the cut of the infinite range lies
+    hundreds of e-folds out, and the result matches quad's on the
+    transformed infinite range."""
+    w = WeightFn.power_log(p, b / mu)
+    for t in (1e-30, 0.5, 3.0, 1e30):
+        want = quad_weight_integral(w, mu, 0.0, t)
+        assert weight_integral(w, mu, 0.0, t) == pytest.approx(want, rel=1e-13)
+    assert weight_integrals(w, mu, (0.5, 3.0)) == [
+        weight_integral(w, mu, 0.0, 0.5), weight_integral(w, mu, 0.5, 3.0)
+    ]
+
+
+@pytest.mark.parametrize(
+    "w, mu",
+    [
+        (WeightFn.power_log(2.0, 0.5), 0.01),  # the smallest mu
+        (WeightFn.power_log(100.0, -3.0), 0.01),
+        (WeightFn.power_log(2.0, 0.5).times_power(16.0), 2.0),  # lorentz_xi = 16
+        (WeightFn.power_log(2.0, -3.0).times_power(16.0), 8.0),
+        (WeightFn.power_log(0.5, 3.0), 1.0),
+    ],
+)
+def test_steps_at_the_config_limits(monkeypatch, w, mu):
+    """mu = 0.01 and lorentz_xi = 16, on steps from t = 0 and between
+    masses from 2^-1000 to 2^1000 (alpha = 16 puts masses that far out).
+    Each step gives quad's value within 1e-13, or both raise
+    ScaleRangeError, within the round cap."""
+    ends = [0.0, 2.0**-1000, 1e-30, 1e-3, 0.9, 1.1, 1e3, 1e30, 2.0**1000]
+    for a, b in [(0.0, e) for e in ends[1:]] + list(zip(ends[1:], ends[2:])):
+        rounds = _counting_rules(monkeypatch)
+        try:
+            want = quad_weight_integral(w, mu, a, b)
+        except ScaleRangeError:
+            with pytest.raises(ScaleRangeError):
+                weight_integral(w, mu, a, b)
+            continue
+        assert weight_integral(w, mu, a, b) == pytest.approx(want, rel=1e-13), (a, b)
+        assert len(rounds) <= weights._GK_ROUNDS
+
+
+def _log_gamma_tail(r: float, bm: float, x: float) -> float:
+    """log of the integral over [x, oo) of e^(-r y) (1 + y)^bm dy =
+    e^r r^-(bm+1) Gamma(bm + 1, r (1 + x))."""
+    upper = special.gammaincc(bm + 1.0, r * (1.0 + x))
+    return r - (bm + 1.0) * math.log(r) + special.gammaln(bm + 1.0) + math.log(upper)
+
+
+@pytest.mark.parametrize(
+    "r, bm, lo",
+    [(1.0, 300.0, 250.0), (0.01, 3.0, 0.69), (0.5, 50.0, 99.0), (2.0, 3.0, 0.5),
+     (0.1, 30.0, 290.0), (1.0, 1000.0, 999.0), (0.02, -0.5, 0.4), (3.0, 0.0, 0.0)],
+)
+def test_the_tail_past_the_cut_is_below_its_share(r, bm, lo):
+    """The exact tail past the cut (an upper incomplete gamma function) is
+    at most ``_TAIL_SHARE`` times the lower bound min(f(lo), f(lo + 1/r)) /
+    r of the integral.  The cut is tight, so a tail bound without its
+    bm+/(1 + X) term would put it where the exact tail is above that."""
+    cut = weights._tail_cut(np.array([r]), bm, np.array([lo]))[0]
+    log_f = [bm * math.log1p(x) - r * x for x in (lo, lo + 1.0 / r)]
+    floor = math.log(weights._TAIL_SHARE) + min(log_f) - math.log(r)
+    assert cut > lo and r * (1.0 + cut) > max(bm, 0.0)
+    assert _log_gamma_tail(r, bm, cut) <= floor
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 2.0])
+def test_a_step_to_an_infinite_mass_is_past_the_float_range(a):
+    """t^(c mu) grows without bound on [1, oo): no cut ends that x-range."""
+    w = WeightFn.power_log(2.0, 0.5)
+    with pytest.raises(ScaleRangeError, match="weight integral exceeds"):
+        weight_integral(w, 2.0, a, math.inf)
+    with pytest.raises(ScaleRangeError, match="weight integral exceeds"):
+        weight_integrals(w, 2.0, [1.0, a + 1.0, math.inf])
+
+
+def test_the_round_cap_raises_quadrature_error(monkeypatch):
+    """[1e-6, 1e3] needs several rounds; with the cap at 3 the kernel raises
+    instead of returning a partial sum, and so does the column path."""
+    w = WeightFn.power_log(1.5, -0.4)
+    monkeypatch.setattr(weights, "_GK_ROUNDS", 3)
     with pytest.raises(QuadratureError, match="did not converge") as scalar:
-        weight_integral(w, 1.0, 1.0, 1e300)
-    assert scalar.value.achieved > 1e-8
+        weight_integral(w, 2.5, 1e-6, 1e3)
+    assert scalar.value.achieved > weights._EPSREL
     with pytest.raises(QuadratureError) as column:
-        weight_integrals(w, 1.0, (1.0, 1e300))
-    assert str(column.value) == str(scalar.value)
+        weight_integrals(w, 2.5, (1e-6, 1e3))
+    assert column.value.achieved > weights._EPSREL
+
+
+def test_the_interval_cap_raises_quadrature_error(monkeypatch):
+    """With no intervals to spare beyond the first round's two, the second
+    bisection of [1e-6, 1e3] passes the cap."""
+    w = WeightFn.power_log(1.5, -0.4)
+    monkeypatch.setattr(weights, "_GK_SPARE", 0)
+    rounds = _counting_rules(monkeypatch)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        weight_integral(w, 2.5, 1e-6, 1e3)
+    assert rounds == [2, 2]
+
+
+def test_smoothed_weights_take_one_kernel_call(monkeypatch):
+    """Criterion 9's grid of 31 t-values per weight: one kernel call, whose
+    first round holds every t's x-intervals, gives each t's
+    ``smoothed_weight`` bit for bit."""
+    ts = [pow2(k) for k in range(-30, 31, 2)]
+    rounds = _counting_rules(monkeypatch)
+    for w in (WeightFn.power_log(1.3, 0.4), WeightFn.power_log(2.0, -0.5)):
+        want = [smoothed_weight(w, t) for t in ts]
+        rounds.clear()
+        assert weights._smoothed_weights(w, ts) == want
+        assert rounds[0] == 31 + 15  # every t's sides in the first round
 
 
 @pytest.mark.parametrize("w", [WeightFn.power(1e308), WeightFn.power_log(1e308, 0.5)])
@@ -553,15 +727,15 @@ def test_an_underflowing_exponent_raises_divergence_error(w):
         weight_integrals(w, 1e-20, (1.0, 2.0))
 
 
-def _counting_segments(monkeypatch) -> list[int]:
+def _counting_power_passes(monkeypatch) -> list[int]:
     calls = [0]
-    segment = weights._segment_integral
+    power_integrals = weights._power_integrals
 
     def counted(*args):
         calls[0] += 1
-        return segment(*args)
+        return power_integrals(*args)
 
-    monkeypatch.setattr(weights, "_segment_integral", counted)
+    monkeypatch.setattr(weights, "_power_integrals", counted)
     return calls
 
 
@@ -580,10 +754,10 @@ def test_power_integrals_past_the_float_range(monkeypatch):
         weight_integral(WeightFn.power(0.5), 1.0, 1e154, 1.9e154)
     w = WeightFn.power(1e300)
     assert w.power_exponent * 1e-20 == 1e-320
-    calls = _counting_segments(monkeypatch)
+    calls = _counting_power_passes(monkeypatch)
     with pytest.raises(ScaleRangeError, match="weight integral exceeds"):
         weight_integrals(w, 1e-20, [float(k) for k in range(1, 70)])
-    assert calls == [0]
+    assert calls == [1]
 
 
 @pytest.mark.parametrize(
