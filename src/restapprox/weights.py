@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Sequence
@@ -114,10 +115,10 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _ROUNDING_MARGIN = 64.0 * _EPMACH
 # Intervals per numpy block: keeps the (21, block) temporaries near 1 MiB.
 _GK_BLOCK = 1024
-# Caps of the adaptive kernel: its bisection rounds, and the intervals it may
-# hold beyond its first round's.  Past either it raises QuadratureError.
+# Caps of the adaptive kernel: its bisection rounds, and the live pieces of
+# each interval of a call.  Past either it raises QuadratureError.
 _GK_ROUNDS = 64
-_GK_SPARE = 64 * _GK_BLOCK
+_GK_PIECES = 256
 # An infinite range is cut where the tail bound falls below this share of a
 # lower bound of the integral.
 _TAIL_SHARE = 1e-3 * _EPSREL
@@ -339,10 +340,11 @@ def _sups(w: WeightFn, ends: list[float]) -> list[float]:
 
 
 def _log_piece_columns(
-    a: np.ndarray, b: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+    ends: list[float], left: slice | list[int], right: slice | list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The x-intervals of every step [a[k], b[k]] (0 <= a < b) on either
-    side of t = 1, from the ends' logs (log 0 = -oo).
+    """The x-intervals of every step [a, b] = [ends[left[k]], ends[right[k]]]
+    (0 <= a < b) on either side of t = 1, from one ``math.log`` per end:
+    only ends[0] may be 0, and log 0 = -oo.
 
     t = e^(-x) maps (0, 1] onto [0, oo) (sign -1) and t = e^x maps [1, oo)
     onto [0, oo) (sign +1); x_hi is infinite exactly when a = 0.  ``sides``
@@ -351,6 +353,9 @@ def _log_piece_columns(
     x_lo, except where hi <= 2 lo and the rounded logs can cancel: there hi
     - lo is exact (Sterbenz's lemma), and the width is one ``math.log1p((hi
     - lo) / lo)``, within a few ulps."""
+    logs = np.array([math.log(ends[0]) if ends[0] else -math.inf, *map(math.log, ends[1:])])
+    column = np.array(ends, dtype=float)
+    a, b, log_a, log_b = column[left], column[right], logs[left], logs[right]
     sides = np.stack((a < 1.0, b > 1.0), axis=1)
     lo = np.stack((a, np.maximum(a, 1.0)), axis=1)[sides]
     hi = np.stack((np.minimum(b, 1.0), b), axis=1)[sides]
@@ -365,14 +370,14 @@ def _log_piece_columns(
 
 
 def _powerlog_integrals(
-    w: WeightFn, mu: float, a: np.ndarray, b: np.ndarray, log_a: np.ndarray,
-    log_b: np.ndarray,
+    w: WeightFn, mu: float, ends: list[float], left: slice | list[int], right: slice | list[int]
 ) -> np.ndarray:
-    """The integrals of eta(t)^mu dt/t over the steps [a[k], b[k]] (0 <= a
-    < b) of a power-log weight, from the ends' logs: one kernel call on the
-    x-intervals of every step, left side + right side per step."""
+    """The integrals of eta(t)^mu dt/t over the steps [ends[left[k]],
+    ends[right[k]]] of a power-log weight (see :func:`_log_piece_columns`):
+    one kernel call on the x-intervals of every step, left side + right
+    side per step."""
     cm = w.power_exponent * mu
-    sides, x_lo, x_hi, widths = _log_piece_columns(a, b, log_a, log_b)
+    sides, x_lo, x_hi, widths = _log_piece_columns(ends, left, right)
     rates = np.broadcast_to(np.array((-cm, cm)), sides.shape)[sides]
     sums = np.zeros(sides.shape)
     sums[sides] = _gauss_kronrod_21(rates, w.b * mu, x_lo, x_hi, widths)
@@ -404,8 +409,7 @@ def weight_integral(w: WeightFn, mu: float, a: float, b: float) -> float:
         return _power_integrals(cm, [a, b])[0]
     if a == b:
         return 0.0
-    ends = ((a,), (b,), (math.log(a) if a else -math.inf,), (math.log(b),))
-    return _powerlog_integrals(w, mu, *np.array(ends))[0].item()
+    return _powerlog_integrals(w, mu, [a, b], [0], [1])[0].item()
 
 
 def weight_integrals(
@@ -428,14 +432,11 @@ def weight_integrals(
     if w.family == "power":
         return _power_integrals(cm, ends)
     # Steps 0..last-1 run from 0 to 0, and the rest between the ends
-    # column[last:], of which only the first (the last zero end) is 0.
-    column = np.array(ends)
-    last = int(np.searchsorted(column, 0.0, side="right")) - 1
+    # ends[last:], of which only the first (the last zero end) is 0.
+    last = bisect_right(ends, 0.0) - 1
     if last == len(masses):
         return [0.0] * last
-    logs = np.array([-math.inf, *map(math.log, column[last + 1:].tolist())])
-    column = column[last:]
-    totals = _powerlog_integrals(w, mu, column[:-1], column[1:], logs[:-1], logs[1:])
+    totals = _powerlog_integrals(w, mu, ends[last:], slice(None, -1), slice(1, None))
     return [0.0] * last + totals.tolist()
 
 
@@ -498,7 +499,9 @@ def _gauss_kronrod_21(
     rule; on a flat, narrow interval abserr equals resasc at every
     bisection, so later rounds drop it.  A non-finite estimate raises
     ScaleRangeError; more than ``_GK_ROUNDS`` rounds, or more than
-    ``_GK_SPARE`` intervals beyond the first round's, raise QuadratureError.
+    ``_GK_PIECES`` live pieces of one interval, raise QuadratureError.  Both
+    caps count per interval, so a step converges or fails alike alone and
+    among many, and memory stays within ``_GK_PIECES`` pieces per interval.
     """
     infinite = np.flatnonzero(np.isinf(his))
     if len(infinite):
@@ -513,7 +516,6 @@ def _gauss_kronrod_21(
     # hlgth past the first round's (lo + hi) / 2: a left half keeps its
     # parent's left end exactly, however far from it the centre lies.
     centr, lefts, hlgth = 0.5 * (los + his), los, 0.5 * widths
-    limit = len(rates) + _GK_SPARE
     for rounds in range(_GK_ROUNDS):
         result, abserr, resasc = _dqk21(rates, bm, centr, hlgth)
         if not np.isfinite(result).all():
@@ -525,7 +527,7 @@ def _gauss_kronrod_21(
         pending = np.flatnonzero(~ok)
         if not len(pending):
             return totals
-        if 2 * len(pending) > limit:
+        if 2 * np.bincount(owners[pending]).max() > _GK_PIECES:
             break
         owners, rates = owners[pending], rates[pending]
         owners, rates = np.concatenate((owners, owners)), np.concatenate((rates, rates))
@@ -545,9 +547,8 @@ def _tail_cut(r: np.ndarray, bm: float, lo: np.ndarray) -> np.ndarray:
     below.  Where r (1 + X) > bm+, the tail past X is at most e^(-r X) (1 +
     X)^bm / (r - bm+/(1 + X)), falling in X.  The cut is the first of x0 +
     2^k / r, k < 64, x0 = max(lo, 2 bm+ / r - 1), whose tail bound is below
-    ``_TAIL_SHARE`` times the lower bound; then, twice, the first such of 32
-    even steps up to it from the point before.  The bounds are logs, so f
-    may underflow."""
+    ``_TAIL_SHARE`` times the lower bound.  The bounds are logs, so f may
+    underflow."""
     beta = max(bm, 0.0)
 
     def log_f(x: np.ndarray) -> np.ndarray:
@@ -556,19 +557,10 @@ def _tail_cut(r: np.ndarray, bm: float, lo: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):  # a subnormal r makes no finite cut
         step = 1.0 / r
         floor = np.log(step * _TAIL_SHARE) + np.minimum(log_f(lo), log_f(lo + step))
-
-        def first(grid: np.ndarray) -> np.ndarray:  # columns rise; the last passes
-            passed = log_f(grid) - np.log(r - beta / (1.0 + grid)) <= floor
-            return grid[np.argmax(passed, axis=0), np.arange(len(r))]
-
         starts = np.maximum(lo, 2.0 * beta * step - 1.0)
-        cut = first(starts + step * np.exp2(np.arange(64.0))[:, None])
-        before = 0.5 * (starts + cut)
-        for _ in range(2):
-            gap = (cut - before) / 32.0
-            cut = first(np.linspace(before, cut, 33)[1:])
-            before = cut - gap
-    return cut
+        grid = starts + step * np.exp2(np.arange(64.0))[:, None]  # the last row passes
+        passed = log_f(grid) - np.log(r - beta / (1.0 + grid)) <= floor
+    return grid[np.argmax(passed, axis=0), np.arange(len(r))]
 
 
 def _dqk21(
@@ -630,9 +622,7 @@ def _smoothed_weights(w: WeightFn, ts: Sequence[float]) -> list[float]:
         raise ContractViolationError("t must be > 0")
     if w.family == "power":
         return [w.p * t**w.power_exponent for t in ts]
-    ends, logs = np.array(ts, dtype=float), np.array(list(map(math.log, ts)))
-    zeros = np.zeros(len(ends))
-    return _powerlog_integrals(w, 1.0, zeros, ends, zeros - math.inf, logs).tolist()
+    return _powerlog_integrals(w, 1.0, [0.0, *ts], [0] * len(ts), slice(1, None)).tolist()
 
 
 def boyd_lower_index(w: WeightFn, t_min: float) -> float:

@@ -146,9 +146,16 @@ MUTANTS = (
     Mutant(
         "no-interval-cap",
         "weights.py",
-        "        if 2 * len(pending) > limit:\n            break\n",
+        "        if 2 * np.bincount(owners[pending]).max() > _GK_PIECES:\n            break\n",
         "",
         (_WEIGHTS + "test_the_interval_cap_raises_quadrature_error",),
+    ),
+    Mutant(
+        "interval-cap-over-the-call",
+        "weights.py",
+        "if 2 * np.bincount(owners[pending]).max() > _GK_PIECES:",
+        "if 2 * len(pending) > len(totals) + 64 * _GK_BLOCK:",
+        (_WEIGHTS + "test_many_narrow_steps_converge_as_each_does_alone",),
     ),
     Mutant(
         "cap-returns-a-partial-sum",

@@ -665,7 +665,7 @@ def test_every_command_leaves_scipy_unloaded(tmp_path):
     lines = [line for line in result.stdout.splitlines() if line.startswith("gate ")]
     assert lines == [f"gate {argv[0]} 0 False" for argv in commands]
     value = _row(_rows(tmp_path / "0"), "norm/rearranged")["value"]
-    assert value == "5.530291232650637"  # 5.530291232650642 with scipy's quad
+    assert value == "5.530291232650642"  # as with scipy's quad
     params = LorentzParams(WeightFn.power_log(2.0, 0.5), mu=2.0, xi=0.0)
     assert float(value) == lorentz_norm(read_sequence(SAMPLE), MeasureSpec(1.0), params)
 

@@ -452,8 +452,7 @@ def test_powerlog_norm_rounds_do_not_grow_with_steps(monkeypatch):
 
 def _one_step(a: float, b: float):
     """``weights._log_piece_columns`` of the one step [a, b]."""
-    log_a = math.log(a) if a else -math.inf
-    return weights._log_piece_columns(*np.array(((a,), (b,), (log_a,), (math.log(b),))))
+    return weights._log_piece_columns([a, b], [0], [1])
 
 
 # Steps a few ulps wide, 1e-9 wide, and across t = 1, on both sides of it,
@@ -653,14 +652,16 @@ def _log_gamma_tail(r: float, bm: float, x: float) -> float:
 
 @pytest.mark.parametrize(
     "r, bm, lo",
-    [(1.0, 300.0, 250.0), (0.01, 3.0, 0.69), (0.5, 50.0, 99.0), (2.0, 3.0, 0.5),
-     (0.1, 30.0, 290.0), (1.0, 1000.0, 999.0), (0.02, -0.5, 0.4), (3.0, 0.0, 0.0)],
+    [(1.0, 300.0, 230.0), (4.0, 1000.0, 207.0), (0.01, 3.0, 0.69), (0.5, 50.0, 99.0),
+     (2.0, 3.0, 0.5), (0.1, 30.0, 290.0), (1.0, 1000.0, 999.0), (0.02, -0.5, 0.4),
+     (3.0, 0.0, 0.0)],
 )
 def test_the_tail_past_the_cut_is_below_its_share(r, bm, lo):
     """The exact tail past the cut (an upper incomplete gamma function) is
     at most ``_TAIL_SHARE`` times the lower bound min(f(lo), f(lo + 1/r)) /
-    r of the integral.  The cut is tight, so a tail bound without its
-    bm+/(1 + X) term would put it where the exact tail is above that."""
+    r of the integral.  In the first two cases, just past f's peak, a tail
+    bound without its bm+/(1 + X) term would pass a doubling point where the
+    exact tail is 2.5 and 3.2 times that."""
     cut = weights._tail_cut(np.array([r]), bm, np.array([lo]))[0]
     log_f = [bm * math.log1p(x) - r * x for x in (lo, lo + 1.0 / r)]
     floor = math.log(weights._TAIL_SHARE) + min(log_f) - math.log(r)
@@ -692,14 +693,34 @@ def test_the_round_cap_raises_quadrature_error(monkeypatch):
 
 
 def test_the_interval_cap_raises_quadrature_error(monkeypatch):
-    """With no intervals to spare beyond the first round's two, the second
-    bisection of [1e-6, 1e3] passes the cap."""
+    """With at most two live pieces per interval, the second bisection of
+    [1e-6, 1e3] passes the cap."""
     w = WeightFn.power_log(1.5, -0.4)
-    monkeypatch.setattr(weights, "_GK_SPARE", 0)
+    monkeypatch.setattr(weights, "_GK_PIECES", 2)
     rounds = _counting_rules(monkeypatch)
     with pytest.raises(QuadratureError, match="did not converge"):
         weight_integral(w, 2.5, 1e-6, 1e3)
     assert rounds == [2, 2]
+
+
+def test_many_narrow_steps_converge_as_each_does_alone(monkeypatch):
+    """70 000 steps 2^-40 apart past t = 1, each about 9e-13 wide in x:
+    dqk21's abserr equals its resasc on every one, so all of them bisect
+    once.  The interval cap counts each interval's own pieces, so they end
+    in the two rounds one of them takes alone, the step from t = 0 takes
+    its rounds as it does alone, and every step gets its scalar result (a
+    cap over the whole call's intervals raised QuadratureError here)."""
+    w = WeightFn.power_log(2.0, 0.5)
+    masses = [1.0 + k * 2.0**-40 for k in range(70000)]
+    rounds = _counting_rules(monkeypatch)
+    first = weight_integral(w, 2.0, 0.0, 1.0)
+    alone = rounds.copy()
+    rounds.clear()
+    got = weight_integrals(w, 2.0, masses)
+    assert rounds[:2] == [70000, 140000] and rounds[2:] == alone[2:]
+    assert got[0] == first
+    for k in range(1, 70000, 1399):
+        assert got[k] == weight_integral(w, 2.0, masses[k - 1], masses[k])
 
 
 def test_smoothed_weights_take_one_kernel_call(monkeypatch):
