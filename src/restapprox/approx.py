@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .dyadic import Cube, ExactSum, MeasureSpec, pow2
+from .dyadic import Cube, ExactSum, MeasureSpec, nu_measure, pow2
 from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
 from .errors import CapabilityError, ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
-from .spaces import SpaceParams, space_norm, suffix_norms
-from .weights import _power_integrals
+from .spaces import SpaceParams, _aggregate, space_norm, suffix_norms
+from .weights import WeightFn, step_aggregate
 
 __all__ = [
     "ApproxParams",
@@ -105,6 +105,8 @@ class SigmaProfile:
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not b > a:
                 raise ContractViolationError("breakpoints must strictly increase")
+        if not all(err >= 0.0 for err in self.errors):
+            raise ContractViolationError("profile errors must be >= 0")
         slack = 1e-9 * max(1.0, self.errors[0] if self.errors else 0.0)
         for e0, e1 in zip(self.errors, self.errors[1:]):
             if e1 > e0 + slack:
@@ -117,26 +119,20 @@ class SigmaProfile:
         return self.errors[idx] if idx < len(self.errors) else 0.0
 
     def norm(self, xi: float, mu: float) -> float:
-        """Budget-weighted aggregate of the profile.
-
-        Finite mu integrates [t^xi * sigma(t)]^mu dt/t piecewise in closed
-        form (``weights._power_integrals``); mu = inf takes the sup, attained
-        at right endpoints because xi > 0 and sigma is constant on each piece.
+        """Budget-weighted aggregate of the profile: the integral of [t^xi
+        sigma(t)]^mu dt/t to the power 1/mu, or sup_t t^xi sigma(t) for mu =
+        inf.  That is the Lorentz norm's step aggregate
+        (:func:`restapprox.weights.step_aggregate`) of the errors, with the
+        power weight t^xi = ``WeightFn.power(1/xi)``.  Every range error, a
+        weight integral's included, is the budget aggregate's.
         """
-        if not self.errors:
-            return 0.0
-        bp = self.breakpoints
-        if math.isinf(mu):
-            terms = (err * bp[k + 1] ** xi for k, err in enumerate(self.errors))
-            return finite(lambda: max(terms), _AGGREGATE_RANGE)
-        # the pieces up to the last positive error, as integrals of t^(xi mu) dt/t
-        last = max((k for k, err in enumerate(self.errors) if err > 0), default=-1)
+        if not (xi > 0 and 1.0 / xi < math.inf):
+            raise ContractViolationError("xi must be > 0, with 1/xi finite")
+        args = (WeightFn.power(1.0 / xi), mu, self.breakpoints[1:], self.errors)
         try:
-            pieces = _power_integrals(xi * mu, bp[: last + 2])
+            return finite(lambda: step_aggregate(*args), _AGGREGATE_RANGE)
         except ScaleRangeError:
             raise ScaleRangeError(_AGGREGATE_RANGE) from None
-        terms = (err**mu * piece for err, piece in zip(self.errors, pieces) if err > 0)
-        return finite(lambda: math.fsum(terms) ** (1.0 / mu), _AGGREGATE_RANGE)
 
     def norm_dyadic(self, xi: float, mu: float) -> float:
         """Dyadic-budget aggregate: sum of [2^(k xi) sigma(2^k)]^mu over integers k.
@@ -145,12 +141,12 @@ class SigmaProfile:
         infinite tail of smaller budgets, where the error is constantly the
         full norm, is summed as a geometric series in closed form.
         """
-        if not self.errors:
+        # the profile is 0 from the breakpoint after its last positive error
+        last = max((k for k, err in enumerate(self.errors) if err > 0), default=-1)
+        if last < 0:
             return 0.0
-        first_mass = self.breakpoints[1]
-        last_mass = self.breakpoints[-1]
-        k_min = log2_floor_ceil(first_mass)[0]
-        k_up = log2_floor_ceil(last_mass)[1]
+        k_min = log2_floor_ceil(self.breakpoints[1])[0]
+        k_up = log2_floor_ceil(self.breakpoints[last + 1])[1]
         full = self.errors[0]
 
         def aggregate() -> float:
@@ -583,13 +579,7 @@ def decompose(
     norms = [
         pow2(k * params.xi) * space_norm(piece, params.space) for k, piece in pieces
     ]
-    mu = params.mu
-    if math.isinf(mu):
-        score = finite(lambda: max(norms), _AGGREGATE_RANGE)
-    else:
-        score = finite(
-            lambda: math.fsum(v**mu for v in norms) ** (1.0 / mu), _AGGREGATE_RANGE
-        )
+    score = _aggregate(norms, params.mu, _AGGREGATE_RANGE)
     return DecomposeResult(tuple(pieces), score)
 
 
@@ -629,7 +619,7 @@ def bernstein_constant(
         if not s:
             continue
         numerator = lorentz_norm(s, params.measure, lorentz)
-        mass = math.fsum(params.measure(q) for q in s.support)
+        mass = nu_measure(s.support, params.measure)
         denominator = finite(
             lambda: mass**params.xi * space_norm(s, params.space), _AGGREGATE_RANGE
         )

@@ -7,27 +7,26 @@ nonincreasing step function taking value ``v`` on an interval of length equal
 to the total ``nu``-mass of the cubes whose (optionally weighted) magnitude
 equals ``v``.  The quasi-norm reduces to a finite sum over those steps,
 exactly for power weights and to quadrature accuracy for power-log weights.
+That sum is ``weights.step_aggregate``, the one aggregate of a step function
+that the approximation norm of an error profile also takes.
 
 Large families are rearranged on numpy columns (one sort of the magnitudes,
-one cumulative sum of exact integer masses), and the norm takes its steps as
-columns: the weight integrals or sups of all steps in one call, then one
-C-level ``map`` for the powers and products and one ``fsum`` or ``max``.
-Both give the per-cube and per-step results bit for bit.
+one cumulative sum of exact integer masses), which give the per-cube loop's
+steps bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import gt, itemgetter, lt, mul
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .dyadic import Cube, MeasureSpec, scaled_ints
 from .errors import ContractViolationError, finite
-from .weights import WeightFn, weight_integrals, weight_sups
+from .weights import WeightFn, step_aggregate
 
 __all__ = [
     "CoeffSeq",
@@ -309,33 +308,14 @@ class LorentzParams:
 
 
 def lorentz_norm(s: CoeffSeq, measure: MeasureSpec, params: LorentzParams) -> float:
-    """The rearrangement-form quasi-norm.
-
-    For finite ``mu`` the integral splits over the rearrangement steps into
-    weight integrals, all computed in one call of
-    :func:`restapprox.weights.weight_integrals` (the closed form for power
-    weights, one batched Gauss-Kronrod pass for power-log weights), and the
-    ``math.fsum`` of ``value**mu`` times each step's integral.  For
-    ``mu = inf`` the sup over each step is the step value times the exact sup
-    of the weight on that interval (:func:`restapprox.weights.weight_sups`).
-    Both take the whole step list in one call, and the products and the sum
-    or max run in C over it.  A norm, a term or an integral past the float
-    range raises ScaleRangeError.
+    """The rearrangement-form quasi-norm: the step aggregate
+    (:func:`restapprox.weights.step_aggregate`) of the rearrangement under the
+    weight t^xi eta(t).  A weight integral past the float range raises its
+    own ScaleRangeError, and any other power, sum or norm past it the Lorentz
+    norm's.
     """
     steps = rearrange(s, measure, params.u)
     if not steps.masses:
         return 0.0
-    w = params.combined_weight
-    mu = params.mu
-    if math.isinf(mu):
-        return finite(
-            lambda: max(map(mul, steps.values, weight_sups(w, steps.masses))),
-            _NORM_RANGE,
-        )
-    integrals = weight_integrals(w, mu, steps.masses)
-    return finite(
-        lambda: math.fsum(map(mul, map(pow, steps.values, repeat(mu)), integrals))
-        ** (1.0 / mu),
-        _NORM_RANGE,
-    )
-
+    w, mu = params.combined_weight, params.mu
+    return finite(lambda: step_aggregate(w, mu, steps.masses, steps.values), _NORM_RANGE)

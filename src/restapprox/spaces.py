@@ -212,12 +212,12 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     return _tl_forest_norm(forest, values, exponent, params)
 
 
-def _aggregate(values: list[float], p: float) -> float:
-    """(sum of v^p)^(1/p), or the max for p = inf; raises ScaleRangeError
+def _aggregate(values: list[float], p: float, message: str) -> float:
+    """(sum of v^p)^(1/p), or the max for p = inf; ScaleRangeError(message)
     when a power, the sum or the result exceeds the float range."""
     if math.isinf(p):
-        return finite(lambda: max(values), _SCALE_RANGE)
-    return finite(lambda: math.fsum([v**p for v in values]) ** (1.0 / p), _SCALE_RANGE)
+        return finite(lambda: max(values), message)
+    return finite(lambda: math.fsum([v**p for v in values]) ** (1.0 / p), message)
 
 
 def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -234,8 +234,8 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     by_scale: dict[int, list[float]] = {}
     for cube, value in s.items():
         by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
-    inner = [_aggregate(by_scale[j], params.p) for j in sorted(by_scale)]
-    return _aggregate(inner, params.q)
+    inner = [_aggregate(by_scale[j], params.p, _SCALE_RANGE) for j in sorted(by_scale)]
+    return _aggregate(inner, params.q, _SCALE_RANGE)
 
 
 def space_norm(s: CoeffSeq, params: SpaceParams) -> float:

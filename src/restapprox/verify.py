@@ -563,7 +563,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         if acc != seq:
             recon_failures += 1
         for k, piece in result.pieces:
-            mass = math.fsum(params.measure(qb) for qb in piece.support)
+            mass = nu_measure(piece.support, params.measure)
             if mass > pow2(k) * (1 + 1e-12):
                 budget_failures += 1
         denom = approx_norm(seq, params, solver)
@@ -730,8 +730,8 @@ def _approx_lattice_failures(rng: np.random.Generator) -> int:
         params = ApproxParams(1.0, 1.0, space, measure)
         a = _draw_seq(rng, int(rng.integers(1, 9)), 1, -3, 3, 1.0)
         b = _draw_seq(rng, int(rng.integers(1, 9)), 1, -3, 3, 1.0)
-        ta = float(rng.uniform(0.0, 1.1)) * math.fsum(measure(q) for q in a.support)
-        tb = float(rng.uniform(0.0, 1.1)) * math.fsum(measure(q) for q in b.support)
+        ta = float(rng.uniform(0.0, 1.1)) * nu_measure(a.support, measure)
+        tb = float(rng.uniform(0.0, 1.1)) * nu_measure(b.support, measure)
         sa = sigma_exact(a, ta, params, "brute").error
         sb = sigma_exact(b, tb, params, "brute").error
         s_sum = sigma_exact(a.plus(b), ta + tb, params, "brute").error

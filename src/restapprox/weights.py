@@ -30,7 +30,9 @@ The power closed form (``_power_integrals``), the weight values
 Python pass over a list of step ends that takes each end's ``pow`` or
 ``math.log`` once.  ``weight_integrals`` and ``weight_sups`` run them over a
 whole rearrangement's steps, at every length; ``weight_integral`` and
-``weight_sup_on_interval`` over one step.  The power-log x-intervals
+``weight_sup_on_interval`` over one step.  ``step_aggregate``, the Lorentz
+norm of a rearrangement and the approximation norm of an error profile alike,
+takes one of the two per step function.  The power-log x-intervals
 (``_log_piece_columns``) take libm's logs, through Python floats, because
 numpy's vector ``log`` and ``log1p`` can differ in the last bit, and numpy
 does only correctly rounded work on them (differences, quotients, maxima,
@@ -68,6 +70,7 @@ __all__ = [
     "weight_integrals",
     "weight_sup_on_interval",
     "weight_sups",
+    "step_aggregate",
 ]
 
 # Certification scan: first s0 = 2^-m with M(s0) below this margin is stored.
@@ -438,6 +441,31 @@ def weight_integrals(
         return [0.0] * last
     totals = _powerlog_integrals(w, mu, ends[last:], slice(None, -1), slice(1, None))
     return [0.0] * last + totals.tolist()
+
+
+def step_aggregate(
+    w: WeightFn, mu: float, masses: Sequence[float], values: Sequence[float]
+) -> float:
+    """(integral of (eta(t) f(t))^mu dt/t)^(1/mu), or sup_t eta(t) f(t) for
+    mu = inf, of the step function f that takes ``values[k]`` on
+    [masses[k-1], masses[k]), with masses[-1] read as 0, up to its last
+    positive value and 0 from there on.
+
+    Finite mu takes one :func:`weight_integrals` call and one ``math.fsum``
+    of value^mu times each step's integral; mu = inf one :func:`weight_sups`
+    call and one ``max``.  A weight integral past the float range raises its
+    ScaleRangeError; a power or sum past it raises OverflowError, and a
+    product past it gives inf.
+    """
+    n = len(values)
+    while n and not values[n - 1] > 0:
+        n -= 1
+    masses, values = masses[:n], values[:n]
+    if math.isinf(mu):
+        return max(map(operator.mul, values, weight_sups(w, masses)), default=0.0)
+    integrals = weight_integrals(w, mu, masses)
+    terms = map(operator.mul, map(pow, values, repeat(mu)), integrals)
+    return math.fsum(terms) ** (1.0 / mu)
 
 
 def _power_integrals(e: float, ends: Sequence[float]) -> list[float]:

@@ -217,6 +217,35 @@ MUTANTS = (
         ("tests/test_approx.py::test_suffix_norms_equal_norms_of_suffixes_in_any_order",),
     ),
     Mutant(
+        "step-aggregate-keeps-a-zero-tail",
+        "weights.py",
+        "    while n and not values[n - 1] > 0:\n        n -= 1\n",
+        "",
+        ("tests/test_approx.py::test_a_zero_error_tail_ends_both_aggregates",),
+    ),
+    Mutant(
+        "step-aggregate-branches-swapped",
+        "weights.py",
+        "    if math.isinf(mu):\n        return max(map(operator.mul,",
+        "    if not math.isinf(mu):\n        return max(map(operator.mul,",
+        ("tests/test_approx.py::test_profile_norm_matches_a_decimal_reference",
+         _LORENTZ + "test_lorentz_norm_across_scale_gaps_matches_exact_oracle"),
+    ),
+    Mutant(
+        "profile-norm-keeps-the-integral-error",
+        "approx.py",
+        "            raise ScaleRangeError(_AGGREGATE_RANGE) from None\n",
+        "            raise\n",
+        ("tests/test_approx.py::test_budget_aggregates_past_the_float_range_are_typed_errors",),
+    ),
+    Mutant(
+        "columns-keep-zero-length-steps",
+        "lorentz.py",
+        "kept = np.diff(ends, prepend=0.0) > 0.0",
+        "kept = np.diff(ends, prepend=0.0) >= 0.0",
+        (_LORENTZ + "test_rearrange_takes_the_columns_at_every_alpha",),
+    ),
+    Mutant(
         "pow2-passes-nan",
         "dyadic.py",
         "if not abs(exponent) <= _MAX_EXP:",

@@ -155,6 +155,10 @@ def test_profile_shape_validation():
         SigmaProfile((0.0, 1.0, 1.0), (2.0, 1.0))
     with pytest.raises(ContractViolationError):
         SigmaProfile((0.0, 1.0, 2.0), (1.0, 2.0))
+    # a negative error within the slack of a rise used to make a complex power
+    for errors in [(1.0, -1e-10, 1e-10), (math.nan,)]:
+        with pytest.raises(ContractViolationError, match="errors must be >= 0"):
+            SigmaProfile((0.0, *range(1, len(errors) + 1)), errors)
 
 
 @given(
@@ -303,6 +307,52 @@ def test_dyadic_norm_sup_form_by_hand():
         pow2(k) * profile.value_at(pow2(k)) for k in range(-60, 4)
     )
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_a_zero_error_tail_ends_both_aggregates():
+    """Past its last positive error a profile is 0, so the breakpoint 1e300
+    after it, whose powers leave the float range, is no step of either
+    aggregate.  Both sup forms and the dyadic sum used to raise."""
+    profile = SigmaProfile((0.0, 2.0, 1e300), (3.0, 0.0))
+    assert profile.norm(2.0, math.inf) == 12.0
+    assert profile.norm(2.0, 2.0) == 6.0
+    assert profile.norm_dyadic(2.0, math.inf) == 3.0
+    # the tail sum over k <= 1 of (3 * 2^(2k))^2 is 9 * 16/15
+    assert profile.norm_dyadic(2.0, 2.0) == pytest.approx(3.0 * math.sqrt(16.0 / 15.0))
+    assert SigmaProfile((0.0, 1.0), (0.0,)).norm_dyadic(2.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, 1e-310])
+def test_profile_norm_needs_the_power_weight_of_xi(xi):
+    """t^xi is the power weight of index 1/xi; 1/1e-310 overflows."""
+    with pytest.raises(ContractViolationError, match="1/xi finite"):
+        SigmaProfile((0.0, 1.0), (1.0,)).norm(xi, math.inf)
+
+
+# Rate exponents of which half do not round trip through 1/xi: at 0.9, 0.45
+# and 1.9 the weight t^(1/(1/xi)) is not t^xi.
+_ROUND_TRIPS = [0.9, 0.45, 1.9, 0.5, 0.7, 3.0]
+# 80 distinct values over scales 0..6: a rearrangement on numpy columns.
+_EIGHTY = CoeffSeq({Cube(k % 7, (k,)): 1.0 + (37 * k % 101) / 7.0 for k in range(80)})
+
+
+@pytest.mark.parametrize("xi", _ROUND_TRIPS)
+@pytest.mark.parametrize("mu", [0.37, 1.0, 2.0, 7.5, math.inf])
+@pytest.mark.parametrize(
+    "s, alpha",
+    [(HAND, 1.0), (HAND, 0.5), (_EIGHTY, -0.3)],
+    ids=["hand-1", "hand-0.5", "eighty-0.3"],
+)
+def test_profile_norm_is_the_lorentz_step_aggregate(xi, mu, s, alpha):
+    """A profile whose steps are a rearrangement's has the Lorentz norm of
+    eta = t^(1/p), p = 1/xi, bit for bit: both take the one step aggregate,
+    with the same weight."""
+    assert sum(1.0 / (1.0 / x) != x for x in _ROUND_TRIPS) == 3
+    measure = MeasureSpec(alpha)
+    steps = rearrange(s, measure)
+    profile = SigmaProfile((0.0, *steps.masses), steps.values)
+    lorentz = LorentzParams(WeightFn.power(1.0 / xi), mu, 0.0)
+    assert profile.norm(xi, mu).hex() == lorentz_norm(s, measure, lorentz).hex()
 
 
 def test_decompose_hand_case():
