@@ -10,10 +10,12 @@ preorder plus, for each, the index of its tightest container, so that each
 cube's subtree is one run of the preorder.  The preorder comes from one sort of
 integer keys: int64 numpy arrays for families of at least ``_INT64_MIN_CUBES``
 cubes whose keys fit in 62 bits, Python ints otherwise (small families, and
-positions of hundreds of bits across wide scale gaps).  The forest holds
-containment only: callers read per-cube values and volume powers by preorder
-index, and the aggregated norm's chain and region arithmetic lives in
-``spaces``.
+positions of hundreds of bits across wide scale gaps).  On int64 keys the
+parents come from numpy binary searches and the forest also keeps its columns
+as arrays, grouped by depth; on Python ints they come from one stack pass.
+The forest holds containment only: callers read per-cube values and volume
+powers by preorder index, and the aggregated norm's chain and region
+arithmetic lives in ``spaces``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import index, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,6 +134,19 @@ class VolumePowers(dict):
     def __missing__(self, jd: int) -> float:
         power = self[jd] = pow2(-jd * self.exponent)
         return power
+
+    def at_scales(self, scales: Iterable[int], d: int) -> list[float]:
+        """The power of the volume of each scale's cubes at dimension ``d``.
+        Where ``pow2`` rejects a volume the list holds ``math.nan`` itself,
+        for the caller to raise ``self(cube)``'s ScaleRangeError where it
+        uses one."""
+        table = []
+        for j in scales:
+            try:
+                table.append(self[j * d])
+            except ScaleRangeError:
+                table.append(math.nan)
+        return table
 
 
 # |Q| per volume, one table for every caller.  It only memoizes pow2, and
@@ -309,7 +324,18 @@ _INT64_MIN_CUBES = 128
 _KEY_LIMIT = 1 << 62
 # Spread masks cut to int64; the codes they select stay below 2^62.
 _INT64_BITS = (1 << 63) - 1
-_J, _K = itemgetter(0), itemgetter(1)
+_J, _K, _D = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _int64_scales(cubes: Collection[Cube]) -> np.ndarray | None:
+    """The scales of a family of at least ``_INT64_MIN_CUBES`` cubes as an
+    int64 array; None for a smaller family, or one with a scale past int64."""
+    if len(cubes) < _INT64_MIN_CUBES:
+        return None
+    try:
+        return np.fromiter(map(_J, cubes), np.int64, len(cubes))
+    except OverflowError:
+        return None
 
 
 def _int64_columns(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -385,8 +411,64 @@ def _int64_ranges(
     return levels, keys, ends, scale_of
 
 
+def _stack_parents(order: list[int], keys: list[int], ends: list[int]) -> list[int]:
+    """Each cube's parent index in the preorder ``order`` of the sorted keys,
+    -1 for a root, by one stack pass.  The stack holds the cubes containing
+    the previous one, innermost on top: popping those whose key range ends at
+    or before the next key leaves its parent on top."""
+    parent: list[int] = []
+    stack: list[tuple[int, int]] = []  # (end of key range, index in cubes)
+    for i, u in enumerate(order):
+        key = keys[u]
+        while stack and stack[-1][0] <= key:
+            stack.pop()
+        parent.append(stack[-1][1] if stack else -1)
+        stack.append((ends[u], i))
+    return parent
+
+
+class ForestArrays(NamedTuple):
+    """A forest's columns as int64 arrays, for a family on int64 keys:
+    ``order``, ``parent`` and ``scale_of`` as the forest's lists, and
+    ``levels``, the preorder indices of the cubes at each depth (0 for a
+    root), ascending, one array per depth from 0."""
+
+    order: np.ndarray
+    parent: np.ndarray
+    scale_of: np.ndarray
+    levels: list[np.ndarray]
+
+
+def _array_parents(
+    keys: np.ndarray, ends: np.ndarray, scale_of: np.ndarray
+) -> ForestArrays:
+    """The forest of int64 keys and ends, from sorts and binary searches.
+
+    In the preorder of the sorted keys, cube i's subtree is the run
+    ``[i, sub[i])`` of the keys below its end.  Its ancestors are the cubes
+    j < i whose runs pass i, so its depth is i less the runs that end at or
+    before i, and its parent is the last cube before it one level up.
+    """
+    n = len(keys)
+    order = np.argsort(keys)
+    sub = np.searchsorted(keys[order], ends[order])
+    depth = np.arange(n) - np.cumsum(np.bincount(sub, minlength=n + 1)[:n])
+    # A depth is at most the top capped level, which int64 keys keep below
+    # 62, so depths fit int8, whose stable sort is a radix sort.
+    by_depth = np.argsort(depth.astype(np.int8), kind="stable")
+    # The (depth, index) rows, ascending; a cube's parent has the last row
+    # at or before (depth - 1, index - 1).
+    rows = depth[by_depth] * n + by_depth
+    parent = np.empty(n, np.int64)
+    parent[by_depth] = by_depth[np.searchsorted(rows, rows - n - 1, "right") - 1]
+    parent[depth == 0] = -1
+    bounds = np.searchsorted(rows, np.arange(int(depth[by_depth[-1]]) + 2) * n)
+    levels = [by_depth[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return ForestArrays(order, parent, scale_of[order], levels)
+
+
 class ContainmentForest:
-    """Nesting structure of a finite cube family, as two aligned lists.
+    """Nesting structure of a finite cube family, as aligned lists.
 
     ``cubes`` lists the family in a preorder of the dyadic tree, and
     ``parent[i]`` is the index in ``cubes`` of the *tightest* cube of the
@@ -399,23 +481,25 @@ class ContainmentForest:
     ``scale_of[i]`` the index of its scale in the sorted list ``scales``, so
     values and per-volume powers can be read by preorder index.
 
-    The build is one sort and one stack pass, whatever the scale gap.  The
-    sort key (see ``_preorder_ranges``) orders the cubes by lower corner,
-    coarser first on ties, which lists each cube's subtree right after it, in
-    the key range ``[key, end)`` of that cube.  The stack then holds the cubes
-    containing the previous one, innermost on top: popping those whose range
-    ends at or before the next key leaves its parent on top, with integer
-    comparisons only.  The keys use the capped levels of ``_capped_levels``,
-    which keep every containment, so their length does not grow with the
-    scale gap either.
+    The build is one sort of integer keys and one parent pass, whatever the
+    scale gap.  The sort key (see ``_preorder_ranges``) orders the cubes by
+    lower corner, coarser first on ties, which lists each cube's subtree
+    right after it, in the key range ``[key, end)`` of that cube, so the
+    parents follow from integer comparisons only.  The keys use the capped
+    levels of ``_capped_levels``, which keep every containment, so their
+    length does not grow with the scale gap either.
 
     The keys come one of two ways, equal key for key.  A family of at least
     ``_INT64_MIN_CUBES`` cubes, with scales and positions inside +-2^62 and
     every key and end inside 62 bits, has them computed on int64 numpy
-    arrays (``_int64_columns``, ``_int64_ranges``) and sorted by numpy.
-    Smaller families, where numpy's fixed costs dominate, and wider keys
-    (positions of hundreds of bits across a wide scale gap) take Python ints
-    (``_capped_levels``, ``_preorder_ranges``) and ``sorted``.
+    arrays (``_int64_columns``, ``_int64_ranges``), sorted by numpy, and
+    its parents found by binary searches (``_array_parents``); ``arrays``
+    then holds the forest's columns as int64 arrays and its cubes grouped
+    by depth, for kernels that run one depth level at a time.  Smaller
+    families, where numpy's fixed costs dominate, and wider keys (positions
+    of hundreds of bits across a wide scale gap) take Python ints
+    (``_capped_levels``, ``_preorder_ranges``), ``sorted`` and the stack
+    pass of ``_stack_parents``; their ``arrays`` is None.
 
     Every region (cube minus its children) has non-negative measure by
     construction.  The capped levels keep every containment and every
@@ -435,10 +519,10 @@ class ContainmentForest:
         self.order: list[int] = []
         self.scales: list[int] = []
         self.scale_of: list[int] = []
+        self.arrays: ForestArrays | None = None
         if not unique:
             return
-        d = unique[0].d
-        if any(q.d != d for q in unique):
+        if len(set(map(_D, unique))) > 1:
             raise ContractViolationError("all cubes must share one dimension")
         columns = _int64_columns(unique) if len(unique) >= _INT64_MIN_CUBES else None
         ranges = None if columns is None else _int64_ranges(*columns)
@@ -448,20 +532,13 @@ class ContainmentForest:
             order = sorted(range(len(unique)), key=keys.__getitem__)
             index = {j: i for i, j in enumerate(levels)}
             scale_of = [index[unique[u].j] for u in order]
+            self.parent = _stack_parents(order, keys, ends)
         else:
             levels, keys, ends, scale_of = ranges
-            ranked = np.argsort(keys)
-            keys, ends = keys.tolist(), ends.tolist()
-            order, scale_of = ranked.tolist(), scale_of[ranked].tolist()
-        parent = self.parent
-        stack: list[tuple[int, int]] = []  # (end of key range, index in cubes)
-        for i, u in enumerate(order):
-            key = keys[u]
-            while stack and stack[-1][0] <= key:
-                stack.pop()
-            parent.append(stack[-1][1] if stack else -1)
-            stack.append((ends[u], i))
-        self.cubes = [unique[u] for u in order]
+            self.arrays = arrays = _array_parents(keys, ends, scale_of)
+            order, scale_of = arrays.order.tolist(), arrays.scale_of.tolist()
+            self.parent = arrays.parent.tolist()
+        self.cubes = list(map(unique.__getitem__, order))
         self.order, self.scales, self.scale_of = order, list(levels), scale_of
 
     def __len__(self) -> int:
@@ -486,11 +563,5 @@ class ContainmentForest:
         """
         if not self.cubes:
             return []
-        d = self.cubes[0].d
-        table = []
-        for j in self.scales:
-            try:
-                table.append(powers[j * d])
-            except ScaleRangeError:
-                table.append(math.nan)
+        table = powers.at_scales(self.scales, self.cubes[0].d)
         return [table[i] for i in self.scale_of]

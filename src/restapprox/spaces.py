@@ -8,6 +8,13 @@ sum: no sampling, no quadrature.  The per-scale family ("besov") takes an
 inner p-sum within each scale and an outer q-sum across scales.  When p == q
 the two quasi-norms coincide identically, which several tests pin.
 
+Families whose forest takes int64 keys (see ``dyadic.ContainmentForest``)
+run the aggregated norm one depth level of the forest at a time on numpy
+arrays, and the per-scale norm groups families of as many cubes by scale with
+one sort; smaller families and wider keys keep the per-cube list kernels.
+Both ways make the same float operations in the same order, so the norms and
+their errors are the same bit for bit.
+
 Also provided: the canonical atom weights ``u(Q)`` (the norm of a normalized
 indicator atom), and the identity check equating a weighted Lorentz norm with
 a per-scale norm under the matched parameter map.
@@ -18,7 +25,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
+
+import numpy as np
 
 from .dyadic import (
     VOLUMES,
@@ -27,6 +37,7 @@ from .dyadic import (
     ExactSum,
     MeasureSpec,
     VolumePowers,
+    _int64_scales,
 )
 from .errors import ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
@@ -132,11 +143,22 @@ def _tl_chain_inputs(
     constant.  ``forest`` is the forest of ``s``, so its ``order``
     reads the coefficients in preorder.  A scale factor outside ``pow2``'s
     range raises its error for the first such cube in preorder."""
-    magnitudes = list(map(abs, s.values()))
-    scale = forest.volume_powers(params.coeff_powers)
-    if math.nan in scale:  # volume_powers marks with math.nan itself
-        params.coeff_powers(forest.cubes[scale.index(math.nan)])  # raises
-    b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
+    arrays = forest.arrays
+    if arrays is None:
+        magnitudes = list(map(abs, s.values()))
+        scale = forest.volume_powers(params.coeff_powers)
+        if math.nan in scale:  # volume_powers marks with math.nan itself
+            params.coeff_powers(forest.cubes[scale.index(math.nan)])  # raises
+        b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
+    else:
+        table = params.coeff_powers.at_scales(forest.scales, params.d)
+        scale = np.array(table)[arrays.scale_of]
+        rejected = np.isnan(scale)
+        if rejected.any():
+            params.coeff_powers(forest.cubes[int(rejected.argmax())])  # raises
+        magnitudes = np.abs(np.fromiter(s.values(), float, len(s)))
+        with np.errstate(over="ignore"):  # an inf term, as the list gives
+            b = (scale * magnitudes[arrays.order]).tolist()
     if math.isinf(params.q):
         return b, params.p
     try:
@@ -151,6 +173,17 @@ def _tl_root(integral: float, p: float) -> float:
     return finite(lambda: max(integral, 0.0) ** (1.0 / p), _NORM_RANGE)
 
 
+def _tl_terms_root(terms: list[float], p: float) -> float:
+    """The norm from its region terms, summed by one ``math.fsum``."""
+    try:
+        integral = math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
+        integral = math.inf
+    if not math.isfinite(integral):
+        raise ScaleRangeError(_INTEGRAL_RANGE)
+    return _tl_root(integral, p)
+
+
 def _tl_forest_norm(
     forest: ContainmentForest, values: list[float], exponent: float, params: SpaceParams
 ) -> float:
@@ -158,7 +191,11 @@ def _tl_forest_norm(
     one term +K|Q| per region (a cube minus its children) and one -K|Q| of
     its parent's constant per non-root cube, combined by one ``math.fsum``,
     so the only rounding is one multiply per term.  A volume outside
-    ``pow2``'s range raises only where a nonzero term needs it."""
+    ``pow2``'s range raises only where a nonzero term needs it.  A forest
+    on int64 keys takes ``_tl_level_norm``, which gives the same bits and
+    errors."""
+    if forest.arrays is not None:
+        return _tl_level_norm(forest, values, exponent, params)
     parent = forest.parent
     # Slot -1 holds the empty chain of a root, whose constant is 0.0.
     if math.isinf(params.q):
@@ -184,13 +221,47 @@ def _tl_forest_norm(
                 terms.append(c * size)
             if outer != 0.0:
                 terms.append(-outer * size)
+    return _tl_terms_root(terms, params.p)
+
+
+def _tl_level_norm(
+    forest: ContainmentForest, values: list[float], exponent: float, params: SpaceParams
+) -> float:
+    """``_tl_forest_norm`` on the forest's arrays, one depth level at a time.
+
+    Each level's chain values are its parents' (a numpy gather) plus, or
+    maxed with, its own inputs, so every chain adds root to leaf as the
+    per-cube pass does.  Powers are Python's ``pow`` on ``tolist()`` values,
+    as numpy's may differ from libm's, and the region terms are numpy
+    products in the per-cube pass's order, so the norm and its errors are
+    the same bit for bit.
+    """
+    arrays = forest.arrays
+    parent, n = arrays.parent, len(values)
+    maxima = math.isinf(params.q)
+    combine = np.maximum if maxima else np.add
+    inputs = np.fromiter(values, float, n)
+    # Slot -1 holds the empty chain of a root, whose constant is 0.0.
+    chains = np.full(n + 1, -math.inf if maxima else 0.0)
+    with np.errstate(over="ignore"):
+        for level in arrays.levels:
+            chains[level] = combine(chains[parent[level]], inputs[level])
+    positive = np.flatnonzero(chains > 0.0)
     try:
-        integral = math.fsum(terms)
-    except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
-        integral = math.inf
-    if not math.isfinite(integral):
-        raise ScaleRangeError(_INTEGRAL_RANGE)
-    return _tl_root(integral, params.p)
+        powered = [c**exponent for c in chains[positive].tolist()]
+    except OverflowError:
+        raise ScaleRangeError(_COEFFICIENT_RANGE) from None
+    constants = np.zeros(n + 1)
+    constants[positive] = powered
+    own, outer = constants[:n], constants[parent]
+    sizes = np.array(VOLUMES.at_scales(forest.scales, params.d))[arrays.scale_of]
+    nonzero = np.stack((own != 0.0, outer != 0.0), axis=1)
+    unknown = nonzero.any(axis=1) & np.isnan(sizes)
+    if unknown.any():
+        VOLUMES(forest.cubes[int(unknown.argmax())])  # raises pow2's error
+    with np.errstate(over="ignore"):
+        terms = np.stack((own * sizes, -outer * sizes), axis=1)[nonzero]
+    return _tl_terms_root(terms.tolist(), params.p)
 
 
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -230,12 +301,36 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "besov")
     if not s:
         return 0.0
-    scale = params.atom_powers
-    by_scale: dict[int, list[float]] = {}
-    for cube, value in s.items():
-        by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
-    inner = [_aggregate(by_scale[j], params.p, _SCALE_RANGE) for j in sorted(by_scale)]
+    js = _int64_scales(s)
+    if js is None:
+        scale = params.atom_powers
+        by_scale: dict[int, list[float]] = {}
+        for cube, value in s.items():
+            by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
+        groups = [by_scale[j] for j in sorted(by_scale)]
+    else:
+        groups = _scale_groups(s, params, js)
+    inner = [_aggregate(group, params.p, _SCALE_RANGE) for group in groups]
     return _aggregate(inner, params.q, _SCALE_RANGE)
+
+
+def _scale_groups(s: CoeffSeq, params: SpaceParams, js: np.ndarray) -> list[list[float]]:
+    """``besov_norm``'s scaled magnitudes grouped by scale, from the int64
+    scales ``js`` of ``s``: the scales ascending, each group in the order of
+    ``s``.  A volume outside ``pow2``'s range raises its error for the first
+    such cube of ``s``."""
+    scales, scale_of = np.unique(js, return_inverse=True)
+    table = params.atom_powers.at_scales(scales.tolist(), params.d)
+    size = np.array(table)[scale_of]
+    rejected = np.isnan(size)
+    if rejected.any():
+        params.atom_powers(next(islice(s, int(rejected.argmax()), None)))  # raises
+    with np.errstate(over="ignore"):  # an inf value, as the loop gives
+        scaled = size * np.abs(np.fromiter(s.values(), float, len(s)))
+    grouped = np.argsort(scale_of, kind="stable")
+    bounds = np.searchsorted(scale_of[grouped], np.arange(len(scales) + 1)).tolist()
+    values = scaled[grouped].tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def space_norm(s: CoeffSeq, params: SpaceParams) -> float:

@@ -21,12 +21,16 @@ coefficients to 1e+-300 with ties, alpha in {0, 0.5, 1, U(-1, 1)}, tl and
 besov spaces with p and q finite and inf, p = q and p != q, power and
 power-log Lorentz weights, and xi and mu finite and inf.  Each instance
 runs ``rearrange``, ``lorentz_norm``, ``space_norm``, ``besov_norm``,
-``sigma_greedy``, knapsack and brute ``sigma_exact``, greedy and exact
-``sigma_profile`` with ``SigmaProfile.norm`` and ``norm_dyadic``,
-``approx_norm``, ``approx_norm_dyadic``, ``decompose``, ``jackson_constant``
-and ``bernstein_constant``; the exact solvers on 10 cubes or fewer, exact
+``suffix_norms`` (of a random order of the support), ``sigma_greedy``,
+knapsack and brute ``sigma_exact``, greedy and exact ``sigma_profile`` with
+``SigmaProfile.norm`` and ``norm_dyadic``, ``approx_norm``,
+``approx_norm_dyadic``, ``decompose``, ``jackson_constant`` and
+``bernstein_constant``; the exact solvers on 10 cubes or fewer, exact
 ``decompose`` on 6 or fewer.  Each also builds one profile by hand, whose
-errors may end in zeros, and takes both of its norms.
+errors may end in zeros, and takes both of its norms.  About one instance in
+16 is xlarge: 128-4 000 distinct cubes near 0 or on a few scales across
+-60..60, whose keys fit the forest's int64 path; it runs only the first five
+of the calls above.
 
 A difference is expected when one of its outcome's labels is named by
 ``--expect``:
@@ -80,9 +84,12 @@ def _digest(numbers) -> str:
 
 
 def _draw_cubes(rng: np.random.Generator):
-    """(d, [(j, k)]) of up to 160 cubes, duplicates dropped by the caller."""
+    """(d, [(j, k)], xlarge): up to 160 cubes, duplicates dropped by the
+    caller, or for an xlarge instance 128-4 000 distinct cubes."""
     d = int(rng.choice([1, 2, 3], p=[0.6, 0.25, 0.15]))
-    size = rng.choice(["small", "medium", "large"], p=[0.7, 0.2, 0.1])
+    size = rng.choice(["small", "medium", "large", "xlarge"], p=[0.66, 0.2, 0.08, 0.06])
+    if size == "xlarge":
+        return d, _draw_xlarge_cubes(rng, d), True
     n = {"small": (1, 10), "medium": (11, 40), "large": (64, 160)}[size]
     n = int(rng.integers(n[0], n[1] + 1))
     regime = rng.choice(["near", "wide", "huge", "gap", "far"], p=[0.55, 0.2, 0.1, 0.08, 0.07])
@@ -104,7 +111,33 @@ def _draw_cubes(rng: np.random.Generator):
             for _ in range(d)
         )
         cubes.append((j, k))
-    return d, cubes
+    return d, cubes, False
+
+
+def _draw_xlarge_cubes(rng: np.random.Generator, d: int) -> list:
+    """128-4 000 distinct cubes whose keys fit the forest's int64 path.
+
+    near: scales lo..lo + depth, positions from one before to one past the
+    unit cube's.  wide: two to four scales anywhere in -60..60, positions
+    small enough that the capped levels and the keys stay inside 62 bits.
+    """
+    n = int(rng.integers(128, 4001))
+    cubes: dict = {}
+    if rng.random() < 0.5:  # near
+        lo, depth = int(rng.integers(-3, 1)), {1: 12, 2: 6, 3: 4}[d]
+        while len(cubes) < n:
+            t = rng.integers(0, depth + 1, size=n)
+            ks = rng.integers(-1, (1 << t)[:, None] + 1, size=(n, d))
+            cubes.update(dict.fromkeys(zip((lo + t).tolist(), map(tuple, ks.tolist()))))
+    else:  # wide
+        m = int(rng.integers(2, {1: 4, 2: 3, 3: 3}[d] + 1))
+        scales = rng.choice(np.arange(-60, 61), size=m, replace=False)
+        half = math.ceil((n / m) ** (1 / d)) + 1
+        while len(cubes) < n:
+            js = scales[rng.integers(0, m, size=n)]
+            ks = rng.integers(-half, half, size=(n, d))
+            cubes.update(dict.fromkeys(zip(js.tolist(), map(tuple, ks.tolist()))))
+    return list(cubes)[:n]
 
 
 def _draw_values(rng: np.random.Generator, n: int) -> list[float]:
@@ -174,7 +207,7 @@ def worker(count: int, seed: int) -> None:
 
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        d, cubes = _draw_cubes(rng)
+        d, cubes, xlarge = _draw_cubes(rng)
         values = _draw_values(rng, len(cubes))
         alpha = float(rng.choice([0.0, 0.5, 1.0, rng.uniform(-1, 1)]))
         s_exp = float(rng.uniform(-1, 1))
@@ -224,6 +257,11 @@ def worker(count: int, seed: int) -> None:
         run(f"{i}.lorentz_norm", [], lambda: ra.lorentz_norm(s, measure, lorentz))
         run(f"{i}.space_norm", [], lambda: ra.space_norm(s, space))
         run(f"{i}.besov_norm", [], lambda: ra.besov_norm(s, besov))
+        support = list(s)
+        suffix_order = [support[c] for c in rng.permutation(len(support))]
+        run(f"{i}.suffix_norms", [], lambda: _digest(ra.suffix_norms(s, space, suffix_order)))
+        if xlarge:
+            continue
 
         def budget() -> float:
             return budget_share * ra.nu_measure(s, measure)

@@ -246,6 +246,60 @@ MUTANTS = (
         (_LORENTZ + "test_rearrange_takes_the_columns_at_every_alpha",),
     ),
     Mutant(
+        "int64-keys-pass-62-bits",
+        "dyadic.py",
+        "        if bits + tie > 62:\n",
+        "        if bits + tie > 63:\n",
+        (_DYADIC + "test_int64_keys_decline_to_the_python_keys",
+         _DYADIC + "test_int64_keys_equal_the_python_keys"),
+    ),
+    Mutant(
+        "parent-search-left-side",
+        "dyadic.py",
+        'np.searchsorted(rows, rows - n - 1, "right")',
+        'np.searchsorted(rows, rows - n - 1, "left")',
+        (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",
+         _DYADIC + "test_int64_keys_equal_the_python_keys"),
+    ),
+    Mutant(
+        "depth-levels-drop-the-deepest",
+        "dyadic.py",
+        "np.arange(int(depth[by_depth[-1]]) + 2) * n",
+        "np.arange(int(depth[by_depth[-1]]) + 1) * n",
+        (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",
+         _SPACES + "test_large_tl_norm_takes_one_numpy_step_per_depth_level"),
+    ),
+    Mutant(
+        "level-chain-ignores-parent",
+        "spaces.py",
+        "combine(chains[parent[level]], inputs[level])",
+        "combine(chains[-1], inputs[level])",
+        (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",
+         _DYADIC + "test_region_integrals_by_hand_on_depth_levels"),
+    ),
+    Mutant(
+        "level-terms-unmasked",
+        "spaces.py",
+        "axis=1)[nonzero]",
+        "axis=1).ravel()",
+        (_DYADIC + "test_region_integrals_by_hand_on_depth_levels",),
+    ),
+    Mutant(
+        "no-level-volume-check",
+        "spaces.py",
+        "    if unknown.any():\n",
+        "    if False:\n",
+        (_DYADIC + "test_region_integrals_by_hand_on_depth_levels",
+         _DYADIC + "test_array_forest_and_norms_equal_the_list_kernels"),
+    ),
+    Mutant(
+        "besov-groups-drop-the-last-scale",
+        "spaces.py",
+        "np.arange(len(scales) + 1)",
+        "np.arange(len(scales))",
+        (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",),
+    ),
+    Mutant(
         "pow2-passes-nan",
         "dyadic.py",
         "if not abs(exponent) <= _MAX_EXP:",

@@ -10,9 +10,11 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -776,11 +778,26 @@ def test_readme_config_table_lists_every_commands_keys():
         assert table[name] == command.keys, name
 
 
+# Seconds one in-process run may take before it counts as a hang; the
+# slowest corpus run takes about 0.1 s on a 2-core x86-64 host.
+_RUN_SECONDS = 10
+
+
+class _RunTimedOut(BaseException):
+    """Raised by the alarm in a run past ``_RUN_SECONDS``; a BaseException,
+    so that no ``except Exception`` in the package can swallow it."""
+
+
+def _time_out(signum, frame):
+    raise _RunTimedOut(f"the run took more than {_RUN_SECONDS} s")
+
+
 def _run_in_process(
     command: str, text: str | None, config: str
 ) -> tuple[int, list[str]]:
     """``main``'s exit code and stderr lines for ``command`` under
-    ``config``, reading ``text`` as its coefficient file when it takes one."""
+    ``config``, reading ``text`` as its coefficient file when it takes one.
+    A run still going after ``_RUN_SECONDS`` raises ``_RunTimedOut``."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         (work / "run.cfg").write_text(config)
@@ -789,9 +806,26 @@ def _run_in_process(
             (work / "in.seq").write_text(text)
             argv.insert(1, str(work / "in.seq"))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        previous = signal.signal(signal.SIGALRM, _time_out)
+        signal.alarm(_RUN_SECONDS)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
     return code, err.getvalue().splitlines()
+
+
+def test_a_run_past_its_time_bound_raises(monkeypatch):
+    """The corpus runs' time bound fires: a run that hangs ends in
+    ``_RunTimedOut`` after ``_RUN_SECONDS`` instead of hanging the suite."""
+    monkeypatch.setitem(globals(), "_RUN_SECONDS", 1)
+    monkeypatch.setitem(globals(), "main", lambda argv: time.sleep(30))
+    began = time.monotonic()
+    with pytest.raises(_RunTimedOut):
+        _run_in_process("norm", "0 0 1.0\n", "")
+    assert time.monotonic() - began < 10
 
 
 # Inputs whose budget aggregate or closed form leaves the float range (A: a

@@ -22,6 +22,7 @@ from restapprox import (
     MeasureSpec,
     ScaleRangeError,
     SpaceParams,
+    besov_norm,
     nu_measure,
     pow2,
     tl_norm,
@@ -372,6 +373,59 @@ def test_int64_keys_equal_the_python_keys(d, max_shift, data):
         _assert_forest_matches_oracle(cubes)
 
 
+_ORACLE_VALUES = st.sampled_from(
+    [3.0, 3.0, 1.0, 0.5, -3.0, 5e-324, -1e-310, 1e300, -1.7e308]
+) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _norm_cases(draw):
+    """A family, nearly always with keys that fit int64, at scales shifted
+    by up to +-1 002 so that some volumes leave ``pow2``'s range; values
+    tied, subnormal, near the float limit or plain; an ``s`` that may push
+    the scale factors out of range too; p, and q finite or inf."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.sampled_from([0, 0, 0, -1002, 998, -400]))
+    cubes = draw(st.one_of(nested_families(d, max_shift=5), single_scale_grids(d)))
+    cubes = [Cube(q.j + base, q.k) for q in dict.fromkeys(cubes)]
+    values = draw(st.lists(_ORACLE_VALUES, min_size=len(cubes), max_size=len(cubes)))
+    smooth = draw(st.sampled_from([0.0, -0.5 * d, 250.0, -250.0]) | st.floats(-2.0, 2.0))
+    p = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    q = draw(st.sampled_from([p, 2.0, math.inf]))
+    return CoeffSeq(dict(zip(cubes, values))), d, smooth, p, q
+
+
+def _hex_or_error(norm) -> str:
+    try:
+        return norm().hex()
+    except Exception as error:  # the type and text are compared
+        return f"{type(error).__name__}: {error}"
+
+
+@settings(max_examples=200)
+@given(_norm_cases())
+def test_array_forest_and_norms_equal_the_list_kernels(case):
+    """With ``_INT64_MIN_CUBES`` at 1, every family whose keys fit int64
+    takes the arrays, and there the forest's parent pass and the tl and
+    Besov kernels give the stack pass's forest and the list kernels' norms:
+    the same columns, and norms equal by ``float.hex``, or the same error
+    type and text."""
+    s, d, smooth, p, q = case
+
+    def outcomes(min_cubes: int):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dyadic, "_INT64_MIN_CUBES", min_cubes)
+            forest = ContainmentForest(s)
+            assert forest.arrays is None or min_cubes == 1
+            return (
+                forest.cubes, forest.parent, forest.order, forest.scale_of,
+                _hex_or_error(lambda: tl_norm(s, SpaceParams(smooth, p, q, d))),
+                _hex_or_error(lambda: besov_norm(s, SpaceParams(smooth, p, q, d, "besov"))),
+            )
+
+    assert outcomes(1) == outcomes(10**9)
+
+
 def _counted_key_builders(monkeypatch) -> dict[str, int]:
     calls = {"_preorder_ranges": 0, "_int64_ranges": 0}
     for name in calls:
@@ -417,6 +471,8 @@ def test_int64_keys_stop_at_62_bits(monkeypatch, corner, bits, path):
     ([Cube(0, (0, 0)), Cube(0, (2**40, 0))], 1),
     # at d = 2, codes of 2 * 31 bits and a tie bit pass 62 bits
     ([Cube(0, (0, 0)), Cube(1, (0, 0)), Cube(0, (2**29, 0))], 1),
+    # ... and here the last key has 63 bits, and its end 64, past int64
+    ([Cube(0, (0, 0)), Cube(1, (2**31 - 1, 2**31 - 1))], 1),
 ])
 def test_int64_keys_decline_to_the_python_keys(monkeypatch, cubes, tried):
     monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
@@ -447,6 +503,27 @@ def test_region_integral_reads_a_volume_only_where_a_term_uses_it():
     assert _integral(forest, [0.0, 3.0]) == 3.0
     with pytest.raises(ScaleRangeError, match="2\\^1001"):
         _integral(forest, [1.0, 3.0])
+
+
+def test_region_integrals_by_hand_on_depth_levels(monkeypatch):
+    """The hand cases above on forests of int64 keys, whose kernel runs one
+    depth level at a time on their arrays: chain sums and maxima, a volume
+    read only where a term uses it, and an integral past the float range."""
+    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+    a, b, c, e = Cube(0, (0,)), Cube(1, (0,)), Cube(2, (1,)), Cube(0, (5,))
+    forest = ContainmentForest([a, b, c, e])
+    assert forest.arrays is not None and forest.parent == [-1, 0, 1, -1]
+    assert _integral(forest, [1.0, 10.0, 100.0, 7.0], 1.0) == 0.5 + 2.75 + 27.75 + 7.0
+    assert _integral(forest, [1.0, 10.0, 100.0, 7.0]) == 0.5 + 2.5 + 25.0 + 7.0
+    assert _integral(forest, [5.0, 1.0, 2.0, 7.0]) == 2.5 + 1.25 + 1.25 + 7.0
+    forest = ContainmentForest([Cube(-1001, (0,)), Cube(0, (0,))])
+    assert forest.arrays is not None
+    assert _integral(forest, [0.0, 3.0]) == 3.0
+    with pytest.raises(ScaleRangeError, match="2\\^1001"):
+        _integral(forest, [1.0, 3.0])
+    forest = ContainmentForest([Cube(-1000, (0,)), Cube(-999, (0,))])
+    with pytest.raises(ScaleRangeError, match="region integral"):
+        _integral(forest, [1e100, 1e100])  # inf - inf
 
 
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):

@@ -316,3 +316,54 @@ def test_tl_norm_reads_values_and_powers_by_preorder_index(monkeypatch, q):
     )
     assert tl_norm(s, params) == want
     assert calls == {"VolumePowers.__call__": 0, "CoeffSeq.__getitem__": 0}
+
+
+class _CountingLevels(list):
+    """A list of depth levels that records the size of each level taken."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.taken: list[int] = []
+
+    def __iter__(self):
+        for level in super().__iter__():
+            self.taken.append(len(level))
+            yield level
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_large_tl_norm_takes_one_numpy_step_per_depth_level(monkeypatch, q):
+    """Counted, on the 2 047 cubes of scales 0-10 in [0, 1): the forest on
+    int64 keys makes no stack pass, and ``tl_norm`` never reads the parent
+    list; its chain pass takes max depth + 1 = 11 numpy steps, one per depth
+    level, not one per cube.  A 10-cube family still takes the stack pass."""
+    from restapprox import dyadic, spaces
+
+    s = CoeffSeq(
+        {Cube(j, (k,)): 1.0 + (7 * k + j) % 11 / 8 for j in range(11) for k in range(1 << j)}
+    )
+    params = SpaceParams(0.3, 1.5, q, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyadic, "_INT64_MIN_CUBES", 10**9)
+        want = tl_norm(s, params)
+    stack_passes = []
+    stack_parents = dyadic._stack_parents
+    monkeypatch.setattr(
+        dyadic, "_stack_parents", lambda *args: stack_passes.append(1) or stack_parents(*args)
+    )
+    forests = []
+
+    class CountingForest(spaces.ContainmentForest):
+        def __init__(self, cubes):
+            super().__init__(cubes)
+            del self.parent  # the per-cube pass's list: reading it fails
+            self.arrays = self.arrays._replace(levels=_CountingLevels(self.arrays.levels))
+            forests.append(self)
+
+    monkeypatch.setattr(spaces, "ContainmentForest", CountingForest)
+    assert tl_norm(s, params).hex() == want.hex()
+    assert stack_passes == []
+    [forest] = forests
+    assert forest.arrays.levels.taken == [1 << j for j in range(11)]
+    dyadic.ContainmentForest(list(s)[:10])
+    assert stack_passes == [1]
