@@ -12,11 +12,14 @@ nested towers, same-scale rows) make both the matching and the failure modes
 testable at sizes far beyond what can be materialized.
 
 Random families are drawn in bulk.  ``admissible_spread`` draws all its
-families from one block series of the generator's 32-bit words and scores
-them in one numpy pass, with no cube, sequence or forest per family, on any
-window of 2 to 33 scales whose per-level values are finite floats.  The
-oracle, run on every other window and kept as the tier-1 reference, is the
-per-family loop of ``random_cube_set``, ``democracy_value`` and
+families from one block series of the generator's 32-bit words, on any
+window of 2 to 33 scales whose per-level values are finite floats.  It
+places them side by side as one forest on the forest's int64 keys
+(``dyadic._int64_ranges``, ``dyadic._array_parents``) and scores every
+family with the aggregated norm's depth-level pass (``spaces._level_terms``),
+with no cube, sequence or forest object per family.  The oracle, run on
+every other window, on keys past 62 bits, and kept as the tier-1 reference,
+is the per-family loop of ``random_cube_set``, ``democracy_value`` and
 ``nu_measure``; the bulk path gives its ratios bit for bit and leaves the
 generator in its state.
 """
@@ -31,9 +34,11 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .dyadic import VOLUMES, Cube, MeasureSpec, nu_measure, pow2
+from .dyadic import _array_parents, _int64_ranges
 from .errors import CapabilityError, ContractViolationError, finite
 from .lorentz import CoeffSeq
 from .spaces import AtomWeights, SpaceParams, _recip, matched_exponents, tl_norm
+from .spaces import _level_terms, _tl_terms_root
 
 __all__ = [
     "DemocracyCase",
@@ -440,13 +445,13 @@ def _draw_families(
 
 def _split_codes(
     codes: list[int], d: int, depth: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Codes of ``_draw_families`` sorted, their heads ``f * (depth + 1) +
-    L``, and their positions, one array per axis."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The heads ``f * (depth + 1) + L`` of the codes of ``_draw_families``,
+    sorted, and their positions, one array per axis."""
     ordered = np.sort(np.array(codes, dtype=np.uint64))
     mask = (1 << depth) - 1
     axes = [(ordered >> ((d - 1 - axis) * depth)) & mask for axis in range(d)]
-    return ordered, ordered >> (d * depth), axes
+    return ordered >> (d * depth), axes
 
 
 def _cubes_per_attempt(
@@ -514,7 +519,7 @@ def random_cube_set(
         block.sync(used)
     if capped is not None:
         raise ContractViolationError(_CAP_MESSAGE)
-    _, levels, axes = _split_codes(codes, d, depth)
+    levels, axes = _split_codes(codes, d, depth)
     js = [j_min + level for level in levels.tolist()]
     return Cube.from_columns(js, list(zip(*(axis.tolist() for axis in axes))))
 
@@ -551,78 +556,46 @@ def _family_ratios(
 ) -> list[float]:
     """``value / mass^(1/p1)`` per family of ``codes`` (see
     ``_draw_families``), bit for bit as ``democracy_value`` and
-    ``nu_measure`` give them, up to the first family with a region term past
-    ``_TERM_LIMIT`` or a value past the float range.
+    ``nu_measure`` give them; [] when a key passes 62 bits or some family
+    would not score, so that the per-family loop raises its own error.
 
-    Every per-cube quantity of an indicator family depends only on the
-    level, and a cube's ancestor at level A < L is the cube (A, k >> (L -
-    A)), so one sort of the codes and one ``searchsorted`` per level mark the
-    ancestors present.  The chain values are then accumulated level by
-    level, coarsest first: the float adds (maxima for q1 = inf) of the
-    chain pass of ``spaces._tl_forest_norm``, in its order.  The value
-    before a cube's own level is its parent's chain value.  Constants are
-    Python float powers of the distinct chain values only, region terms are
-    numpy multiplies, rounded like Python's, and each family takes one
-    ``math.fsum`` for its integral and one for its mass.
+    Family f's cubes at level L are put at f * 2^L on the first axis, inside
+    the root box of family f, so no family holds another's cubes and the
+    families make one forest on int64 keys (``dyadic._int64_ranges``,
+    ``dyadic._array_parents``), each family one run of its preorder.  Every
+    per-cube quantity of an indicator family depends only on the level, so
+    ``spaces._level_terms`` gives every family's region terms as
+    ``tl_norm`` gives them, and each family's terms are summed and rooted by
+    ``spaces._tl_terms_root``.  A term past ``_TERM_LIMIT`` declines too.
     """
     chain_in, volume, mass = table
-    d, p = case.d, case.f1.p
+    p = case.f1.p
     maxima = math.isinf(case.f1.q)
-    ordered, head, axes = _split_codes(codes, d, depth)
-    family, level = np.divmod(head, depth + 1)
-    # The chain value of each cube's nearest ancestor present, as the chain
-    # pass reads it at a root: 0.0, or -inf for maxima.
-    above = np.full(len(ordered), -math.inf if maxima else 0.0)
-    has_parent = np.zeros(len(ordered), dtype=bool)
-    for ancestor in range(depth):
-        deeper = np.flatnonzero(level > ancestor)
-        gap = level[deeper] - ancestor
-        probe = (head[deeper] - gap) << (d * depth)
-        for axis, k in enumerate(axes):
-            probe |= (k[deeper] >> gap) << ((d - 1 - axis) * depth)
-        at = np.minimum(np.searchsorted(ordered, probe), len(ordered) - 1)
-        found = deeper[ordered[at] == probe]
-        if maxima:
-            above[found] = np.maximum(above[found], chain_in[ancestor])
-        else:
-            above[found] += chain_in[ancestor]
-        has_parent[found] = True
-    own = np.maximum(above, chain_in[level]) if maxima else above + chain_in[level]
+    heads, axes = _split_codes(codes, case.d, depth)
+    family, level = np.divmod(heads.astype(np.int64), depth + 1)
+    k = np.stack(axes, axis=1).astype(np.int64)
+    k[:, 0] += family << level
+    ranges = _int64_ranges(level, k)
+    if ranges is None:
+        return []
+    _, keys, ends, scale_of = ranges
+    arrays = _array_parents(keys, ends, scale_of)
+    at = level[arrays.order]
+    count = len(codes) // n_families
     exponent = p if maxima else p / case.f1.q
-    chains, back = np.unique(
-        np.concatenate([own, above[has_parent]]), return_inverse=True
-    )
-    powered = []
-    for c in chains.tolist():
-        try:
-            powered.append(c**exponent if c > 0.0 else 0.0)
-        except OverflowError:  # past the float range: the loop raises
-            powered.append(math.inf)
-    constants = np.array(powered)[back]
-    size = volume[level]
-    terms = np.concatenate(
-        [constants[: len(own)] * size, -constants[len(own) :] * size[has_parent]]
-    )
-    owner = np.concatenate([family, family[has_parent]])
-    kept = constants != 0.0
-    order = np.argsort(owner[kept], kind="stable")
-    terms, owner = terms[kept][order], owner[kept][order]
-    wide = owner[np.abs(terms) > _TERM_LIMIT]
-    last = min(n_families, int(wide.min())) if wide.size else n_families
-    bounds = np.searchsorted(owner, np.arange(last + 1, dtype=owner.dtype)).tolist()
-    terms = terms.tolist()
-    masses = mass[level].tolist()
-    count = len(ordered) // n_families
-    root = 1.0 / p
-    ratios = []
-    for f in range(last):
-        try:
-            value = max(math.fsum(terms[bounds[f] : bounds[f + 1]]), 0.0) ** root
-            total = math.fsum(masses[f * count : (f + 1) * count])
-            ratios.append(value / total**root)
-        except (ArithmeticError, ValueError):
-            break
-    return ratios
+    try:
+        terms, kept = _level_terms(arrays, chain_in[at], exponent, maxima, volume[at])
+        if (np.abs(terms) > _TERM_LIMIT).any():
+            return []
+        bounds = [0, *np.cumsum(kept.sum(axis=1))[count - 1 :: count].tolist()]
+        terms, masses = terms.tolist(), mass[at].tolist()
+        return [
+            _tl_terms_root(terms[bounds[f] : bounds[f + 1]], p)
+            / math.fsum(masses[f * count : (f + 1) * count]) ** (1.0 / p)
+            for f in range(n_families)
+        ]
+    except (ArithmeticError, ValueError):
+        return []
 
 
 def admissible_spread(
@@ -640,12 +613,14 @@ def admissible_spread(
     ``democracy_value`` over ``nu_measure(...)^(1/p1)``.  On a window that
     ``random_cube_set`` replays in words (2 to 33 scales), with the families'
     codes below 2^63 and every level's values finite, all families are drawn
-    from one block series of words (``_draw_families``) and scored in one
-    numpy pass (``_family_ratios``), building no cube, sequence or forest.
-    The ratios are the loop's bit for bit, and the generator ends in the
-    loop's state.  From the first family whose values leave the float range
-    or that meets the attempt cap on, the families run the loop, which raises
-    its own error; other windows run the loop throughout.
+    from one block series of words (``_draw_families``) and scored as one
+    int64 forest by the aggregated norm's level pass (``_family_ratios``),
+    building no cube, sequence or forest object.  The ratios are the loop's
+    bit for bit, and the generator ends in the loop's state.  Scoring is all
+    or nothing: when the forest's keys pass 62 bits or any family's value or
+    ratio leaves the float range, every family runs the loop, which raises
+    its own error.  From a family that meets the attempt cap on, the
+    families run the loop too, and other windows run it throughout.
     """
     if n_sets < 1:
         raise ContractViolationError("n_sets must be >= 1")

@@ -10,10 +10,11 @@ the two quasi-norms coincide identically, which several tests pin.
 
 Families whose forest takes int64 keys (see ``dyadic.ContainmentForest``)
 run the aggregated norm one depth level of the forest at a time on numpy
-arrays, and the per-scale norm groups families of as many cubes by scale with
-one sort; smaller families and wider keys keep the per-cube list kernels.
-Both ways make the same float operations in the same order, so the norms and
-their errors are the same bit for bit.
+arrays (``_level_terms``, which also scores the random indicator families of
+``democracy.admissible_spread``), and the per-scale norm groups families of
+as many cubes by scale with one sort; smaller families and wider keys keep
+the per-cube list kernels.  Both ways make the same float operations in the
+same order, so the norms and their errors are the same bit for bit.
 
 Also provided: the canonical atom weights ``u(Q)`` (the norm of a normalized
 indicator atom), and the identity check equating a weighted Lorentz norm with
@@ -35,6 +36,7 @@ from .dyadic import (
     ContainmentForest,
     Cube,
     ExactSum,
+    ForestArrays,
     MeasureSpec,
     VolumePowers,
     _int64_scales,
@@ -192,13 +194,20 @@ def _tl_forest_norm(
     its parent's constant per non-root cube, combined by one ``math.fsum``,
     so the only rounding is one multiply per term.  A volume outside
     ``pow2``'s range raises only where a nonzero term needs it.  A forest
-    on int64 keys takes ``_tl_level_norm``, which gives the same bits and
-    errors."""
-    if forest.arrays is not None:
-        return _tl_level_norm(forest, values, exponent, params)
+    on int64 keys takes its terms from ``_level_terms``, with the same float
+    operations in the same order, so the same bits and errors."""
+    arrays, maxima = forest.arrays, math.isinf(params.q)
+    if arrays is not None:
+        sizes = np.array(VOLUMES.at_scales(forest.scales, params.d))[arrays.scale_of]
+        inputs = np.fromiter(values, float, len(values))
+        terms, kept = _level_terms(arrays, inputs, exponent, maxima, sizes)
+        unknown = kept.any(axis=1) & np.isnan(sizes)
+        if unknown.any():
+            VOLUMES(forest.cubes[int(unknown.argmax())])  # raises pow2's error
+        return _tl_terms_root(terms.tolist(), params.p)
     parent = forest.parent
     # Slot -1 holds the empty chain of a root, whose constant is 0.0.
-    if math.isinf(params.q):
+    if maxima:
         chains = [-math.inf] * (len(values) + 1)
         for i, (p, value) in enumerate(zip(parent, values)):
             chains[i] = max(chains[p], value)
@@ -224,23 +233,26 @@ def _tl_forest_norm(
     return _tl_terms_root(terms, params.p)
 
 
-def _tl_level_norm(
-    forest: ContainmentForest, values: list[float], exponent: float, params: SpaceParams
-) -> float:
-    """``_tl_forest_norm`` on the forest's arrays, one depth level at a time.
+def _level_terms(
+    arrays: ForestArrays,
+    inputs: np.ndarray,
+    exponent: float,
+    maxima: bool,
+    sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The region terms of a forest on int64 keys, taken one depth level at
+    a time, and the mask of each cube's two terms kept: +K|Q| of its own
+    constant and -K|Q| of its parent's, each where that constant is nonzero.
 
     Each level's chain values are its parents' (a numpy gather) plus, or
-    maxed with, its own inputs, so every chain adds root to leaf as the
-    per-cube pass does.  Powers are Python's ``pow`` on ``tolist()`` values,
-    as numpy's may differ from libm's, and the region terms are numpy
-    products in the per-cube pass's order, so the norm and its errors are
-    the same bit for bit.
+    maxed with, its own ``inputs``, so every chain adds root to leaf as the
+    per-cube pass does.  Constants are Python's ``pow`` on ``tolist()``
+    values, as numpy's may differ from libm's, and the terms are numpy
+    products with the volumes ``sizes``, in the per-cube pass's order.
+    Raises ScaleRangeError when a constant passes the float range.
     """
-    arrays = forest.arrays
-    parent, n = arrays.parent, len(values)
-    maxima = math.isinf(params.q)
+    parent, n = arrays.parent, len(inputs)
     combine = np.maximum if maxima else np.add
-    inputs = np.fromiter(values, float, n)
     # Slot -1 holds the empty chain of a root, whose constant is 0.0.
     chains = np.full(n + 1, -math.inf if maxima else 0.0)
     with np.errstate(over="ignore"):
@@ -254,14 +266,10 @@ def _tl_level_norm(
     constants = np.zeros(n + 1)
     constants[positive] = powered
     own, outer = constants[:n], constants[parent]
-    sizes = np.array(VOLUMES.at_scales(forest.scales, params.d))[arrays.scale_of]
     nonzero = np.stack((own != 0.0, outer != 0.0), axis=1)
-    unknown = nonzero.any(axis=1) & np.isnan(sizes)
-    if unknown.any():
-        VOLUMES(forest.cubes[int(unknown.argmax())])  # raises pow2's error
     with np.errstate(over="ignore"):
         terms = np.stack((own * sizes, -outer * sizes), axis=1)[nonzero]
-    return _tl_terms_root(terms.tolist(), params.p)
+    return terms, nonzero
 
 
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:

@@ -32,6 +32,14 @@ errors may end in zeros, and takes both of its norms.  About one instance in
 -60..60, whose keys fit the forest's int64 path; it runs only the first five
 of the calls above.
 
+Every instance also makes one ``admissible_spread`` call, drawn from its own
+generator seeded with ``(seed, i, 1)`` so that the draws above are not
+moved: d = 1-3, q1 finite and inf, alpha matched, U(-3, 3) or U(-200, 200),
+windows of depth 0-9, 1-100 families of 1-60 cubes.  Its outcome is the
+bounds and that generator's next 32-bit word, which pins the state the call
+leaves.  A last outcome runs one deep window, d = 3 over 18 scales with 8
+families, whose draws replay but whose int64 forest keys pass 62 bits.
+
 A difference is expected when one of its outcome's labels is named by
 ``--expect``:
 
@@ -190,6 +198,45 @@ def _draw_profile(rng: np.random.Generator):
     return tuple(breakpoints), tuple(errors)
 
 
+def _draw_spread(rng: np.random.Generator):
+    """An ``admissible_spread`` call: (d, s1, p1, q1, s2, p2, q2, alpha,
+    n_sets, cube_count, j_min, j_max).  alpha is the matched one, U(-3, 3)
+    or U(-200, 200); the window has depth 0-9 from j_min in -4..3; four calls
+    in five ask for no more cubes than the window holds."""
+    d = int(rng.integers(1, 4))
+    s1, s2 = (float(x) for x in rng.uniform(-1.0, 1.0, size=2))
+    p1, p2, q2 = float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0))
+    q1 = math.inf if rng.random() < 0.3 else float(rng.uniform(0.3, 4.0))
+    kind = rng.choice(["matched", "near", "far"], p=[0.4, 0.4, 0.2])
+    alpha = None if kind == "matched" else float(rng.uniform(*{"near": (-3, 3), "far": (-200, 200)}[kind]))
+    j_min, depth = int(rng.integers(-4, 4)), int(rng.integers(0, 10))
+    n_sets, cube_count = int(rng.integers(1, 101)), int(rng.integers(1, 61))
+    if rng.random() < 0.8:
+        cube_count = min(cube_count, sum(1 << (d * level) for level in range(depth + 1)))
+    return d, s1, p1, q1, s2, p2, q2, alpha, n_sets, cube_count, j_min, j_min + depth
+
+
+def _spread(ra, rng: np.random.Generator, call) -> str:
+    """The bounds of one ``admissible_spread`` call as ``float.hex``, or its
+    error's type and text, and the generator's next 32-bit word."""
+    d, s1, p1, q1, s2, p2, q2, alpha, n_sets, cube_count, j_min, j_max = call
+    try:
+        f1 = ra.SpaceParams(s1, p1, q1, d, "tl")
+        f2 = ra.SpaceParams(s2, p2, q2, d, "besov")
+        if alpha is None:
+            alpha = ra.DemocracyCase(f1, f2, 0.0).formula_alpha
+        case = ra.DemocracyCase(f1, f2, alpha)
+        result = ",".join(map(_hex, ra.admissible_spread(case, rng, n_sets, cube_count, j_min, j_max)))
+    except Exception as exc:  # every outcome is recorded, errors included
+        result = f"{type(exc).__name__}: {exc}"
+    return f"{result} next={int(rng.integers(0, 1 << 32))}"
+
+
+# A deep window whose families replay but whose 8 families' int64 keys pass
+# 62 bits: d = 3 over 18 scales.
+_DEEP_SPREAD = (3, 0.2, 1.6, 2.3, 0.7, 1.9, 3.1, None, 8, 30, -3, 14)
+
+
 def worker(count: int, seed: int) -> None:
     """Print every outcome of the ``count`` instances of ``seed``."""
     import restapprox as ra
@@ -221,10 +268,14 @@ def worker(count: int, seed: int) -> None:
         lorentz_xi = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 2.0))
         budget_share = float(rng.uniform(0.0, 1.1))
         breakpoints, errors = _draw_profile(rng)
+        # Its own generator, so that the instance's draws are unchanged.
+        spread_rng = np.random.default_rng([seed, i, 1])
+        call = _draw_spread(spread_rng)
         out.write(
             f"{i}.instance\t-\td={d} n={len(cubes)} alpha={alpha!r} s={s_exp!r} p={p!r} "
             f"q={q!r} kind={kind} xi={xi!r} mu={mu!r} eta=({eta_p!r}, {eta_b!r}) "
-            f"lorentz=({lorentz_mu!r}, {lorentz_xi!r}) profile={breakpoints!r}, {errors!r}\n"
+            f"lorentz=({lorentz_mu!r}, {lorentz_xi!r}) profile={breakpoints!r}, {errors!r} "
+            f"spread={call!r}\n"
         )
 
         subnormal = ["xi-subnormal"] if 1.0 / xi == math.inf else []
@@ -235,6 +286,7 @@ def worker(count: int, seed: int) -> None:
         hand = partial(ra.SigmaProfile, breakpoints, errors)
         run(f"{i}.hand.norm", through_weight + zero_tail, lambda: hand().norm(xi, mu))
         run(f"{i}.hand.norm_dyadic", zero_tail, lambda: hand().norm_dyadic(xi, mu))
+        run(f"{i}.admissible_spread", [], lambda: _spread(ra, spread_rng, call))
 
         try:
             s = ra.CoeffSeq({ra.Cube(j, k): v for (j, k), v in zip(cubes, values)})
@@ -313,6 +365,8 @@ def worker(count: int, seed: int) -> None:
                 lambda: ra.jackson_constant([s], params(), lorentz, solver),
             )
         run(f"{i}.bernstein_constant", [], lambda: ra.bernstein_constant([s], params(), lorentz))
+    out.write(f"deep.instance\t-\tadmissible_spread{_DEEP_SPREAD!r}\n")
+    run("deep.admissible_spread", [], lambda: _spread(ra, np.random.default_rng(seed), _DEEP_SPREAD))
     out.flush()
 
 

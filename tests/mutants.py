@@ -45,6 +45,7 @@ _WEIGHTS = "tests/test_weights.py::"
 _LORENTZ = "tests/test_lorentz.py::"
 _DYADIC = "tests/test_dyadic.py::"
 _SPACES = "tests/test_spaces.py::"
+_DEMOCRACY = "tests/test_democracy.py::"
 MUTANTS = (
     Mutant(
         "no-order-check",
@@ -183,7 +184,7 @@ MUTANTS = (
     Mutant(
         "q-inf-summed",
         "spaces.py",
-        "    if math.isinf(params.q):\n        chains = [-math.inf]",
+        "    if maxima:\n        chains = [-math.inf]",
         "    if False:\n        chains = [-math.inf]",
         (_DYADIC + "test_forest_chain_values_and_maxima",
          _SPACES + "test_tl_norm_matches_grid_oracle"),
@@ -275,7 +276,8 @@ MUTANTS = (
         "combine(chains[parent[level]], inputs[level])",
         "combine(chains[-1], inputs[level])",
         (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",
-         _DYADIC + "test_region_integrals_by_hand_on_depth_levels"),
+         _DYADIC + "test_region_integrals_by_hand_on_depth_levels",
+         _DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop"),
     ),
     Mutant(
         "level-terms-unmasked",
@@ -300,6 +302,20 @@ MUTANTS = (
         (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",),
     ),
     Mutant(
+        "families-share-one-box",
+        "democracy.py",
+        "    k[:, 0] += family << level\n",
+        "",
+        (_DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop",),
+    ),
+    Mutant(
+        "family-sums-one-off",
+        "democracy.py",
+        "terms[bounds[f] : bounds[f + 1]]",
+        "terms[bounds[max(f - 1, 0)] : bounds[f + 1]]",
+        (_DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop",),
+    ),
+    Mutant(
         "pow2-passes-nan",
         "dyadic.py",
         "if not abs(exponent) <= _MAX_EXP:",
@@ -312,7 +328,7 @@ MUTANTS = (
         "        if not math.isfinite(self.alpha):\n",
         "        if False:\n",
         (_DYADIC + "test_measure_spec",
-         "tests/test_democracy.py::test_case_validation"),
+         _DEMOCRACY + "test_case_validation"),
     ),
 )
 

@@ -270,8 +270,10 @@ _GENERATORS = {
 # criterion 5 and the comparison suites, a d = 3 window, windows holding
 # exactly ``count`` cubes (they need more words than the first block), a
 # window with positions wider than 32 bits, families on either side of
-# ``_REPLAY_MIN_CUBES`` at d = 1 to 3, and the three error cases (the attempt
-# cap once without draws and once after many).
+# ``_REPLAY_MIN_CUBES`` at d = 1 to 3, a deep d = 3 window whose families
+# replay but whose keys of 7 families pass 62 bits (``_DECLINED``), and the
+# three error cases (the attempt cap once without draws and once after many).
+_DECLINED = (30, 3, 0, 18)
 _WINDOWS = [
     (30, 1, -2, 5),
     (60, 1, -2, 5),
@@ -292,6 +294,7 @@ _WINDOWS = [
     (8, 2, -3, 4),
     (7, 3, -2, 5),
     (8, 3, -2, 5),
+    _DECLINED,
     (3, 1, 2, 1),
     (10, 1, 0, 0),
     (5, 1, 0, 1),
@@ -413,7 +416,19 @@ def _spread_outcome(spread, case, rng, *args):
 
 
 @pytest.mark.parametrize("generator", sorted(_GENERATORS))
-def test_admissible_spread_matches_the_per_family_loop(generator):
+def test_admissible_spread_matches_the_per_family_loop(generator, monkeypatch):
+    """Every window against the loop; on ``_DECLINED`` at 7 families the
+    int64 keys decline, and the families are handed to the loop."""
+    declined = []
+    ranges = democracy._int64_ranges
+
+    def spy(j, k):
+        result = ranges(j, k)
+        declined.append(result is None)
+        return result
+
+    monkeypatch.setattr(democracy, "_int64_ranges", spy)
+    assert democracy._replays(7, *_DECLINED[1:])
     for seed in range(3):
         fast, slow = _GENERATORS[generator](seed), _GENERATORS[generator](seed)
         for i, (count, d, j_min, j_max) in enumerate(_WINDOWS):
@@ -421,9 +436,12 @@ def test_admissible_spread_matches_the_per_family_loop(generator):
             case = _case(s1=0.2, p1=1.6, q1=q1, s2=0.7, p2=1.9, q2=3.1, d=d)
             for n_sets in (1, 7):
                 args = (n_sets, count, j_min, j_max)
+                declined.clear()
                 assert _spread_outcome(admissible_spread, case, fast, *args) == (
                     _spread_outcome(_spread_oracle, case, slow, *args)
                 ), (seed, count, d, j_min, j_max, n_sets)
+                if (count, d, j_min, j_max) == _DECLINED and n_sets == 7:
+                    assert declined == [True], seed
 
 
 @settings(max_examples=80, deadline=None)
@@ -497,9 +515,20 @@ def test_admissible_spread_hands_a_family_out_of_range_to_the_loop(monkeypatch):
 
 def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
     """Counted: a spread on criterion 3's window builds no Cube, CoeffSeq or
-    ContainmentForest, one at a time or in bulk, and makes as many
-    ``integers`` calls for 80 families as for 10: one block and one sync."""
+    ContainmentForest, one at a time or in bulk, scores its families with
+    one ``_array_parents`` call and one ``_level_terms`` call, and makes as
+    many ``integers`` calls for 80 families as for 10: one block and one
+    sync."""
     built = {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
+    kernels = {"_array_parents": 0, "_level_terms": 0}
+    for name in kernels:
+        kernel = getattr(democracy, name)
+
+        def counted_kernel(*args, name=name, kernel=kernel):
+            kernels[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(democracy, name, counted_kernel)
 
     def count_init(cls):
         init = cls.__init__
@@ -536,6 +565,8 @@ def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
         rng = _CountingGenerator(np.random.default_rng([17, 3]))
         admissible_spread(case, rng, n_sets, 60, -2, 5)
         calls.append(rng.calls)
+        assert kernels == {"_array_parents": 1, "_level_terms": 1}
+        kernels.update(dict.fromkeys(kernels, 0))
     assert built == {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
     assert calls == [2, 2]
     # The counters see the per-family loop's builds.
