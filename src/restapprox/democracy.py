@@ -562,11 +562,12 @@ def _family_ratios(
     Family f's cubes at level L are put at f * 2^L on the first axis, inside
     the root box of family f, so no family holds another's cubes and the
     families make one forest on int64 keys (``dyadic._int64_ranges``,
-    ``dyadic._array_parents``), each family one run of its preorder.  Every
-    per-cube quantity of an indicator family depends only on the level, so
-    ``spaces._level_terms`` gives every family's region terms as
-    ``tl_norm`` gives them, and each family's terms are summed and rooted by
-    ``spaces._tl_terms_root``.  A term past ``_TERM_LIMIT`` declines too.
+    ``dyadic._array_parents``), whose region terms ``spaces._level_terms``
+    gives as for ``tl_norm``: an indicator family's per-cube quantities
+    depend only on the level.  The preorder may interleave families (at
+    d >= 2 the roots' shift need not keep their boxes aligned), so the terms
+    are grouped by family before ``spaces._tl_terms_root``'s order-free
+    ``fsum``.  A term past ``_TERM_LIMIT`` declines too.
     """
     chain_in, volume, mass = table
     p = case.f1.p
@@ -578,8 +579,7 @@ def _family_ratios(
     ranges = _int64_ranges(level, k)
     if ranges is None:
         return []
-    _, keys, ends, scale_of = ranges
-    arrays = _array_parents(keys, ends, scale_of)
+    arrays = _array_parents(*ranges[1:])
     at = level[arrays.order]
     count = len(codes) // n_families
     exponent = p if maxima else p / case.f1.q
@@ -587,8 +587,10 @@ def _family_ratios(
         terms, kept = _level_terms(arrays, chain_in[at], exponent, maxima, volume[at])
         if (np.abs(terms) > _TERM_LIMIT).any():
             return []
-        bounds = [0, *np.cumsum(kept.sum(axis=1))[count - 1 :: count].tolist()]
-        terms, masses = terms.tolist(), mass[at].tolist()
+        owner = np.repeat(family[arrays.order], kept.sum(axis=1))
+        terms = terms[np.argsort(owner, kind="stable")].tolist()
+        bounds = [0, *np.cumsum(np.bincount(owner, minlength=n_families)).tolist()]
+        masses = mass[level].tolist()
         return [
             _tl_terms_root(terms[bounds[f] : bounds[f + 1]], p)
             / math.fsum(masses[f * count : (f + 1) * count]) ** (1.0 / p)

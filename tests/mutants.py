@@ -316,6 +316,13 @@ MUTANTS = (
         (_DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop",),
     ),
     Mutant(
+        "family-terms-in-preorder",
+        "democracy.py",
+        "terms[np.argsort(owner, kind=\"stable\")]",
+        "terms",
+        (_DEMOCRACY + "test_family_ratios_score_families_whose_preorders_interleave",),
+    ),
+    Mutant(
         "pow2-passes-nan",
         "dyadic.py",
         "if not abs(exponent) <= _MAX_EXP:",

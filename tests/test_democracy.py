@@ -444,6 +444,41 @@ def test_admissible_spread_matches_the_per_family_loop(generator, monkeypatch):
                     assert declined == [True], seed
 
 
+def _family_codes(families, d, depth):
+    """``_draw_families``' codes of the given (level, position) families."""
+    codes = []
+    for f, family in enumerate(families):
+        for level, k in family:
+            code = f * (depth + 1) + level
+            for x in k:
+                code = (code << depth) | x
+            codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("q1", [2.3, math.inf])
+def test_family_ratios_score_families_whose_preorders_interleave(q1):
+    """With no cube at window levels 0 and 1, ``_int64_ranges`` shifts the
+    roots by a position that is not a multiple of a family box's width, and
+    the two families' cubes alternate in the forest's preorder; each family
+    still gets its own terms and masses."""
+    depth, j_min = 3, -1
+    families = [
+        [(2, (1, 0)), (3, (6, 4))],
+        [(2, (0, 0)), (3, (2, 0))],
+    ]
+    case = _case(s1=0.2, p1=1.6, q1=q1, s2=0.7, p2=1.9, q2=3.1, d=2, alpha=0.4)
+    codes = _family_codes(families, 2, depth)
+    table = democracy._level_table(case, j_min, depth)
+    ratios = democracy._family_ratios(codes, len(families), case, depth, table)
+    expected = []
+    for family in families:
+        cubes = [Cube(j_min + level, k) for level, k in family]
+        mass = nu_measure(cubes, case.measure)
+        expected.append(democracy_value(cubes, case) / mass ** (1.0 / case.f1.p))
+    assert ratios == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     d=st.integers(1, 3),
