@@ -36,7 +36,7 @@ from .dyadic import Cube, ExactSum, MeasureSpec, nu_measure, pow2
 from .dyadic import exact_ratio, log2_floor_ceil, scaled_ints
 from .errors import CapabilityError, ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, UWeights, lorentz_norm, u_function
-from .spaces import SpaceParams, _aggregate, space_norm, suffix_norms
+from .spaces import SpaceParams, _aggregate, _scale_sizes, space_norm, suffix_norms
 from .weights import WeightFn, step_aggregate
 
 __all__ = [
@@ -179,12 +179,14 @@ def _is_additive(space: SpaceParams) -> bool:
 
 
 def _additive_weights(cubes: list[Cube], values: list[float], space: SpaceParams):
-    """(|Q|^e |s_Q|)^p per cube.  A power past the float range gives inf,
-    the value an overflowing product already gives."""
-    scale = space.atom_powers
+    """(|Q|^e |s_Q|)^p per cube of the non-empty support ``cubes``, with one
+    atom power per scale, at the cubes' own dimension.  A power past the
+    float range gives inf, the value an overflowing product already gives."""
+    js = [q.j for q in cubes]
+    sizes = _scale_sizes(js, space.atom_powers, cubes[0].d)
     weights = []
-    for q, v in zip(cubes, values):
-        term = scale(q) * abs(v)
+    for j, v in zip(js, values):
+        term = sizes[j] * abs(v)
         try:
             weights.append(term**space.p)
         except OverflowError:

@@ -25,7 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import index, itemgetter
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -325,17 +325,6 @@ _KEY_LIMIT = 1 << 62
 # Spread masks cut to int64; the codes they select stay below 2^62.
 _INT64_BITS = (1 << 63) - 1
 _J, _K, _D = itemgetter(0), itemgetter(1), itemgetter(2)
-
-
-def _int64_scales(cubes: Collection[Cube]) -> np.ndarray | None:
-    """The scales of a family of at least ``_INT64_MIN_CUBES`` cubes as an
-    int64 array; None for a smaller family, or one with a scale past int64."""
-    if len(cubes) < _INT64_MIN_CUBES:
-        return None
-    try:
-        return np.fromiter(map(_J, cubes), np.int64, len(cubes))
-    except OverflowError:
-        return None
 
 
 def _int64_columns(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray] | None:

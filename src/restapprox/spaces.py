@@ -11,10 +11,11 @@ the two quasi-norms coincide identically, which several tests pin.
 Families whose forest takes int64 keys (see ``dyadic.ContainmentForest``)
 run the aggregated norm one depth level of the forest at a time on numpy
 arrays (``_level_terms``, which also scores the random indicator families of
-``democracy.admissible_spread``), and the per-scale norm groups families of
-as many cubes by scale with one sort; smaller families and wider keys keep
-the per-cube list kernels.  Both ways make the same float operations in the
-same order, so the norms and their errors are the same bit for bit.
+``democracy.admissible_spread``); smaller families and wider keys keep the
+per-cube list kernel.  Both ways make the same float operations in the same
+order, so the norms and their errors are the same bit for bit.  The
+per-scale norm takes one Python pass at every size: it groups |s_Q| by scale
+and multiplies each group by its scale's one atom power (``_scale_sizes``).
 
 Also provided: the canonical atom weights ``u(Q)`` (the norm of a normalized
 indicator atom), and the identity check equating a weighted Lorentz norm with
@@ -26,8 +27,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .dyadic import (
     ForestArrays,
     MeasureSpec,
     VolumePowers,
-    _int64_scales,
 )
 from .errors import ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
@@ -303,42 +302,30 @@ def besov_norm(s: CoeffSeq, params: SpaceParams) -> float:
     """Per-scale quasi-norm: inner p-sum within a scale, outer q-sum across.
 
     Coefficients are normalized by |Q|^(-s/d + 1/p - 1/2) so that a unit atom
-    has norm |Q|^(-s/d + 1/p - 1/2) as well.  Raises ScaleRangeError when a
-    term, a per-scale value or the norm exceeds the float range.
+    has norm |Q|^(-s/d + 1/p - 1/2) as well.  One pass groups |s_Q| by scale
+    in the order of ``s``; each group is then multiplied by its scale's one
+    atom power.  Raises ScaleRangeError when a term, a per-scale value or the
+    norm exceeds the float range.
     """
     _check_space(s, params, "besov")
     if not s:
         return 0.0
-    js = _int64_scales(s)
-    if js is None:
-        scale = params.atom_powers
-        by_scale: dict[int, list[float]] = {}
-        for cube, value in s.items():
-            by_scale.setdefault(cube.j, []).append(scale(cube) * abs(value))
-        groups = [by_scale[j] for j in sorted(by_scale)]
-    else:
-        groups = _scale_groups(s, params, js)
-    inner = [_aggregate(group, params.p, _SCALE_RANGE) for group in groups]
+    groups: defaultdict[int, list[float]] = defaultdict(list)
+    for cube, value in s.items():
+        groups[cube.j].append(abs(value))
+    sizes = _scale_sizes(groups, params.atom_powers, params.d)
+    inner = [
+        _aggregate([size * v for v in groups[j]], params.p, _SCALE_RANGE)
+        for j, size in sorted(sizes.items())
+    ]
     return _aggregate(inner, params.q, _SCALE_RANGE)
 
 
-def _scale_groups(s: CoeffSeq, params: SpaceParams, js: np.ndarray) -> list[list[float]]:
-    """``besov_norm``'s scaled magnitudes grouped by scale, from the int64
-    scales ``js`` of ``s``: the scales ascending, each group in the order of
-    ``s``.  A volume outside ``pow2``'s range raises its error for the first
-    such cube of ``s``."""
-    scales, scale_of = np.unique(js, return_inverse=True)
-    table = params.atom_powers.at_scales(scales.tolist(), params.d)
-    size = np.array(table)[scale_of]
-    rejected = np.isnan(size)
-    if rejected.any():
-        params.atom_powers(next(islice(s, int(rejected.argmax()), None)))  # raises
-    with np.errstate(over="ignore"):  # an inf value, as the loop gives
-        scaled = size * np.abs(np.fromiter(s.values(), float, len(s)))
-    grouped = np.argsort(scale_of, kind="stable")
-    bounds = np.searchsorted(scale_of[grouped], np.arange(len(scales) + 1)).tolist()
-    values = scaled[grouped].tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _scale_sizes(scales: Iterable[int], powers: VolumePowers, d: int) -> dict[int, float]:
+    """The power of the volume of each scale's cubes at dimension ``d``, one
+    ``powers`` entry per distinct scale, filled in first-seen order: the
+    first scale whose volume ``pow2`` rejects raises its ScaleRangeError."""
+    return {j: powers[j * d] for j in dict.fromkeys(scales)}
 
 
 def space_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -445,8 +432,7 @@ def _besov_suffix_norms(
 ) -> list[float]:
     # In the order of s, so that a scale outside the float range is reported
     # as besov_norm reports it.
-    scale = params.atom_powers
-    scaled = {cube: scale(cube) * abs(value) for cube, value in s.items()}
+    sizes = _scale_sizes((cube.j for cube in s), params.atom_powers, params.d)
     p, q = params.p, params.q
     sums: defaultdict[int, ExactSum] = defaultdict(ExactSum)
     inner: dict[int, float] = {}  # per present scale
@@ -458,7 +444,7 @@ def _besov_suffix_norms(
         for c in range(len(order) - 1, -1, -1):
             cube = order[c]
             j = cube.j
-            value = scaled[cube]
+            value = sizes[j] * abs(s[cube])
             old = inner.get(j)
             if math.isinf(p):
                 new = value if old is None else max(old, value)

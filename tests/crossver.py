@@ -40,6 +40,12 @@ bounds and that generator's next 32-bit word, which pins the state the call
 leaves.  A last outcome runs one deep window, d = 3 over 18 scales with 8
 families, whose draws replay but whose int64 forest keys pass 62 bits.
 
+Every instance also takes one step list of its own, from a generator seeded
+with ``(seed, i, 2)``: a power or power-log weight, mu finite or inf, 0-3
+leading zero ends and 1-80 steps, some of them one to three ulps wide or of
+zero length, from near 0 to past t = 1 or out to 1e+-300.  It runs
+``weight_sups`` and, for finite mu, ``weight_integrals``.
+
 A difference is expected when one of its outcome's labels is named by
 ``--expect``:
 
@@ -232,6 +238,42 @@ def _spread(ra, rng: np.random.Generator, call) -> str:
     return f"{result} next={int(rng.integers(0, 1 << 32))}"
 
 
+def _draw_steps(rng: np.random.Generator):
+    """A ``weight_integrals`` and ``weight_sups`` call: (family, p, b, mu,
+    masses).  p is U(0.5, 4), b U(-2, 2) for power-log weights, mu finite or
+    inf.  The masses start with 0-3 zero ends, then 1-80 ends, each one to
+    three ulps past the last (15 %), equal to it (5 %), or up to 11 times it;
+    the first positive end is 10^U(-8, 4), or 10^U(-300, 300) in one list of
+    ten."""
+    family = "power" if rng.random() < 0.5 else "powerlog"
+    p = float(rng.uniform(0.5, 4.0))
+    b = float(rng.uniform(-2.0, 2.0)) if family == "powerlog" else 0.0
+    mu = _draw_exponent(rng, 0.3, 4.0, 0.2)
+    exponents = (-300, 300) if rng.random() < 0.1 else (-8, 4)
+    masses = [0.0] * int(rng.integers(0, 4))
+    end = 0.0
+    for _ in range(int(rng.integers(1, 81))):
+        draw = rng.random()
+        if end == 0.0:
+            end = float(10.0 ** rng.uniform(*exponents))
+        elif draw < 0.15:  # ulp-narrow
+            for _ in range(int(rng.integers(1, 4))):
+                end = math.nextafter(end, math.inf)
+        elif draw >= 0.2:  # 0.15 <= draw < 0.2 leaves a step of zero length
+            end += float(10.0 ** rng.uniform(-3, 1)) * end
+        masses.append(end)
+    return family, p, b, mu, masses
+
+
+def _steps(ra, call, sups: bool) -> str:
+    """The digest of one ``weight_sups`` or ``weight_integrals`` call."""
+    family, p, b, mu, masses = call
+    eta = ra.WeightFn(family, p, b)
+    if sups:
+        return _digest(ra.weight_sups(eta, masses))
+    return _digest(ra.weight_integrals(eta, mu, masses))
+
+
 # A deep window whose families replay but whose 8 families' int64 keys pass
 # 62 bits: d = 3 over 18 scales.
 _DEEP_SPREAD = (3, 0.2, 1.6, 2.3, 0.7, 1.9, 3.1, None, 8, 30, -3, 14)
@@ -271,11 +313,12 @@ def worker(count: int, seed: int) -> None:
         # Its own generator, so that the instance's draws are unchanged.
         spread_rng = np.random.default_rng([seed, i, 1])
         call = _draw_spread(spread_rng)
+        step_call = _draw_steps(np.random.default_rng([seed, i, 2]))
         out.write(
             f"{i}.instance\t-\td={d} n={len(cubes)} alpha={alpha!r} s={s_exp!r} p={p!r} "
             f"q={q!r} kind={kind} xi={xi!r} mu={mu!r} eta=({eta_p!r}, {eta_b!r}) "
             f"lorentz=({lorentz_mu!r}, {lorentz_xi!r}) profile={breakpoints!r}, {errors!r} "
-            f"spread={call!r}\n"
+            f"spread={call!r} steps={step_call!r}\n"
         )
 
         subnormal = ["xi-subnormal"] if 1.0 / xi == math.inf else []
@@ -287,6 +330,9 @@ def worker(count: int, seed: int) -> None:
         run(f"{i}.hand.norm", through_weight + zero_tail, lambda: hand().norm(xi, mu))
         run(f"{i}.hand.norm_dyadic", zero_tail, lambda: hand().norm_dyadic(xi, mu))
         run(f"{i}.admissible_spread", [], lambda: _spread(ra, spread_rng, call))
+        run(f"{i}.weight_sups", [], lambda: _steps(ra, step_call, sups=True))
+        if math.isfinite(step_call[3]):
+            run(f"{i}.weight_integrals", [], lambda: _steps(ra, step_call, sups=False))
 
         try:
             s = ra.CoeffSeq({ra.Cube(j, k): v for (j, k), v in zip(cubes, values)})

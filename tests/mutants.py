@@ -46,6 +46,8 @@ _LORENTZ = "tests/test_lorentz.py::"
 _DYADIC = "tests/test_dyadic.py::"
 _SPACES = "tests/test_spaces.py::"
 _DEMOCRACY = "tests/test_democracy.py::"
+_CLI = "tests/test_cli.py::"
+_ACCEPTANCE = "tests/test_acceptance.py::test_acceptance["
 MUTANTS = (
     Mutant(
         "no-order-check",
@@ -295,11 +297,46 @@ MUTANTS = (
          _DYADIC + "test_array_forest_and_norms_equal_the_list_kernels"),
     ),
     Mutant(
-        "besov-groups-drop-the-last-scale",
+        "scale-sizes-in-sorted-order",
         "spaces.py",
-        "np.arange(len(scales) + 1)",
-        "np.arange(len(scales))",
-        (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",),
+        "for j in dict.fromkeys(scales)}",
+        "for j in sorted(dict.fromkeys(scales))}",
+        (_SPACES + "test_the_first_scale_of_s_past_the_float_range_raises",),
+    ),
+    Mutant(
+        "scale-sizes-ignore-dimension",
+        "spaces.py",
+        "powers[j * d]",
+        "powers[j]",
+        (_ACCEPTANCE + "criterion_1]", _ACCEPTANCE + "criterion_4]"),
+    ),
+    Mutant(
+        "columns-divide-as-floats",
+        "lorentz.py",
+        "(totals[last] / (1 << shift)).astype(np.float64)",
+        "totals[last].astype(np.float64) / (1 << shift)",
+        (_LORENTZ + "test_rearrange_takes_the_columns_at_every_alpha",),
+    ),
+    Mutant(
+        "columns-scales-in-sorted-order",
+        "lorentz.py",
+        "scales = dict.fromkeys(map(_J, s))",
+        "scales = dict.fromkeys(sorted(map(_J, s)))",
+        (_SPACES + "test_the_first_scale_of_s_past_the_float_range_raises",),
+    ),
+    Mutant(
+        "exact-sum-drops-the-shift",
+        "dyadic.py",
+        "self._num += num << (self._shift - shift)",
+        "self._num += num",
+        (_DYADIC + "test_exact_sum_rounds_every_prefix_as_fsum",),
+    ),
+    Mutant(
+        "read-sequence-keeps-duplicates",
+        "cli.py",
+        "if len(seq) == len(values):",
+        "if True:",
+        (_CLI + "test_read_sequence_errors",),
     ),
     Mutant(
         "families-share-one-box",

@@ -22,7 +22,6 @@ from restapprox import (
     MeasureSpec,
     ScaleRangeError,
     SpaceParams,
-    besov_norm,
     nu_measure,
     pow2,
     tl_norm,
@@ -406,10 +405,10 @@ def _hex_or_error(norm) -> str:
 @given(_norm_cases())
 def test_array_forest_and_norms_equal_the_list_kernels(case):
     """With ``_INT64_MIN_CUBES`` at 1, every family whose keys fit int64
-    takes the arrays, and there the forest's parent pass and the tl and
-    Besov kernels give the stack pass's forest and the list kernels' norms:
-    the same columns, and norms equal by ``float.hex``, or the same error
-    type and text."""
+    takes the arrays, and there the forest's parent pass and the tl kernel
+    give the stack pass's forest and the list kernel's norm: the same
+    columns, and norms equal by ``float.hex``, or the same error type and
+    text."""
     s, d, smooth, p, q = case
 
     def outcomes(min_cubes: int):
@@ -420,7 +419,6 @@ def test_array_forest_and_norms_equal_the_list_kernels(case):
             return (
                 forest.cubes, forest.parent, forest.order, forest.scale_of,
                 _hex_or_error(lambda: tl_norm(s, SpaceParams(smooth, p, q, d))),
-                _hex_or_error(lambda: besov_norm(s, SpaceParams(smooth, p, q, d, "besov"))),
             )
 
     assert outcomes(1) == outcomes(10**9)

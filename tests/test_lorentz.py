@@ -553,10 +553,19 @@ def test_a_scale_past_int64_takes_the_columns(monkeypatch):
 # finer than the rest, their magnitudes interleaved with the coarse ones.
 LARGE = CoeffSeq({Cube(i % 11, (i,)): 1.0 + (i % 500) / 7 for i in range(2000)})
 WIDE_GAP = CoeffSeq({Cube(i % 5 + 900 * (i % 2), (i,)): 1.0 + i for i in range(80)})
+# 64 cubes: at alpha = 1 the one at scale 1000 puts the common denominator
+# at 2^1000, so the mass of the one at scale -60 is the int 2^1060, past the
+# float range, and only the int true division rounds the totals.
+WIDE_TOTALS = CoeffSeq({
+    **{Cube(i % 7, (i,)): 1.0 + i % 5 for i in range(62)},
+    Cube(1000, (0,)): 0.25,
+    Cube(-60, (0,)): 9.0,
+})
 
 
 @pytest.mark.parametrize(
-    "s, alpha", [(LARGE, 0.5), (LARGE, 1 / 3), (LARGE, -0.7), (WIDE_GAP, 1.0)]
+    "s, alpha",
+    [(LARGE, 0.5), (LARGE, 1 / 3), (LARGE, -0.7), (WIDE_GAP, 1.0), (WIDE_TOTALS, 1.0)],
 )
 def test_rearrange_takes_the_columns_at_every_alpha(monkeypatch, s, alpha):
     """Counted: a family of 64 cubes or more without u makes no per-cube

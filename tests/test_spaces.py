@@ -22,9 +22,13 @@ from restapprox import (
     besov_norm,
     lorentz_equals_besov_check,
     lorentz_norm,
+    rearrange,
     space_norm,
+    suffix_norms,
     tl_norm,
 )
+from restapprox import approx
+from restapprox.dyadic import VolumePowers
 
 from conftest import cube_strategy, seq_strategy, signed_values
 
@@ -270,7 +274,9 @@ def test_identity_check_reduces_to_weighted_sum():
 def test_norms_reuse_the_parameter_and_volume_tables(monkeypatch):
     """Counted: ``SpaceParams`` holds its per-volume powers and the unit
     volumes are one shared table, so a second norm over the same volumes
-    makes no ``pow2`` call, and gives the same value."""
+    makes no ``pow2`` call, and gives the same value.  On 2 000 cubes the
+    per-scale norm, its suffix pass and the knapsack weights make no
+    per-cube ``VolumePowers`` call and one ``pow2`` per scale at most."""
     from restapprox import dyadic
 
     calls = []
@@ -284,6 +290,44 @@ def test_norms_reuse_the_parameter_and_volume_tables(monkeypatch):
     calls.clear()
     assert (tl_norm(s, tl), besov_norm(s, besov)) == first
     assert calls == []
+    # 2 000 cubes over the 11 scales 0-10: each per-scale pass takes one atom
+    # power per scale, not one per cube.
+    big = CoeffSeq({Cube(i % 11, (i,)): 1.0 + i / 7 for i in range(2000)})
+    cubes, values = list(big), list(big.values())
+    per_cube = _counted_calls(monkeypatch, (VolumePowers, "__call__"))
+    for run in (
+        lambda params: besov_norm(big, params),
+        lambda params: suffix_norms(big, params, cubes[::-1]),
+        lambda params: approx._additive_weights(cubes, values, params),
+    ):
+        calls.clear()
+        run(SpaceParams(0.3, 1.5, 1.5, 1, "besov"))
+        assert per_cube == {"VolumePowers.__call__": 0}
+        assert 0 < len(calls) <= 11
+
+
+@pytest.mark.parametrize("between", [0, 200])
+def test_the_first_scale_of_s_past_the_float_range_raises(between):
+    """Cube(2500) comes first in s and Cube(-2600) last; at s = 0 and p = 1
+    their atom powers 2^-1250 and 2^1300 both leave ``pow2``'s range.  The
+    per-scale norm, its suffix pass and the knapsack weights raise for the
+    first of them in the order of s, not in scale order, with or without
+    200 cubes at scale 3 between them; so does the rearrangement at alpha =
+    0.5, whose masses are the same powers, on its loop and on its columns."""
+    s = CoeffSeq({
+        Cube(2500, (0,)): 1.0,
+        **{Cube(3, (k,)): 1.0 + k for k in range(between)},
+        Cube(-2600, (0,)): 2.0,
+    })
+    cubes = list(s)
+    for run in (
+        lambda params: besov_norm(s, params),
+        lambda params: suffix_norms(s, params, cubes[::-1]),
+        lambda params: approx._additive_weights(cubes, list(s.values()), params),
+        lambda params: rearrange(s, MeasureSpec(0.5)),
+    ):
+        with pytest.raises(ScaleRangeError, match=r"^2\^-1250 is outside"):
+            run(SpaceParams(0.0, 1.0, 1.0, 1, "besov"))
 
 
 def _counted_calls(monkeypatch, *methods) -> dict[str, int]:
@@ -306,8 +350,6 @@ def _counted_calls(monkeypatch, *methods) -> dict[str, int]:
 def test_tl_norm_reads_values_and_powers_by_preorder_index(monkeypatch, q):
     """Counted: on 2 000 cubes, tl_norm looks up no cube's coefficient or
     volume power one at a time."""
-    from restapprox.dyadic import VolumePowers
-
     s = CoeffSeq({Cube(i % 11, (i,)): 1.0 + i / 7 for i in range(2000)})
     params = SpaceParams(0.3, 1.5, q, 1)
     want = tl_norm(s, params)
