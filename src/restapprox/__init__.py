@@ -60,6 +60,7 @@ from .spaces import (
     besov_norm,
     lorentz_equals_besov_check,
     space_norm,
+    space_norms,
     suffix_norms,
     tl_norm,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "tl_norm",
     "besov_norm",
     "space_norm",
+    "space_norms",
     "suffix_norms",
     "lorentz_equals_besov_check",
     # restricted approximation

@@ -13,15 +13,13 @@ testable at sizes far beyond what can be materialized.
 
 Random families are drawn in bulk.  ``admissible_spread`` draws all its
 families from one block series of the generator's 32-bit words, on any
-window of 2 to 33 scales whose per-level values are finite floats.  It
-places them side by side as one forest on the forest's int64 keys
-(``dyadic._int64_ranges``, ``dyadic._array_parents``) and scores every
-family with the aggregated norm's depth-level pass (``spaces._level_terms``),
-with no cube, sequence or forest object per family.  The oracle, run on
-every other window, on keys past 62 bits, and kept as the tier-1 reference,
-is the per-family loop of ``random_cube_set``, ``democracy_value`` and
-``nu_measure``; the bulk path gives its ratios bit for bit and leaves the
-generator in its state.
+window of 2 to 33 scales whose per-level values are finite floats, and
+scores them all with the batched aggregated norm (``spaces._tl_batch``: one
+forest on int64 keys and one depth-level pass), with no cube, sequence or
+forest object per family.  The oracle, run on every other window, on keys
+past 62 bits, and kept as the tier-1 reference, is the per-family loop of
+``random_cube_set``, ``democracy_value`` and ``nu_measure``; the bulk path
+gives its ratios bit for bit and leaves the generator in its state.
 """
 
 from __future__ import annotations
@@ -34,11 +32,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .dyadic import VOLUMES, Cube, MeasureSpec, nu_measure, pow2
-from .dyadic import _array_parents, _int64_ranges
 from .errors import CapabilityError, ContractViolationError, finite
 from .lorentz import CoeffSeq
 from .spaces import AtomWeights, SpaceParams, _recip, matched_exponents, tl_norm
-from .spaces import _level_terms, _tl_terms_root
+from .spaces import _tl_batch
 
 __all__ = [
     "DemocracyCase",
@@ -169,20 +166,19 @@ class GammaFamily:
                 f"family holds {self.count} cubes; at most {_MATERIALIZE_CAP} "
                 "can be materialized — use the closed forms"
             )
+        # Every position is a non-empty tuple of ints, as from_columns needs.
         if self.tag == "grid":
-            j = -(self.L.bit_length() - 1)
-            return tuple(
-                Cube(j, k) for k in itertools.product(range(self.N), repeat=self.d)
-            )
-        if self.tag == "tower":
-            return tuple(
-                Cube(j, k)
-                for j in range(self.N)
-                for k in itertools.product(range(1 << j), repeat=self.d)
-            )
-        return tuple(
-            Cube(0, (i,) + (0,) * (self.d - 1)) for i in range(self.N)
-        )
+            ks = list(itertools.product(range(self.N), repeat=self.d))
+            js = [-(self.L.bit_length() - 1)] * len(ks)
+        elif self.tag == "tower":
+            js, ks = [], []
+            for j in range(self.N):
+                level = list(itertools.product(range(1 << j), repeat=self.d))
+                js += [j] * len(level)
+                ks += level
+        else:
+            js, ks = [0] * self.N, [(i,) + (0,) * (self.d - 1) for i in range(self.N)]
+        return tuple(Cube.from_columns(js, ks))
 
     def closed_form_mass(self, alpha: float) -> float:
         """Total measure with exponent alpha, exactly."""
@@ -306,10 +302,6 @@ def divergence_exponent(
 
 _WORD = 1 << 32
 _CAP_MESSAGE = "cube window too small for the requested count"
-# A family with a region term beyond this goes to the per-family loop, so
-# that a norm past the float range raises the loop's own error.  Below it,
-# no partial of the family's fsum can overflow.
-_TERM_LIMIT = 2.0**960
 
 
 def _attempt_cap(count: int) -> int:
@@ -556,45 +548,30 @@ def _family_ratios(
 ) -> list[float]:
     """``value / mass^(1/p1)`` per family of ``codes`` (see
     ``_draw_families``), bit for bit as ``democracy_value`` and
-    ``nu_measure`` give them; [] when a key passes 62 bits or some family
-    would not score, so that the per-family loop raises its own error.
-
-    Family f's cubes at level L are put at f * 2^L on the first axis, inside
-    the root box of family f, so no family holds another's cubes and the
-    families make one forest on int64 keys (``dyadic._int64_ranges``,
-    ``dyadic._array_parents``), whose region terms ``spaces._level_terms``
-    gives as for ``tl_norm``: an indicator family's per-cube quantities
-    depend only on the level.  The preorder may interleave families (at
-    d >= 2 the roots' shift need not keep their boxes aligned), so the terms
-    are grouped by family before ``spaces._tl_terms_root``'s order-free
-    ``fsum``.  A term past ``_TERM_LIMIT`` declines too.
+    ``nu_measure`` give them; [] when ``spaces._tl_batch`` declines, so that
+    the per-family loop raises its own error.  An indicator family's
+    per-cube quantities depend only on the level, so they are read off
+    ``table``, and the window's levels nest as its scales do.
     """
     chain_in, volume, mass = table
-    p = case.f1.p
-    maxima = math.isinf(case.f1.q)
+    p, q = case.f1.p, case.f1.q
     heads, axes = _split_codes(codes, case.d, depth)
-    family, level = np.divmod(heads.astype(np.int64), depth + 1)
+    level = heads.astype(np.int64) % (depth + 1)
     k = np.stack(axes, axis=1).astype(np.int64)
-    k[:, 0] += family << level
-    ranges = _int64_ranges(level, k)
-    if ranges is None:
-        return []
-    arrays = _array_parents(*ranges[1:])
-    at = level[arrays.order]
     count = len(codes) // n_families
-    exponent = p if maxima else p / case.f1.q
+    bounds = np.arange(n_families + 1) * count
+    exponent = p if math.isinf(q) else p / q
+    values = _tl_batch(
+        level, k, bounds, chain_in[level], exponent, volume[level], math.isinf(q),
+        [p] * n_families,
+    )
+    if values is None:
+        return []
+    masses = mass[level].tolist()
     try:
-        terms, kept = _level_terms(arrays, chain_in[at], exponent, maxima, volume[at])
-        if (np.abs(terms) > _TERM_LIMIT).any():
-            return []
-        owner = np.repeat(family[arrays.order], kept.sum(axis=1))
-        terms = terms[np.argsort(owner, kind="stable")].tolist()
-        bounds = [0, *np.cumsum(np.bincount(owner, minlength=n_families)).tolist()]
-        masses = mass[level].tolist()
         return [
-            _tl_terms_root(terms[bounds[f] : bounds[f + 1]], p)
-            / math.fsum(masses[f * count : (f + 1) * count]) ** (1.0 / p)
-            for f in range(n_families)
+            value / math.fsum(masses[f * count : (f + 1) * count]) ** (1.0 / p)
+            for f, value in enumerate(values)
         ]
     except (ArithmeticError, ValueError):
         return []

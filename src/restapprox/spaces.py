@@ -8,14 +8,15 @@ sum: no sampling, no quadrature.  The per-scale family ("besov") takes an
 inner p-sum within each scale and an outer q-sum across scales.  When p == q
 the two quasi-norms coincide identically, which several tests pin.
 
-Families whose forest takes int64 keys (see ``dyadic.ContainmentForest``)
-run the aggregated norm one depth level of the forest at a time on numpy
-arrays (``_level_terms``, which also scores the random indicator families of
-``democracy.admissible_spread``); smaller families and wider keys keep the
-per-cube list kernel.  Both ways make the same float operations in the same
-order, so the norms and their errors are the same bit for bit.  The
-per-scale norm takes one Python pass at every size: it groups |s_Q| by scale
-and multiplies each group by its scale's one atom power (``_scale_sizes``).
+Families of at least ``dyadic._INT64_MIN_CUBES`` cubes whose keys fit int64,
+and batches of that many cubes in many families (``space_norms``, and the
+random indicator families of ``democracy.admissible_spread``), run the
+aggregated norm one depth level of one forest at a time on numpy arrays
+(``_tl_batch``); smaller families and wider keys keep the per-cube list
+kernel.  Both ways make the same float operations in the same order, so the
+norms and their errors are the same bit for bit.  The per-scale norm takes
+one Python pass at every size: it groups |s_Q| by scale and multiplies each
+group by its scale's one atom power (``_scale_sizes``).
 
 Also provided: the canonical atom weights ``u(Q)`` (the norm of a normalized
 indicator atom), and the identity check equating a weighted Lorentz norm with
@@ -27,18 +28,23 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import dyadic
 from .dyadic import (
     VOLUMES,
     ContainmentForest,
     Cube,
     ExactSum,
-    ForestArrays,
     MeasureSpec,
     VolumePowers,
+    _array_parents,
+    _int64_columns,
+    _int64_ranges,
 )
 from .errors import ContractViolationError, ScaleRangeError, finite
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
@@ -50,6 +56,7 @@ __all__ = [
     "tl_norm",
     "besov_norm",
     "space_norm",
+    "space_norms",
     "suffix_norms",
     "matched_exponents",
     "lorentz_equals_besov_check",
@@ -144,22 +151,11 @@ def _tl_chain_inputs(
     constant.  ``forest`` is the forest of ``s``, so its ``order``
     reads the coefficients in preorder.  A scale factor outside ``pow2``'s
     range raises its error for the first such cube in preorder."""
-    arrays = forest.arrays
-    if arrays is None:
-        magnitudes = list(map(abs, s.values()))
-        scale = forest.volume_powers(params.coeff_powers)
-        if math.nan in scale:  # volume_powers marks with math.nan itself
-            params.coeff_powers(forest.cubes[scale.index(math.nan)])  # raises
-        b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
-    else:
-        table = params.coeff_powers.at_scales(forest.scales, params.d)
-        scale = np.array(table)[arrays.scale_of]
-        rejected = np.isnan(scale)
-        if rejected.any():
-            params.coeff_powers(forest.cubes[int(rejected.argmax())])  # raises
-        magnitudes = np.abs(np.fromiter(s.values(), float, len(s)))
-        with np.errstate(over="ignore"):  # an inf term, as the list gives
-            b = (scale * magnitudes[arrays.order]).tolist()
+    magnitudes = list(map(abs, s.values()))
+    scale = forest.volume_powers(params.coeff_powers)
+    if math.nan in scale:  # volume_powers marks with math.nan itself
+        params.coeff_powers(forest.cubes[scale.index(math.nan)])  # raises
+    b = [size * magnitudes[u] for size, u in zip(scale, forest.order)]
     if math.isinf(params.q):
         return b, params.p
     try:
@@ -192,21 +188,10 @@ def _tl_forest_norm(
     one term +K|Q| per region (a cube minus its children) and one -K|Q| of
     its parent's constant per non-root cube, combined by one ``math.fsum``,
     so the only rounding is one multiply per term.  A volume outside
-    ``pow2``'s range raises only where a nonzero term needs it.  A forest
-    on int64 keys takes its terms from ``_level_terms``, with the same float
-    operations in the same order, so the same bits and errors."""
-    arrays, maxima = forest.arrays, math.isinf(params.q)
-    if arrays is not None:
-        sizes = np.array(VOLUMES.at_scales(forest.scales, params.d))[arrays.scale_of]
-        inputs = np.fromiter(values, float, len(values))
-        terms, kept = _level_terms(arrays, inputs, exponent, maxima, sizes)
-        unknown = kept.any(axis=1) & np.isnan(sizes)
-        if unknown.any():
-            VOLUMES(forest.cubes[int(unknown.argmax())])  # raises pow2's error
-        return _tl_terms_root(terms.tolist(), params.p)
+    ``pow2``'s range raises only where a nonzero term needs it."""
     parent = forest.parent
     # Slot -1 holds the empty chain of a root, whose constant is 0.0.
-    if maxima:
+    if math.isinf(params.q):
         chains = [-math.inf] * (len(values) + 1)
         for i, (p, value) in enumerate(zip(parent, values)):
             chains[i] = max(chains[p], value)
@@ -232,25 +217,67 @@ def _tl_forest_norm(
     return _tl_terms_root(terms, params.p)
 
 
-def _level_terms(
-    arrays: ForestArrays,
-    inputs: np.ndarray,
-    exponent: float,
-    maxima: bool,
-    sizes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The region terms of a forest on int64 keys, taken one depth level at
-    a time, and the mask of each cube's two terms kept: +K|Q| of its own
-    constant and -K|Q| of its parent's, each where that constant is nonzero.
+# A batch with a region term beyond this goes to the per-family loop, so
+# that a norm past the float range raises the loop's own error.  Below it,
+# no partial of a family's fsum can overflow, whatever the terms' order.
+_TERM_LIMIT = 2.0**960
 
-    Each level's chain values are its parents' (a numpy gather) plus, or
-    maxed with, its own ``inputs``, so every chain adds root to leaf as the
-    per-cube pass does.  Constants are Python's ``pow`` on ``tolist()``
-    values, as numpy's may differ from libm's, and the terms are numpy
-    products with the volumes ``sizes``, in the per-cube pass's order.
-    Raises ScaleRangeError when a constant passes the float range.
+
+def _boxes(j: np.ndarray, k: np.ndarray, bounds: np.ndarray) -> np.ndarray | None:
+    """Positions ``k`` with each family, the rows ``bounds[f]:bounds[f + 1]``,
+    moved along the first axis by whole cells of the coarsest scale (a
+    shift of every scale's grid) into cells no other family touches; None
+    when a moved position might pass 2^62."""
+    gap = int(j.max()) - int(j.min())
+    if gap > 61:
+        return None
+    rel = j - j.min()
+    cells = k[:, 0] >> rel
+    lo = np.minimum.reduceat(cells, bounds[:-1])
+    width = np.maximum.reduceat(cells, bounds[:-1]) - lo + 1
+    reach = len(width) * int(width.max()) + int(np.abs(k[:, 0]).max())
+    if reach.bit_length() + gap > 62:
+        return None
+    moved = k.copy()
+    moved[:, 0] += np.repeat(np.cumsum(width) - width - lo, np.diff(bounds)) << rel
+    return moved
+
+
+def _tl_batch(
+    j: np.ndarray,
+    k: np.ndarray,
+    bounds: np.ndarray,
+    inputs: np.ndarray,
+    exponents: float | np.ndarray,
+    sizes: np.ndarray,
+    maxima: bool,
+    ps: list[float],
+) -> list[float] | None:
+    """``tl_norm`` of each family of the int64 columns ``j`` (scales) and
+    ``k`` (positions), family f being the non-empty rows
+    ``bounds[f]:bounds[f + 1]``, bit for bit; or None, for the caller's
+    per-family loop, when a key passes 62 bits or some family would raise or
+    has a term past ``_TERM_LIMIT``.
+
+    Per row, ``inputs`` holds what the cube adds to its chain (b_Q^q, or b_Q
+    when ``maxima``) and ``sizes`` its volume (nan where ``pow2`` rejects
+    it: a nonzero term then makes a nan integral, and declines);
+    ``exponents`` is the chain exponent (p/q, or p), one for all rows or one
+    per row, and ``ps`` each family's p.  The families, side by side
+    (``_boxes``), make one forest; its chains add root to leaf one depth
+    level at a time, as the per-cube pass adds them.  Constants are Python's
+    ``pow`` on ``tolist()`` values, as numpy's may differ from libm's.  The
+    preorder may interleave families (at d >= 2 the roots' shift need not
+    keep the boxes aligned), so the region terms are grouped by family
+    before each family's ``fsum``.
     """
-    parent, n = arrays.parent, len(inputs)
+    moved = _boxes(j, k, bounds)
+    ranges = None if moved is None else _int64_ranges(j, moved)
+    if ranges is None:
+        return None
+    arrays = _array_parents(*ranges[1:])
+    order, parent, n = arrays.order, arrays.parent, len(j)
+    inputs, sizes = inputs[order], sizes[order]
     combine = np.maximum if maxima else np.add
     # Slot -1 holds the empty chain of a root, whose constant is 0.0.
     chains = np.full(n + 1, -math.inf if maxima else 0.0)
@@ -258,17 +285,70 @@ def _level_terms(
         for level in arrays.levels:
             chains[level] = combine(chains[parent[level]], inputs[level])
     positive = np.flatnonzero(chains > 0.0)
-    try:
-        powered = [c**exponent for c in chains[positive].tolist()]
-    except OverflowError:
-        raise ScaleRangeError(_COEFFICIENT_RANGE) from None
+    if isinstance(exponents, np.ndarray):
+        each: Iterable[float] = exponents[order][positive].tolist()
+    else:
+        each = repeat(exponents)
     constants = np.zeros(n + 1)
-    constants[positive] = powered
+    try:
+        constants[positive] = list(map(pow, chains[positive].tolist(), each))
+    except OverflowError:  # the family's own norm raises
+        return None
     own, outer = constants[:n], constants[parent]
     nonzero = np.stack((own != 0.0, outer != 0.0), axis=1)
     with np.errstate(over="ignore"):
         terms = np.stack((own * sizes, -outer * sizes), axis=1)[nonzero]
-    return terms, nonzero
+    if (np.abs(terms) > _TERM_LIMIT).any():
+        return None
+    owner = np.repeat(np.arange(len(ps)), np.diff(bounds))[order]
+    owner = np.repeat(owner, nonzero.sum(axis=1))
+    terms = terms[np.argsort(owner, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=len(ps))).tolist()
+    try:
+        return [_tl_terms_root(terms[a:b], p) for a, b, p in zip([0, *ends], ends, ps)]
+    except ScaleRangeError:
+        return None
+
+
+def _tl_norms(
+    pairs: list[tuple[CoeffSeq, SpaceParams]], maxima: bool
+) -> list[float] | None:
+    """``_tl_batch`` of non-empty tl families of one dimension, each with its
+    own parameters, whose q are all infinite (``maxima``) or all finite;
+    None when they hold fewer than ``dyadic._INT64_MIN_CUBES`` cubes (read
+    when called), when a position passes the int64 keys, or when
+    ``_tl_batch`` declines."""
+    counts = [len(s) for s, _ in pairs]
+    if sum(counts) < dyadic._INT64_MIN_CUBES:
+        return None
+    cubes = [cube for s, _ in pairs for cube in s]
+    columns = _int64_columns(cubes)
+    if columns is None:
+        return None
+    scales, scale_of = np.unique(columns[0], return_inverse=True)
+    scales, d = scales.tolist(), cubes[0].d
+    values = chain.from_iterable(s.values() for s, _ in pairs)
+    magnitudes = np.abs(np.fromiter(values, float, len(cubes)))
+    inputs: list[float] = []
+    end = 0
+    # One table of coefficient scales per run of equal parameters.
+    for params, run in groupby(pairs, itemgetter(1)):
+        start, end = end, end + sum(len(s) for s, _ in run)
+        scale = np.array(params.coeff_powers.at_scales(scales, d))[scale_of[start:end]]
+        if np.isnan(scale).any():  # the family's own norm raises
+            return None
+        with np.errstate(over="ignore"):  # an inf term, as the list gives
+            b = (scale * magnitudes[start:end]).tolist()
+        try:
+            inputs += b if maxima else [x**params.q for x in b]
+        except OverflowError:  # the family's own norm raises
+            return None
+    exponents = [params.p if maxima else params.p / params.q for _, params in pairs]
+    exponent = exponents[0] if len(set(exponents)) == 1 else np.repeat(exponents, counts)
+    sizes = np.array(VOLUMES.at_scales(scales, d))[scale_of]
+    ps = [params.p for _, params in pairs]
+    bounds = np.cumsum([0, *counts])
+    return _tl_batch(*columns, bounds, np.array(inputs), exponent, sizes, maxima, ps)
 
 
 def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
@@ -285,6 +365,9 @@ def tl_norm(s: CoeffSeq, params: SpaceParams) -> float:
     _check_space(s, params, "tl")
     if not s:
         return 0.0
+    norms = _tl_norms([(s, params)], math.isinf(params.q))
+    if norms is not None:
+        return norms[0]
     forest = ContainmentForest(s)
     values, exponent = _tl_chain_inputs(forest, s, params)
     return _tl_forest_norm(forest, values, exponent, params)
@@ -331,6 +414,35 @@ def _scale_sizes(scales: Iterable[int], powers: VolumePowers, d: int) -> dict[in
 def space_norm(s: CoeffSeq, params: SpaceParams) -> float:
     """Dispatch to the norm named by ``params.kind``."""
     return tl_norm(s, params) if params.kind == "tl" else besov_norm(s, params)
+
+
+def space_norms(pairs: Iterable[tuple[CoeffSeq, SpaceParams]]) -> list[float]:
+    """``space_norm`` of each ``(s, params)`` pair, in order, bit for bit.
+
+    The non-empty aggregated (tl) families are scored in batches, one per
+    dimension and per kind of q, finite or infinite (whose chains take a
+    max): each batch is one forest on int64 keys and one depth-level pass,
+    with one exactly rounded ``fsum`` per family (``_tl_batch``).  A batch
+    is all or nothing.  When it holds fewer than ``dyadic._INT64_MIN_CUBES``
+    cubes, when a key passes 62 bits, or when any of its families would
+    raise or has a region term past ``_TERM_LIMIT``, its families run
+    ``space_norm`` one by one, as empty and per-scale families do.  So a
+    batch raises nothing itself, and an error raised is the first that the
+    per-pair loop raises, with its type and text.
+    """
+    pairs = list(pairs)
+    norms: list[float | None] = [None] * len(pairs)
+    batches: defaultdict[tuple[int, bool], list[int]] = defaultdict(list)
+    for i, (s, params) in enumerate(pairs):
+        if s and params.kind == "tl" and s.d == params.d:
+            batches[params.d, math.isinf(params.q)].append(i)
+    for (_, maxima), members in batches.items():
+        scored = _tl_norms([pairs[i] for i in members], maxima)
+        for i, norm in zip(members, scored or ()):
+            norms[i] = norm
+    return [
+        space_norm(*pair) if norm is None else norm for pair, norm in zip(pairs, norms)
+    ]
 
 
 def suffix_norms(

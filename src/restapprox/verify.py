@@ -25,7 +25,8 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .dyadic import Cube, MeasureSpec, nu_measure, pow2
 from .lorentz import CoeffSeq, LorentzParams, lorentz_norm
 from .report import ReportRow
 from .spaces import IDENTITY_TOL, SpaceParams, lorentz_equals_besov_check
-from .spaces import matched_exponents, space_norm
+from .spaces import matched_exponents, space_norm, space_norms
 from .weights import WeightFn, _smoothed_weights, boyd_lower_index, geometric_sum_bound
 
 __all__ = [
@@ -646,22 +647,23 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
 # --------------------------------------------------------------------------
 
 
-def _scaling_and_domination_failures(
-    rng: np.random.Generator, norm: Callable[[CoeffSeq], float], a: CoeffSeq
-) -> int:
-    """Homogeneity under a random scalar, then domination by a shrunk copy."""
-    failures = 0
-    na = norm(a)
+def _lattice_family(rng: np.random.Generator, a: CoeffSeq) -> tuple[float, list]:
+    """A random scalar c, and [a, a.scaled(c), a shrunk copy of a]."""
     c = _signed_values(rng, 1, 3.0)[0]
-    if abs(norm(a.scaled(c)) - abs(c) * na) > 1e-12 * abs(c) * na:
-        failures += 1
-    if norm(_shrunk(rng, a)) > na * (1 + 1e-12):
-        failures += 1
-    return failures
+    return c, [a, a.scaled(c), _shrunk(rng, a)]
+
+
+def _scaling_and_domination_failures(c: float, na: float, scaled: float, shrunk: float):
+    """Homogeneity under the scalar c, then domination by a shrunk copy, from
+    the norms of ``_lattice_family``'s sequences."""
+    homogeneity = abs(scaled - abs(c) * na) > 1e-12 * abs(c) * na
+    return int(homogeneity) + int(shrunk > na * (1 + 1e-12))
 
 
 def _space_lattice_failures(rng: np.random.Generator, kind: str) -> int:
-    failures = 0
+    """All 500 instances are drawn first, in the order the checks read the
+    generator (norms never touch it), and scored by one ``space_norms``."""
+    draws = []
     for _ in range(500):
         s = float(rng.uniform(-1, 1))
         if kind == "besov" and rng.random() < 0.1:
@@ -671,14 +673,16 @@ def _space_lattice_failures(rng: np.random.Generator, kind: str) -> int:
         q = math.inf if rng.random() < 0.12 else float(rng.uniform(0.4, 3.0))
         params = SpaceParams(s, p, q, 1, kind)
         a = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
-        failures += _scaling_and_domination_failures(
-            rng, lambda x: space_norm(x, params), a
-        )
+        c, family = _lattice_family(rng, a)
         b = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
+        draws.append((params, c, [*family, a.plus(b), b]))
+    norms = iter(space_norms((x, params) for params, _, family in draws for x in family))
+    failures = 0
+    for params, c, _ in draws:
+        na, scaled, shrunk, n_sum, nb = islice(norms, 5)
+        failures += _scaling_and_domination_failures(c, na, scaled, shrunk)
         rho = params.rho
-        lhs = space_norm(a.plus(b), params) ** rho
-        rhs = space_norm(a, params) ** rho + space_norm(b, params) ** rho
-        if lhs > rhs * (1 + 1e-12):
+        if n_sum**rho > (na**rho + nb**rho) * (1 + 1e-12):
             failures += 1
     return failures
 
@@ -694,16 +698,13 @@ def _lorentz_lattice_failures(rng: np.random.Generator) -> int:
         params = LorentzParams(WeightFn.power(p_base), mu=tau, xi=xi)
         measure = MeasureSpec(float(rng.uniform(-1, 1)))
         a = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
-        failures += _scaling_and_domination_failures(
-            rng, lambda x: lorentz_norm(x, measure, params), a
-        )
+        c, family = _lattice_family(rng, a)
+        na, scaled, shrunk = (lorentz_norm(x, measure, params) for x in family)
+        failures += _scaling_and_domination_failures(c, na, scaled, shrunk)
         b = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
         rho = min(1.0, tau)
         lhs = lorentz_norm(a.plus(b), measure, params) ** rho
-        rhs = (
-            lorentz_norm(a, measure, params) ** rho
-            + lorentz_norm(b, measure, params) ** rho
-        )
+        rhs = na**rho + lorentz_norm(b, measure, params) ** rho
         if lhs > rhs * (1 + 1e-12):
             failures += 1
     for _ in range(250):
@@ -714,8 +715,9 @@ def _lorentz_lattice_failures(rng: np.random.Generator) -> int:
         params = LorentzParams(WeightFn.power(p_eta), mu=mu, xi=xi)
         measure = MeasureSpec(float(rng.uniform(-1, 1)))
         a = _draw_seq(rng, int(rng.integers(1, 16)), 1, -3, 4, 1.5)
+        c, family = _lattice_family(rng, a)
         failures += _scaling_and_domination_failures(
-            rng, lambda x: lorentz_norm(x, measure, params), a
+            c, *(lorentz_norm(x, measure, params) for x in family)
         )
     return failures
 

@@ -46,6 +46,14 @@ leading zero ends and 1-80 steps, some of them one to three ulps wide or of
 zero length, from near 0 to past t = 1 or out to 1e+-300.  It runs
 ``weight_sups`` and, for finite mu, ``weight_integrals``.
 
+Every instance also makes one ``space_norms`` call, from a generator seeded
+with ``(seed, i, 3)``: 1-40 families of 0-15 cubes, mostly of one d and at
+scales near 0, in some calls one across a wide, huge or 900-scale gap or
+with extreme values, each with its own or its neighbour's parameters, q
+finite or inf, tl or besov.  A tree
+without ``space_norms`` (an older parent) takes ``space_norm`` pair by
+pair, so the batch is compared with the per-pair loop.
+
 A difference is expected when one of its outcome's labels is named by
 ``--expect``:
 
@@ -265,6 +273,57 @@ def _draw_steps(rng: np.random.Generator):
     return family, p, b, mu, masses
 
 
+def _draw_batch(rng: np.random.Generator) -> list:
+    """A ``space_norms`` call: 1-40 families as (d, [(j, k)], values, (s, p,
+    q, kind)), all of one d but one in ten of another.  A family holds 0-15
+    cubes at scales -3..4 with values 10^U(-3, 3); in three calls in ten
+    one family is hostile instead: scales across -60..60, -1 200..1 200 or
+    a 900-scale gap, or ``_draw_values``' values.  A family takes its own
+    parameters, or half the time those of the family before it; q is inf
+    one time in four, the kind besov one time in eight."""
+    d = int(rng.integers(1, 4))
+    n = int(rng.integers(1, 41))
+    hostile = int(rng.integers(0, n)) if rng.random() < 0.3 else -1
+    families = []
+    for f in range(n):
+        fd = d if rng.random() < 0.9 else int(rng.integers(1, 4))
+        regime = int(rng.integers(0, 5)) if f == hostile else 0
+        lo, hi = [(-3, 4), (-60, 60), (-1200, 1200), (0, 900), (-3, 4)][regime]
+        cubes = {}
+        for _ in range(int(rng.integers(0, 16))):
+            j = int(rng.integers(lo, hi + 1)) if hi != 900 else int(rng.choice([0, 1, 900]))
+            k = tuple(int(rng.integers(0, 1 << min(j - lo, 40))) for _ in range(fd))
+            cubes[j, k] = None
+        if regime == 4:
+            values = _draw_values(rng, len(cubes))
+        else:
+            signs = rng.choice([-1.0, 1.0], size=len(cubes))
+            values = [float(v) for v in signs * 10.0 ** rng.uniform(-3, 3, size=len(cubes))]
+        params = (
+            float(rng.uniform(-1, 1)),
+            float(rng.uniform(0.5, 3.0)),
+            _draw_exponent(rng, 0.5, 3.0, 0.25),
+            "tl" if rng.random() < 0.875 else "besov",
+        )
+        if families and rng.random() < 0.5:
+            params = families[-1][3]
+        families.append((fd, list(cubes), values, params))
+    return families
+
+
+def _batch_norms(ra, families) -> str:
+    """The digest of one ``space_norms`` call, or its error's type and text.
+    A tree without ``space_norms`` takes ``space_norm`` pair by pair."""
+    pairs, shared = [], {}
+    for d, cubes, values, params in families:
+        s = ra.CoeffSeq({ra.Cube(j, k): v for (j, k), v in zip(cubes, values)})
+        key = (d, params)
+        shared.setdefault(key, ra.SpaceParams(*params[:3], d, params[3]))
+        pairs.append((s, shared[key]))
+    norms = getattr(ra, "space_norms", lambda pairs: [ra.space_norm(*x) for x in pairs])
+    return _digest(norms(pairs))
+
+
 def _steps(ra, call, sups: bool) -> str:
     """The digest of one ``weight_sups`` or ``weight_integrals`` call."""
     family, p, b, mu, masses = call
@@ -314,11 +373,12 @@ def worker(count: int, seed: int) -> None:
         spread_rng = np.random.default_rng([seed, i, 1])
         call = _draw_spread(spread_rng)
         step_call = _draw_steps(np.random.default_rng([seed, i, 2]))
+        batch = _draw_batch(np.random.default_rng([seed, i, 3]))
         out.write(
             f"{i}.instance\t-\td={d} n={len(cubes)} alpha={alpha!r} s={s_exp!r} p={p!r} "
             f"q={q!r} kind={kind} xi={xi!r} mu={mu!r} eta=({eta_p!r}, {eta_b!r}) "
             f"lorentz=({lorentz_mu!r}, {lorentz_xi!r}) profile={breakpoints!r}, {errors!r} "
-            f"spread={call!r} steps={step_call!r}\n"
+            f"spread={call!r} steps={step_call!r} batch={batch!r}\n"
         )
 
         subnormal = ["xi-subnormal"] if 1.0 / xi == math.inf else []
@@ -333,6 +393,7 @@ def worker(count: int, seed: int) -> None:
         run(f"{i}.weight_sups", [], lambda: _steps(ra, step_call, sups=True))
         if math.isfinite(step_call[3]):
             run(f"{i}.weight_integrals", [], lambda: _steps(ra, step_call, sups=False))
+        run(f"{i}.space_norms", [], lambda: _batch_norms(ra, batch))
 
         try:
             s = ra.CoeffSeq({ra.Cube(j, k): v for (j, k), v in zip(cubes, values)})

@@ -186,7 +186,7 @@ MUTANTS = (
     Mutant(
         "q-inf-summed",
         "spaces.py",
-        "    if maxima:\n        chains = [-math.inf]",
+        "    if math.isinf(params.q):\n        chains = [-math.inf]",
         "    if False:\n        chains = [-math.inf]",
         (_DYADIC + "test_forest_chain_values_and_maxima",
          _SPACES + "test_tl_norm_matches_grid_oracle"),
@@ -289,12 +289,18 @@ MUTANTS = (
         (_DYADIC + "test_region_integrals_by_hand_on_depth_levels",),
     ),
     Mutant(
-        "no-level-volume-check",
+        "batch-keeps-terms-past-the-limit",
         "spaces.py",
-        "    if unknown.any():\n",
+        "    if (np.abs(terms) > _TERM_LIMIT).any():\n",
         "    if False:\n",
-        (_DYADIC + "test_region_integrals_by_hand_on_depth_levels",
-         _DYADIC + "test_array_forest_and_norms_equal_the_list_kernels"),
+        (_DYADIC + "test_region_integrals_by_hand_on_depth_levels",),
+    ),
+    Mutant(
+        "batch-first-exponent-for-all",
+        "spaces.py",
+        "exponents[0] if len(set(exponents)) == 1 else np.repeat(exponents, counts)",
+        "exponents[0]",
+        (_SPACES + "test_space_norms_score_a_mixed_batch_in_two_forests",),
     ),
     Mutant(
         "scale-sizes-in-sorted-order",
@@ -340,24 +346,27 @@ MUTANTS = (
     ),
     Mutant(
         "families-share-one-box",
-        "democracy.py",
-        "    k[:, 0] += family << level\n",
+        "spaces.py",
+        "    moved[:, 0] += np.repeat(np.cumsum(width) - width - lo, np.diff(bounds)) << rel\n",
         "",
-        (_DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop",),
+        (_SPACES + "test_space_norms_score_a_mixed_batch_in_two_forests",
+         _DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop"),
     ),
     Mutant(
         "family-sums-one-off",
-        "democracy.py",
-        "terms[bounds[f] : bounds[f + 1]]",
-        "terms[bounds[max(f - 1, 0)] : bounds[f + 1]]",
-        (_DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop",),
+        "spaces.py",
+        "zip([0, *ends], ends, ps)",
+        "zip([0, 0, *ends], ends, ps)",
+        (_SPACES + "test_space_norms_score_a_mixed_batch_in_two_forests",
+         _DEMOCRACY + "test_admissible_spread_matches_the_per_family_loop"),
     ),
     Mutant(
         "family-terms-in-preorder",
-        "democracy.py",
+        "spaces.py",
         "terms[np.argsort(owner, kind=\"stable\")]",
         "terms",
-        (_DEMOCRACY + "test_family_ratios_score_families_whose_preorders_interleave",),
+        (_SPACES + "test_space_norms_group_terms_by_family_not_by_preorder_run",
+         _DEMOCRACY + "test_family_ratios_score_families_whose_preorders_interleave"),
     ),
     Mutant(
         "pow2-passes-nan",

@@ -811,15 +811,20 @@ def _refusing(monkeypatch, *names: str) -> None:
 
 def test_exact_profile_never_enumerates(monkeypatch):
     """A 20-cube exact profile takes one merge and one norm per frontier
-    mask: counted, not timed."""
-    frontiers = []
-    merge = approx._pareto_frontier
+    mask, all in one ``space_norms`` batch: counted, not timed."""
+    frontiers, batches = [], []
+    merge, norms = approx._pareto_frontier, approx.space_norms
 
     def recording_merge(*args):
         frontiers.append(merge(*args))
         return frontiers[-1]
 
+    def recording_norms(pairs):
+        batches.append(list(pairs))
+        return norms(batches[-1])
+
     monkeypatch.setattr(approx, "_pareto_frontier", recording_merge)
+    monkeypatch.setattr(approx, "space_norms", recording_norms)
     calls = {"space_norm": 0}
     _counting(monkeypatch, calls)
     s = CoeffSeq({Cube(j % 5, (j,)): 1.0 + 0.01 * j for j in range(20)})
@@ -827,7 +832,9 @@ def test_exact_profile_never_enumerates(monkeypatch):
     profile = sigma_profile(s, params, solver="knapsack")
     assert len(frontiers) == 1
     _, masks = frontiers[0]
-    assert calls["space_norm"] == len(masks) < 1 << 20
+    assert calls["space_norm"] == 0
+    assert [len(batch) for batch in batches] == [len(masks)]
+    assert len(masks) < 1 << 20
     assert profile.breakpoints[0] == 0.0
     assert profile.breakpoints[-1] == math.fsum(params.measure(q) for q in s.support)
     assert approx_norm(s, params, "knapsack") == profile.norm(1.0, 2.0)
@@ -837,6 +844,40 @@ def test_exact_profile_never_enumerates(monkeypatch):
     assert brute.error == sigma_exact(big, 2.0, params, mode="knapsack").error
     with pytest.raises(CapabilityError):
         sigma_profile(_superincreasing(21), params, solver="knapsack")
+
+
+def test_exact_profile_scores_every_complement_on_one_forest(monkeypatch):
+    """Counted: a 12-cube exact profile with p != q scores its 4 096
+    complements (24 576 cubes) with one batched norm on one int64 forest,
+    and builds no ContainmentForest; its errors are the per-mask norms."""
+    rng = np.random.default_rng(5)
+    cubes = random_cube_set(rng, 12, 1, -3, 4)
+    s = CoeffSeq(dict(zip(cubes, rng.uniform(0.5, 2.0, 12))))
+    params = ApproxParams(1.0, 1.0, SpaceParams(0.3, 1.5, 0.8, 1), MeasureSpec(0.5))
+    masses = [params.measure(q) for q in cubes]
+    _, masks = approx._exact_candidates(cubes, list(s.values()), masses, params.space)
+    want = [
+        space_norm(s.without(c for i, c in enumerate(cubes) if m >> i & 1), params.space)
+        for m in masks
+    ]
+    built = {"ContainmentForest": 0, "_array_parents": 0}
+    forest, parents = spaces.ContainmentForest, spaces._array_parents
+
+    def counting(name, build):
+        def counted(*args):
+            built[name] += 1
+            return build(*args)
+
+        return counted
+
+    monkeypatch.setattr(spaces, "ContainmentForest", counting("ContainmentForest", forest))
+    monkeypatch.setattr(spaces, "_array_parents", counting("_array_parents", parents))
+    errors = approx._subset_errors(s, cubes, params.space, masks)
+    assert built == {"ContainmentForest": 0, "_array_parents": 1}
+    assert [x.hex() for x in errors] == [x.hex() for x in want]
+    profile = sigma_profile(s, params, solver="brute")
+    assert built == {"ContainmentForest": 0, "_array_parents": 2}
+    assert profile.errors[0] == space_norm(s, params.space)
 
 
 def test_brute_and_knapsack_share_no_search_code(monkeypatch):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from restapprox import democracy
+from restapprox import democracy, spaces
 from restapprox import (
     CapabilityError,
     CoeffSeq,
@@ -101,6 +102,29 @@ def test_family_validation():
     case = _case(s1=0.2, p1=1.6, q1=2.3, s2=0.7, p2=1.9, q2=3.1, d=2, alpha=0.8)
     with pytest.raises(ContractViolationError, match="dimensions differ"):
         GammaFamily("row", 3, d=1).closed_form_value(case)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "tag, N, L", [("grid", 3, 1), ("grid", 4, 8), ("tower", 4, 1), ("row", 5, 1)]
+)
+def test_generate_equals_validated_cubes(tag, N, L, d):
+    """``generate`` builds its cubes with ``Cube.from_columns``: each equals
+    the validated ``Cube(j, k)`` of the family's definition, in order, with
+    the same type, fields and hash."""
+    if tag == "grid":
+        expected = [Cube(1 - L.bit_length(), k) for k in product(range(N), repeat=d)]
+    elif tag == "tower":
+        expected = [
+            Cube(j, k) for j in range(N) for k in product(range(1 << j), repeat=d)
+        ]
+    else:
+        expected = [Cube(0, (i,) + (0,) * (d - 1)) for i in range(N)]
+    cubes = GammaFamily(tag, N, L=L, d=d).generate()
+    assert isinstance(cubes, tuple) and list(cubes) == expected
+    for cube, want in zip(cubes, expected):
+        assert type(cube) is Cube and tuple(cube) == tuple(want)
+        assert hash(cube) == hash(want) and type(cube.j) is int
 
 
 def test_generate_shapes():
@@ -420,14 +444,14 @@ def test_admissible_spread_matches_the_per_family_loop(generator, monkeypatch):
     """Every window against the loop; on ``_DECLINED`` at 7 families the
     int64 keys decline, and the families are handed to the loop."""
     declined = []
-    ranges = democracy._int64_ranges
+    ranges = spaces._int64_ranges
 
     def spy(j, k):
         result = ranges(j, k)
         declined.append(result is None)
         return result
 
-    monkeypatch.setattr(democracy, "_int64_ranges", spy)
+    monkeypatch.setattr(spaces, "_int64_ranges", spy)
     assert democracy._replays(7, *_DECLINED[1:])
     for seed in range(3):
         fast, slow = _GENERATORS[generator](seed), _GENERATORS[generator](seed)
@@ -551,19 +575,19 @@ def test_admissible_spread_hands_a_family_out_of_range_to_the_loop(monkeypatch):
 def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
     """Counted: a spread on criterion 3's window builds no Cube, CoeffSeq or
     ContainmentForest, one at a time or in bulk, scores its families with
-    one ``_array_parents`` call and one ``_level_terms`` call, and makes as
-    many ``integers`` calls for 80 families as for 10: one block and one
-    sync."""
+    one batched norm (``spaces._tl_batch``) and one ``_array_parents`` call,
+    and makes as many ``integers`` calls for 80 families as for 10: one
+    block and one sync."""
     built = {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
-    kernels = {"_array_parents": 0, "_level_terms": 0}
-    for name in kernels:
-        kernel = getattr(democracy, name)
+    kernels = {"_array_parents": 0, "_tl_batch": 0}
+    for name, module in zip(kernels, (spaces, democracy)):
+        kernel = getattr(module, name)
 
         def counted_kernel(*args, name=name, kernel=kernel):
             kernels[name] += 1
             return kernel(*args)
 
-        monkeypatch.setattr(democracy, name, counted_kernel)
+        monkeypatch.setattr(module, name, counted_kernel)
 
     def count_init(cls):
         init = cls.__init__
@@ -600,7 +624,7 @@ def test_admissible_spread_builds_no_cube_and_draws_in_blocks(monkeypatch):
         rng = _CountingGenerator(np.random.default_rng([17, 3]))
         admissible_spread(case, rng, n_sets, 60, -2, 5)
         calls.append(rng.calls)
-        assert kernels == {"_array_parents": 1, "_level_terms": 1}
+        assert kernels == {"_array_parents": 1, "_tl_batch": 1}
         kernels.update(dict.fromkeys(kernels, 0))
     assert built == {"Cube": 0, "CoeffSeq": 0, "ContainmentForest": 0}
     assert calls == [2, 2]

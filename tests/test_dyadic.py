@@ -29,7 +29,7 @@ from restapprox import (
 from restapprox import dyadic
 from restapprox.democracy import random_cube_set
 from restapprox.dyadic import ExactSum, VolumePowers, log2_floor_ceil
-from restapprox.spaces import _tl_forest_norm
+from restapprox.spaces import _tl_batch, _tl_forest_norm
 
 from conftest import cube_strategy
 from oracles import contains
@@ -503,25 +503,37 @@ def test_region_integral_reads_a_volume_only_where_a_term_uses_it():
         _integral(forest, [1.0, 3.0])
 
 
-def test_region_integrals_by_hand_on_depth_levels(monkeypatch):
-    """The hand cases above on forests of int64 keys, whose kernel runs one
-    depth level at a time on their arrays: chain sums and maxima, a volume
-    read only where a term uses it, and an integral past the float range."""
-    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+def _batch_integral(cubes: list[Cube], values: list[float], q: float = math.inf):
+    """``spaces._tl_batch`` of one family at p = 1 and exponent 1: the
+    integral of ``_integral``, or None where the batch declines."""
+    j, k = dyadic._int64_columns(cubes)
+    sizes = np.array([dyadic.VOLUMES.at_scales([c.j], 1)[0] for c in cubes])
+    bounds = np.array([0, len(cubes)])
+    norms = _tl_batch(j, k, bounds, np.array(values), 1.0, sizes, math.isinf(q), [1.0])
+    return None if norms is None else norms[0]
+
+
+def test_region_integrals_by_hand_on_depth_levels():
+    """The hand cases above on the batched kernel, which runs one depth
+    level at a time on int64 arrays: chain sums and maxima; a volume past
+    pow2's range where a term uses it, and an integral past the float range,
+    make it decline, for the per-family loop to raise."""
     a, b, c, e = Cube(0, (0,)), Cube(1, (0,)), Cube(2, (1,)), Cube(0, (5,))
-    forest = ContainmentForest([a, b, c, e])
-    assert forest.arrays is not None and forest.parent == [-1, 0, 1, -1]
-    assert _integral(forest, [1.0, 10.0, 100.0, 7.0], 1.0) == 0.5 + 2.75 + 27.75 + 7.0
-    assert _integral(forest, [1.0, 10.0, 100.0, 7.0]) == 0.5 + 2.5 + 25.0 + 7.0
-    assert _integral(forest, [5.0, 1.0, 2.0, 7.0]) == 2.5 + 1.25 + 1.25 + 7.0
-    forest = ContainmentForest([Cube(-1001, (0,)), Cube(0, (0,))])
-    assert forest.arrays is not None
-    assert _integral(forest, [0.0, 3.0]) == 3.0
-    with pytest.raises(ScaleRangeError, match="2\\^1001"):
-        _integral(forest, [1.0, 3.0])
-    forest = ContainmentForest([Cube(-1000, (0,)), Cube(-999, (0,))])
-    with pytest.raises(ScaleRangeError, match="region integral"):
-        _integral(forest, [1e100, 1e100])  # inf - inf
+    assert _batch_integral([a, b, c, e], [1.0, 10.0, 100.0, 7.0], 1.0) == (
+        0.5 + 2.75 + 27.75 + 7.0
+    )
+    assert _batch_integral([c, e, b, a], [100.0, 7.0, 10.0, 1.0]) == 0.5 + 2.5 + 25.0 + 7.0
+    assert _batch_integral([a, b, c, e], [5.0, 1.0, 2.0, 7.0]) == 2.5 + 1.25 + 1.25 + 7.0
+    # Volume 2^-1001 is past pow2's range; a zero root there has no term.
+    far = [Cube(1001, (0,)), Cube(995, (1,))]
+    assert _batch_integral(far, [0.0, 3.0]) == 3.0 * 2.0**-995
+    assert _batch_integral(far, [1.0, 3.0]) is None
+    assert _batch_integral([Cube(-1000, (0,)), Cube(-999, (0,))], [1e100, 1e100]) is None
+    # A finite term past 2^960 (here 2^970) declines too: an fsum of such
+    # terms could overflow in one order and not in another.
+    huge = [Cube(-1000, (0,)), Cube(-999, (0,))]
+    assert _batch_integral(huge, [2.0**-30, 1.0]) is None
+    assert _batch_integral(huge, [2.0**-50, 2.0**-40]) == 2.0**950 + 2.0**959 - 2.0**949
 
 
 def test_forest_build_compares_key_ranges_not_cubes(monkeypatch):

@@ -23,3 +23,10 @@ def test_every_exported_name_resolves(name):
     assert exported, f"{name} has no __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def test_space_norms_is_exported_from_the_package_root():
+    from restapprox import spaces
+
+    assert "space_norms" in restapprox.__all__ and "space_norms" in spaces.__all__
+    assert restapprox.space_norms is spaces.space_norms

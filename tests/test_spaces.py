@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restapprox import (
@@ -23,7 +24,9 @@ from restapprox import (
     lorentz_equals_besov_check,
     lorentz_norm,
     rearrange,
+    random_cube_set,
     space_norm,
+    space_norms,
     suffix_norms,
     tl_norm,
 )
@@ -375,10 +378,11 @@ class _CountingLevels(list):
 
 @pytest.mark.parametrize("q", [2.0, math.inf])
 def test_large_tl_norm_takes_one_numpy_step_per_depth_level(monkeypatch, q):
-    """Counted, on the 2 047 cubes of scales 0-10 in [0, 1): the forest on
-    int64 keys makes no stack pass, and ``tl_norm`` never reads the parent
-    list; its chain pass takes max depth + 1 = 11 numpy steps, one per depth
-    level, not one per cube.  A 10-cube family still takes the stack pass."""
+    """Counted, on the 2 047 cubes of scales 0-10 in [0, 1): ``tl_norm``
+    takes the batched kernel on int64 keys, which builds no
+    ``ContainmentForest`` and makes no stack pass; its chain pass takes max
+    depth + 1 = 11 numpy steps, one per depth level, not one per cube.  A
+    10-cube family still takes the stack pass."""
     from restapprox import dyadic, spaces
 
     s = CoeffSeq(
@@ -393,19 +397,154 @@ def test_large_tl_norm_takes_one_numpy_step_per_depth_level(monkeypatch, q):
     monkeypatch.setattr(
         dyadic, "_stack_parents", lambda *args: stack_passes.append(1) or stack_parents(*args)
     )
+    forests, taken = [], []
+    array_parents = spaces._array_parents
+
+    def counting_parents(*args):
+        arrays = array_parents(*args)
+        taken.append(_CountingLevels(arrays.levels))
+        return arrays._replace(levels=taken[-1])
+
+    class CountingForest(spaces.ContainmentForest):
+        def __init__(self, cubes):
+            super().__init__(cubes)
+            forests.append(self)
+
+    monkeypatch.setattr(spaces, "_array_parents", counting_parents)
+    monkeypatch.setattr(spaces, "ContainmentForest", CountingForest)
+    assert tl_norm(s, params).hex() == want.hex()
+    assert stack_passes == [] and forests == []
+    [levels] = taken
+    assert levels.taken == [1 << j for j in range(11)]
+    dyadic.ContainmentForest(list(s)[:10])
+    assert stack_passes == [1]
+
+
+# --------------------------------------------------------------------------
+# space_norms: many families on one forest
+# --------------------------------------------------------------------------
+
+
+def _outcome(norms) -> list[str] | str:
+    """The norms by ``float.hex``, or the error's type and text."""
+    try:
+        return [x.hex() for x in norms()]
+    except Exception as error:  # the type and text are compared
+        return f"{type(error).__name__}: {error}"
+
+
+def _per_pair(pairs) -> list[float]:
+    return [space_norm(s, params) for s, params in pairs]
+
+
+# Families that decline: keys past 62 bits across a 900-scale gap, and a
+# scale whose volume (and, for some s, coefficient scale) pow2 rejects.
+_DECLINING = {
+    "gap": {Cube(0, (0,)): 1.5, Cube(900, (5,)): -2.0},
+    "scale": {Cube(0, (1,)): 1.0, Cube(1100, (3,)): 0.5},
+}
+
+
+@st.composite
+def _norm_batches(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 7))):
+        d = draw(st.integers(1, 3))
+        s = draw(st.one_of(seq_strategy(d=d, max_size=12), st.just(CoeffSeq({}))))
+        q = draw(st.one_of(st.floats(0.3, 3.0), st.just(math.inf)))
+        kind = draw(st.sampled_from(["tl", "tl", "tl", "besov"]))
+        params = SpaceParams(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.3, 3.0)), q, d, kind)
+        pairs.append((s, params))
+    extra = draw(st.sampled_from([None, None, "gap", "scale"]))
+    if extra is not None:
+        params = SpaceParams(draw(st.floats(-1.0, 1.0)), 1.5, pairs[0][1].q, 1)
+        at = draw(st.integers(0, len(pairs)))
+        pairs.insert(at, (CoeffSeq(_DECLINING[extra]), params))
+    return pairs
+
+
+@settings(max_examples=120)
+@given(_norm_batches(), st.sampled_from([1, 10**9]))
+def test_space_norms_equal_the_per_pair_norms(pairs, min_cubes):
+    """``space_norms`` gives each pair's ``space_norm`` by ``float.hex``, or
+    raises the per-pair loop's first error, with its type and text: over
+    d = 1 to 3, finite and infinite q, per-family parameters, empty and
+    per-scale families, and families that decline.  At ``min_cubes`` = 1
+    every batch tries the forest; at 10^9 none does."""
+    from restapprox import dyadic
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyadic, "_INT64_MIN_CUBES", min_cubes)
+        assert _outcome(lambda: space_norms(pairs)) == _outcome(lambda: _per_pair(pairs))
+
+
+def _counted_batches(monkeypatch) -> list[bool]:
+    """Each ``_tl_batch`` call's outcome: True where it scored its families."""
+    from restapprox import spaces
+
+    scored, batch = [], spaces._tl_batch
+
+    def counted(*args):
+        norms = batch(*args)
+        scored.append(norms is not None)
+        return norms
+
+    monkeypatch.setattr(spaces, "_tl_batch", counted)
+    return scored
+
+
+# Two d = 2 families whose cubes alternate in the batch forest's preorder
+# (owners 1, 0, 0, 1): the roots' shift does not keep the boxes aligned.
+_INTERLEAVED = [
+    {Cube(3, (3, 7)): 1.5, Cube(2, (1, 3)): -0.25},
+    {Cube(2, (2, 0)): 3.0, Cube(3, (0, 0)): 0.75},
+]
+
+
+@pytest.mark.parametrize("q", [1.7, math.inf])
+def test_space_norms_group_terms_by_family_not_by_preorder_run(monkeypatch, q):
+    from restapprox import dyadic
+
+    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+    scored = _counted_batches(monkeypatch)
+    pairs = [(CoeffSeq(entries), SpaceParams(0.2, 1.3, q, 2)) for entries in _INTERLEAVED]
+    want = _outcome(lambda: _per_pair(pairs))
+    scored.clear()  # each family's own tl_norm took a batch of one
+    assert _outcome(lambda: space_norms(pairs)) == want
+    assert scored == [True]
+
+
+def test_space_norms_score_a_mixed_batch_in_two_forests(monkeypatch):
+    """Families with finite and infinite q, each with its own parameters,
+    two of them the same cubes: one forest per kind of q, each family its
+    own norm bit for bit."""
+    rng = np.random.default_rng(11)
+    pairs = []
+    for i in range(36):
+        cubes = random_cube_set(rng, 12, 1, -2, 4) if i != 1 else list(pairs[0][0])
+        values = rng.uniform(0.5, 2.0, len(cubes)) * (1 + i)
+        q = math.inf if i % 3 == 2 else 0.6 + 0.1 * i
+        params = SpaceParams(0.1 * (i % 5) - 0.2, 0.8 + 0.05 * i, q, 1)
+        pairs.append((CoeffSeq(dict(zip(cubes, values))), params))
+    want = _outcome(lambda: _per_pair(pairs))
+    scored = _counted_batches(monkeypatch)
+    assert _outcome(lambda: space_norms(pairs)) == want
+    assert scored == [True, True]
+
+
+def test_tl_lattice_builds_a_few_forests_not_one_per_family(monkeypatch):
+    """Counted: criterion 10's 500 aggregated instances score their 2 500
+    families in one forest per kind of q, and build no ContainmentForest."""
+    from restapprox import spaces, verify
+
+    scored = _counted_batches(monkeypatch)
     forests = []
 
     class CountingForest(spaces.ContainmentForest):
         def __init__(self, cubes):
             super().__init__(cubes)
-            del self.parent  # the per-cube pass's list: reading it fails
-            self.arrays = self.arrays._replace(levels=_CountingLevels(self.arrays.levels))
             forests.append(self)
 
     monkeypatch.setattr(spaces, "ContainmentForest", CountingForest)
-    assert tl_norm(s, params).hex() == want.hex()
-    assert stack_passes == []
-    [forest] = forests
-    assert forest.arrays.levels.taken == [1 << j for j in range(11)]
-    dyadic.ContainmentForest(list(s)[:10])
-    assert stack_passes == [1]
+    assert verify._space_lattice_failures(verify._rng(17, 10), "tl") == 0
+    assert scored == [True, True] and forests == []
