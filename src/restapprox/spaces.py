@@ -227,7 +227,10 @@ def _boxes(j: np.ndarray, k: np.ndarray, bounds: np.ndarray) -> np.ndarray | Non
     """Positions ``k`` with each family, the rows ``bounds[f]:bounds[f + 1]``,
     moved along the first axis by whole cells of the coarsest scale (a
     shift of every scale's grid) into cells no other family touches; None
-    when a moved position might pass 2^62."""
+    when a moved position might pass 2^62.  One family stays where it is,
+    so ``tl_norm`` takes every family whose own keys fit int64."""
+    if len(bounds) == 2:
+        return k
     gap = int(j.max()) - int(j.min())
     if gap > 61:
         return None

@@ -548,3 +548,23 @@ def test_tl_lattice_builds_a_few_forests_not_one_per_family(monkeypatch):
     monkeypatch.setattr(spaces, "ContainmentForest", CountingForest)
     assert verify._space_lattice_failures(verify._rng(17, 10), "tl") == 0
     assert scored == [True, True] and forests == []
+
+
+def test_one_family_across_a_wide_gap_keeps_its_int64_keys(monkeypatch):
+    """A single family is not moved into a box: across scales 0..900, 100
+    apart, with positions below 16, its capped keys fit int64, so
+    ``tl_norm`` takes the batched kernel as the forest takes its int64
+    path, and gives the list kernel's norm."""
+    from restapprox import dyadic
+
+    s = CoeffSeq(
+        {Cube(j, (k,)): 1.0 + (7 * j + k) % 5 for j in range(0, 1000, 100) for k in range(16)}
+    )
+    params = SpaceParams(0.001, 1.5, 2.0, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyadic, "_INT64_MIN_CUBES", 10**9)
+        want = tl_norm(s, params)
+    scored = _counted_batches(monkeypatch)
+    assert dyadic.ContainmentForest(s).arrays is not None
+    assert tl_norm(s, params).hex() == want.hex()
+    assert scored == [True]
