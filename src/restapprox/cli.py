@@ -593,6 +593,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         seed = cfg.get_seed(ns.seed)
         inputs = (read_sequence(ns.input),) if command.takes_input else ()
+        if inputs and not inputs[0]:  # every coefficient was zero, and dropped
+            raise ConfigError(f"{ns.input}: no nonzero coefficients found")
         rows = command.run(*inputs, cfg, seed)
         path = write_report(rows, ns.out, ns.command, ns.format)
     except _USAGE_ERRORS as exc:

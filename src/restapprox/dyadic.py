@@ -8,11 +8,10 @@ the half-open box ``2^(-j) * ([0,1)^d + k)`` with volume ``2^(-j*d)``.  A
 which lets a finite family be organised into a containment forest: the cubes in
 preorder plus, for each, the index of its tightest container, so that each
 cube's subtree is one run of the preorder.  The preorder comes from one sort of
-integer keys: int64 numpy arrays for families of at least ``_INT64_MIN_CUBES``
-cubes whose keys fit in 62 bits, Python ints otherwise (small families, and
-positions of hundreds of bits across wide scale gaps).  On int64 keys the
-parents come from numpy binary searches and the forest also keeps its columns
-as arrays, grouped by depth; on Python ints they come from one stack pass.
+Python int keys and the parents from one stack pass.  The same keys computed
+on int64 numpy arrays (``_int64_ranges``), and the parents and depth levels
+found from them by binary searches (``_array_parents``), serve the batched
+norm kernel of ``spaces``, which builds no forest object.
 The forest holds containment only: callers read per-cube values and volume
 powers by preorder index, and the aggregated norm's chain and region
 arithmetic lives in ``spaces``.
@@ -315,11 +314,6 @@ def _preorder_ranges(
     return keys, ends
 
 
-# Families of at least this many cubes try the int64 key path; below it the
-# fixed cost of its numpy calls exceeds the Python key path's per-cube work.
-# Measured forest builds break even here at d = 1, and from about 48 cubes
-# at d = 2 and 3.
-_INT64_MIN_CUBES = 128
 # Every int64 key and end lies strictly between -_KEY_LIMIT and _KEY_LIMIT.
 _KEY_LIMIT = 1 << 62
 # Spread masks cut to int64; the codes they select stay below 2^62.
@@ -329,7 +323,7 @@ _J, _K, _D = itemgetter(0), itemgetter(1), itemgetter(2)
 
 def _int64_columns(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray] | None:
     """Scales (n) and positions (n x d) as int64 arrays, or None when one lies
-    outside (-2^62, 2^62); then the family takes the Python keys."""
+    outside (-2^62, 2^62)."""
     n, d = len(cubes), cubes[0].d
     try:
         j = np.fromiter(map(_J, cubes), np.int64, n)
@@ -342,12 +336,10 @@ def _int64_columns(cubes: Sequence[Cube]) -> tuple[np.ndarray, np.ndarray] | Non
     return j, k.reshape(n, d)
 
 
-def _int64_ranges(
-    j: np.ndarray, k: np.ndarray
-) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray] | None:
-    """``_capped_levels`` and ``_preorder_ranges`` on int64 arrays: the levels,
-    the keys and ends, and each cube's index in the sorted scales; or None
-    when some key or end lies outside (-2^62, 2^62).
+def _int64_ranges(j: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_preorder_ranges`` on the capped levels of ``_capped_levels``, on
+    int64 arrays: the keys and ends, or None when some key or end lies
+    outside (-2^62, 2^62).
 
     Each early None is one such family, and each bound passed keeps the
     shifts after it exact in int64: the coarsest cube's key range alone
@@ -396,8 +388,7 @@ def _int64_ranges(
     ends = (codes + (1 << (shift * d))) << tie
     if keys.min() <= -_KEY_LIMIT or ends.max() >= _KEY_LIMIT:
         return None
-    levels = dict(zip(scales.tolist(), scale_levels.tolist()))
-    return levels, keys, ends, scale_of
+    return keys, ends
 
 
 def _stack_parents(order: list[int], keys: list[int], ends: list[int]) -> list[int]:
@@ -417,20 +408,17 @@ def _stack_parents(order: list[int], keys: list[int], ends: list[int]) -> list[i
 
 
 class ForestArrays(NamedTuple):
-    """A forest's columns as int64 arrays, for a family on int64 keys:
-    ``order``, ``parent`` and ``scale_of`` as the forest's lists, and
-    ``levels``, the preorder indices of the cubes at each depth (0 for a
-    root), ascending, one array per depth from 0."""
+    """The forest of int64 keys as int64 arrays: ``order`` and ``parent`` as
+    ``ContainmentForest``'s lists, and ``levels``, the preorder indices of
+    the cubes at each depth (0 for a root), ascending, one array per depth
+    from 0."""
 
     order: np.ndarray
     parent: np.ndarray
-    scale_of: np.ndarray
     levels: list[np.ndarray]
 
 
-def _array_parents(
-    keys: np.ndarray, ends: np.ndarray, scale_of: np.ndarray
-) -> ForestArrays:
+def _array_parents(keys: np.ndarray, ends: np.ndarray) -> ForestArrays:
     """The forest of int64 keys and ends, from sorts and binary searches.
 
     In the preorder of the sorted keys, cube i's subtree is the run
@@ -453,7 +441,7 @@ def _array_parents(
     parent[depth == 0] = -1
     bounds = np.searchsorted(rows, np.arange(int(depth[by_depth[-1]]) + 2) * n)
     levels = [by_depth[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return ForestArrays(order, parent, scale_of[order], levels)
+    return ForestArrays(order, parent, levels)
 
 
 class ContainmentForest:
@@ -470,25 +458,14 @@ class ContainmentForest:
     ``scale_of[i]`` the index of its scale in the sorted list ``scales``, so
     values and per-volume powers can be read by preorder index.
 
-    The build is one sort of integer keys and one parent pass, whatever the
-    scale gap.  The sort key (see ``_preorder_ranges``) orders the cubes by
-    lower corner, coarser first on ties, which lists each cube's subtree
-    right after it, in the key range ``[key, end)`` of that cube, so the
-    parents follow from integer comparisons only.  The keys use the capped
-    levels of ``_capped_levels``, which keep every containment, so their
-    length does not grow with the scale gap either.
-
-    The keys come one of two ways, equal key for key.  A family of at least
-    ``_INT64_MIN_CUBES`` cubes, with scales and positions inside +-2^62 and
-    every key and end inside 62 bits, has them computed on int64 numpy
-    arrays (``_int64_columns``, ``_int64_ranges``), sorted by numpy, and
-    its parents found by binary searches (``_array_parents``); ``arrays``
-    then holds the forest's columns as int64 arrays and its cubes grouped
-    by depth, for kernels that run one depth level at a time.  Smaller
-    families, where numpy's fixed costs dominate, and wider keys (positions
-    of hundreds of bits across a wide scale gap) take Python ints
-    (``_capped_levels``, ``_preorder_ranges``), ``sorted`` and the stack
-    pass of ``_stack_parents``; their ``arrays`` is None.
+    The build is one ``sorted`` of Python int keys and one stack pass
+    (``_stack_parents``), whatever the scale gap.  The sort key (see
+    ``_preorder_ranges``) orders the cubes by lower corner, coarser first on
+    ties, which lists each cube's subtree right after it, in the key range
+    ``[key, end)`` of that cube, so the parents follow from integer
+    comparisons only.  The keys use the capped levels of ``_capped_levels``,
+    which keep every containment, so their length does not grow with the
+    scale gap either.
 
     Every region (cube minus its children) has non-negative measure by
     construction.  The capped levels keep every containment and every
@@ -508,27 +485,18 @@ class ContainmentForest:
         self.order: list[int] = []
         self.scales: list[int] = []
         self.scale_of: list[int] = []
-        self.arrays: ForestArrays | None = None
         if not unique:
             return
         if len(set(map(_D, unique))) > 1:
             raise ContractViolationError("all cubes must share one dimension")
-        columns = _int64_columns(unique) if len(unique) >= _INT64_MIN_CUBES else None
-        ranges = None if columns is None else _int64_ranges(*columns)
-        if ranges is None:
-            levels = _capped_levels(unique)
-            keys, ends = _preorder_ranges(unique, levels)
-            order = sorted(range(len(unique)), key=keys.__getitem__)
-            index = {j: i for i, j in enumerate(levels)}
-            scale_of = [index[unique[u].j] for u in order]
-            self.parent = _stack_parents(order, keys, ends)
-        else:
-            levels, keys, ends, scale_of = ranges
-            self.arrays = arrays = _array_parents(keys, ends, scale_of)
-            order, scale_of = arrays.order.tolist(), arrays.scale_of.tolist()
-            self.parent = arrays.parent.tolist()
+        levels = _capped_levels(unique)
+        keys, ends = _preorder_ranges(unique, levels)
+        order = sorted(range(len(unique)), key=keys.__getitem__)
+        index = {j: i for i, j in enumerate(levels)}
+        self.parent = _stack_parents(order, keys, ends)
         self.cubes = list(map(unique.__getitem__, order))
-        self.order, self.scales, self.scale_of = order, list(levels), scale_of
+        self.order, self.scales = order, list(levels)
+        self.scale_of = [index[q.j] for q in self.cubes]
 
     def __len__(self) -> int:
         return len(self.cubes)

@@ -8,15 +8,16 @@ sum: no sampling, no quadrature.  The per-scale family ("besov") takes an
 inner p-sum within each scale and an outer q-sum across scales.  When p == q
 the two quasi-norms coincide identically, which several tests pin.
 
-Families of at least ``dyadic._INT64_MIN_CUBES`` cubes whose keys fit int64,
-and batches of that many cubes in many families (``space_norms``, and the
-random indicator families of ``democracy.admissible_spread``), run the
-aggregated norm one depth level of one forest at a time on numpy arrays
-(``_tl_batch``); smaller families and wider keys keep the per-cube list
-kernel.  Both ways make the same float operations in the same order, so the
-norms and their errors are the same bit for bit.  The per-scale norm takes
-one Python pass at every size: it groups |s_Q| by scale and multiplies each
-group by its scale's one atom power (``_scale_sizes``).
+Families of at least ``_INT64_MIN_CUBES`` cubes whose keys fit int64, and
+batches of that many cubes in many families (``space_norms``, and the random
+indicator families of ``democracy.admissible_spread``), run the aggregated
+norm one depth level at a time on the int64 forest of ``dyadic._int64_ranges``
+and ``dyadic._array_parents`` (``_tl_batch``).  Smaller families, wider keys
+and the greedy suffix pass keep the per-cube list kernel on a
+``ContainmentForest``.  Both ways make the same float operations in the same
+order, so the norms and their errors are the same bit for bit.  The per-scale
+norm takes one Python pass at every size: it groups |s_Q| by scale and
+multiplies each group by its scale's one atom power (``_scale_sizes``).
 
 Also provided: the canonical atom weights ``u(Q)`` (the norm of a normalized
 indicator atom), and the identity check equating a weighted Lorentz norm with
@@ -34,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import dyadic
 from .dyadic import (
     VOLUMES,
     ContainmentForest,
@@ -278,7 +278,7 @@ def _tl_batch(
     ranges = None if moved is None else _int64_ranges(j, moved)
     if ranges is None:
         return None
-    arrays = _array_parents(*ranges[1:])
+    arrays = _array_parents(*ranges)
     order, parent, n = arrays.order, arrays.parent, len(j)
     inputs, sizes = inputs[order], sizes[order]
     combine = np.maximum if maxima else np.add
@@ -313,16 +313,21 @@ def _tl_batch(
         return None
 
 
+# Batches of at least this many cubes take the int64 kernel; below it, its
+# numpy calls cost more than the list kernel's per-cube work.  Forest builds
+# on the two key paths break even here at d = 1, and at about 48 at d = 2, 3.
+_INT64_MIN_CUBES = 128
+
+
 def _tl_norms(
     pairs: list[tuple[CoeffSeq, SpaceParams]], maxima: bool
 ) -> list[float] | None:
     """``_tl_batch`` of non-empty tl families of one dimension, each with its
     own parameters, whose q are all infinite (``maxima``) or all finite;
-    None when they hold fewer than ``dyadic._INT64_MIN_CUBES`` cubes (read
-    when called), when a position passes the int64 keys, or when
-    ``_tl_batch`` declines."""
+    None when they hold fewer than ``_INT64_MIN_CUBES`` cubes, when a
+    position passes the int64 keys, or when ``_tl_batch`` declines."""
     counts = [len(s) for s, _ in pairs]
-    if sum(counts) < dyadic._INT64_MIN_CUBES:
+    if sum(counts) < _INT64_MIN_CUBES:
         return None
     cubes = [cube for s, _ in pairs for cube in s]
     columns = _int64_columns(cubes)
@@ -426,12 +431,12 @@ def space_norms(pairs: Iterable[tuple[CoeffSeq, SpaceParams]]) -> list[float]:
     dimension and per kind of q, finite or infinite (whose chains take a
     max): each batch is one forest on int64 keys and one depth-level pass,
     with one exactly rounded ``fsum`` per family (``_tl_batch``).  A batch
-    is all or nothing.  When it holds fewer than ``dyadic._INT64_MIN_CUBES``
-    cubes, when a key passes 62 bits, or when any of its families would
-    raise or has a region term past ``_TERM_LIMIT``, its families run
-    ``space_norm`` one by one, as empty and per-scale families do.  So a
-    batch raises nothing itself, and an error raised is the first that the
-    per-pair loop raises, with its type and text.
+    is all or nothing.  When it holds fewer than ``_INT64_MIN_CUBES`` cubes,
+    when a key passes 62 bits, or when any of its families would raise or
+    has a region term past ``_TERM_LIMIT``, its families run ``space_norm``
+    one by one, as empty and per-scale families do.  So a batch raises
+    nothing itself, and an error raised is the first that the per-pair loop
+    raises, with its type and text.
     """
     pairs = list(pairs)
     norms: list[float | None] = [None] * len(pairs)

@@ -29,8 +29,9 @@ knapsack and brute ``sigma_exact``, greedy and exact ``sigma_profile`` with
 ``decompose`` on 6 or fewer.  Each also builds one profile by hand, whose
 errors may end in zeros, and takes both of its norms.  About one instance in
 16 is xlarge: 128-4 000 distinct cubes near 0 or on a few scales across
--60..60, whose keys fit the forest's int64 path; it runs only the first five
-of the calls above.
+-60..60, whose keys fit int64, so that its tl norms take the batched kernel
+and its ``suffix_norms`` the Python keys of a ``ContainmentForest``; it runs
+only the first five of the calls above.
 
 Every instance also makes one ``admissible_spread`` call, drawn from its own
 generator seeded with ``(seed, i, 1)`` so that the draws above are not
@@ -137,7 +138,7 @@ def _draw_cubes(rng: np.random.Generator):
 
 
 def _draw_xlarge_cubes(rng: np.random.Generator, d: int) -> list:
-    """128-4 000 distinct cubes whose keys fit the forest's int64 path.
+    """128-4 000 distinct cubes whose keys fit the batched kernel's int64 keys.
 
     near: scales lo..lo + depth, positions from one before to one past the
     unit cube's.  wide: two to four scales anywhere in -60..60, positions

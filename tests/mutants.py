@@ -261,7 +261,8 @@ MUTANTS = (
         "dyadic.py",
         'np.searchsorted(rows, rows - n - 1, "right")',
         'np.searchsorted(rows, rows - n - 1, "left")',
-        (_DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",
+        (_DYADIC + "test_array_parents_by_hand",
+         _DYADIC + "test_array_forest_and_norms_equal_the_list_kernels",
          _DYADIC + "test_int64_keys_equal_the_python_keys"),
     ),
     Mutant(

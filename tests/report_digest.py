@@ -28,8 +28,8 @@ and on 24 of them at ``alpha = 0``, whose frontier has 25 points; and
 knapsack ``approx-norm`` profiles of ``superincreasing_sequence`` at 12 and
 13 cubes, whose frontiers hold every subset, on either side of the exact
 search's cap; and ``norm`` on the 4 000 cubes of ``large_sequence_d2`` and
-the 600 of ``far_sequence``, whose forests take the int64 key path, with
-Morton codes and with keys of 62 bits; and ``norm`` on 200 cubes of
+the 600 of ``far_sequence``, whose tl norms take the int64 keys of the
+batched kernel, with Morton codes and with keys of 62 bits; and ``norm`` on 200 cubes of
 ``large_sequence`` and of ``large_sequence_d2`` written as a hand-edited
 file (comments, blank lines, CRLF line ends, tabs and a zero coefficient).
 All reports go to a temporary directory.  Each run drops the
@@ -143,7 +143,7 @@ def large_sequence_d2(n: int = 4000) -> str:
 def far_sequence(n: int = 600) -> str:
     """``n`` distinct 1-d cubes over scales 0..14 inside [2^44 - 2, 2^44 - 1),
     values as in ``large_sequence``: the largest forest key range ends at
-    (2^44 - 1) * 2^18, which needs 62 bits, just inside the int64 key path's
+    (2^44 - 1) * 2^18, which needs 62 bits, just inside the int64 keys'
     bound."""
     rng = random.Random(600)
     entries: dict[tuple[int, int], float] = {}

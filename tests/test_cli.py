@@ -347,6 +347,17 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, as_config):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["norm", "sigma", "approx-norm"])
+def test_a_file_of_zero_coefficients_is_a_usage_error(tmp_path, capsys, command):
+    """Zero coefficients are dropped, so a file of zeros holds no sequence:
+    the error names the file, not the dimension the user never set."""
+    zeros = tmp_path / "zeros.seq"
+    zeros.write_text("0 0 0.0\n1 1 -0.0  # both zero\n")
+    assert main([command, str(zeros), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {zeros}: no nonzero coefficients found\n"
+    assert not list(tmp_path.glob(f"{command}.*"))
+
+
 def test_capability_limit_is_a_usage_error(tmp_path):
     # 13 nested cubes of masses 2^i and captured weights 3^i: all 2^13
     # subsets are on the frontier, too many for an exact profile.

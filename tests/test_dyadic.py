@@ -26,7 +26,7 @@ from restapprox import (
     pow2,
     tl_norm,
 )
-from restapprox import dyadic
+from restapprox import dyadic, spaces
 from restapprox.democracy import random_cube_set
 from restapprox.dyadic import ExactSum, VolumePowers, log2_floor_ceil
 from restapprox.spaces import _tl_batch, _tl_forest_norm
@@ -340,36 +340,63 @@ def test_morton_keys_equal_the_per_cube_spread(d, max_shift, data):
 
 
 def _ranges_both_ways(cubes: list[Cube]):
-    """The Python keys and ends, and the int64 path's result (None where it
-    declines)."""
-    levels = dyadic._capped_levels(cubes)
-    keys, ends = dyadic._preorder_ranges(cubes, levels)
+    """The Python keys and ends, and ``_int64_ranges``' keys and ends (None
+    where it declines, or where ``_int64_columns`` does)."""
+    keys, ends = dyadic._preorder_ranges(cubes, dyadic._capped_levels(cubes))
     columns = dyadic._int64_columns(cubes)
     ranges = None if columns is None else dyadic._int64_ranges(*columns)
-    return levels, keys, ends, ranges
+    return keys, ends, ranges
+
+
+def _assert_arrays_match_the_stack_pass(keys: list[int], ends: list[int]) -> None:
+    """``_array_parents`` on the int64 form of ``keys`` and ``ends`` gives the
+    preorder of ``sorted`` and the parents of ``_stack_parents``, and its
+    depth levels list each depth's preorder indices, ascending."""
+    arrays = dyadic._array_parents(np.array(keys, np.int64), np.array(ends, np.int64))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    parent = dyadic._stack_parents(order, keys, ends)
+    assert arrays.order.tolist() == order
+    assert arrays.parent.tolist() == parent
+    depth: list[int] = []
+    levels: list[list[int]] = [[] for _ in parent]
+    for i, p in enumerate(parent):
+        depth.append(0 if p < 0 else depth[p] + 1)
+        levels[depth[i]].append(i)
+    assert [level.tolist() for level in arrays.levels] == levels[: max(depth) + 1]
 
 
 @pytest.mark.parametrize("d, max_shift", [(1, 5), (2, 5), (3, 5), (1, 40), (2, 40), (3, 40)])
 @given(data=st.data())
 def test_int64_keys_equal_the_python_keys(d, max_shift, data):
-    """The int64 path gives ``_preorder_ranges``' keys and ends exactly when
-    they all fit in 62 bits, and declines otherwise; either way the forest is
-    the oracle's."""
+    """``_int64_ranges`` gives ``_preorder_ranges``' keys and ends exactly
+    when they all fit in 62 bits, and declines otherwise; there
+    ``_array_parents`` gives the stack pass's forest, and the forest is the
+    oracle's."""
     cubes = list(
         dict.fromkeys(
             data.draw(st.one_of(nested_families(d, max_shift), single_scale_grids(d)))
         )
     )
-    levels, keys, ends, ranges = _ranges_both_ways(cubes)
+    keys, ends, ranges = _ranges_both_ways(cubes)
     assert (ranges is not None) == (max(map(abs, keys + ends)) < 2**62)
     if ranges is not None:
-        got_levels, got_keys, got_ends, scale_of = ranges
-        assert got_levels == levels
+        got_keys, got_ends = ranges
         assert got_keys.tolist() == keys and got_ends.tolist() == ends
-        assert [list(levels)[i] for i in scale_of] == [q.j for q in cubes]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
-        _assert_forest_matches_oracle(cubes)
+        _assert_arrays_match_the_stack_pass(keys, ends)
+    _assert_forest_matches_oracle(cubes)
+
+
+@pytest.mark.parametrize("cubes", [
+    [Cube(0, (0,)), Cube(1, (0,))],  # a child right after its parent
+    [Cube(1, (0,)), Cube(0, (0,)), Cube(2, (1,)), Cube(1, (1,)), Cube(0, (5,))],
+    [Cube(0, (0, 0)), Cube(1, (1, 1)), Cube(2, (3, 3)), Cube(2, (0, 0))],
+])
+def test_array_parents_by_hand(cubes):
+    """Hand families on the int64 forest: the parents and depth levels of
+    the stack pass, on keys that ``_int64_ranges`` takes."""
+    keys, ends, ranges = _ranges_both_ways(cubes)
+    assert ranges is not None
+    _assert_arrays_match_the_stack_pass(keys, ends)
 
 
 _ORACLE_VALUES = st.sampled_from(
@@ -404,36 +431,35 @@ def _hex_or_error(norm) -> str:
 @settings(max_examples=200)
 @given(_norm_cases())
 def test_array_forest_and_norms_equal_the_list_kernels(case):
-    """With ``_INT64_MIN_CUBES`` at 1, every family whose keys fit int64
-    takes the arrays, and there the forest's parent pass and the tl kernel
-    give the stack pass's forest and the list kernel's norm: the same
-    columns, and norms equal by ``float.hex``, or the same error type and
-    text."""
+    """On every family whose keys fit int64, ``_array_parents`` gives the
+    stack pass's forest; and ``tl_norm`` with ``_INT64_MIN_CUBES`` at 1,
+    where every such family takes the batched kernel, gives the list
+    kernel's norm by ``float.hex``, or the same error type and text."""
     s, d, smooth, p, q = case
+    keys, ends, ranges = _ranges_both_ways(list(s)) if s else ([], [], None)
+    if ranges is not None:
+        _assert_arrays_match_the_stack_pass(keys, ends)
 
-    def outcomes(min_cubes: int):
+    def outcome(min_cubes: int) -> str:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dyadic, "_INT64_MIN_CUBES", min_cubes)
-            forest = ContainmentForest(s)
-            assert forest.arrays is None or min_cubes == 1
-            return (
-                forest.cubes, forest.parent, forest.order, forest.scale_of,
-                _hex_or_error(lambda: tl_norm(s, SpaceParams(smooth, p, q, d))),
-            )
+            patch.setattr(spaces, "_INT64_MIN_CUBES", min_cubes)
+            return _hex_or_error(lambda: tl_norm(s, SpaceParams(smooth, p, q, d)))
 
-    assert outcomes(1) == outcomes(10**9)
+    assert outcome(1) == outcome(10**9)
 
 
 def _counted_key_builders(monkeypatch) -> dict[str, int]:
+    """Calls of the two key builders: ``_int64_ranges`` as ``spaces`` calls
+    it, and ``_preorder_ranges`` as ``ContainmentForest`` calls it."""
     calls = {"_preorder_ranges": 0, "_int64_ranges": 0}
-    for name in calls:
-        builder = getattr(dyadic, name)
+    for name, module in zip(calls, (dyadic, spaces)):
+        builder = getattr(module, name)
 
         def counted(*args, _builder=builder, _name=name):
             calls[_name] += 1
             return _builder(*args)
 
-        monkeypatch.setattr(dyadic, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -451,12 +477,20 @@ def _far_family(corner: int) -> list[Cube]:
     (2**44 - 1, 63, "_preorder_ranges"),  # ... and here at 2^62
 ])
 def test_int64_keys_stop_at_62_bits(monkeypatch, corner, bits, path):
+    """``_int64_ranges`` takes keys of 62 bits and declines at 63; either
+    way the forest is the oracle's, and ``tl_norm`` tries the int64 keys
+    once and takes the list kernel (its ``_preorder_ranges``) only where
+    they decline."""
     cubes = list(dict.fromkeys(_far_family(corner)))
-    _, keys, ends, _ = _ranges_both_ways(cubes)
+    keys, ends, ranges = _ranges_both_ways(cubes)
     assert max(map(abs, keys + ends)).bit_length() == bits
-    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
-    calls = _counted_key_builders(monkeypatch)
+    assert (ranges is None) == (path == "_preorder_ranges")
+    if ranges is not None:
+        assert ranges[0].tolist() == keys and ranges[1].tolist() == ends
     _assert_forest_matches_oracle(cubes)
+    monkeypatch.setattr(spaces, "_INT64_MIN_CUBES", 1)
+    calls = _counted_key_builders(monkeypatch)
+    tl_norm(CoeffSeq(dict.fromkeys(cubes, 1.0)), SpaceParams(0.0, 1.5, 2.0, 1))
     assert calls["_int64_ranges"] == 1  # tried, and taken or declined
     assert calls["_preorder_ranges"] == (path == "_preorder_ranges")
 
@@ -473,24 +507,38 @@ def test_int64_keys_stop_at_62_bits(monkeypatch, corner, bits, path):
     ([Cube(0, (0, 0)), Cube(1, (2**31 - 1, 2**31 - 1))], 1),
 ])
 def test_int64_keys_decline_to_the_python_keys(monkeypatch, cubes, tried):
-    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+    """The int64 columns or keys decline, so ``tl_norm`` at
+    ``_INT64_MIN_CUBES`` 1 takes the Python keys, and the forest there is
+    the oracle's."""
+    assert (dyadic._int64_columns(cubes) is None) == (tried == 0)
+    assert _ranges_both_ways(cubes)[2] is None
+    monkeypatch.setattr(spaces, "_INT64_MIN_CUBES", 1)
     calls = _counted_key_builders(monkeypatch)
-    _assert_forest_matches_oracle(cubes)
+    s = CoeffSeq(dict.fromkeys(cubes, 1.0))
+    tl_norm(s, SpaceParams(0.0, 1.5, 2.0, cubes[0].d))
     assert calls == {"_preorder_ranges": 1, "_int64_ranges": tried}
+    _assert_forest_matches_oracle(cubes)
 
 
 def test_key_path_follows_family_size_and_key_width(monkeypatch):
-    """Counted: a dense 4 000-cube d = 2 family takes the int64 keys, a
-    10-cube family and a family spanning 900 scales the Python keys."""
+    """Counted: ``tl_norm`` of a dense 4 000-cube d = 2 family takes the int64
+    keys, and of a 10-cube family and a family spanning 900 scales the
+    Python keys of a ``ContainmentForest``."""
     calls = _counted_key_builders(monkeypatch)
-    forest = ContainmentForest(random_cube_set(np.random.default_rng(7), 4000, 2, 0, 7))
+
+    def norm(cubes: list[Cube]) -> float:
+        params = SpaceParams(0.0, 1.5, 2.0, cubes[0].d)
+        return tl_norm(CoeffSeq(dict.fromkeys(cubes, 1.0)), params)
+
+    dense = random_cube_set(np.random.default_rng(7), 4000, 2, 0, 7)
+    norm(dense)
     assert calls == {"_preorder_ranges": 0, "_int64_ranges": 1}
-    _assert_regions_nonnegative(forest)
+    _assert_regions_nonnegative(ContainmentForest(dense))
     calls.update(dict.fromkeys(calls, 0))
-    ContainmentForest(random_cube_set(np.random.default_rng(7), 10, 1, 0, 5))
+    norm(random_cube_set(np.random.default_rng(7), 10, 1, 0, 5))
     coarse = [Cube(j, (k,)) for j in range(8) for k in range(0, 1 << j, 3)]
     fine = [Cube(900 - j, (k * 37 << (890 - j),)) for j in range(10) for k in range(20)]
-    ContainmentForest(coarse + fine)
+    norm(coarse + fine)
     assert calls == {"_preorder_ranges": 2, "_int64_ranges": 0}
 
 

@@ -382,7 +382,7 @@ def test_large_tl_norm_takes_one_numpy_step_per_depth_level(monkeypatch, q):
     takes the batched kernel on int64 keys, which builds no
     ``ContainmentForest`` and makes no stack pass; its chain pass takes max
     depth + 1 = 11 numpy steps, one per depth level, not one per cube.  A
-    10-cube family still takes the stack pass."""
+    10-cube family takes the stack pass of a ContainmentForest."""
     from restapprox import dyadic, spaces
 
     s = CoeffSeq(
@@ -390,7 +390,7 @@ def test_large_tl_norm_takes_one_numpy_step_per_depth_level(monkeypatch, q):
     )
     params = SpaceParams(0.3, 1.5, q, 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dyadic, "_INT64_MIN_CUBES", 10**9)
+        patch.setattr(spaces, "_INT64_MIN_CUBES", 10**9)
         want = tl_norm(s, params)
     stack_passes = []
     stack_parents = dyadic._stack_parents
@@ -416,8 +416,8 @@ def test_large_tl_norm_takes_one_numpy_step_per_depth_level(monkeypatch, q):
     assert stack_passes == [] and forests == []
     [levels] = taken
     assert levels.taken == [1 << j for j in range(11)]
-    dyadic.ContainmentForest(list(s)[:10])
-    assert stack_passes == [1]
+    tl_norm(CoeffSeq(dict(list(s.items())[:10])), params)
+    assert stack_passes == [1] and len(forests) == 1
 
 
 # --------------------------------------------------------------------------
@@ -471,10 +471,10 @@ def test_space_norms_equal_the_per_pair_norms(pairs, min_cubes):
     d = 1 to 3, finite and infinite q, per-family parameters, empty and
     per-scale families, and families that decline.  At ``min_cubes`` = 1
     every batch tries the forest; at 10^9 none does."""
-    from restapprox import dyadic
+    from restapprox import spaces
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dyadic, "_INT64_MIN_CUBES", min_cubes)
+        patch.setattr(spaces, "_INT64_MIN_CUBES", min_cubes)
         assert _outcome(lambda: space_norms(pairs)) == _outcome(lambda: _per_pair(pairs))
 
 
@@ -503,9 +503,9 @@ _INTERLEAVED = [
 
 @pytest.mark.parametrize("q", [1.7, math.inf])
 def test_space_norms_group_terms_by_family_not_by_preorder_run(monkeypatch, q):
-    from restapprox import dyadic
+    from restapprox import spaces
 
-    monkeypatch.setattr(dyadic, "_INT64_MIN_CUBES", 1)
+    monkeypatch.setattr(spaces, "_INT64_MIN_CUBES", 1)
     scored = _counted_batches(monkeypatch)
     pairs = [(CoeffSeq(entries), SpaceParams(0.2, 1.3, q, 2)) for entries in _INTERLEAVED]
     want = _outcome(lambda: _per_pair(pairs))
@@ -553,18 +553,17 @@ def test_tl_lattice_builds_a_few_forests_not_one_per_family(monkeypatch):
 def test_one_family_across_a_wide_gap_keeps_its_int64_keys(monkeypatch):
     """A single family is not moved into a box: across scales 0..900, 100
     apart, with positions below 16, its capped keys fit int64, so
-    ``tl_norm`` takes the batched kernel as the forest takes its int64
-    path, and gives the list kernel's norm."""
-    from restapprox import dyadic
+    ``tl_norm`` takes the batched kernel, and gives the list kernel's
+    norm."""
+    from restapprox import spaces
 
     s = CoeffSeq(
         {Cube(j, (k,)): 1.0 + (7 * j + k) % 5 for j in range(0, 1000, 100) for k in range(16)}
     )
     params = SpaceParams(0.001, 1.5, 2.0, 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dyadic, "_INT64_MIN_CUBES", 10**9)
+        patch.setattr(spaces, "_INT64_MIN_CUBES", 10**9)
         want = tl_norm(s, params)
     scored = _counted_batches(monkeypatch)
-    assert dyadic.ContainmentForest(s).arrays is not None
     assert tl_norm(s, params).hex() == want.hex()
     assert scored == [True]
